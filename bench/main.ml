@@ -269,64 +269,34 @@ let dispatch_bench () =
 
 (* Fleet campaign throughput: devices simulated per wall second (and the
    aggregate simulated-instruction rate) on a fixed-seed campaign over
-   the shared Workbench pool, once per engine — "fleet" stays the scalar
-   engine (so the artifact's meaning is stable across revisions) and
-   "lockstep" is the batched engine's headline.  The two merged reports
-   must be byte-identical; a divergence here is a correctness bug in the
-   batched engine, so the harness hard-fails rather than publish numbers
-   for two engines that disagree. *)
+   the shared Workbench pool.  The device count stays fixed so the
+   "fleet" artifact is comparable across revisions. *)
 let fleet_bench () =
-  (* 256 devices minimum even in quick mode: the lockstep engine batches
-     in windows of [Gecko_fleet.Lockstep.default_width] (= 256) devices,
-     so anything smaller measures its degenerate partial-window path and
-     under-reports the batched engine against scalar. *)
   let devices = match fidelity with E.Quick -> 256 | E.Full -> 512 in
   let spec = Gecko_fleet.Spec.make ~devices ~attackers:2 ~seed:1 () in
-  let run_engine engine =
-    let t0 = now () in
-    (* Flight recorders on for every device (telemetry armed, no stream
-       file): the headline throughput includes the observability tax. *)
-    let r =
-      Gecko_fleet.Campaign.run ~engine
-        ~telemetry:Gecko_fleet.Telemetry.default_config spec
-    in
-    let wall = now () -. t0 in
-    let instr = float_of_int r.Gecko_fleet.Campaign.instructions_run in
-    let devices_per_sec = float_of_int devices /. Float.max wall 1e-9 in
-    let sim_instr_per_sec = instr /. Float.max wall 1e-9 in
-    Printf.printf
-      "%d devices in %.2f s wall (%s engine): %.1f devices/s, %.3e sim \
-       instr/s\n"
-      devices wall
-      (Gecko_fleet.Campaign.engine_slug engine)
-      devices_per_sec sim_instr_per_sec;
-    ( r,
-      [
-        ("devices", float_of_int devices);
-        ("devices_per_sec", devices_per_sec);
-        ("sim_instr_per_sec", sim_instr_per_sec);
-        ("wall_seconds", wall);
-      ] )
+  let t0 = now () in
+  (* Flight recorders on for every device (telemetry armed, no stream
+     file): the headline throughput includes the observability tax. *)
+  let r =
+    Gecko_fleet.Campaign.run ~telemetry:Gecko_fleet.Telemetry.default_config
+      spec
   in
-  let r_scalar, scalar_metrics = run_engine Gecko_fleet.Campaign.Scalar in
-  let r_lockstep, lockstep_metrics = run_engine Gecko_fleet.Campaign.Lockstep in
-  let report_string r =
-    match r.Gecko_fleet.Campaign.report with
-    | Some rep -> Json.to_string (Gecko_fleet.Report.to_json rep)
-    | None -> ""
-  in
-  if not (String.equal (report_string r_scalar) (report_string r_lockstep))
-  then begin
-    Printf.eprintf
-      "gecko-bench: FATAL: scalar and lockstep fleet reports differ — the \
-       batched engine diverged from the reference semantics\n%!";
-    exit 1
-  end;
+  let wall = now () -. t0 in
+  let instr = float_of_int r.Gecko_fleet.Campaign.instructions_run in
+  let devices_per_sec = float_of_int devices /. Float.max wall 1e-9 in
+  let sim_instr_per_sec = instr /. Float.max wall 1e-9 in
+  Printf.printf "%d devices in %.2f s wall: %.1f devices/s, %.3e sim instr/s\n"
+    devices wall devices_per_sec sim_instr_per_sec;
   print_newline ();
-  (match r_lockstep.Gecko_fleet.Campaign.report with
+  (match r.Gecko_fleet.Campaign.report with
   | Some rep -> print_string (Gecko_fleet.Report.render rep)
   | None -> ());
-  (scalar_metrics, lockstep_metrics)
+  [
+    ("devices", float_of_int devices);
+    ("devices_per_sec", devices_per_sec);
+    ("sim_instr_per_sec", sim_instr_per_sec);
+    ("wall_seconds", wall);
+  ]
 
 let results_json ~experiments ~micro ~instr_per_sec ~wall_total =
   let metric_obj ms =
@@ -387,14 +357,9 @@ let () =
     @ List.map (fun (n, v) -> ("sim_instr_per_sec_" ^ n, v)) per_scheme
   in
   banner "Fleet campaign throughput";
-  let fleet_metrics, lockstep_metrics = fleet_bench () in
+  let fleet_metrics = fleet_bench () in
   let experiments =
-    experiments
-    @ [
-        ("dispatch", dispatch_metrics);
-        ("fleet", fleet_metrics);
-        ("lockstep", lockstep_metrics);
-      ]
+    experiments @ [ ("dispatch", dispatch_metrics); ("fleet", fleet_metrics) ]
   in
   let wall_total = now () -. t0 in
   Printf.printf "\ntotal wall time: %.2f s\n" wall_total;

@@ -707,21 +707,9 @@ let fleet_cmd =
             "Force the live stderr progress line (default: on when \
              $(b,--telemetry) is set and stderr is a terminal).")
   in
-  let engine =
-    Arg.(
-      value
-      & opt (enum [ ("lockstep", F.Campaign.Lockstep); ("scalar", F.Campaign.Scalar) ])
-          F.Campaign.default_engine
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Shard execution engine: $(b,lockstep) (default) steps batched \
-             windows of devices over the shared pre-decoded program; \
-             $(b,scalar) runs one device at a time.  Reports, snapshots \
-             and telemetry are byte-identical across engines.")
-  in
   let run devices attackers seed jobs duration area shard_size workloads
       schemes power freq out snapshot resume max_shards telemetry_out top_k
-      progress engine =
+      progress =
     (match jobs with
     | Some n when n >= 1 -> Gecko.Workbench.set_jobs n
     | Some n ->
@@ -769,7 +757,7 @@ let fleet_cmd =
     let t0 = Gecko.Util.Clock.now () in
     let r =
       try
-        F.Campaign.run ~engine ?snapshot_path ?resume:resume_state ?max_shards
+        F.Campaign.run ?snapshot_path ?resume:resume_state ?max_shards
           ?telemetry spec
       with Invalid_argument msg -> fail_invalid msg
     in
@@ -825,7 +813,7 @@ let fleet_cmd =
     Term.(
       const run $ devices $ attackers $ seed $ jobs $ duration $ area
       $ shard_size $ workloads $ schemes $ power $ freq $ out $ snapshot
-      $ resume $ max_shards $ telemetry_out $ top_k $ progress $ engine)
+      $ resume $ max_shards $ telemetry_out $ top_k $ progress)
 
 (* --- replay ------------------------------------------------------------ *)
 

@@ -53,22 +53,6 @@ let elaborate (spec : Spec.t) =
 
 let run_device = Shard.run_device
 
-(* --- engines ----------------------------------------------------------- *)
-
-(* The engine is a runtime execution strategy, never part of the spec:
-   specs are embedded in reports and snapshots, which must be
-   byte-identical whichever engine produced them. *)
-type engine = Scalar | Lockstep
-
-let engine_slug = function Scalar -> "scalar" | Lockstep -> "lockstep"
-
-let engine_of_slug = function
-  | "scalar" -> Some Scalar
-  | "lockstep" -> Some Lockstep
-  | _ -> None
-
-let default_engine = Lockstep
-
 (* --- shards ----------------------------------------------------------- *)
 
 type shard_result = Shard.t = {
@@ -93,18 +77,13 @@ let shard_devices (spec : Spec.t) (devices : device array) sid =
 (* Each shard runs its devices in id order and streams them into the
    shard accumulator the moment they finish — no per-device list
    survives.  The shard result is a pure value; reduction happens later,
-   in shard order, whatever the pool width.  Both engines share the
-   accumulator, so their results are byte-identical. *)
-let run_shard ?(engine = default_engine) ?telemetry ~spec ~field ~devices sid =
-  let devs = shard_devices spec devices sid in
-  match engine with
-  | Lockstep -> Lockstep.run_shard ?telemetry ~spec ~field sid devs
-  | Scalar ->
-      let acc = Shard.acc_create ?telemetry sid in
-      Array.iter
-        (fun d -> Shard.acc_add acc d (Shard.run_device ?telemetry ~spec ~field d))
-        devs;
-      Shard.acc_finish acc
+   in shard order, whatever the pool width. *)
+let run_shard ?telemetry ~spec ~field ~devices sid =
+  let acc = Shard.acc_create ?telemetry sid in
+  Array.iter
+    (fun d -> Shard.acc_add acc d (Shard.run_device ?telemetry ~spec ~field d))
+    (shard_devices spec devices sid);
+  Shard.acc_finish acc
 
 let shard_to_json = Shard.to_json
 let shard_of_json = Shard.of_json
@@ -251,8 +230,7 @@ let stream_shard_line sr ~resumed ~cumulative =
       ("cumulative", Telemetry.to_json cumulative);
     ]
 
-let run ?(engine = default_engine) ?snapshot_path ?resume ?max_shards ?telemetry
-    (spec : Spec.t) =
+let run ?snapshot_path ?resume ?max_shards ?telemetry (spec : Spec.t) =
   ignore (Spec.validate spec);
   (match max_shards with
   | Some n when n < 1 ->
@@ -370,7 +348,7 @@ let run ?(engine = default_engine) ?snapshot_path ?resume ?max_shards ?telemetry
     | chunk ->
         let results =
           Workbench.pmap
-            (fun sid -> run_shard ~engine ?telemetry ~spec ~field ~devices sid)
+            (fun sid -> run_shard ?telemetry ~spec ~field ~devices sid)
             chunk
         in
         completed := !completed @ results;
@@ -439,9 +417,8 @@ type replay = {
   rp_metrics : Gecko_obs.Metrics.registry;
 }
 
-(* Replay always takes the scalar path — [Shard.run_device_full] with
-   the forensics kit attached — so replaying a lockstep campaign's
-   outlier is itself a cross-engine equality check. *)
+(* Replay re-runs the campaign's device path — [Shard.run_device_full]
+   — with the forensics kit attached. *)
 let replay ?(config = Telemetry.default_config) ~device_id (spec : Spec.t) =
   ignore (Spec.validate spec);
   if device_id < 0 || device_id >= spec.Spec.devices then

@@ -3,8 +3,7 @@
     The spec elaborates into per-device assignments (one RNG stream per
     device, split from the campaign seed) and one shared {!Field}.
     Devices partition into shards of [spec.shard_size]; each shard runs
-    its devices in id order — under the batched {!Lockstep} engine by
-    default, or the scalar per-device runner — streaming each finished
+    its devices one at a time in id order, streaming each finished
     device into the shard accumulator (see {!Shard.acc}; no per-device
     list is ever materialized), and shards fan out over the shared
     {!Gecko_harness.Workbench} pool in fixed-size waves.  Compilation
@@ -13,10 +12,9 @@
     device.
 
     Reduction folds shard results in shard-id order, so the merged report
-    is byte-identical for any [--jobs], any shard size, and either
-    {!engine}.  After every wave the completed shard results are written
-    to a versioned [gecko.fleet/1] snapshot (write-then-rename); a later
-    invocation with the same spec resumes from it, re-running only the
+    is byte-identical for any [--jobs] and any shard size.  After every
+    wave the completed shard results are written to a versioned
+    [gecko.fleet/1] snapshot (write-then-rename); a later invocation with the same spec resumes from it, re-running only the
     missing shards, and produces the byte-identical report an
     uninterrupted campaign would have — the fleet simulator itself
     behaves like an intermittent system. *)
@@ -46,30 +44,6 @@ val run_device :
     for the run; the dump rides in its outlier record if it scores as
     one). *)
 
-(** {2 Engines}
-
-    A runtime execution strategy — deliberately not part of {!Spec.t}:
-    specs are embedded in reports and snapshots, which must be
-    byte-identical whichever engine produced them.  Both engines run a
-    shard's devices in ascending id order through the same
-    {!Shard.acc}, so their shard results (and hence merged reports,
-    snapshots, and telemetry streams) are byte-identical; the
-    differential test suite pins this. *)
-
-type engine =
-  | Scalar  (** One [Machine.run] per device, serially. *)
-  | Lockstep
-      (** Batched windows of [Machine.Step] handles issued whole-block
-          turns round-robin (see {!Lockstep}). *)
-
-val engine_slug : engine -> string
-(** ["scalar"] / ["lockstep"] (the [--engine] CLI values). *)
-
-val engine_of_slug : string -> engine option
-
-val default_engine : engine
-(** {!Lockstep}. *)
-
 type shard_result = Shard.t = {
   sr_id : int;
   sr_agg : Agg.t;
@@ -83,15 +57,14 @@ type shard_result = Shard.t = {
 }
 
 val run_shard :
-  ?engine:engine ->
   ?telemetry:Telemetry.config ->
   spec:Spec.t ->
   field:Field.t ->
   devices:device array ->
   int ->
   shard_result
-(** Run one shard ([engine] defaults to {!default_engine}); [devices] is
-    the full elaborated array, the shard slice is cut here. *)
+(** Run one shard; [devices] is the full elaborated array, the shard
+    slice is cut here. *)
 
 val shard_to_json : shard_result -> Gecko_obs.Json.t
 val shard_of_json : Gecko_obs.Json.t -> shard_result
@@ -133,19 +106,16 @@ type result = {
 }
 
 val run :
-  ?engine:engine ->
   ?snapshot_path:string ->
   ?resume:Spec.t * shard_result list ->
   ?max_shards:int ->
   ?telemetry:Telemetry.config ->
   Spec.t ->
   result
-(** Run (or continue) a campaign.  [engine] picks the shard execution
-    strategy (default {!default_engine}; results do not depend on it);
-    [snapshot_path] enables per-wave checkpointing; [resume] supplies a
-    loaded snapshot whose spec must equal the requested one (raises
-    [Invalid_argument] otherwise) — the snapshot may have been produced
-    by either engine; [max_shards] bounds how many new shards this
+(** Run (or continue) a campaign.  [snapshot_path] enables per-wave
+    checkpointing; [resume] supplies a loaded snapshot whose spec must
+    equal the requested one (raises [Invalid_argument] otherwise);
+    [max_shards] bounds how many new shards this
     invocation runs (for controlled interruption).  Pool width comes
     from {!Gecko_harness.Workbench.jobs}; results do not depend on it.
 

@@ -21,36 +21,6 @@ type device = {
 let attack_rig_board = Board.attack_rig ()
 let bench_board = Board.default ()
 
-let board_of = function
-  | Spec.Attack_rig -> attack_rig_board
-  | Spec.Bench -> bench_board
-
-let device_image (d : device) =
-  let board = board_of d.board in
-  let image, meta, dec = Workbench.decoded_workload d.scheme d.workload ~board in
-  (board, image, meta, dec)
-
-(* The one option record every engine shares: the scalar per-device
-   runner, the lockstep batch engine's [Step] handles, and [replay]'s
-   full-forensics re-run differ only in the pure observers ([trace],
-   [flight]), so a device produces bit-identical physics on every
-   path. *)
-let device_options ?trace ?flight ~(spec : Spec.t) ~schedule ~reg ~dec
-    (d : device) =
-  {
-    M.default_options with
-    schedule;
-    limit = M.Sim_time spec.Spec.duration;
-    max_sim_time = spec.Spec.duration +. 1.;
-    restart_on_halt = true;
-    record_events = true;
-    seed = d.seed;
-    metrics = Some reg;
-    trace;
-    flight;
-    decoded = Some dec;
-  }
-
 let device_telemetry (c : Telemetry.config) (d : device) ~latencies ~flight agg
     =
   Telemetry.of_device ~weights:c.Telemetry.tel_weights
@@ -58,35 +28,33 @@ let device_telemetry (c : Telemetry.config) (d : device) ~latencies ~flight agg
     ~scheme:(Spec.scheme_slug d.scheme) ~board:(Spec.board_slug d.board)
     ~x:d.x ~y:d.y ~latencies ~flight agg
 
-(* Outcome -> per-device contribution, shared by both engines so the
-   aggregate a device folds into the shard is computed by exactly one
-   piece of code whatever stepped it. *)
-let device_result ?telemetry ~schedule ~reg ~flight (d : device)
-    (o : M.outcome) =
-  let gauge name = Metrics.gauge_value (Metrics.gauge reg name) in
-  let agg =
-    Agg.of_device ~schedule ~energy_drained_j:(gauge "energy.drained_j")
-      ~energy_sourced_j:(gauge "energy.sourced_j") o
-  in
-  let latencies = Agg.detection_latencies ~schedule o in
-  let tel =
-    Option.map
-      (fun c ->
-        (* The dump rides along only if the device scores as an outlier;
-           [Telemetry.of_device] drops it otherwise. *)
-        let dump = Option.map Gecko_obs.Flight.to_json flight in
-        device_telemetry c d ~latencies ~flight:dump agg)
-      telemetry
-  in
-  (agg, reg, tel)
-
+(* The campaign run and [replay]'s full-forensics re-run differ only in
+   the pure observers ([trace], [flight]), so a device produces
+   bit-identical physics either way. *)
 let run_device_full ?trace ?flight ~(spec : Spec.t) ~field (d : device) =
   let schedule = Field.schedule_at field ~x:d.x ~y:d.y in
-  let board, image, meta, dec = device_image d in
+  let board =
+    match d.board with
+    | Spec.Attack_rig -> attack_rig_board
+    | Spec.Bench -> bench_board
+  in
+  let image, meta, dec = Workbench.decoded_workload d.scheme d.workload ~board in
   let reg = Metrics.create () in
   let o =
     M.run ~board ~image ~meta
-      (device_options ?trace ?flight ~spec ~schedule ~reg ~dec d)
+      {
+        M.default_options with
+        schedule;
+        limit = M.Sim_time spec.Spec.duration;
+        max_sim_time = spec.Spec.duration +. 1.;
+        restart_on_halt = true;
+        record_events = true;
+        seed = d.seed;
+        metrics = Some reg;
+        trace;
+        flight;
+        decoded = Some dec;
+      }
   in
   let gauge name = Metrics.gauge_value (Metrics.gauge reg name) in
   let agg =
@@ -96,21 +64,20 @@ let run_device_full ?trace ?flight ~(spec : Spec.t) ~field (d : device) =
   let latencies = Agg.detection_latencies ~schedule o in
   (o, agg, reg, latencies)
 
-let flight_recorder telemetry =
-  Option.map
-    (fun (c : Telemetry.config) ->
-      Gecko_obs.Flight.create ~capacity:c.Telemetry.tel_flight_capacity ())
-    telemetry
-
-let run_device ?telemetry ~(spec : Spec.t) ~field (d : device) =
-  let flight = flight_recorder telemetry in
-  let schedule = Field.schedule_at field ~x:d.x ~y:d.y in
-  let board, image, meta, dec = device_image d in
-  let reg = Metrics.create () in
-  let o =
-    M.run ~board ~image ~meta (device_options ?flight ~spec ~schedule ~reg ~dec d)
-  in
-  device_result ?telemetry ~schedule ~reg ~flight d o
+let run_device ?telemetry ~spec ~field (d : device) =
+  match telemetry with
+  | None ->
+      let _, agg, reg, _ = run_device_full ~spec ~field d in
+      (agg, reg, None)
+  | Some (c : Telemetry.config) ->
+      let flight =
+        Gecko_obs.Flight.create ~capacity:c.Telemetry.tel_flight_capacity ()
+      in
+      let _, agg, reg, latencies = run_device_full ~flight ~spec ~field d in
+      (* The dump rides along only if the device scores as an outlier;
+         [Telemetry.of_device] drops it otherwise. *)
+      let dump = Some (Gecko_obs.Flight.to_json flight) in
+      (agg, reg, Some (device_telemetry c d ~latencies ~flight:dump agg))
 
 (* --- shard results ----------------------------------------------------- *)
 
@@ -162,10 +129,10 @@ let of_json j =
 
 (* --- streaming accumulator --------------------------------------------- *)
 
-(* Devices fold in as they finish — in ascending id order, which both
-   engines guarantee, so the non-associative float adds in [Agg.merge]
-   and the metrics histograms happen in one canonical order and the
-   shard result is byte-identical across engines and pool widths.
+(* Devices fold in as they finish, in ascending id order, so the
+   non-associative float adds in [Agg.merge] and the metrics histograms
+   happen in one canonical order and the shard result is byte-identical
+   across pool widths and resumes.
    Memory is O(#scheme-groups + #workload-groups + top_k), independent
    of the device count: no per-device list survives the fold. *)
 type acc = {

@@ -1,15 +1,13 @@
-(** The per-shard substrate both fleet engines share: the elaborated
-    device record, the single source of machine options, the
-    outcome-to-aggregate step, the shard result value, and a streaming
-    accumulator that folds devices into the shard monoids the moment
-    they finish.
+(** The per-shard substrate of a fleet campaign: the elaborated device
+    record, the one device runner, the shard result value, and a
+    streaming accumulator that folds devices into the shard monoids the
+    moment they finish.
 
-    The invariant every engine must honor: devices fold into an {!acc}
-    in ascending device-id order.  [Agg.merge] and the metrics
-    histograms add floats, and float addition is not associative, so one
-    canonical fold order is what makes shard results — and therefore
-    merged reports and telemetry streams — byte-identical across
-    engines and pool widths. *)
+    The invariant: devices fold into an {!acc} in ascending device-id
+    order.  [Agg.merge] and the metrics histograms add floats, and float
+    addition is not associative, so one canonical fold order is what
+    makes shard results — and therefore merged reports and telemetry
+    streams — byte-identical across pool widths and resumes. *)
 
 type device = {
   id : int;
@@ -21,33 +19,6 @@ type device = {
   seed : int;
 }
 
-val board_of : Spec.board_kind -> Gecko_machine.Board.t
-(** The catalogue board for a kind; memoized (boards are immutable), so
-    every device of a campaign shares the two physical records. *)
-
-val device_image :
-  device ->
-  Gecko_machine.Board.t
-  * Gecko_isa.Link.image
-  * Gecko_core.Meta.t
-  * Gecko_machine.Decode.t
-(** Board + compiled image + metadata + pre-decoded stream for a device,
-    every layer memoized process-wide (see
-    {!Gecko_harness.Workbench.decoded_workload}). *)
-
-val device_options :
-  ?trace:Gecko_obs.Trace.t ->
-  ?flight:Gecko_obs.Flight.t ->
-  spec:Spec.t ->
-  schedule:Gecko_emi.Schedule.t ->
-  reg:Gecko_obs.Metrics.registry ->
-  dec:Gecko_machine.Decode.t ->
-  device ->
-  Gecko_machine.Machine.options
-(** The one option record every path shares — scalar runner, lockstep
-    [Step] handles, forensic replay — differing only in the pure
-    observers, so a device's physics is bit-identical on every path. *)
-
 val device_telemetry :
   Telemetry.config ->
   device ->
@@ -55,20 +26,6 @@ val device_telemetry :
   flight:Gecko_obs.Json.t option ->
   Agg.t ->
   Telemetry.t
-
-val device_result :
-  ?telemetry:Telemetry.config ->
-  schedule:Gecko_emi.Schedule.t ->
-  reg:Gecko_obs.Metrics.registry ->
-  flight:Gecko_obs.Flight.t option ->
-  device ->
-  Gecko_machine.Machine.outcome ->
-  Agg.t * Gecko_obs.Metrics.registry * Telemetry.t option
-(** Outcome -> the device's shard contribution (aggregate, run metrics,
-    optional telemetry).  Both engines finish a device through here. *)
-
-val flight_recorder : Telemetry.config option -> Gecko_obs.Flight.t option
-(** A flight recorder sized per the telemetry config, when armed. *)
 
 val run_device_full :
   ?trace:Gecko_obs.Trace.t ->
@@ -80,8 +37,8 @@ val run_device_full :
   * Agg.t
   * Gecko_obs.Metrics.registry
   * float list
-(** Scalar run with full observability (replay's entry point): outcome,
-    aggregate, metrics registry, detection latencies. *)
+(** Run one device with optional observers (replay's entry point):
+    outcome, aggregate, metrics registry, detection latencies. *)
 
 val run_device :
   ?telemetry:Telemetry.config ->
@@ -89,7 +46,8 @@ val run_device :
   field:Field.t ->
   device ->
   Agg.t * Gecko_obs.Metrics.registry * Telemetry.t option
-(** The scalar engine's device runner (see {!Campaign.run_device}). *)
+(** {!run_device_full} plus, when [telemetry] is given, a flight
+    recorder and the device's telemetry (see {!Campaign.run_device}). *)
 
 (** {2 Shard results} *)
 

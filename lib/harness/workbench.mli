@@ -55,7 +55,7 @@ val decoded_workload :
   string ->
   board:Gecko_machine.Board.t ->
   Link.image * Gecko_core.Meta.t * Gecko_machine.Decode.t
-(** {!decoded} of {!workload_program}: the fleet engines' one-stop
+(** {!decoded} of {!workload_program}: the fleet device runner's one-stop
     image/meta/decoded lookup, every layer memoized. *)
 
 val record_cache_metrics : Gecko_obs.Metrics.registry -> unit

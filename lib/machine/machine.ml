@@ -1903,11 +1903,9 @@ let step_once st =
 (* One main-loop turn: whole decoded blocks whenever the guard holds;
    otherwise (injector armed, tracing, low energy, pending
    monitor/attack/limit event, solo slot, sleeping) one fully-checked
-   step.  [Step.step] clients keep the per-instruction path —
-   fault-injection sites are per instruction by definition.  [run_state]
-   is literally [while step_block st do () done], so any driver issuing
-   [step_block] turns — the lockstep fleet engine interleaves turns from
-   thousands of devices — reproduces [run] bit for bit per device. *)
+   step.  [run_state] loops on it; [Step.step] clients keep the
+   per-instruction path — fault-injection sites are per instruction by
+   definition. *)
 let step_block st =
   if
     st.fast_enabled && st.powered && (not st.stop)
@@ -1935,7 +1933,6 @@ module Step = struct
   let start ~board ~image ~meta opts = make_state ~board ~image ~meta opts
   let set_injector st f = st.injector <- f
   let step = step_once
-  let step_block = step_block
   let finished st = st.stop
   let time st = st.ph.time
   let instructions st = st.instrs

@@ -205,16 +205,6 @@ module Step : sig
   (** Advance one step; [false] once the run has stopped (limit reached
       or completed). *)
 
-  val step_block : handle -> bool
-  (** Advance one main-loop turn: a whole pre-decoded block when the
-      fast-path guard holds (powered, no injector, not tracing, decoded
-      stream available, no pending attack/monitor/limit event inside the
-      block), else exactly one fully-checked {!step}.  [Machine.run] is
-      [while step_block h do () done] followed by {!outcome}, so a
-      driver interleaving [step_block] turns across many handles — the
-      lockstep fleet engine — reproduces [run] bit for bit per device.
-      [false] once the run has stopped. *)
-
   val finished : handle -> bool
 
   val time : handle -> float

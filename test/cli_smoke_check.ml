@@ -134,14 +134,6 @@ let check_telemetry path =
           | None -> ())
         records
 
-(* The cross-engine gate: the lockstep and scalar fleet runs of the same
-   spec must have written byte-identical reports. *)
-let check_engines_agree lockstep scalar =
-  let a = read_file lockstep and b = read_file scalar in
-  if not (String.equal a b) then
-    fail "%s and %s differ: lockstep and scalar engine reports must be \
-          byte-identical" lockstep scalar
-
 let check_flight path =
   let j = parse path in
   (match Json.to_string_opt (need path j "schema") with
@@ -153,15 +145,13 @@ let check_flight path =
 
 let () =
   match Array.to_list Sys.argv with
-  | [ _; trace; metrics; fuzz; runlog; fleet; fleet_scalar; heartbeat;
-      telemetry; flight; replaylog ] ->
+  | [ _; trace; metrics; fuzz; runlog; fleet; heartbeat; telemetry; flight;
+      replaylog ] ->
       check_trace trace;
       check_metrics metrics;
       check_fuzz fuzz;
       check_run_log runlog;
       check_fleet fleet;
-      check_fleet fleet_scalar;
-      check_engines_agree fleet fleet_scalar;
       check_run_log heartbeat;
       check_telemetry telemetry;
       check_flight flight;
@@ -169,5 +159,5 @@ let () =
       print_endline "cli smoke artifacts ok"
   | _ ->
       fail
-        "usage: cli_smoke_check TRACE METRICS FUZZ RUNLOG FLEET FLEET_SCALAR \
-         HEARTBEAT TELEMETRY FLIGHT REPLAYLOG"
+        "usage: cli_smoke_check TRACE METRICS FUZZ RUNLOG FLEET HEARTBEAT \
+         TELEMETRY FLIGHT REPLAYLOG"
