@@ -12,6 +12,8 @@ let create ~capacitance ~v_max ~v_init =
     invalid_arg "Capacitor.create: v_init out of range";
   { capacitance; v_max; voltage = v_init; drained_total = 0.; sourced_total = 0. }
 
+let copy t = { t with voltage = t.voltage }
+
 let capacitance t = t.capacitance
 let voltage t = t.voltage
 let v_max t = t.v_max

@@ -22,6 +22,9 @@ type t = {
 val create : capacitance:float -> v_max:float -> v_init:float -> t
 (** [capacitance] in farads, voltages in volts. *)
 
+val copy : t -> t
+(** An independent capacitor in the same state. *)
+
 val capacitance : t -> float
 val voltage : t -> float
 val v_max : t -> float

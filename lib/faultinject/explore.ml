@@ -30,12 +30,17 @@ let default_opts =
     start_charged = true;
   }
 
-let golden ?(max_sim_time = 30.) ~board ~image ~meta () =
+let golden ?(max_sim_time = 30.) ?decoded ~board ~image ~meta () =
   let board =
     { board with Board.harvester = Gecko_energy.Harvester.constant_power 1.0 }
   in
   let opts =
-    { default_opts with M.schedule = Gecko_emi.Schedule.empty; max_sim_time }
+    {
+      default_opts with
+      M.schedule = Gecko_emi.Schedule.empty;
+      max_sim_time;
+      decoded;
+    }
   in
   let o, nvm = M.run_with_nvm ~board ~image ~meta opts in
   if o.M.completions < 1 then
@@ -108,8 +113,10 @@ let pick_targets (sites : Inject.site array) ~budget =
 let explore ?jobs ?(budget = 256) ?(pairs = 0) ?(seed = 1) ?opts ~board ~image
     ~meta () =
   let opts = match opts with Some o -> o | None -> default_opts in
+  let opts = Inject.with_decode ~board ~image opts in
   let golden_nvm, golden_io =
-    golden ~max_sim_time:opts.M.max_sim_time ~board ~image ~meta ()
+    golden ~max_sim_time:opts.M.max_sim_time ?decoded:opts.M.decoded ~board
+      ~image ~meta ()
   in
   let sites, base_outcome, base_nvm = Inject.census ~board ~image ~meta opts in
   let baseline_ok =
@@ -151,8 +158,9 @@ let explore ?jobs ?(budget = 256) ?(pairs = 0) ?(seed = 1) ?opts ~board ~image
           (Inject.kind_name s.Inject.s_kind, s.Inject.s_time, fires)
         else ("instr", 0., fires)
   in
+  let snaps = Inject.snapshots ~board ~image ~meta opts sites in
   let check fires =
-    let o, nvm = Inject.run_with_fires ~board ~image ~meta opts ~fires in
+    let o, nvm = Inject.replay snaps ~fires in
     match oracle ~golden_nvm ~golden_io o ~nvm with
     | Ok () -> None
     | Error detail ->

@@ -39,6 +39,7 @@ type report = {
 
 val golden :
   ?max_sim_time:float ->
+  ?decoded:Gecko_machine.Decode.t ->
   board:Gecko_machine.Board.t ->
   image:Link.image ->
   meta:Gecko_core.Meta.t ->
@@ -47,7 +48,8 @@ val golden :
 (** Final data segment and [io_log] of one uninterrupted run on
     continuous power (the oracle's reference).  Raises [Failure] if the
     program cannot complete within [max_sim_time] (default 30 s) even on
-    continuous power. *)
+    continuous power.  [decoded] is passed on as the run's
+    {!M.options.decoded}. *)
 
 val oracle :
   golden_nvm:int array ->
@@ -76,4 +78,10 @@ val explore :
     ones), then instruction boundaries at the smallest stride that fits.
     [pairs] (default 0) adds that many seeded-random k=2 replays.
     [jobs] > 1 fans replays out over a domain pool; results are
-    independent of the pool size. *)
+    independent of the pool size.
+
+    The image is decoded once and the decode shared by every run of the
+    sweep.  Replays fork from snapshots of the uninjected run (see
+    {!Inject.snapshots}) instead of re-running the prefix before their
+    first fire, so [opts] must carry no trace, metrics registry or
+    flight recorder: [Invalid_argument] otherwise. *)

@@ -94,8 +94,10 @@ let mutate rng ~attack ~times ~horizon t =
 
 let fuzz ?jobs ?(budget = 64) ?(seed = 1) ?opts ~board ~image ~meta () =
   let opts = match opts with Some o -> o | None -> Explore.default_opts in
+  let opts = Inject.with_decode ~board ~image opts in
   let golden_nvm, golden_io =
-    Explore.golden ~max_sim_time:opts.M.max_sim_time ~board ~image ~meta ()
+    Explore.golden ~max_sim_time:opts.M.max_sim_time ?decoded:opts.M.decoded
+      ~board ~image ~meta ()
   in
   let attack = resonant_attack board in
   (* Recon: run under a continuous tone with events recorded to learn when

@@ -59,4 +59,5 @@ val fuzz :
   result
 (** Population search over schedules under [budget] (default 64) total
     evaluations.  Deterministic for a fixed [seed], [budget] and [jobs]
-    (evaluation batches are mapped in input order). *)
+    (evaluation batches are mapped in input order).  The image is
+    decoded once and the decode shared by every run. *)

@@ -8,7 +8,13 @@
     [run_with_fires] replays the run forcing a supply collapse at chosen
     ordinals.  With more than one fire, ordinals past the first count
     consultations of the {e modified} execution (the run after the first
-    failure), which keeps multi-failure replays well defined. *)
+    failure), which keeps multi-failure replays well defined.
+
+    Every replay goes through one driver: step the checked path, firing
+    at the chosen ordinals, until the last of them has been consulted,
+    then finish on block dispatch.  [run_with_fires] starts it at
+    power-on; [replay] starts it from a fork of the uninjected run taken
+    at or before the first fire's step, which skips the common prefix. *)
 
 open Gecko_isa
 module M = Gecko_machine.Machine
@@ -29,7 +35,16 @@ type site = {
   s_kind : kind;
   s_time : float;  (** Simulated time of the consultation. *)
   s_instr : int;  (** Instructions executed when it was consulted. *)
+  s_step : int;
+      (** Steps ({!M.Step.step}) completed before the one that consulted
+          it. *)
 }
+
+val with_decode :
+  board:Gecko_machine.Board.t -> image:Link.image -> M.options -> M.options
+(** [opts] with [decoded] set to one {!Gecko_machine.Decode.decode} of
+    [image] for the board's device, unless it already holds one of
+    [image].  Runs sharing the result skip the per-run decode. *)
 
 val census :
   board:Gecko_machine.Board.t ->
@@ -51,3 +66,37 @@ val run_with_fires :
 (** Replay the run forcing a supply collapse at each ordinal in [fires];
     returns the outcome and the final data-segment snapshot.  Ordinals
     beyond the run's consultation count simply never fire. *)
+
+val drive :
+  M.Step.handle -> consulted:int -> fires:int list -> M.outcome * int array
+(** The replay driver from any step boundary: the handle has made [consulted]
+    injector consultations so far (and none of them fired).  Installs an
+    injector that fires at the ordinals in [fires] (counting on from
+    [consulted]), steps the checked path until the last of them has been
+    consulted, removes the injector and finishes the run on
+    {!M.Step.step_block}.  Returns the outcome and the final data
+    segment.  A fork of an uninjected run at a boundary no later than
+    the first fire's step, driven here, equals [run_with_fires] from
+    power-on. *)
+
+type snapshots
+(** Forks of one uninjected run at evenly spaced step boundaries, with
+    the consultation count at each. *)
+
+val snapshots :
+  board:Gecko_machine.Board.t ->
+  image:Link.image ->
+  meta:Gecko_core.Meta.t ->
+  M.options ->
+  site array ->
+  snapshots
+(** One counting pass over the run whose {!census} is [sites], keeping a
+    fork every ⌈√steps⌉ step boundaries, where steps is the number of
+    steps the census spans: O(√steps) forks in memory and fewer than
+    ⌈√steps⌉ prefix steps re-run per replay.  Raises [Invalid_argument]
+    if [opts] carries an observer (see {!M.Step.fork}). *)
+
+val replay : snapshots -> fires:int list -> M.outcome * int array
+(** [run_with_fires] for the same run and [fires], started from the
+    latest fork at or before the first fire's step.  The forks are only
+    read, so replays may run concurrently on several domains. *)

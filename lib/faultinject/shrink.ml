@@ -20,8 +20,10 @@ let default_check ~compile ~board ?opts () repro =
   match
     let image, meta = compile repro.r_prog in
     let opts = match opts with Some o -> o | None -> Explore.default_opts in
+    let opts = Inject.with_decode ~board ~image opts in
     let golden_nvm, golden_io =
-      Explore.golden ~max_sim_time:opts.M.max_sim_time ~board ~image ~meta ()
+      Explore.golden ~max_sim_time:opts.M.max_sim_time ?decoded:opts.M.decoded
+        ~board ~image ~meta ()
     in
     let opts = { opts with M.schedule = repro.r_schedule } in
     let o, nvm =

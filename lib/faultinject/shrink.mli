@@ -34,7 +34,8 @@ val default_check :
     (its own golden run as reference).  Any exception along the way —
     compile rejection, link failure, a golden run that cannot complete —
     counts as "not failing", so shrinking never escapes into invalid
-    programs. *)
+    programs.  Each candidate's image is decoded once, for its golden
+    run and its replay together. *)
 
 val shrink : ?max_rounds:int -> check:(repro -> bool) -> repro -> repro
 (** Greedy fixpoint (at most [max_rounds] sweeps, default 8).  The

@@ -1903,9 +1903,9 @@ let step_once st =
 (* One main-loop turn: whole decoded blocks whenever the guard holds;
    otherwise (injector armed, tracing, low energy, pending
    monitor/attack/limit event, solo slot, sleeping) one fully-checked
-   step.  [run_state] loops on it; [Step.step] clients keep the
-   per-instruction path — fault-injection sites are per instruction by
-   definition. *)
+   step.  [run_state] loops on it, and so does a [Step] client that has
+   removed its injector; [Step.step] is always one checked step, since
+   fault-injection sites are per instruction by definition. *)
 let step_block st =
   if
     st.fast_enabled && st.powered && (not st.stop)
@@ -1927,12 +1927,36 @@ let run ~board ~image ~meta opts =
 let data_snapshot st =
   Array.init st.image.Link.data_words (fun i -> Nvm.read st.nvm i)
 
+(* Every field that a step can change is either a mutable field of
+   [state] (copied by the [with]) or lives in one of the structures
+   copied here; the rest ([dec], [image], [board], [windows], the
+   per-device constants) is never written after [make_state]. *)
+let fork st =
+  if
+    Option.is_some st.trace || Option.is_some st.opts.metrics
+    || Option.is_some st.flight
+  then invalid_arg "Machine.Step.fork: the handle carries an observer";
+  {
+    st with
+    ph = { st.ph with time = st.ph.time };
+    nvm = Nvm.copy st.nvm;
+    cap = Capacitor.copy st.cap;
+    monitor = Monitor.copy st.monitor;
+    rng_io = Gecko_util.Rng.copy st.rng_io;
+    regs = Array.copy st.regs;
+    tl_app = Array.copy st.tl_app;
+    tl_comp = Array.copy st.tl_comp;
+    injector = None;
+  }
+
 module Step = struct
   type handle = state
 
   let start ~board ~image ~meta opts = make_state ~board ~image ~meta opts
   let set_injector st f = st.injector <- f
   let step = step_once
+  let step_block = step_block
+  let fork = fork
   let finished st = st.stop
   let time st = st.ph.time
   let instructions st = st.instrs

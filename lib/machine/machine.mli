@@ -186,7 +186,12 @@ val run_with_nvm :
     off).  An installed injector is consulted at every {!inject_site} in
     deterministic order, so "the [n]-th consultation" identifies an
     exact injection point reproducibly across replays of the same
-    (board, image, options). *)
+    (board, image, options).
+
+    A run's state between two steps is a plain value: {!fork} copies it,
+    so a driver can replay many variants of one run from a shared
+    prefix, and {!step_block} finishes a run at block-dispatch speed
+    once no injector is installed. *)
 module Step : sig
   type handle
 
@@ -202,8 +207,26 @@ module Step : sig
       Returning [true] forces a supply collapse at that instant. *)
 
   val step : handle -> bool
-  (** Advance one step; [false] once the run has stopped (limit reached
-      or completed). *)
+  (** Advance one step on the per-instruction checked path; [false] once
+      the run has stopped (limit reached or completed). *)
+
+  val step_block : handle -> bool
+  (** Advance one main-loop turn of {!run}: a whole pre-decoded block
+      when the handle has no injector, is not tracing and the block
+      guard holds, else one {!step}.  Looping on it from any step
+      boundary gives the same outcome and memory as looping on {!step}
+      with no injector installed. *)
+
+  val fork : handle -> handle
+  (** An independent copy of the run at the current step boundary:
+      stepping either handle leaves the other untouched, and the copy
+      continues exactly as the original would with no injector
+      installed.  The immutable parts
+      (board, image, decode, attack windows) are shared.  The copy has no
+      injector.  Raises [Invalid_argument] if the handle carries an
+      enabled trace, a metrics registry or an enabled flight recorder:
+      a shared observer would record the common prefix once for every
+      fork. *)
 
   val finished : handle -> bool
 

@@ -24,6 +24,8 @@ let create ?checked ~words () =
   in
   { data = Array.make words 0; checked; reads = 0; writes = 0 }
 
+let copy t = { t with data = Array.copy t.data }
+
 let words t = Array.length t.data
 
 let checked t = t.checked

@@ -19,6 +19,10 @@ val create : ?checked:bool -> words:int -> unit -> t
     access is still memory-safe: an out-of-range address raises the
     runtime's own [Invalid_argument "index out of bounds"]. *)
 
+val copy : t -> t
+(** An independent memory with the same contents, mode and access
+    counts. *)
+
 val words : t -> int
 
 val checked : t -> bool

@@ -37,6 +37,8 @@ let create kind th =
     on_event = no_hook;
   }
 
+let copy t = { t with enabled = t.enabled }
+
 let kind t = t.kind
 let thresholds t = t.th
 let enabled t = t.enabled

@@ -30,6 +30,9 @@ type t
 
 val create : kind -> thresholds -> t
 
+val copy : t -> t
+(** An independent monitor in the same state, sharing the event hook. *)
+
 val kind : t -> kind
 val thresholds : t -> thresholds
 

@@ -325,6 +325,222 @@ let test_sabotaged_coloring_caught_and_shrunk () =
         (String.length src > 0
         && String.sub src 0 11 = "let program")
 
+(* {1 Prefix sharing}
+
+   Replays fork from snapshots of the uninjected run instead of re-running
+   the prefix from power-on, and finish on block dispatch once their last
+   fire has been consulted.  The references below are the from-scratch
+   loops the explorer used before (every replay from power-on, every step
+   on the checked path), kept here only as differential oracles. *)
+
+module Rng = Gecko_util.Rng
+
+let ref_run_with_fires ~board ~image ~meta opts ~fires =
+  let n = ref 0 in
+  let h = M.Step.start ~board ~image ~meta opts in
+  M.Step.set_injector h
+    (Some
+       (fun _ ->
+         let i = !n in
+         incr n;
+         List.mem i fires));
+  while M.Step.step h do () done;
+  (M.Step.outcome h, M.Step.nvm_data h)
+
+let ref_pick_targets (sites : FI.Inject.site array) ~budget =
+  let protocol, instrs =
+    Array.to_list sites
+    |> List.partition (fun s -> s.FI.Inject.s_kind <> FI.Inject.K_instr)
+  in
+  let stride_sample xs n =
+    let len = List.length xs in
+    if len <= n then (xs, 1)
+    else
+      let stride = (len + n - 1) / n in
+      (List.filteri (fun i _ -> i mod stride = 0) xs, stride)
+  in
+  let n_proto = List.length protocol in
+  if n_proto >= budget then (fst (stride_sample protocol budget), false, 0)
+  else
+    let picked, stride = stride_sample instrs (budget - n_proto) in
+    (protocol @ picked, true, stride)
+
+let ref_explore ~budget ~pairs ~seed ~board ~image ~meta =
+  let opts = FI.Explore.default_opts in
+  let golden_nvm, golden_io = FI.Explore.golden ~board ~image ~meta () in
+  let oracle (o, nvm) = FI.Explore.oracle ~golden_nvm ~golden_io o ~nvm in
+  let sites, base_outcome, base_nvm = FI.Inject.census ~board ~image ~meta opts in
+  let by_kind = Hashtbl.create 8 in
+  Array.iter
+    (fun s ->
+      let k = FI.Inject.kind_name s.FI.Inject.s_kind in
+      Hashtbl.replace by_kind k
+        (1 + Option.value ~default:0 (Hashtbl.find_opt by_kind k)))
+    sites;
+  let targets, event_sites_covered, instr_stride =
+    ref_pick_targets sites ~budget
+  in
+  let rng = Rng.create seed in
+  let n_sites = Array.length sites in
+  let pair_fires =
+    if pairs <= 0 || n_sites < 2 then []
+    else
+      List.init pairs (fun _ ->
+          let i = Rng.int rng n_sites in
+          let j = Rng.int rng n_sites in
+          let a, b = (min i j, max i j) in
+          if a = b then [ a; b + 1 ] else [ a; b ])
+  in
+  let failures =
+    List.filter_map
+      (fun fires ->
+        match oracle (ref_run_with_fires ~board ~image ~meta opts ~fires) with
+        | Ok () -> None
+        | Error f_detail ->
+            let f_kind, f_time =
+              let o = List.hd fires in
+              if o < n_sites then
+                ( FI.Inject.kind_name sites.(o).FI.Inject.s_kind,
+                  sites.(o).FI.Inject.s_time )
+              else ("instr", 0.)
+            in
+            Some { FI.Explore.f_fires = fires; f_kind; f_time; f_detail })
+      (List.map (fun s -> [ s.FI.Inject.s_ordinal ]) targets @ pair_fires)
+  in
+  {
+    FI.Explore.sites_total = n_sites;
+    sites_by_kind =
+      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) by_kind []);
+    explored = List.length targets;
+    explored_pairs = List.length pair_fires;
+    event_sites_covered;
+    instr_stride;
+    failures;
+    baseline_ok = Result.is_ok (oracle (base_outcome, base_nvm));
+  }
+
+let test_explore_matches_reference () =
+  let cases =
+    List.map (fun w -> (Core.Scheme.Gecko, Core.Mode.Speculative, w)) W.Workload.names
+    @ List.map (fun w -> (Core.Scheme.Nvp, Core.Mode.default, w)) nvp_failing
+  in
+  List.iter
+    (fun (scheme, mode, w) ->
+      let image, meta = compile ~mode scheme w in
+      let board = fi_board () in
+      let budget = 256 and pairs = 16 and seed = 3 in
+      let r = FI.Explore.explore ~jobs:2 ~budget ~pairs ~seed ~board ~image ~meta () in
+      let tag = Printf.sprintf "%s/%s" (Core.Scheme.to_string scheme) w in
+      if r <> ref_explore ~budget ~pairs ~seed ~board ~image ~meta then
+        Alcotest.failf "%s: explorer report differs from the from-scratch reference" tag;
+      Alcotest.(check bool)
+        (tag ^ " failures as pinned")
+        (scheme = Core.Scheme.Nvp)
+        (r.FI.Explore.failures <> []))
+    cases
+
+(* Fork an uninjected run at a random step boundary k no later than the
+   first fire's step, drive the fork, and compare with the power-on
+   replay and with the from-scratch reference: outcome and final NVM. *)
+let prop_fork_equals_power_on =
+  QCheck.Test.make ~count:40
+    ~name:"fork at any step plus the driver equals power-on"
+    (QCheck.make ~print:string_of_int (QCheck.Gen.int_bound 99999))
+    (fun seed ->
+      let rng = Rng.create seed in
+      let scheme =
+        List.nth
+          [ Core.Scheme.Nvp; Core.Scheme.Ratchet; Core.Scheme.Gecko_noprune;
+            Core.Scheme.Gecko ]
+          (seed mod 4)
+      in
+      let mode =
+        match scheme with
+        | Core.Scheme.Gecko when seed mod 3 = 0 -> Core.Mode.Speculative
+        | _ -> Core.Mode.default
+      in
+      let p, meta = Core.Pipeline.compile ~mode scheme (Gen_prog.generate seed) in
+      let image = Link.link ~guards:meta.Core.Meta.guards p in
+      let board =
+        if seed mod 2 = 0 then fi_board ()
+        else
+          { (fi_board ()) with
+            Board.monitor_choice = Gecko_devices.Device.Use_comparator }
+      in
+      let opts = { FI.Explore.default_opts with M.max_sim_time = 1.0 } in
+      let sites, _, _ = FI.Inject.census ~board ~image ~meta opts in
+      let n_sites = Array.length sites in
+      let fires =
+        List.init (1 + Rng.int rng 3) (fun _ -> Rng.int rng (n_sites + 3))
+      in
+      let first = List.fold_left min max_int fires in
+      let first_step =
+        if first < n_sites then sites.(first).FI.Inject.s_step
+        else if n_sites = 0 then 0
+        else sites.(n_sites - 1).FI.Inject.s_step
+      in
+      let k = Rng.int rng (first_step + 1) in
+      let h = M.Step.start ~board ~image ~meta opts in
+      let n = ref 0 in
+      M.Step.set_injector h (Some (fun _ -> incr n; false));
+      for _ = 1 to k do ignore (M.Step.step h) done;
+      let forked = FI.Inject.drive (M.Step.fork h) ~consulted:!n ~fires in
+      let power_on = FI.Inject.run_with_fires ~board ~image ~meta opts ~fires in
+      forked = power_on
+      && power_on = ref_run_with_fires ~board ~image ~meta opts ~fires)
+
+(* The run a snapshot pass forks from must not share mutable state with
+   its forks: drive a collapse through a fork every 97 steps, then finish
+   the template and compare it with the census run. *)
+let test_template_survives_forks () =
+  let image, meta = compile ~mode:Core.Mode.Speculative Core.Scheme.Gecko "qsort" in
+  let board = fi_board () in
+  let opts = FI.Explore.default_opts in
+  let _, census_o, census_nvm = FI.Inject.census ~board ~image ~meta opts in
+  let h = M.Step.start ~board ~image ~meta opts in
+  let n = ref 0 and k = ref 0 and forks = ref 0 in
+  M.Step.set_injector h (Some (fun _ -> incr n; false));
+  while M.Step.step h do
+    incr k;
+    if !k mod 97 = 0 then begin
+      incr forks;
+      ignore (FI.Inject.drive (M.Step.fork h) ~consulted:!n ~fires:[ !n; !n + 5 ])
+    end
+  done;
+  Alcotest.(check bool) (Printf.sprintf "many forks (%d)" !forks) true (!forks > 20);
+  Alcotest.(check bool) "template outcome is the census outcome" true
+    (M.Step.outcome h = census_o);
+  Alcotest.(check (array int)) "template NVM is the census NVM" census_nvm
+    (M.Step.nvm_data h)
+
+let test_fork_refuses_observers () =
+  let image, meta = compile Core.Scheme.Gecko "crc16" in
+  let board = fi_board () in
+  let refused opts =
+    let h = M.Step.start ~board ~image ~meta opts in
+    ignore (M.Step.step h);
+    match M.Step.fork h with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  let o = FI.Explore.default_opts in
+  Alcotest.(check bool) "plain handle forks" false (refused o);
+  Alcotest.(check bool) "disabled trace forks" false
+    (refused { o with M.trace = Some (Gecko_obs.Trace.disabled ()) });
+  Alcotest.(check bool) "trace refused" true
+    (refused { o with M.trace = Some (Gecko_obs.Trace.create ()) });
+  Alcotest.(check bool) "metrics refused" true
+    (refused { o with M.metrics = Some (Gecko_obs.Metrics.create ()) });
+  Alcotest.(check bool) "flight recorder refused" true
+    (refused { o with M.flight = Some (Gecko_obs.Flight.create ()) });
+  match
+    FI.Explore.explore ~jobs:1 ~budget:4
+      ~opts:{ o with M.metrics = Some (Gecko_obs.Metrics.create ()) }
+      ~board ~image ~meta ()
+  with
+  | _ -> Alcotest.fail "explore accepted an observer-armed opts"
+  | exception Invalid_argument _ -> ()
+
 let () =
   Alcotest.run "faultinject"
     [
@@ -350,6 +566,16 @@ let () =
           Alcotest.test_case "census is deterministic" `Quick
             test_census_deterministic;
           Alcotest.test_case "k=2 pairs explored" `Quick test_pairs_explored;
+        ] );
+      ( "prefix-sharing",
+        [
+          Alcotest.test_case "explore equals the from-scratch reference" `Quick
+            test_explore_matches_reference;
+          QCheck_alcotest.to_alcotest prop_fork_equals_power_on;
+          Alcotest.test_case "template unchanged by its forks" `Quick
+            test_template_survives_forks;
+          Alcotest.test_case "fork refuses observers" `Quick
+            test_fork_refuses_observers;
         ] );
       ( "fuzzer",
         [
