@@ -29,24 +29,21 @@ let scheme_arg =
 
 let mode_conv =
   let parse s =
-    match String.lowercase_ascii s with
-    | "legacy" -> Ok Compiler.Mode.Legacy
-    | "sound" -> Ok Compiler.Mode.Sound
-    | "precise" -> Ok Compiler.Mode.Precise
-    | "speculative" | "spec" -> Ok Compiler.Mode.Speculative
-    | _ -> Error (`Msg "mode must be legacy | sound | precise | speculative")
+    match Compiler.Mode.of_string s with
+    | Some m -> Ok m
+    | None -> Error (`Msg "mode must be legacy | sound | speculative")
   in
   let print ppf m = Format.pp_print_string ppf (Compiler.Mode.to_string m) in
   Arg.conv (parse, print)
 
 let mode_arg =
   let doc =
-    "Pipeline precision/soundness mode: $(b,sound) (syntactic may-alias \
-     domain, the default), $(b,precise) (value-tracking alias domain), \
-     $(b,speculative) (optimistic checkpoint-slot reuse with the \
-     unprovable window clobbers guarded at runtime via the NVM undo \
-     log), or $(b,legacy) (the seed's optimistic, potentially unsound \
-     baseline — for overhead measurement only)."
+    "Pipeline soundness mode: $(b,sound) (syntactic may-alias check, the \
+     default), $(b,speculative) (the same regions, with optimistic \
+     checkpoint-slot reuse and the unprovable window clobbers guarded at \
+     runtime via the NVM undo log), or $(b,legacy) (the seed's \
+     optimistic, potentially unsound baseline — for overhead measurement \
+     only)."
   in
   Arg.(value & opt mode_conv Compiler.Mode.default & info [ "m"; "mode" ] ~doc)
 
@@ -178,7 +175,10 @@ let compile_cmd =
             if Mx.hist_count h > 0 then
               Printf.printf "  %-20s %8.3f ms  %10.0f\n" pass
                 (1e3 *. Mx.hist_sum h) (Mx.gauge_value g))
-          [ "copy"; "regions"; "split"; "regions2"; "coloring"; "emit"; "verify" ]
+          [
+            "copy"; "regions"; "split"; "regions2"; "coloring"; "emit";
+            "guards"; "verify";
+          ]
     | None -> ());
     (match (tracer, trace_out) with
     | Some tr, Some path -> write_trace path tr
@@ -500,8 +500,7 @@ let fuzz_cmd =
       match mode with
       | Compiler.Mode.Speculative ->
           Compiler.Pipeline.speculation_guards prog meta
-      | Compiler.Mode.Legacy | Compiler.Mode.Sound | Compiler.Mode.Precise ->
-          []
+      | Compiler.Mode.Legacy | Compiler.Mode.Sound -> []
     in
     let shrink_check board =
       FI.Shrink.default_check

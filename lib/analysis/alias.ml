@@ -132,18 +132,14 @@ let walker (p : Cfg.program) =
   { wfuncs; wgraphs; wbodies; wfunc_index; wret_points }
 
 (* Every store that may alias [m], reachable from (fi, blk, idx) without
-   crossing a boundary.  By default each path stops at its first such
-   store (a cut inserted before it re-protects everything behind it) or
-   at a boundary; [~all:true] keeps scanning to the boundary so callers
-   enumerating EVERY hazardous store on a path (speculation guard
-   collection) see the ones behind the first.  [alias] is the may-alias
-   verdict for a candidate store against the load's reference — the
-   syntactic check or the value-tracking domain.  When [interproc], the
-   walk follows calls into the callee entry and returns into every
-   caller's return block (context-insensitive, hence conservative);
-   otherwise it stops at call/return terminators — the seed's
-   interprocedural blind spot, kept as the measurement baseline. *)
-let war_stores ?(all = false) ~interproc ~alias w fi blk idx ~f =
+   crossing a boundary.  Each path stops at its first such store (a cut
+   inserted before it re-protects everything behind it) or at a
+   boundary.  Unless [legacy], the walk follows calls into the callee
+   entry and returns into every caller's return block
+   (context-insensitive, hence conservative); [~legacy:true] stops at
+   call/return terminators — the seed's interprocedural blind spot, kept
+   as the measurement baseline. *)
+let war_stores ~legacy w (m : Instr.mref) fi blk idx ~f =
   let visited = Hashtbl.create 16 in
   let rec scan fi blk idx =
     let body = w.wbodies.(fi).(blk) in
@@ -155,9 +151,9 @@ let war_stores ?(all = false) ~interproc ~alias w fi blk idx ~f =
       | Instr.Boundary _ -> stop := true
       | instr -> (
           match Instr.mem_write instr with
-          | Some sw when alias fi blk !i sw ->
+          | Some sw when may_alias sw m ->
               f fi blk !i sw;
-              if not all then stop := true
+              stop := true
           | Some _ | None -> ()));
       incr i
     done;
@@ -168,12 +164,12 @@ let war_stores ?(all = false) ~interproc ~alias w fi blk idx ~f =
       | Instr.Jmp _ | Instr.Br _ ->
           List.iter (fun s -> enter fi s) g.Fgraph.succ.(blk)
       | Instr.Call (callee, _) ->
-          if interproc then (
+          if not legacy then (
             match Hashtbl.find_opt w.wfunc_index callee with
             | Some cf -> enter cf 0
             | None -> ())
       | Instr.Ret ->
-          if interproc then
+          if not legacy then
             let fname = w.wfuncs.(fi).Cfg.fname in
             List.iter
               (fun (caller, ret_blk) -> enter caller ret_blk)
@@ -186,31 +182,8 @@ let war_stores ?(all = false) ~interproc ~alias w fi blk idx ~f =
   in
   scan fi blk idx
 
-type domain = Syntactic | Value
-
-let war_hazards ?(domain = Syntactic) ?(strict = true) ?(interproc = true)
-    ?(all = false) (p : Cfg.program) =
+let war_hazards ?(legacy = false) (p : Cfg.program) =
   let w = walker p in
-  (* Value domain: one interval+congruence fixpoint per function, shared
-     by every load scanned below.  The verdict compares the load's
-     displacement abstracted at the load point against each candidate
-     store's displacement at the store point — both sound per-point, so
-     disjoint abstractions prove the addresses never coincide. *)
-  let vrs =
-    match domain with
-    | Syntactic -> [||]
-    | Value -> Array.map Vrange.analyze w.wgraphs
-  in
-  let alias_for fi bi idx (m : Instr.mref) =
-    match domain with
-    | Syntactic -> fun _sfi _sblk _sidx sw -> may_alias sw m
-    | Value ->
-        let m_av = Vrange.disp_before vrs.(fi) ~blk:bi ~idx m.Instr.disp in
-        fun sfi sblk sidx (sw : Instr.mref) ->
-          sw.Instr.space.Instr.space_id = m.Instr.space.Instr.space_id
-          && Vrange.may_equal m_av
-               (Vrange.disp_before vrs.(sfi) ~blk:sblk ~idx:sidx sw.Instr.disp)
-  in
   let out = ref [] in
   Array.iteri
     (fun fi (bodies : Instr.t array array) ->
@@ -221,12 +194,11 @@ let war_hazards ?(domain = Syntactic) ?(strict = true) ?(interproc = true)
             (fun idx instr ->
               match Instr.mem_read instr with
               | Some m -> (
-                  match last_write_before ~strict body idx m with
+                  match last_write_before ~strict:(not legacy) body idx m with
                   | Write _ ->
                       () (* WARAW-exempt: re-execution rewrites first *)
                   | Clobbered _ | No_write ->
-                      war_stores ~all ~interproc
-                        ~alias:(alias_for fi bi idx m) w fi bi (idx + 1)
+                      war_stores ~legacy w m fi bi (idx + 1)
                         ~f:(fun sfi sblk sidx sw ->
                           out :=
                             {

@@ -66,38 +66,15 @@ type hazard = {
   hz_dynamic : bool;  (** either access is dynamically addressed *)
 }
 
-type domain =
-  | Syntactic
-      (** Space + displacement check: a register displacement may alias
-          anything in its space.  Sound and cheap; conservative on
-          pointer-heavy code. *)
-  | Value
-      (** {!Vrange} value tracking: register displacements carry
-          interval + congruence abstractions, so distinct constant
-          slots, disjoint index ranges and different strides provably
-          stop aliasing.  Still sound — everything the domain cannot
-          separate remains a hazard. *)
-
-val war_hazards :
-  ?domain:domain ->
-  ?strict:bool ->
-  ?interproc:bool ->
-  ?all:bool ->
-  Cfg.program ->
-  hazard list
+val war_hazards : ?legacy:bool -> Cfg.program -> hazard list
 (** Every load → may-aliasing-store anti-dependence reachable without
     crossing a region boundary, WARAW-exempt pairs aside.  Re-executing
     such a region after the store reads the overwritten value — the
     idempotence violation region formation must cut (or double-buffer).
-    [domain] (default [Syntactic]) picks the may-alias verdict;
-    [interproc] (default) follows calls and returns; [strict] (default)
-    uses the clobber-aware WARAW exemption.  The non-default
-    strict/interproc modes reproduce the seed's unsound analysis for
-    overhead measurement.  [all] (default [false]) keeps each forward
-    path scanning past its first hazardous store up to the boundary —
-    required when the result enumerates every store that needs a
-    speculation guard, rather than the cut positions region formation
-    consumes. *)
+    By default the walk follows calls and returns and uses the
+    clobber-aware WARAW exemption; [~legacy:true] reproduces the seed's
+    unsound analysis (intraprocedural, optimistic WARAW scan) for
+    overhead measurement. *)
 
 val pp_hazard : Format.formatter -> hazard -> unit
 

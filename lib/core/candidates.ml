@@ -16,7 +16,7 @@ type t = {
   hazards : A.Alias.hazard list;
 }
 
-let compute ?(mode = Mode.default) (p : Cfg.program) =
+let compute (p : Cfg.program) =
   let funcs = Array.of_list p.Cfg.funcs in
   let graphs = Array.map A.Fgraph.of_func funcs in
   let live = A.Ipliveness.compute p in
@@ -46,12 +46,9 @@ let compute ?(mode = Mode.default) (p : Cfg.program) =
   (* Residual may-alias WAR hazards travel with the candidate set so
      downstream passes (pruning, verification) can refuse to optimize
      across a hazard region formation failed to cut.  Empty on any
-     correctly formed program.  The verdicts follow the pipeline mode's
-     alias domain: Sound/Legacy keep the syntactic check (byte-identical
-     to the historical behaviour); Precise and Speculative upgrade to
-     value tracking — Speculative cuts the same hazard set, it only
-     relaxes checkpoint pruning downstream. *)
-  let hazards = A.Alias.war_hazards ~domain:(Mode.alias_domain mode) p in
+     correctly formed program.  Always the sound syntactic verdicts:
+     every sound mode cuts this same set. *)
+  let hazards = A.Alias.war_hazards p in
   { prog = p; funcs; graphs; sites = List.rev !sites; hazards }
 
 let site t id =

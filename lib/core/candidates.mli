@@ -23,11 +23,9 @@ type t = {
           carries one, and verification rejects the program. *)
 }
 
-val compute : ?mode:Mode.t -> Cfg.program -> t
-(** [mode] (default [Sound]) selects the hazard verdicts carried in
-    {!field-hazards}: [Precise]/[Speculative] use the value-tracking
-    alias domain, and [Speculative] reports an empty set (its residual
-    hazards are guarded at run time, so pruning may ignore them). *)
+val compute : Cfg.program -> t
+(** Boundary sites with their live-ins, plus the sound syntactic hazard
+    set of {!Gecko_analysis.Alias.war_hazards} in {!field-hazards}. *)
 
 val site : t -> int -> site
 (** Lookup by boundary id; raises [Not_found]. *)

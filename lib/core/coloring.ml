@@ -224,7 +224,7 @@ let pick_repair_node edges cycle =
       in
       (match best with Some x -> x | None -> first)
 
-let assign ?(mode = Mode.default) ~next_id ~analyze (p : Cfg.program) =
+let assign ~next_id ~analyze (p : Cfg.program) =
   let repairs : (int, Reg.Set.t) Hashtbl.t = Hashtbl.create 8 in
   let repair_at : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let rec loop round =
@@ -237,7 +237,7 @@ let assign ?(mode = Mode.default) ~next_id ~analyze (p : Cfg.program) =
        them away (undoing the alternation) nor route another site's
        restore at a slot the repair's own store would clobber inside that
        site's crash window; its other live-ins are treated normally. *)
-    let cands = Candidates.compute ~mode p in
+    let cands = Candidates.compute p in
     let force_keep bid =
       match Hashtbl.find_opt repairs bid with
       | Some regs -> regs

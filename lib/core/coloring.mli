@@ -32,7 +32,6 @@ val adjacency_for : Candidates.t -> stops:(int -> bool) -> (int * int) list
     terminate the walk (and only they are walk sources). *)
 
 val assign :
-  ?mode:Mode.t ->
   next_id:int ref ->
   analyze:
     (force_keep:(int -> Reg.Set.t) ->
@@ -41,10 +40,7 @@ val assign :
     Prune.result) ->
   Cfg.program ->
   Candidates.t * Prune.result * t
-(** May insert repair boundaries (mutating the program).  [mode]
-    (default [Sound]) is threaded into the per-round
-    {!Candidates.compute} so hazard verdicts stay consistent with the
-    pipeline's alias domain.  [analyze] is
+(** May insert repair boundaries (mutating the program).  [analyze] is
     re-run after every insertion, receiving the repair boundaries'
     forced-keep sets, so repair stores are first-class during pruning —
     in particular the reuse pass sees them as unprunable owned stores

@@ -1,48 +1,36 @@
-(* Pipeline precision/speculation mode.  One axis supersedes the old
+(* Pipeline soundness/speculation mode.  One axis supersedes the old
    bare [?sound] flag:
 
    - [Legacy]: the seed's optimistic compiler (non-strict, intraproc
      alias analysis, no slot/io gates).  Unsound under dynamic
      addressing; kept only as the soundness-overhead measurement
      baseline.
-   - [Sound]: the syntactic may-alias sound pipeline (the PR-4 fix and
-     the default; byte-identical to the former [~sound:true]).
-   - [Precise]: the sound pipeline with {!Gecko_analysis.Alias}'s
-     value-tracking domain — distinct constant slots, disjoint index
-     ranges and different strides provably stop aliasing, so fewer
-     hazard cuts and fewer pinned checkpoints.
-   - [Speculative]: region formation cuts exactly like [Precise]
-     (regions stay idempotent), but checkpoint pruning reuses slots
+   - [Sound]: the syntactic may-alias sound pipeline (the default;
+     byte-identical to the former [~sound:true]).
+   - [Speculative]: region formation cuts exactly like [Sound] (regions
+     stay idempotent), but checkpoint pruning reuses slots
      optimistically, without the sound crash-window survival proof;
      every owned checkpoint store whose window clobber cannot be
      proven harmless is emitted with a runtime speculation guard (an
      NVM undo-log append) so rollback can restore the overwritten
      slot words before running the register restores. *)
 
-type t = Legacy | Sound | Precise | Speculative
+type t = Legacy | Sound | Speculative
 
 let default = Sound
 
 let to_string = function
   | Legacy -> "legacy"
   | Sound -> "sound"
-  | Precise -> "precise"
   | Speculative -> "speculative"
 
 let of_string s =
   match String.lowercase_ascii s with
   | "legacy" -> Some Legacy
   | "sound" -> Some Sound
-  | "precise" -> Some Precise
-  | "speculative" -> Some Speculative
+  | "speculative" | "spec" -> Some Speculative
   | _ -> None
 
 let equal (a : t) (b : t) = a = b
 let compare (a : t) (b : t) = compare a b
-
-(* The hazard verdicts region formation and candidate analysis consume. *)
-let alias_domain = function
-  | Legacy | Sound -> Gecko_analysis.Alias.Syntactic
-  | Precise | Speculative -> Gecko_analysis.Alias.Value
-
-let is_sound = function Legacy -> false | Sound | Precise | Speculative -> true
+let is_sound = function Legacy -> false | Sound | Speculative -> true

@@ -61,7 +61,7 @@ let pass ?obs ?metrics p name f =
    overwrote.  Guard positions are named on the FINAL (post-emit)
    program as (fname, block label, instr idx) for the linker. *)
 let speculation_guards (p : Cfg.program) (meta : Meta.t) =
-  Verify.slot_clobbers ~mode:Mode.Speculative p meta
+  Verify.slot_clobbers p meta
 
 let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
     ?(prune_reuse = true) ?(mode = Mode.default) ?obs ?metrics scheme prog =
@@ -97,7 +97,7 @@ let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
             in
             let cands, decisions, colors =
               pass "coloring" (fun () ->
-                  Coloring.assign ~mode ~next_id ~analyze p)
+                  Coloring.assign ~next_id ~analyze p)
             in
             pass "emit" (fun () -> Emit.gecko scheme p cands decisions colors)
         | Scheme.Nvp -> assert false
@@ -111,7 +111,7 @@ let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
         | Mode.Speculative ->
             let guards = pass "guards" (fun () -> speculation_guards p meta) in
             { meta with Meta.guards }
-        | Mode.Legacy | Mode.Sound | Mode.Precise -> meta
+        | Mode.Legacy | Mode.Sound -> meta
       in
       pass "verify" (fun () ->
           fail_on_errors "idempotence" (Verify.idempotence ~mode p);
@@ -119,7 +119,7 @@ let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
           | Scheme.Gecko | Scheme.Gecko_noprune ->
               fail_on_errors "coloring" (Verify.coloring p meta);
               if sound then
-                fail_on_errors "slots" (Verify.slots ~mode p meta)
+                fail_on_errors "slots" (Verify.slots p meta)
           | Scheme.Ratchet | Scheme.Nvp -> ());
           (match scheme with
           | Scheme.Ratchet | Scheme.Gecko | Scheme.Gecko_noprune ->
@@ -129,7 +129,7 @@ let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
           | Mode.Speculative ->
               fail_on_errors "speculation"
                 (Verify.speculation ~capacity:Link.Cells.undo_capacity p meta)
-          | Mode.Legacy | Mode.Sound | Mode.Precise -> ());
+          | Mode.Legacy | Mode.Sound -> ());
           fail_on_errors "wcet" (Verify.wcet ~budget:budget_cycles p));
       (p, meta)
 

@@ -36,7 +36,7 @@ val compile :
     the ablation study.  Raises [Failure] if a verification pass fails —
     a compiler bug, not a user error.
 
-    [mode] (default [Sound]) selects the precision/soundness point of the
+    [mode] (default [Sound]) selects the soundness/speculation point of the
     whole pipeline (it supersedes the former [sound] flag):
 
     - [Sound] — the may-alias-sound pipeline with the syntactic alias
@@ -44,14 +44,10 @@ val compile :
       the hazard-aware pruning discipline, and the independent
       [Verify.slots] / [Verify.io_commit] gates.  Byte-identical to the
       historical [sound:true] output.
-    - [Precise] — same gates, but hazard verdicts come from the
-      value-tracking alias domain ({!Gecko_analysis.Vrange}): provably
-      disjoint register-addressed accesses stop forcing anti-dependence
-      cuts.
-    - [Speculative] — same region formation as [Precise] (every
-      value-domain hazard is still cut, so regions stay idempotent), but
-      checkpoint pruning reuses slots optimistically, without the sound
-      crash-window survival proof.  Every owned checkpoint store of a
+    - [Speculative] — same region formation as [Sound] (every hazard is
+      still cut, so regions stay idempotent), but checkpoint pruning
+      reuses slots optimistically, without the sound crash-window
+      survival proof.  Every owned checkpoint store of a
       reused slot gets a runtime speculation guard (an undo-log append
       of the slot's old word) recorded in {!Meta.t.guards}; rollback
       replays the log before running restores, so reused slots read

@@ -76,18 +76,13 @@ let structural_pass next_id (p : Cfg.program) =
 (* Anti-dependence cuts: the may-alias WAR/WARAW hazard set lives in the
    analysis layer ({!A.Alias.war_hazards}); region formation resolves each
    hazard by inserting a boundary immediately before the offending store,
-   so a rollback can never land between the load and the store.  The
-   pipeline {!Mode} picks the hazard verdicts: [Legacy] reproduces the
+   so a rollback can never land between the load and the store.  Every
+   sound mode uses the same syntactic verdicts; [Legacy] reproduces the
    seed's analysis (intraprocedural, optimistic WARAW scan) — only the
-   soundness-overhead measurement baseline compiles with it; [Precise]
-   and [Speculative] upgrade the may-alias test to the value-tracking
-   domain, so provably distinct slots and disjoint index ranges stop
-   forcing cuts. *)
+   soundness-overhead measurement baseline compiles with it. *)
 
 let hazards ?(mode = Mode.default) (p : Cfg.program) =
-  let legacy = not (Mode.is_sound mode) in
-  A.Alias.war_hazards ~domain:(Mode.alias_domain mode) ~strict:(not legacy)
-    ~interproc:(not legacy) p
+  A.Alias.war_hazards ~legacy:(not (Mode.is_sound mode)) p
 
 let insert_in_block (b : Cfg.block) idx instr =
   let rec go i = function
@@ -117,8 +112,8 @@ let form ?(mode = Mode.default) ~next_id p =
      rollback is deterministic without any memory replay.  What
      [Speculative] relaxes is downstream checkpoint PRUNING (optimistic
      slot reuse with runtime-guarded roots; see {!Prune} and
-     {!Pipeline}), not the anti-dependence discipline.  Its hazard
-     verdicts come from the value-tracking domain, like [Precise]. *)
+     {!Pipeline}), not the anti-dependence discipline, so it cuts exactly
+     the regions [Sound] cuts. *)
   let b = war_fixpoint ~mode next_id p 0 in
   a + b
 

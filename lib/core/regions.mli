@@ -27,15 +27,12 @@ val form : ?mode:Mode.t -> next_id:int ref -> Cfg.program -> int
 (** Returns the number of boundaries inserted.  [mode] picks the hazard
     verdicts: [Legacy] is the seed's unsound analysis (intraprocedural,
     optimistic WARAW scan — only the soundness-overhead measurement
-    baseline uses it); [Precise] upgrades the may-alias test to the
-    value-tracking domain; [Speculative] skips the anti-dependence cut
-    fixpoint entirely (residual hazards are guarded at run time by the
-    pipeline instead of cut). *)
+    baseline uses it); [Sound] and [Speculative] cut the same hazard set
+    and so form the same regions. *)
 
 val hazards : ?mode:Mode.t -> Cfg.program -> A.Alias.hazard list
-(** Residual may-alias WAR hazards under the mode's domain (empty on a
-    correctly formed program, except in [Speculative] mode where the
-    remaining hazards are exactly the ones needing runtime guards). *)
+(** Residual may-alias WAR hazards under the mode's verdicts (empty on a
+    correctly formed program). *)
 
 val violations : ?mode:Mode.t -> Cfg.program -> string list
 (** Human-readable rendering of {!hazards} — the final verification

@@ -5,7 +5,7 @@ let idempotence ?(mode = Mode.default) p =
   (* Every mode — [Speculative] included — must cut its hazard set to
      empty: regions are idempotent by construction and re-execution after
      a rollback is deterministic without memory replay.  [mode] only
-     selects the alias domain the hazards are judged in. *)
+     selects [Legacy]'s optimistic hazard criterion. *)
   match Regions.violations ~mode p with [] -> Ok () | errs -> Error errs
 
 let coloring p (meta : Meta.t) =
@@ -77,8 +77,8 @@ let coloring p (meta : Meta.t) =
    the log before running restores, so the read survives by
    construction); [slot_clobbers] returns their positions, which is
    exactly how the speculative pipeline decides where guards go. *)
-let window_clobber_scan ?(mode = Mode.default) p (meta : Meta.t) =
-  let cands = Candidates.compute ~mode p in
+let window_clobber_scan p (meta : Meta.t) =
+  let cands = Candidates.compute p in
   let w = Spans.make cands in
   let vf = Valueflow.make p cands in
   let site_tbl = Hashtbl.create 32 in
@@ -191,12 +191,12 @@ let window_clobber_scan ?(mode = Mode.default) p (meta : Meta.t) =
     cands.Candidates.sites;
   (List.rev !clobbers, List.rev !errs)
 
-let slot_clobbers ?mode p meta =
-  let clobbers, _ = window_clobber_scan ?mode p meta in
+let slot_clobbers p meta =
+  let clobbers, _ = window_clobber_scan p meta in
   List.sort_uniq compare (List.map fst clobbers)
 
-let slots ?mode p (meta : Meta.t) =
-  let clobbers, errs = window_clobber_scan ?mode p meta in
+let slots p (meta : Meta.t) =
+  let clobbers, errs = window_clobber_scan p meta in
   let unguarded =
     List.filter
       (fun (pos, _) -> not (List.mem pos meta.Meta.guards))
@@ -249,7 +249,7 @@ let io_commit (p : Cfg.program) =
 let speculation ~capacity p (meta : Meta.t) =
   if meta.Meta.guards = [] then Ok ()
   else begin
-    let cands = Candidates.compute ~mode:Mode.Speculative p in
+    let cands = Candidates.compute p in
     let w = Spans.make cands in
     let errs = ref [] in
     List.iter

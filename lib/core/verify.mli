@@ -14,24 +14,23 @@ val idempotence : ?mode:Mode.t -> Cfg.program -> (unit, string list) result
     a rollback is deterministic without memory replay.  [mode] (default
     [Sound]) picks the hazard verdicts: [Legacy] checks only the seed's
     optimistic criterion (soundness-overhead measurement baseline);
-    [Precise] and [Speculative] use the value-tracking domain. *)
+    [Sound] and [Speculative] share the sound syntactic check. *)
 
 val coloring : Cfg.program -> Meta.t -> (unit, string list) result
 (** No two span-adjacent boundaries checkpoint the same register into the
     same slot colour. *)
 
-val slot_clobbers :
-  ?mode:Mode.t -> Cfg.program -> Meta.t -> (string * string * int) list
+val slot_clobbers : Cfg.program -> Meta.t -> (string * string * int) list
 (** The positions — [(fname, block label, instr idx)], sorted — of every
     checkpoint store that overwrites, inside some boundary's crash
     window, a slot that boundary's committed recovery state reads,
-    without a value-equality or stability exemption.  On a sound or
-    precise image this is empty (that is what [slots] certifies); on a
+    without a value-equality or stability exemption.  On a sound image
+    this is empty (that is what [slots] certifies); on a
     speculative image it is precisely the set of stores that must carry
     a runtime undo-log guard, which is how the pipeline computes
     {!Meta.t.guards}. *)
 
-val slots : ?mode:Mode.t -> Cfg.program -> Meta.t -> (unit, string list) result
+val slots : Cfg.program -> Meta.t -> (unit, string list) result
 (** Window-clobber gate: no slot read by a boundary's committed recovery
     state (restores — owned or reused — and recovery-block slot loads) is
     overwritten by a checkpoint store inside that boundary's crash

@@ -920,19 +920,18 @@ let budget_sweep _fidelity =
 
 (* Soundness overhead: what may-alias soundness costs over the seed's
    optimistic (unsound) compiler, per workload, under no-attack constant
-   power — and how much of it the precision ladder claws back.  Four
+   power — and how much of it speculative slot reuse claws back.  Three
    pipeline modes run against the same NVP baseline:
 
    - [Legacy]: the seed's optimistic baseline (can be unsound);
-   - [Sound]: syntactic may-alias domain (the historical sound default);
-   - [Precise]: value-tracking alias domain, same cut discipline;
-   - [Speculative]: optimistic checkpoint-slot reuse, with the
-     unprovable window clobbers guarded at runtime.
+   - [Sound]: syntactic may-alias check (the historical sound default);
+   - [Speculative]: the same regions, with optimistic checkpoint-slot
+     reuse and the unprovable window clobbers guarded at runtime.
 
    The HEADLINE metric ([<wl>.soundness_overhead_pct]) is the residual
    cost of the shipping sound configuration — Speculative — over
-   Legacy; the syntactic and value-domain columns are kept as
-   [<wl>.sound_overhead_pct] / [<wl>.precise_overhead_pct].  A negative
+   Legacy; the statically sound column is kept as
+   [<wl>.sound_overhead_pct].  A negative
    value means the sound build ran FASTER than the optimistic one
    (boundary placement is budget-driven, so fewer/more WAR cuts move
    WCET split points and occasionally land a luckier checkpoint layout);
@@ -948,8 +947,7 @@ let soundness_overhead _fidelity =
          power outage)"
       ~header:
         [
-          "workload"; "legacy"; "sound"; "precise"; "speculative";
-          "headline";
+          "workload"; "legacy"; "sound"; "speculative"; "headline";
         ]
       ()
   in
@@ -977,7 +975,6 @@ let soundness_overhead _fidelity =
         ( wname,
           overhead_pct Core.Mode.Legacy,
           overhead_pct Core.Mode.Sound,
-          overhead_pct Core.Mode.Precise,
           overhead_pct Core.Mode.Speculative ))
       W.names
   in
@@ -988,12 +985,11 @@ let soundness_overhead _fidelity =
   let ms = ref [] in
   let negatives = ref 0 in
   List.iter
-    (fun (wname, legacy, sound, precise, spec) ->
+    (fun (wname, legacy, sound, spec) ->
       let headline = pp spec legacy in
       if headline < 0. then incr negatives;
       ms :=
-        (wname ^ ".precise_overhead_pct", pp precise legacy)
-        :: (wname ^ ".sound_overhead_pct", pp sound legacy)
+        (wname ^ ".sound_overhead_pct", pp sound legacy)
         :: (wname ^ ".soundness_overhead_pct", headline)
         :: !ms;
       U.Table.add_row t
@@ -1001,7 +997,6 @@ let soundness_overhead _fidelity =
           wname;
           Printf.sprintf "%+.1f%%" legacy;
           Printf.sprintf "%+.1f%%" sound;
-          Printf.sprintf "%+.1f%%" precise;
           Printf.sprintf "%+.1f%%" spec;
           Printf.sprintf "%+.1f pp%s" headline
             (if headline < 0. then " (!)" else "");
@@ -1010,18 +1005,15 @@ let soundness_overhead _fidelity =
   let geomean_pp sel =
     let ratios =
       List.map
-        (fun (_, legacy, sound, precise, spec) ->
-          ratio (sel (sound, precise, spec)) legacy)
+        (fun (_, legacy, sound, spec) -> ratio (sel (sound, spec)) legacy)
         rows
     in
     100. *. (U.Stats.geomean ratios -. 1.)
   in
-  let geo_sound = geomean_pp (fun (s, _, _) -> s) in
-  let geo_precise = geomean_pp (fun (_, p, _) -> p) in
-  let geo_spec = geomean_pp (fun (_, _, sp) -> sp) in
+  let geo_sound = geomean_pp fst in
+  let geo_spec = geomean_pp snd in
   ms :=
     ("negative_overheads", float_of_int !negatives)
-    :: ("geomean.precise_overhead_pct", geo_precise)
     :: ("geomean.sound_overhead_pct", geo_sound)
     :: ("geomean.soundness_overhead_pct", geo_spec)
     :: !ms;
@@ -1029,9 +1021,9 @@ let soundness_overhead _fidelity =
     text =
       U.Table.render t
       ^ Printf.sprintf
-          "Geomean slowdown over optimistic: sound %+.1f%%, precise \
-           %+.1f%%, speculative %+.1f%% (headline)\n"
-          geo_sound geo_precise geo_spec
+          "Geomean slowdown over optimistic: sound %+.1f%%, speculative \
+           %+.1f%% (headline)\n"
+          geo_sound geo_spec
       ^ (if !negatives > 0 then
            Printf.sprintf
              "(!) %d workload(s) ran FASTER sound than optimistic — a \

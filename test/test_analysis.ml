@@ -156,15 +156,11 @@ let test_ipliveness () =
   Alcotest.(check bool) "r0 live in callee" true (Reg.Set.mem Reg.r0 live);
   Alcotest.(check bool) "r5 dead in callee" false (Reg.Set.mem Reg.r5 live)
 
-(* {1 QCheck properties for the alias / value-tracking layer}
+(* {1 QCheck properties for the alias layer}
 
-   The precision refactor's three contract points (ISSUE 9): constant
-   slots are separated by construction, the value domain never excludes
-   a concretely reachable register value, and the non-strict scan kept
-   as the Legacy measurement baseline still reproduces the seed's
+   Constant slots are separated by construction, and the non-strict scan
+   kept as the Legacy measurement baseline still reproduces the seed's
    optimistic algorithm exactly. *)
-
-module V = A.Vrange
 
 let space_a = { Instr.space_name = "a"; space_id = 0; space_words = 64 }
 let space_b = { Instr.space_name = "b"; space_id = 1; space_words = 64 }
@@ -182,90 +178,6 @@ let prop_distinct_slots =
       (* Same space: alias iff the very same slot.  Distinct spaces are
          distinct allocations, whatever the offsets. *)
       if same_space then verdict = (i = j) else not verdict)
-
-(* Concrete little-interpreter over an uncompiled CFG: walks main's
-   blocks with a 16-register file and per-space word arrays, calling
-   [on_point ~blk ~idx regs] immediately before each instruction — the
-   exact program points {!V.before} abstracts.  Only the instruction
-   subset Gen_prog emits is handled. *)
-let concrete_trace p (g : A.Fgraph.t) ~on_point =
-  let regs = Array.make Reg.count 0 in
-  let mem = Hashtbl.create 4 in
-  List.iter
-    (fun (s : Instr.space) ->
-      let a = Array.make s.Instr.space_words 0 in
-      (match List.assoc_opt s.Instr.space_id p.Cfg.init_data with
-      | Some init -> Array.blit init 0 a 0 (Array.length init)
-      | None -> ());
-      Hashtbl.replace mem s.Instr.space_id a)
-    p.Cfg.spaces;
-  let rd r = regs.(Reg.to_int r) in
-  let wr r v = regs.(Reg.to_int r) <- v in
-  let addr (m : Instr.mref) =
-    let off =
-      match m.Instr.disp with Instr.Dconst c -> c | Instr.Dreg r -> rd r
-    in
-    (Hashtbl.find mem m.Instr.space.Instr.space_id, off)
-  in
-  let steps = ref 0 in
-  let rec run blk =
-    let body = Array.of_list g.A.Fgraph.blocks.(blk).Cfg.instrs in
-    Array.iteri
-      (fun idx i ->
-        incr steps;
-        if !steps > 200_000 then failwith "generated trace too long";
-        on_point ~blk ~idx regs;
-        match i with
-        | Instr.Li (r, v) -> wr r v
-        | Instr.Mov (d, s) -> wr d (rd s)
-        | Instr.Bin (op, d, s1, s2) ->
-            let b =
-              match s2 with Instr.Oreg r -> rd r | Instr.Oimm k -> k
-            in
-            wr d (Instr.eval_binop op (rd s1) b)
-        | Instr.Ld (d, m) ->
-            let a, off = addr m in
-            wr d (if off >= 0 && off < Array.length a then a.(off) else 0)
-        | Instr.St (m, s) ->
-            let a, off = addr m in
-            if off >= 0 && off < Array.length a then a.(off) <- rd s
-        | Instr.Out _ | Instr.Nop | Instr.Boundary _ -> ()
-        | Instr.In _ | Instr.Ckpt _ | Instr.CkptDyn _ | Instr.LdSlot _ ->
-            failwith "unexpected instruction in generated program")
-      body;
-    match g.A.Fgraph.blocks.(blk).Cfg.term with
-    | Instr.Jmp l -> run (A.Fgraph.block_id g l)
-    | Instr.Br (c, r, t, e) ->
-        run
-          (A.Fgraph.block_id g (if Instr.eval_cond c (rd r) then t else e))
-    | Instr.Halt -> ()
-    | Instr.Call _ | Instr.Ret -> failwith "unexpected call/ret"
-  in
-  run 0
-
-let seed_gen = QCheck.make ~print:string_of_int (QCheck.Gen.int_bound 99999)
-
-let prop_vrange_sound =
-  QCheck.Test.make ~count:60
-    ~name:"vrange verdicts sound against the dynamic-trace oracle" seed_gen
-    (fun seed ->
-      let p = Gen_prog.generate seed in
-      let g = A.Fgraph.of_func (Cfg.find_func p "main") in
-      let v = V.analyze g in
-      let ok = ref true in
-      concrete_trace p g ~on_point:(fun ~blk ~idx regs ->
-          (* Every concretely reachable register value must be inside
-             its abstraction: [may_equal (const x) av] may only be false
-             when [av] provably excludes [x]. *)
-          for r = 0 to Reg.count - 1 do
-            if
-              not
-                (V.may_equal
-                   (V.const regs.(r))
-                   (V.before v ~blk ~idx (Reg.of_int r)))
-            then ok := false
-          done);
-      !ok)
 
 (* The seed's optimistic backward scan, reimplemented verbatim as the
    oracle: skip every store that only may-alias, return the first
@@ -349,6 +261,6 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_distinct_slots; prop_vrange_sound; prop_nonstrict_scan_is_seed ]
+          [ prop_distinct_slots; prop_nonstrict_scan_is_seed ]
       );
     ]

@@ -55,6 +55,22 @@ let test_pruning_happens () =
   let s = meta.Core.Meta.stats in
   Alcotest.(check bool) "some pruning" true (s.Core.Meta.pruned > 0)
 
+(* The CLI parses --mode through [Mode.of_string], so the list of modes
+   lives in one place. *)
+let test_mode_names () =
+  let parses s m =
+    Alcotest.(check bool) (Printf.sprintf "%S parses" s) true
+      (match Core.Mode.of_string s with
+      | Some m' -> Core.Mode.equal m m'
+      | None -> false)
+  in
+  List.iter
+    (fun m -> parses (Core.Mode.to_string m) m)
+    Core.Mode.[ Legacy; Sound; Speculative ];
+  parses "spec" Core.Mode.Speculative;
+  Alcotest.(check bool) "precise is not a mode" true
+    (Core.Mode.of_string "precise" = None)
+
 
 (* ------------------------------------------------------------------ *)
 (* Targeted pass-level tests                                           *)
@@ -215,6 +231,7 @@ let () =
           Alcotest.test_case "formation" `Quick test_formation;
           Alcotest.test_case "all schemes" `Quick test_schemes_compile;
           Alcotest.test_case "pruning" `Quick test_pruning_happens;
+          Alcotest.test_case "mode names" `Quick test_mode_names;
         ] );
       ( "regions",
         [

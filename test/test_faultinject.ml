@@ -109,11 +109,10 @@ let test_formerly_failing_pairs () =
         (List.map (fun f -> f.FI.Explore.f_detail) r.FI.Explore.failures))
     gecko_formerly_failing
 
-let test_mode_sweep mode () =
-  (* Acceptance sweep for the precision axis: with hazard verdicts from
-     the value-tracking alias domain (Precise), and with optimistic
-     checkpoint-slot reuse whose unprovable window clobbers carry
-     runtime undo-log guards (Speculative), GECKO must remain
+let test_speculative_sweep () =
+  (* Acceptance sweep for speculation: with optimistic checkpoint-slot
+     reuse whose unprovable window clobbers carry runtime undo-log
+     guards, GECKO must remain
      crash-consistent at every explored single-failure site of every
      workload — and survive k=2 pair exploration on the five formerly
      defective ones, where a rollback (now an undo-log replay followed
@@ -122,8 +121,11 @@ let test_mode_sweep mode () =
   List.iter
     (fun w ->
       let pairs = if List.mem w gecko_formerly_failing then Some 8 else None in
-      let r = explore ~budget:120 ?pairs ~mode Core.Scheme.Gecko w in
-      let tag = Printf.sprintf "gecko[%s]/%s" (Core.Mode.to_string mode) w in
+      let r =
+        explore ~budget:120 ?pairs ~mode:Core.Mode.Speculative
+          Core.Scheme.Gecko w
+      in
+      let tag = "gecko[speculative]/" ^ w in
       Alcotest.(check bool) (tag ^ " baseline passes oracle") true
         r.FI.Explore.baseline_ok;
       Alcotest.(check bool)
@@ -556,10 +558,8 @@ let () =
             test_blink_io_log_intact;
           Alcotest.test_case "formerly-defective workloads, k=2 pairs" `Quick
             test_formerly_failing_pairs;
-          Alcotest.test_case "gecko landscape, precise mode" `Quick
-            (test_mode_sweep Core.Mode.Precise);
           Alcotest.test_case "gecko landscape, speculative mode" `Quick
-            (test_mode_sweep Core.Mode.Speculative);
+            test_speculative_sweep;
         ] );
       ( "explorer-mechanics",
         [
