@@ -282,11 +282,16 @@ let fleet_bench () =
       spec
   in
   let wall = now () -. t0 in
-  let instr = float_of_int r.Gecko_fleet.Campaign.instructions_run in
+  (* Instructions the host interpreted: shared prefixes once, not once
+     per device. *)
+  let instr = float_of_int r.Gecko_fleet.Campaign.stepped_instructions in
+  let prefix_share = Gecko_fleet.Campaign.prefix_share r in
   let devices_per_sec = float_of_int devices /. Float.max wall 1e-9 in
   let sim_instr_per_sec = instr /. Float.max wall 1e-9 in
-  Printf.printf "%d devices in %.2f s wall: %.1f devices/s, %.3e sim instr/s\n"
-    devices wall devices_per_sec sim_instr_per_sec;
+  Printf.printf
+    "%d devices in %.2f s wall: %.1f devices/s, %.3e sim instr/s (%.1f%% of \
+     device instructions served from shared prefixes)\n"
+    devices wall devices_per_sec sim_instr_per_sec (100. *. prefix_share);
   print_newline ();
   (match r.Gecko_fleet.Campaign.report with
   | Some rep -> print_string (Gecko_fleet.Report.render rep)
@@ -295,6 +300,7 @@ let fleet_bench () =
     ("devices", float_of_int devices);
     ("devices_per_sec", devices_per_sec);
     ("sim_instr_per_sec", sim_instr_per_sec);
+    ("prefix_share", prefix_share);
     ("wall_seconds", wall);
   ]
 

@@ -796,12 +796,21 @@ let fleet_cmd =
     (match telemetry_out with
     | Some p -> Printf.printf "telemetry -> %s\n" p
     | None -> ());
+    (* "sim instr/s" counts what the host interpreted: each shared
+       prefix once plus every device's tail.  The devices' own total
+       counts those prefixes once per device. *)
+    let stepped = r.F.Campaign.stepped_instructions
+    and device_instr = r.F.Campaign.instructions_run in
     Printf.printf
       "%d devices in %.2f s wall (%d resumed shards): %.1f devices/s, \
-       %.3e sim instr/s | compile cache %d hits / %d misses\n"
+       %.3e sim instr/s | %d instructions stepped, %d retired by devices \
+       (%.1f%% served from shared prefixes) | compile cache %d hits / %d \
+       misses\n"
       r.F.Campaign.devices_run wall r.F.Campaign.resumed_shards
       (float_of_int r.F.Campaign.devices_run /. Float.max wall 1e-9)
-      (float_of_int r.F.Campaign.instructions_run /. Float.max wall 1e-9)
+      (float_of_int stepped /. Float.max wall 1e-9)
+      stepped device_instr
+      (100. *. F.Campaign.prefix_share r)
       (hits1 - hits0) (misses1 - misses0)
   in
   Cmd.v

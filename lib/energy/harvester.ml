@@ -37,7 +37,11 @@ let rec current t ~time ~v =
   | Constant_power p ->
       let v_eff = max v 0.5 in
       p /. v_eff
-  | Thevenin { v_source; r_source } -> max 0. ((v_source -. v) /. r_source)
+  | Thevenin { v_source; r_source } ->
+      (* [max 0. x] spelled as a float comparison: same result, no
+         polymorphic compare. *)
+      let x = (v_source -. v) /. r_source in
+      if 0. >= x then 0. else x
   | Square_wave { period; duty; inner } ->
       let phase = Float.rem time period in
       if phase < duty *. period then current inner ~time ~v else 0.
@@ -62,3 +66,7 @@ let rec current t ~time ~v =
   | None_ -> 0.
 
 let constant_power_watts = function Constant_power p -> Some p | _ -> None
+
+let thevenin_params = function
+  | Thevenin { v_source; r_source } -> Some (v_source, r_source)
+  | _ -> None

@@ -44,3 +44,8 @@ val constant_power_watts : t -> float option
     the dominant bench configuration — letting a hot loop specialize
     {!current} to [p /. max v 0.5] instead of re-matching the model
     every instruction.  [None] for every other shape. *)
+
+val thevenin_params : t -> (float * float) option
+(** [Some (v_source, r_source)] when the harvester is a bare {!thevenin}
+    source (the attack-rig board), letting a hot loop compute
+    {!current} inline; [None] for every other shape. *)

@@ -3,7 +3,8 @@
     The spec elaborates into per-device assignments (one RNG stream per
     device, split from the campaign seed) and one shared {!Field}.
     Devices partition into shards of [spec.shard_size]; each shard runs
-    its devices one at a time in id order, streaming each finished
+    its devices one at a time in id order, each from its shared
+    unattacked prefix (see {!Shard.prefix}), streaming each finished
     device into the shard accumulator (see {!Shard.acc}; no per-device
     list is ever materialized), and shards fan out over the shared
     {!Gecko_harness.Workbench} pool in fixed-size waves.  Compilation
@@ -58,13 +59,16 @@ type shard_result = Shard.t = {
 
 val run_shard :
   ?telemetry:Telemetry.config ->
+  ?prefix:Shard.prefix ->
   spec:Spec.t ->
   field:Field.t ->
   devices:device array ->
   int ->
   shard_result
 (** Run one shard; [devices] is the full elaborated array, the shard
-    slice is cut here. *)
+    slice is cut here.  Devices start from their [prefix] entries (see
+    {!Shard.prefix}) when given, else from power-on; the result is the
+    same. *)
 
 val shard_to_json : shard_result -> Gecko_obs.Json.t
 val shard_of_json : Gecko_obs.Json.t -> shard_result
@@ -98,8 +102,13 @@ type result = {
   resumed_shards : int;  (** Shards taken from the snapshot, not re-run. *)
   devices_run : int;  (** Devices simulated by this invocation. *)
   instructions_run : int;
-      (** Simulated instructions retired by this invocation (feeds the
-          bench harness's fleet [sim_instr_per_sec]). *)
+      (** Simulated instructions retired by this invocation's devices:
+          the sum of their outcomes, shared prefixes counted once per
+          device. *)
+  stepped_instructions : int;
+      (** Instructions the host actually interpreted: each shared prefix
+          reference once, plus every device's tail after its fork (feeds
+          the bench harness's fleet [sim_instr_per_sec]). *)
   telemetry : Telemetry.t option;
       (** Campaign-wide telemetry, merged in shard-id order; present
           when the campaign ran with telemetry. *)
@@ -112,9 +121,11 @@ val run :
   ?telemetry:Telemetry.config ->
   Spec.t ->
   result
-(** Run (or continue) a campaign.  [snapshot_path] enables per-wave
-    checkpointing; [resume] supplies a loaded snapshot whose spec must
-    equal the requested one (raises [Invalid_argument] otherwise);
+(** Run (or continue) a campaign.  The devices of the shards this
+    invocation runs share one {!Shard.prefix} table, released when [run]
+    returns; results do not depend on it.  [snapshot_path] enables
+    per-wave checkpointing; [resume] supplies a loaded snapshot whose
+    spec must equal the requested one (raises [Invalid_argument] otherwise);
     [max_shards] bounds how many new shards this
     invocation runs (for controlled interruption).  Pool width comes
     from {!Gecko_harness.Workbench.jobs}; results do not depend on it.
@@ -131,6 +142,12 @@ val run :
     and byte-identical at any pool width.  [tel_progress] additionally
     writes a live progress line (devices/s, ETA, anomaly count) to
     stderr. *)
+
+val prefix_share : result -> float
+(** The share of the devices' instructions served from shared prefixes
+    rather than interpreted again: [1 - stepped_instructions /
+    instructions_run] ([0.] when nothing ran).  In [\[0, 1)]: every
+    prefix a reference steps is inherited by at least one device. *)
 
 (** {2 Drill-down replay}
 

@@ -160,6 +160,15 @@ type phys = {
       (* delivered watts of a bare constant-power harvester (0. otherwise);
          lives here rather than in [state] so the fast path reads it flat
          instead of chasing a boxed-float or option pointer *)
+  k_thev_vs : float;
+  k_thev_r : float;
+      (* source voltage and impedance of a bare Thevenin harvester (0.
+         otherwise), flat for the same reason *)
+  mutable horizon : float;
+  mutable horizon_at : float;
+      (* [Step.advance_to]'s target and the time it stopped at: while the
+         clock still reads [horizon_at], every step so far started before
+         [horizon] (see [fork]) *)
 }
 
 type state = {
@@ -182,6 +191,7 @@ type state = {
   k_e_off : float;  (* stored energy at the brownout threshold *)
   k_harv : Harvester.t;  (* copy of [board.harvester], no pointer chase *)
   k_harv_const : bool;  (* bare constant-power source: use [ph.k_harv_pw] *)
+  k_harv_thev : bool;  (* bare Thevenin source: use [ph.k_thev_vs/r] *)
   k_tl_on : bool;  (* timeline buckets requested ([tl_bucket > 0.]) *)
   ph : phys;
   (* pre-decoded instruction stream + block dispatcher switch *)
@@ -212,7 +222,10 @@ type state = {
   t_min_on : float;  (* guaranteed minimum on-time of a full charge *)
   (* counters *)
   mutable completions : int;
-  mutable completion_times : float list; (* reversed *)
+  mutable completion_times : float list;
+      (* reversed; kept only when [record_events] is off — otherwise the
+         [Ev_completion] events carry the same times, and a run (or a
+         fork table of runs) holds each one once *)
   mutable app_cycles : int;
   mutable instrumentation_cycles : int;
   mutable jit_checkpoints : int;
@@ -250,7 +263,15 @@ type state = {
      (it is volatile state), and [restore_jit] brings it back. *)
   mutable io_staged : (int * int) list; (* reversed *)
   mutable io_staged_ckpt : (int * int) list;
-  mutable events : event list; (* reversed *)
+  (* The event log, in chunks: full chunks (newest first) are never
+     written again, so forks share them; only the open chunk
+     [ev_times]/[ev_kinds] (its first [ev_len] slots used) is copied.
+     A flat float costs one word where a list of boxed-time records
+     costs eight, which matters when a fork table holds many runs. *)
+  mutable ev_full : (float array * event_kind array) list;
+  mutable ev_times : float array;
+  mutable ev_kinds : event_kind array;
+  mutable ev_len : int;
   (* timeline *)
   tl_app : float array;
   tl_comp : int array;
@@ -312,6 +333,9 @@ let flight_ids = function
 
 let sleep_step = 100e-6
 
+(* Slots per event-log chunk. *)
+let ev_chunk = 32
+
 (* The sleeping device evaluates its wake condition on a slow timer (the
    LPM wake-interval idiom), not at the energy-integration step. *)
 let wake_poll = 1.5e-3
@@ -365,7 +389,7 @@ let charge st dt =
   let v = Capacitor.voltage st.cap in
   let i =
     Harvester.current st.board.Board.harvester ~time:st.ph.time ~v
-    +. (st.ph.cur_harvest_w /. max v 0.5)
+    +. (st.ph.cur_harvest_w /. (if v >= 0.5 then v else 0.5))
   in
   Capacitor.source_current st.cap ~amps:i ~dt
 
@@ -426,8 +450,17 @@ let hist_observe h v =
   match h with None -> () | Some h -> Gecko_obs.Metrics.observe h v
 
 let record st kind =
-  if st.opts.record_events then
-    st.events <- { ev_time = st.ph.time; ev_kind = kind } :: st.events;
+  if st.opts.record_events then begin
+    if st.ev_len = Array.length st.ev_times then begin
+      if st.ev_len > 0 then st.ev_full <- (st.ev_times, st.ev_kinds) :: st.ev_full;
+      st.ev_times <- Array.make ev_chunk 0.;
+      st.ev_kinds <- Array.make ev_chunk Ev_completion;
+      st.ev_len <- 0
+    end;
+    st.ev_times.(st.ev_len) <- st.ph.time;
+    st.ev_kinds.(st.ev_len) <- kind;
+    st.ev_len <- st.ev_len + 1
+  end;
   if st.tracing then begin
     (match st.trace with
     | Some tr ->
@@ -873,7 +906,8 @@ let complete st =
   end;
   st.completions <- st.completions + 1;
   record st Ev_completion;
-  st.completion_times <- st.ph.time :: st.completion_times;
+  if not st.opts.record_events then
+    st.completion_times <- st.ph.time :: st.completion_times;
   if st.tl_bucket > 0. then begin
     let i = bucket_index st in
     if i >= 0 && i < Array.length st.tl_comp then
@@ -1139,6 +1173,9 @@ let spend_fast st dt e c =
   in
   let i =
     if st.k_harv_const then ph.k_harv_pw /. (if v1 >= 0.5 then v1 else 0.5)
+    else if st.k_harv_thev then
+      let x = (ph.k_thev_vs -. v1) /. ph.k_thev_r in
+      if 0. >= x then 0. else x
     else Harvester.current st.k_harv ~time:ph.time ~v:v1
   in
   let i =
@@ -1662,6 +1699,7 @@ let make_state ~board ~image ~meta opts =
       ~v_max:board.Board.v_max ~v_init
   in
   let tl_bucket = Option.value opts.timeline_bucket ~default:0. in
+  let thevenin = Harvester.thevenin_params board.Board.harvester in
   let n_buckets =
     if tl_bucket > 0. then
       let horizon =
@@ -1696,6 +1734,7 @@ let make_state ~board ~image ~meta opts =
         (match Harvester.constant_power_watts board.Board.harvester with
         | Some _ -> true
         | None -> false);
+      k_harv_thev = Option.is_some thevenin;
       k_tl_on = tl_bucket > 0.;
       ph =
         {
@@ -1711,6 +1750,10 @@ let make_state ~board ~image ~meta opts =
             (match Harvester.constant_power_watts board.Board.harvester with
             | Some p -> p
             | None -> 0.);
+          k_thev_vs = (match thevenin with Some (vs, _) -> vs | None -> 0.);
+          k_thev_r = (match thevenin with Some (_, r) -> r | None -> 0.);
+          horizon = neg_infinity;
+          horizon_at = nan;
         };
       dec =
         (match opts.decoded with
@@ -1762,7 +1805,10 @@ let make_state ~board ~image ~meta opts =
       io_log = [];
       io_staged = [];
       io_staged_ckpt = [];
-      events = [];
+      ev_full = [];
+      ev_times = [||];
+      ev_kinds = [||];
+      ev_len = 0;
       tl_app = Array.make (max n_buckets 1) 0.;
       tl_comp = Array.make (max n_buckets 1) 0;
       tl_bucket;
@@ -1847,12 +1893,33 @@ let export_metrics st =
       g "energy.drained_j" (Capacitor.energy_drained_total st.cap);
       g "energy.sourced_j" (Capacitor.energy_sourced_total st.cap)
 
+(* The event log oldest first. *)
+let event_list st =
+  let acc = ref [] in
+  let push ts ks n =
+    for i = n - 1 downto 0 do
+      acc := { ev_time = ts.(i); ev_kind = ks.(i) } :: !acc
+    done
+  in
+  push st.ev_times st.ev_kinds st.ev_len;
+  List.iter (fun (ts, ks) -> push ts ks ev_chunk) st.ev_full;
+  !acc
+
 let finish st =
   export_metrics st;
   if st.tracing then sample_voltage st;
+  let events = event_list st in
   {
     completions = st.completions;
-    completion_times = List.rev st.completion_times;
+    completion_times =
+      (if st.opts.record_events then
+         List.filter_map
+           (fun e ->
+             match e.ev_kind with
+             | Ev_completion -> Some e.ev_time
+             | _ -> None)
+           events
+       else List.rev st.completion_times);
     sim_time = st.ph.time;
     instructions = st.instrs;
     app_cycles = st.app_cycles;
@@ -1874,7 +1941,7 @@ let finish st =
     io_out_count = st.io_out_count;
     io_log = List.rev st.io_log;
     final_mode = st.mode;
-    events = List.rev st.events;
+    events;
     timeline =
       (if st.tl_bucket > 0. then
          Some
@@ -1930,24 +1997,77 @@ let data_snapshot st =
 (* Every field that a step can change is either a mutable field of
    [state] (copied by the [with]) or lives in one of the structures
    copied here; the rest ([dec], [image], [board], [windows], the
-   per-device constants) is never written after [make_state]. *)
-let fork st =
-  if
-    Option.is_some st.trace || Option.is_some st.opts.metrics
-    || Option.is_some st.flight
-  then invalid_arg "Machine.Step.fork: the handle carries an observer";
+   per-device constants) is never written after [make_state].  The
+   observers are copied too, and the histograms rebound on the copy, so
+   the template is only ever read — domains may fork one template
+   concurrently.
+
+   [~schedule] installs attack windows on a schedule-free template
+   (whose cursor is still at 0).  That is exact when every step so far
+   started before the first window: such a step saw [cur_amp =
+   cur_harvest_w = 0.], exactly as the scheduled run's step did, and
+   block chunking never changes the physics.  Resetting [next_change]
+   makes the next step enter the windows from the first. *)
+let fork ?schedule st =
+  if Option.is_some st.trace then
+    invalid_arg "Machine.Step.fork: the handle carries an enabled trace";
+  let opts, windows, ph =
+    match schedule with
+    | None -> (st.opts, st.windows, { st.ph with time = st.ph.time })
+    | Some sched ->
+        if Array.length st.windows > 0 then
+          invalid_arg "Machine.Step.fork: the handle already has a schedule";
+        let horizon =
+          if st.ph.time = st.ph.horizon_at then st.ph.horizon else st.ph.time
+        in
+        (match Schedule.windows sched with
+        | w :: _ when w.Schedule.t_start < horizon ->
+            invalid_arg
+              "Machine.Step.fork: the schedule starts before the horizon"
+        | _ -> ());
+        ( { st.opts with schedule = sched },
+          Array.of_list (Schedule.windows sched),
+          { st.ph with next_change = neg_infinity } )
+  in
+  let metrics = Option.map Gecko_obs.Metrics.copy opts.metrics in
+  let flight = Option.map Gecko_obs.Flight.copy st.flight in
+  let hist name = Option.map (fun r -> Gecko_obs.Metrics.histogram r name) metrics in
   {
     st with
-    ph = { st.ph with time = st.ph.time };
+    opts = { opts with metrics; flight };
+    windows;
+    ph;
     nvm = Nvm.copy st.nvm;
     cap = Capacitor.copy st.cap;
     monitor = Monitor.copy st.monitor;
     rng_io = Gecko_util.Rng.copy st.rng_io;
     regs = Array.copy st.regs;
+    ev_times = Array.copy st.ev_times;
+    ev_kinds = Array.copy st.ev_kinds;
     tl_app = Array.copy st.tl_app;
     tl_comp = Array.copy st.tl_comp;
     injector = None;
+    flight;
+    hist_ckpt = hist "machine.jit_checkpoint_isr_s";
+    hist_rollback = hist "machine.rollback_s";
   }
+
+(* Run every step that starts before [t] on a schedule-free handle.
+   Posing [t] as the next attack edge makes block dispatch stop short of
+   it, just as a scheduled run's dispatch stops short of its first
+   window; the first step at or after [t] refreshes the cursor and finds
+   no window. *)
+let advance_to st t =
+  if Array.length st.windows > 0 then
+    invalid_arg "Machine.Step.advance_to: the handle has a schedule";
+  if st.ph.time < t then begin
+    st.ph.next_change <- t;
+    while st.ph.time < t && step_block st do
+      ()
+    done;
+    st.ph.horizon <- t;
+    st.ph.horizon_at <- st.ph.time
+  end
 
 module Step = struct
   type handle = state
@@ -1957,11 +2077,14 @@ module Step = struct
   let step = step_once
   let step_block = step_block
   let fork = fork
+  let advance_to = advance_to
   let finished st = st.stop
   let time st = st.ph.time
   let instructions st = st.instrs
   let powered st = st.powered
   let mode st = st.mode
+  let metrics st = st.opts.metrics
+  let flight st = st.flight
   let force_power_failure = force_power_failure
   let outcome = finish
   let nvm_data = data_snapshot

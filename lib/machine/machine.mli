@@ -179,7 +179,8 @@ val run_with_nvm :
 (** Like {!run} but also returns the final data-segment snapshot. *)
 
 (** Deterministic stepping interface for fault-injection drivers
-    (`Gecko_faultinject`).
+    (`Gecko_faultinject`) and the fleet's shared prefixes
+    (`Gecko_fleet.Shard`).
 
     A handle is one run of {!run} broken into externally-driven steps; a
     step is one instruction (while powered) or one sleep tick (while
@@ -191,7 +192,10 @@ val run_with_nvm :
     A run's state between two steps is a plain value: {!fork} copies it,
     so a driver can replay many variants of one run from a shared
     prefix, and {!step_block} finishes a run at block-dispatch speed
-    once no injector is installed. *)
+    once no injector is installed.  A schedule-free run can also be
+    {!advance_to}'d to a time and forked with an attack schedule that
+    starts there: the fork continues exactly as a run started at power-on
+    with that schedule would. *)
 module Step : sig
   type handle
 
@@ -217,16 +221,36 @@ module Step : sig
       boundary gives the same outcome and memory as looping on {!step}
       with no injector installed. *)
 
-  val fork : handle -> handle
+  val advance_to : handle -> float -> unit
+  (** [advance_to h t] runs, on {!step_block}, every step that starts
+      before simulated time [t] (none if the clock already reads [t] or
+      later), stopping early only if the run finishes.  It poses [t] as
+      the next attack edge, so block dispatch stops short of [t] exactly
+      as a scheduled run's dispatch stops short of a window starting at
+      [t].  [t] becomes the handle's horizon for {!fork}[ ~schedule].
+      Raises [Invalid_argument] if the handle has a schedule. *)
+
+  val fork : ?schedule:Gecko_emi.Schedule.t -> handle -> handle
   (** An independent copy of the run at the current step boundary:
       stepping either handle leaves the other untouched, and the copy
       continues exactly as the original would with no injector
-      installed.  The immutable parts
-      (board, image, decode, attack windows) are shared.  The copy has no
-      injector.  Raises [Invalid_argument] if the handle carries an
-      enabled trace, a metrics registry or an enabled flight recorder:
-      a shared observer would record the common prefix once for every
-      fork. *)
+      installed.  The immutable parts (board, image, decode) are shared;
+      the metrics registry and the flight recorder are copied (see
+      {!metrics}, {!flight}), so the copy records on from the template's
+      observations and the template is only read — several domains may
+      fork one template at once.  The copy has no injector.  Raises
+      [Invalid_argument] if the handle carries an enabled trace: a trace
+      cannot be split, and would hold the common prefix once per fork.
+
+      [~schedule] installs an attack schedule on the copy.  The handle
+      must be schedule-free and the schedule's first window must start
+      no earlier than the horizon — the last {!advance_to} target while
+      the clock has not moved since, else the current time — so every
+      step run so far saw no attack.  The copy then continues exactly as
+      a power-on run with that schedule, up to [Monitor.observations] on
+      a comparator board (its count of skipped no-op observes depends on
+      block chunking; ADC counts do not).  Raises [Invalid_argument]
+      otherwise. *)
 
   val finished : handle -> bool
 
@@ -234,6 +258,13 @@ module Step : sig
   val instructions : handle -> int
   val powered : handle -> bool
   val mode : handle -> Gecko_core.Policy.mode
+
+  val metrics : handle -> Gecko_obs.Metrics.registry option
+  (** The registry the run records into (a fork's own copy). *)
+
+  val flight : handle -> Gecko_obs.Flight.t option
+  (** The enabled flight recorder the run records into, if any (a fork's
+      own copy). *)
 
   val force_power_failure : handle -> unit
   (** Collapse the supply now (outside any injector callback). *)

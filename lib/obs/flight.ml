@@ -1,18 +1,15 @@
 type entry = { e_t : float; e_ev : string; e_arg : int; e_v : float }
 
-(* The ring holds mutable slots overwritten in place, so steady-state
-   recording allocates nothing; [entries]/[to_json] copy out into the
-   immutable [entry] form. *)
-type slot = {
-  mutable s_t : float;
-  mutable s_ev : string;
-  mutable s_arg : int;
-  mutable s_v : float;
-}
-
+(* The ring is four parallel arrays overwritten in place: the float
+   columns are flat [float array]s, so recording allocates nothing and a
+   copy (one per forked run) is four array blits.  [entries]/[to_json]
+   copy out into the immutable [entry] form. *)
 type t = {
   mutable enabled : bool;
-  buf : slot array;
+  ts : float array;
+  evs : string array;
+  args : int array;
+  vs : float array;
   mutable head : int;  (* index of the oldest slot once wrapped *)
   mutable len : int;
   mutable dropped : int;
@@ -24,10 +21,22 @@ let create ?(capacity = default_capacity) () =
   let capacity = max 1 capacity in
   {
     enabled = true;
-    buf = Array.init capacity (fun _ -> { s_t = 0.; s_ev = ""; s_arg = 0; s_v = 0. });
+    ts = Array.make capacity 0.;
+    evs = Array.make capacity "";
+    args = Array.make capacity 0;
+    vs = Array.make capacity 0.;
     head = 0;
     len = 0;
     dropped = 0;
+  }
+
+let copy t =
+  {
+    t with
+    ts = Array.copy t.ts;
+    evs = Array.copy t.evs;
+    args = Array.copy t.args;
+    vs = Array.copy t.vs;
   }
 
 let disabled () =
@@ -37,7 +46,7 @@ let disabled () =
 
 let enabled t = t.enabled
 let set_enabled t e = t.enabled <- e
-let capacity t = Array.length t.buf
+let capacity t = Array.length t.ts
 let length t = t.len
 let dropped t = t.dropped
 
@@ -48,31 +57,31 @@ let clear t =
 
 let record t ~t_sim ~arg ~v ev =
   if t.enabled then begin
-    let cap = Array.length t.buf in
-    let s =
+    let cap = Array.length t.ts in
+    let i =
       if t.len < cap then begin
-        let s = t.buf.((t.head + t.len) mod cap) in
+        let i = (t.head + t.len) mod cap in
         t.len <- t.len + 1;
-        s
+        i
       end
       else begin
-        let s = t.buf.(t.head) in
+        let i = t.head in
         t.head <- (t.head + 1) mod cap;
         t.dropped <- t.dropped + 1;
-        s
+        i
       end
     in
-    s.s_t <- t_sim;
-    s.s_ev <- ev;
-    s.s_arg <- arg;
-    s.s_v <- v
+    t.ts.(i) <- t_sim;
+    t.evs.(i) <- ev;
+    t.args.(i) <- arg;
+    t.vs.(i) <- v
   end
 
 let entries t =
-  let cap = Array.length t.buf in
-  List.init t.len (fun i ->
-      let s = t.buf.((t.head + i) mod cap) in
-      { e_t = s.s_t; e_ev = s.s_ev; e_arg = s.s_arg; e_v = s.s_v })
+  let cap = Array.length t.ts in
+  List.init t.len (fun k ->
+      let i = (t.head + k) mod cap in
+      { e_t = t.ts.(i); e_ev = t.evs.(i); e_arg = t.args.(i); e_v = t.vs.(i) })
 
 let schema = "gecko.flight/1"
 
@@ -80,7 +89,7 @@ let to_json t =
   Json.Assoc
     [
       ("schema", Json.String schema);
-      ("capacity", Json.Int (Array.length t.buf));
+      ("capacity", Json.Int (Array.length t.ts));
       ("recorded", Json.Int (t.len + t.dropped));
       ("dropped", Json.Int t.dropped);
       ( "events",

@@ -32,6 +32,10 @@ val create : ?capacity:int -> unit -> t
 (** A fresh enabled recorder holding the last [capacity] events
     (default {!default_capacity}, clamped to at least 1). *)
 
+val copy : t -> t
+(** An independent copy of the ring and its counters: recording into
+    either recorder leaves the other untouched.  Reads [t] only. *)
+
 val disabled : unit -> t
 (** A permanently cheap no-op recorder (can be re-enabled). *)
 

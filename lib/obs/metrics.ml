@@ -142,6 +142,18 @@ let buckets h =
     h.counts;
   under @ List.rev !rest
 
+(* --- copy ------------------------------------------------------------- *)
+
+let copy_instrument = function
+  | C c -> C { c with count = c.count }
+  | G g -> G { g with value = g.value }
+  | H h -> H { h with counts = Array.copy h.counts }
+
+let copy (reg : registry) : registry =
+  let r = Hashtbl.copy reg in
+  Hashtbl.filter_map_inplace (fun _ i -> Some (copy_instrument i)) r;
+  r
+
 (* --- merge ------------------------------------------------------------ *)
 
 let merge_gauge_value a b =

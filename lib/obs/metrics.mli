@@ -56,6 +56,11 @@ val buckets : histogram -> (float * float * int) list
 (** Non-empty buckets as [(lo, hi, count)], ascending; the underflow
     bucket reports as [(0., lowest, n)]. *)
 
+val copy : registry -> registry
+(** An independent deep copy: recording into either registry leaves the
+    other untouched.  Reads [reg] only, so domains may copy one shared
+    registry concurrently while nobody records into it. *)
+
 (** {2 Merge}
 
     Registries form a commutative monoid under {!merge_into} with the

@@ -382,6 +382,199 @@ let test_spec_rejects_nonsense () =
 
 (* --- heartbeat.gasm round-trip --------------------------------------- *)
 
+(* --- shared prefixes ---------------------------------------------------- *)
+
+module M = Gecko_machine.Machine
+module Schedule = Gecko_emi.Schedule
+
+(* Small random campaigns over both boards, all three schemes, 1-4
+   attackers and odd shard sizes. *)
+let prefix_spec_gen =
+  QCheck.Gen.(
+    map
+      (fun (seed, attackers, k, power_dbm) ->
+        Fleet.Spec.make ~devices:10 ~attackers ~duration:0.01
+          ~shard_size:((2 * k) + 1)
+          ~scheme_mix:Gecko_core.Scheme.[ Nvp; Ratchet; Gecko ]
+          ~board_mix:Fleet.Spec.[ Attack_rig; Bench ]
+          ~workload_mix:[ "crc16"; "fir" ] ~power_dbm ~seed ())
+      (quad (int_bound 100_000) (int_range 1 4) (int_bound 3)
+         (oneofl [ 30.; 40. ])))
+
+let finish_handle h =
+  while M.Step.step_block h do
+    ()
+  done;
+  let o = M.Step.outcome h in
+  ( o,
+    Option.map (fun r -> Json.to_string (Metrics.to_persist r)) (M.Step.metrics h),
+    Option.map Gecko_obs.Flight.to_string (M.Step.flight h) )
+
+(* Every device forked from the prefix table must be indistinguishable
+   from its power-on run: the whole outcome (events, completion times,
+   io_log), the metrics registry, the flight recorder, and what the
+   campaign folds — aggregate (detection latencies included), metrics
+   and telemetry, the outlier's flight dump with it.  ADC observation
+   counts do not depend on block chunking, so the registries match
+   exactly on these boards. *)
+let prop_prefix_equals_power_on =
+  QCheck.Test.make ~count:10
+    ~name:"a device forked from the prefix table equals its power-on run"
+    (QCheck.make
+       ~print:(fun s -> Json.to_string (Fleet.Spec.to_json s))
+       prefix_spec_gen)
+    (fun spec ->
+      let telemetry =
+        { Telemetry.default_config with Telemetry.tel_top_k = 1 }
+      in
+      let devices, field = Fleet.Campaign.elaborate spec in
+      let table () =
+        Fleet.Shard.prefix ~telemetry ~spec ~field (Array.to_list devices)
+      in
+      let view (agg, reg, tel) =
+        ( Json.to_string (Fleet.Agg.to_json agg),
+          Json.to_string (Metrics.to_persist reg),
+          Option.map (fun t -> Json.to_string (Telemetry.to_json t)) tel )
+      in
+      let prefix = table () in
+      let runs_equal =
+        Array.for_all
+          (fun d ->
+            view (Fleet.Shard.run_device ~telemetry ~prefix ~spec ~field d)
+            = view (Fleet.Shard.run_device ~telemetry ~spec ~field d))
+          devices
+      in
+      let prefix = table () in
+      let handles_equal =
+        Array.for_all
+          (fun d ->
+            finish_handle (Fleet.Shard.start ~telemetry ~prefix ~spec ~field d)
+            = finish_handle (Fleet.Shard.start ~telemetry ~spec ~field d))
+          devices
+      in
+      let prefix = table () in
+      let shards_equal =
+        List.for_all
+          (fun sid ->
+            let shard ?prefix () =
+              Json.to_string
+                (Fleet.Shard.to_json
+                   (Fleet.Campaign.run_shard ~telemetry ?prefix ~spec ~field
+                      ~devices sid))
+            in
+            shard ~prefix () = shard ())
+          (List.init (Fleet.Spec.shards spec) Fun.id)
+      in
+      runs_equal && handles_equal && shards_equal)
+
+(* A program that reads a sensor: its run depends on the seed, so the
+   prefix key must carry it, and a fork of the schedule-free run given
+   the attack schedule must still equal the power-on run for the same
+   seed. *)
+let sensor_program () =
+  let module B = Gecko_isa.Builder in
+  let module Reg = Gecko_isa.Reg in
+  let b = B.program "sensor" in
+  let acc = B.space b "acc" ~words:1 () in
+  B.func b "main";
+  B.block b "entry";
+  B.li b Reg.r0 0;
+  B.block b "loop" ~loop_bound:8;
+  B.io_in b Reg.r1 0;
+  B.ld b Reg.r2 (B.at acc 0);
+  B.add b Reg.r2 Reg.r2 (B.reg Reg.r1);
+  B.st b (B.at acc 0) Reg.r2;
+  B.io_out b 1 Reg.r2;
+  B.add b Reg.r0 Reg.r0 (B.imm 1);
+  B.bin b Gecko_isa.Instr.Slt Reg.r3 Reg.r0 (B.imm 8);
+  B.br b Gecko_isa.Instr.Nz Reg.r3 "loop" "done_";
+  B.block b "done_";
+  B.halt b;
+  B.finish b
+
+let test_prefix_fork_reads_input () =
+  let p, meta =
+    Gecko_core.Pipeline.compile Gecko_core.Scheme.Gecko (sensor_program ())
+  in
+  let image = Gecko_isa.Link.link p in
+  let board = Gecko_machine.Board.attack_rig () in
+  let t0 = 0.004 in
+  let schedule =
+    Schedule.make
+      [
+        Schedule.window ~t_start:t0 ~t_end:0.007
+          (Gecko_emi.Attack.remote ~distance_m:0.5
+             (Gecko_emi.Signal.make ~freq_mhz:27. ~power_dbm:40.));
+      ]
+  in
+  let opts seed schedule =
+    {
+      M.default_options with
+      schedule;
+      seed;
+      limit = M.Sim_time 0.01;
+      max_sim_time = 1.01;
+      restart_on_halt = true;
+      record_io = true;
+      record_events = true;
+      metrics = Some (Metrics.create ());
+      flight = Some (Gecko_obs.Flight.create ());
+    }
+  in
+  let power_on seed = finish_handle (M.Step.start ~board ~image ~meta (opts seed schedule)) in
+  let forked seed =
+    let h = M.Step.start ~board ~image ~meta (opts seed Schedule.empty) in
+    M.Step.advance_to h t0;
+    finish_handle (M.Step.fork ~schedule h)
+  in
+  Alcotest.(check bool) "the image reads input" true
+    (Fleet.Shard.reads_input image);
+  let (o, _, _) as a = power_on 3 in
+  Alcotest.(check bool) "the attack window bites" true
+    (o.M.detections + o.M.brownouts > 0);
+  Alcotest.(check bool) "fork with the schedule equals power-on (seed 3)" true
+    (forked 3 = a);
+  Alcotest.(check bool) "fork with the schedule equals power-on (seed 4)" true
+    (forked 4 = power_on 4);
+  let (o4, _, _) = power_on 4 in
+  Alcotest.(check bool) "the seed changes the run, so it must key the prefix"
+    true (o.M.io_log <> o4.M.io_log);
+  Alcotest.(check bool) "catalogued workloads read no input" false
+    (List.exists
+       (fun w ->
+         let image, _, _ =
+           Workbench.decoded_workload Gecko_core.Scheme.Gecko w ~board
+         in
+         Fleet.Shard.reads_input image)
+       [ "crc16"; "crc32"; "bitcnt"; "fir" ]);
+  let h = M.Step.start ~board ~image ~meta (opts 3 Schedule.empty) in
+  M.Step.advance_to h 0.005;
+  Alcotest.(check bool) "a schedule starting before the horizon is refused"
+    true
+    (match M.Step.fork ~schedule h with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  Alcotest.(check bool) "a scheduled handle is not advanced" true
+    (match
+       M.Step.advance_to (M.Step.start ~board ~image ~meta (opts 3 schedule)) t0
+     with
+    | () -> false
+    | exception Invalid_argument _ -> true)
+
+(* The fork is exact only if block chunking cannot move an observable
+   count: ADC monitors observe at sample ticks whatever the chunking,
+   while a comparator's count of skipped no-op observes depends on it.
+   Both campaign boards must therefore carry ADC monitors. *)
+let test_campaign_boards_use_adc () =
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool)
+        (Fleet.Spec.board_slug kind ^ " samples with its ADC")
+        true
+        ((Fleet.Shard.board kind).Gecko_machine.Board.monitor_choice
+        = Gecko_devices.Device.Use_adc))
+    Fleet.Spec.[ Attack_rig; Bench ]
+
 (* dune runtest runs in _build/default/test; dune exec from the root. *)
 let heartbeat_path =
   List.find Sys.file_exists
@@ -433,6 +626,14 @@ let () =
           Alcotest.test_case "elaborate is deterministic" `Quick
             test_elaborate_deterministic;
         ] );
+      ( "prefix",
+        q [ prop_prefix_equals_power_on ]
+        @ [
+            Alcotest.test_case "fork of an input-reading run" `Quick
+              test_prefix_fork_reads_input;
+            Alcotest.test_case "campaign boards use ADC monitors" `Quick
+              test_campaign_boards_use_adc;
+          ] );
       ( "spec",
         [
           Alcotest.test_case "JSON round-trip" `Quick test_spec_json_roundtrip;

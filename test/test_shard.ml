@@ -1,11 +1,13 @@
 (* The shard substrate under a fleet campaign: the exact JSON round-trip
    of a telemetry-bearing shard result (what a telemetry-armed resume
-   reads back), and the streaming-memory regression (a shard folds its
-   devices through O(1) live memory, never a device list). *)
+   reads back), the streaming-memory regression (a shard folds its
+   devices through O(1) live memory, never a device list), and the
+   prefix table's bound (fork points, not devices). *)
 
 module Fleet = Gecko_fleet
 module Json = Gecko_obs.Json
 module Telemetry = Gecko_fleet.Telemetry
+module Workbench = Gecko_harness.Workbench
 
 (* --- shard result round-trip ----------------------------------------- *)
 
@@ -66,6 +68,55 @@ let test_streaming_memory_bound () =
     true
     (!worst_growth < 2_000_000)
 
+(* --- prefix-table memory bound ------------------------------------------ *)
+
+(* The prefix table holds one reference run per key, forked at each
+   first-window start its devices need: O(keys x (field_steps + 1)),
+   never O(devices).  Once every key and fork point is covered, ten times
+   the devices with the same mixes and field_steps must leave the
+   table's live heap exactly where it was. *)
+let test_prefix_table_bound () =
+  let table_words n =
+    let spec =
+      Fleet.Spec.make ~devices:n ~attackers:3 ~duration:0.002 ~field_steps:2
+        ~shard_size:512 ~workload_mix:[ "crc16"; "fir" ]
+        ~scheme_mix:Gecko_core.Scheme.[ Gecko ]
+        ~board_mix:Fleet.Spec.[ Attack_rig; Bench ]
+        ~seed:5 ()
+    in
+    let devices, field = Fleet.Campaign.elaborate spec in
+    let devices = Array.to_list devices in
+    let build () =
+      Fleet.Shard.prefix ~telemetry:Telemetry.default_config ~spec ~field
+        devices
+    in
+    (* The first build fills the compile and decode caches. *)
+    ignore (build ());
+    Gc.full_major ();
+    let before = (Gc.quick_stat ()).Gc.live_words in
+    let table = build () in
+    Gc.full_major ();
+    let after = (Gc.quick_stat ()).Gc.live_words in
+    (* Everything allocated before [before] stays live through [after]. *)
+    ignore (Sys.opaque_identity (table, devices, field));
+    after - before
+  in
+  (* Serial builds: every reference lives on this domain's heap. *)
+  let saved = Workbench.jobs () in
+  let small, large =
+    Fun.protect
+      ~finally:(fun () -> Workbench.set_jobs saved)
+      (fun () ->
+        Workbench.set_jobs 1;
+        let small = table_words 2_000 in
+        (small, table_words 20_000))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "the 2k-device table is live (%d words)" small)
+    true (small > 0);
+  Alcotest.(check int) "a 20k-device table takes the same live words" small
+    large
+
 (* --------------------------------------------------------------------- *)
 
 let () =
@@ -80,5 +131,7 @@ let () =
         [
           Alcotest.test_case "50k-device shard streams in O(1) memory" `Slow
             test_streaming_memory_bound;
+          Alcotest.test_case "prefix table is bounded by fork points" `Quick
+            test_prefix_table_bound;
         ] );
     ]
