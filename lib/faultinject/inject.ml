@@ -101,6 +101,13 @@ type snapshots = {
 }
 
 let snapshots ~board ~image ~meta opts sites =
+  (* A fork copies the observers, so a caller's registry or recorder
+     would see the uninjected pass alone and every replay would record
+     into a discarded copy: refuse them rather than drop data silently. *)
+  if Option.is_some opts.M.metrics || Option.is_some opts.M.flight then
+    invalid_arg
+      "Inject.snapshots: replays fork, so opts must carry no metrics \
+       registry or flight recorder";
   let n_sites = Array.length sites in
   let last_step = if n_sites = 0 then 0 else sites.(n_sites - 1).s_step in
   let every =

@@ -5,8 +5,7 @@
    This executable flips [GECKO_CHECKED] on before anything touches NVM,
    so every run here exercises the fast dispatcher with per-access NVM
    range validation enabled — the configuration the plain test
-   executables never see (their Nvm instances latch the unchecked
-   default). *)
+   executables never see (their NVMs take the unchecked default). *)
 
 let () = Unix.putenv "GECKO_CHECKED" "1"
 
@@ -186,6 +185,33 @@ let norm_ref (o : Ref_machine.outcome) =
     List.map (Format.asprintf "%a" Ref_machine.pp_event) o.Ref_machine.events,
     o.Ref_machine.hit_limit )
 
+(* The groups below test checked mode only if the machine's memories
+   really are checked: a dynamic load past the end of NVM must fail with
+   [Nvm]'s own range message, not the runtime's bounds check. *)
+let test_machine_nvm_checked () =
+  let module B = Builder in
+  let b = B.program "overrun" in
+  let buf = B.space b "buf" ~words:4 () in
+  B.func b "main";
+  B.block b "entry";
+  B.li b Reg.r1 1_000_000;
+  B.ld b Reg.r2 (B.idx buf Reg.r1);
+  B.halt b;
+  let p, meta = Core.Pipeline.compile Core.Scheme.Nvp (B.finish b) in
+  let image = Link.link p in
+  Alcotest.(check bool) "a fresh NVM is checked" true
+    (Gecko_mem.Nvm.checked (Gecko_mem.Nvm.create ~words:1 ()));
+  match
+    M.Machine.run ~board:(M.Board.default ()) ~image ~meta
+      M.Machine.default_options
+  with
+  | _ -> Alcotest.fail "an out-of-range load ran"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "range message (got %S)" msg)
+        true
+        (String.starts_with ~prefix:"Nvm: address" msg)
+
 (* The decoded fast path must match the frozen reference with NVM range
    checking live — same EMI schedule, crash-prone board. *)
 let prop_checked_matches_reference =
@@ -361,7 +387,9 @@ let () =
             prop_decode_cache_hit;
           ] );
       ( "differential-checked",
-        q
+        Alcotest.test_case "machine NVM is range-checked" `Quick
+          test_machine_nvm_checked
+        :: q
           [
             prop_checked_matches_reference;
             prop_outage_matches_reference;
