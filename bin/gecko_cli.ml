@@ -178,7 +178,11 @@ let compile_cmd =
           [
             "copy"; "regions"; "split"; "regions2"; "coloring"; "emit";
             "guards"; "verify";
-          ]
+          ];
+        let rounds =
+          Mx.counter_value (Mx.counter reg "pipeline.coloring.rounds")
+        in
+        if rounds > 0 then Printf.printf "  colouring rounds: %d\n" rounds
     | None -> ());
     (match (tracer, trace_out) with
     | Some tr, Some path -> write_trace path tr

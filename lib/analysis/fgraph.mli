@@ -1,8 +1,10 @@
 (** Indexed view of a function's control-flow graph.
 
-    Compiler passes mutate block instruction lists; analyses therefore
-    rebuild this view after every structural change (programs are small,
-    full recomputation is cheap and keeps passes simple). *)
+    Compiler passes mutate block instruction lists in place; the view
+    shares the block records, so block-level facts derived from it
+    (successors, dominators, reachability) stay valid until a pass adds
+    or removes blocks.  Facts indexed by instruction position must be
+    recomputed after every insertion. *)
 
 open Gecko_isa
 

@@ -39,13 +39,13 @@ let stores_reg decisions bid r =
    stability class (globally crossing-invariant values), or no
    definition of the register between the two stores (segment-level
    identity, Valueflow). *)
-let exempt_edge vf site_of decisions r (a, b) =
+let exempt_edge cands decisions r (a, b) =
   (match (decision_of decisions a r, decision_of decisions b r) with
   | Some (Prune.Keep_stable ca), Some (Prune.Keep_stable cb) -> ca = cb
   | _ -> false)
   ||
-  match (site_of a, site_of b) with
-  | Some sa, Some sb -> Valueflow.same_value_over_edge vf r ~src:sa ~dst:sb
+  match (Candidates.site_opt cands a, Candidates.site_opt cands b) with
+  | Some sa, Some sb -> Valueflow.same_value_over_edge cands r ~src:sa ~dst:sb
   | _ -> false
 
 (* Recover the odd cycle from the BFS parent map when edge (u, v) closes
@@ -75,37 +75,36 @@ let recover_cycle parents u v =
   let u_part = take_until [] au (* u ... lca *) in
   u_part @ List.rev v_part
 
-let try_color vf (cands : Candidates.t) (decisions : Prune.result) =
+let try_color (cands : Candidates.t) (decisions : Prune.result) =
   let w = Spans.make cands in
-  let site_tbl = Hashtbl.create 32 in
-  List.iter
-    (fun (s : Candidates.site) ->
-      Hashtbl.replace site_tbl s.Candidates.s_id s)
-    cands.Candidates.sites;
-  let site_of id = Hashtbl.find_opt site_tbl id in
+  (* A register no site stores has no edges and nothing to colour. *)
+  let stored =
+    Hashtbl.fold
+      (fun _ ds acc ->
+        List.fold_left
+          (fun acc (r, d) ->
+            match d with
+            | Prune.Keep | Prune.Keep_stable _ -> Reg.Set.add r acc
+            | Prune.Reuse _ | Prune.Prune _ -> acc)
+          acc ds)
+      decisions Reg.Set.empty
+  in
   let colors : t = Hashtbl.create 64 in
   let result = ref None in
   (try
-     List.iter
+     Reg.Set.iter
        (fun r ->
          let ri = Reg.to_int r in
          let stops bid = stores_reg decisions bid r in
          let redges =
            List.filter
-             (fun e -> not (exempt_edge vf site_of decisions r e))
+             (fun e -> not (exempt_edge cands decisions r e))
              (Spans.edges w ~stops)
          in
          begin
            (* Self-loops are odd cycles of length one. *)
            (match List.find_opt (fun (a, b) -> a = b) redges with
            | Some (a, _) ->
-               if Sys.getenv_opt "GECKO_COLOR_DEBUG" <> None then
-                 Printf.eprintf "  self-conflict reg %s edges %s\n%!"
-                   (Reg.to_string r)
-                   (String.concat " "
-                      (List.map
-                         (fun (x, y) -> Printf.sprintf "%d->%d" x y)
-                         redges));
                result := Some (Conflict (r, [ a ], redges));
                raise Exit
            | None -> ());
@@ -146,16 +145,6 @@ let try_color vf (cands : Candidates.t) (decisions : Prune.result) =
                            Queue.add n queue
                        | Some cn ->
                            if cn = cb && n <> b then begin
-                             if Sys.getenv_opt "GECKO_COLOR_DEBUG" <> None
-                             then
-                               Printf.eprintf
-                                 "  bfs-conflict reg %s edge %d-%d edges %s\n%!"
-                                 (Reg.to_string r) b n
-                                 (String.concat " "
-                                    (List.map
-                                       (fun (x, y) ->
-                                         Printf.sprintf "%d->%d" x y)
-                                       redges));
                              result :=
                                Some
                                  (Conflict
@@ -167,7 +156,7 @@ let try_color vf (cands : Candidates.t) (decisions : Prune.result) =
                end)
              nodes
          end)
-       Reg.all
+       stored
    with Exit -> ());
   match !result with Some c -> c | None -> Colored colors
 
@@ -224,10 +213,23 @@ let pick_repair_node edges cycle =
       in
       (match best with Some x -> x | None -> first)
 
+type outcome = {
+  cands : Candidates.t;
+  decisions : Prune.result;
+  colors : t;
+  rounds : int;
+}
+
 let assign ~next_id ~analyze (p : Cfg.program) =
   let repairs : (int, Reg.Set.t) Hashtbl.t = Hashtbl.create 8 in
   let repair_at : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let rec loop round =
+  (* A repair boundary neither uses nor defines a register, so liveness,
+     clobbers, dominators and block reachability hold for every round.
+     It also sits directly after an existing boundary, so it can only cut
+     WAR paths: an empty hazard set stays empty, while a non-empty one
+     (whose positions shift) is recomputed. *)
+  let facts = Candidates.facts p in
+  let rec loop round hazards =
     if round > 256 then failwith "Coloring.assign: did not converge";
     (* Decisions are recomputed after every insertion.  A repair boundary
        force-keeps exactly the problematic register (the paper's
@@ -237,23 +239,17 @@ let assign ~next_id ~analyze (p : Cfg.program) =
        them away (undoing the alternation) nor route another site's
        restore at a slot the repair's own store would clobber inside that
        site's crash window; its other live-ins are treated normally. *)
-    let cands = Candidates.compute p in
+    let cands = Candidates.compute ~facts ~hazards p in
     let force_keep bid =
       match Hashtbl.find_opt repairs bid with
       | Some regs -> regs
       | None -> Reg.Set.empty
     in
     let decisions = analyze ~force_keep p cands in
-    let vf = Valueflow.make p cands in
-    match try_color vf cands decisions with
-    | Colored colors -> (cands, decisions, colors)
+    match try_color cands decisions with
+    | Colored colors -> { cands; decisions; colors; rounds = round + 1 }
     | Conflict (reg, cycle, redges) ->
         let node = pick_repair_node redges cycle in
-        if Sys.getenv_opt "GECKO_COLOR_DEBUG" <> None then
-          Printf.eprintf "round %d: reg %s cycle [%s] repair after %d\n%!"
-            round (Reg.to_string reg)
-            (String.concat ";" (List.map string_of_int cycle))
-            node;
         (* Coalesce: several registers self-looping at the same node
            share one repair boundary.  If that repair already hosts this
            register (the cycle involves the repair itself), a fresh
@@ -277,12 +273,12 @@ let assign ~next_id ~analyze (p : Cfg.program) =
           insert_repair ~next_id cands node
         end;
         loop (round + 1)
+          (match hazards with [] -> [] | _ :: _ -> A.Alias.war_hazards p)
   in
-  loop 0
+  loop 0 (A.Alias.war_hazards p)
 
 let try_color_debug cands decisions =
-  (* Debug entry without a program handle: rebuild from candidates. *)
-  match try_color (Valueflow.make cands.Candidates.prog cands) cands decisions with
+  match try_color cands decisions with
   | Colored _ -> None
   | Conflict (_, c, _) -> Some c
 

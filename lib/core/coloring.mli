@@ -31,6 +31,14 @@ val adjacency_for : Candidates.t -> stops:(int -> bool) -> (int * int) list
 (** Directed consecutive pairs where only boundaries satisfying [stops]
     terminate the walk (and only they are walk sources). *)
 
+type outcome = {
+  cands : Candidates.t;  (** of the final, repaired program *)
+  decisions : Prune.result;
+  colors : t;
+  rounds : int;
+      (** colouring attempts: one per repair, plus the final success *)
+}
+
 val assign :
   next_id:int ref ->
   analyze:
@@ -39,14 +47,15 @@ val assign :
     Candidates.t ->
     Prune.result) ->
   Cfg.program ->
-  Candidates.t * Prune.result * t
+  outcome
 (** May insert repair boundaries (mutating the program).  [analyze] is
     re-run after every insertion, receiving the repair boundaries'
     forced-keep sets, so repair stores are first-class during pruning —
     in particular the reuse pass sees them as unprunable owned stores
-    rather than discovering them after the fact.  Returns the final
-    candidates, decisions and colours.  Raises [Failure] if colouring
-    does not converge. *)
+    rather than discovering them after the fact.  Facts a repair cannot
+    change (liveness, clobbers, dominators, block reachability, an empty
+    hazard set) are computed once per call.  Raises [Failure] if
+    colouring does not converge. *)
 
 (**/**)
 

@@ -95,11 +95,17 @@ let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
                     ignore force_keep;
                     Prune.keep_all cands
             in
-            let cands, decisions, colors =
-              pass "coloring" (fun () ->
-                  Coloring.assign ~next_id ~analyze p)
+            let col =
+              pass "coloring" (fun () -> Coloring.assign ~next_id ~analyze p)
             in
-            pass "emit" (fun () -> Emit.gecko scheme p cands decisions colors)
+            Option.iter
+              (fun reg ->
+                Gecko_obs.Metrics.incr ~by:col.Coloring.rounds
+                  (Gecko_obs.Metrics.counter reg "pipeline.coloring.rounds"))
+              metrics;
+            pass "emit" (fun () ->
+                Emit.gecko scheme p col.Coloring.cands col.Coloring.decisions
+                  col.Coloring.colors)
         | Scheme.Nvp -> assert false
       in
       (* Speculative mode pruned optimistically: enumerate the owned

@@ -60,8 +60,10 @@ val compile :
     [obs] turns on the compiler profiler: every pass is recorded as a
     host-clock span (category ["compiler"]) with an [ir_instrs] counter
     sample after it.  [metrics] additionally collects per-pass wall-time
-    histograms ([pipeline.<pass>.seconds]) and IR-size gauges
-    ([pipeline.<pass>.ir_instrs]). *)
+    histograms ([pipeline.<pass>.seconds]), IR-size gauges
+    ([pipeline.<pass>.ir_instrs]) and the [pipeline.coloring.rounds]
+    counter (colouring attempts, one per repair boundary plus the final
+    success). *)
 
 val speculation_guards : Cfg.program -> Meta.t -> (string * string * int) list
 (** The owned checkpoint stores targeting a reused (register, colour)

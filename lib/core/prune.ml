@@ -13,11 +13,11 @@ let max_depth = 24
 exception Unsliceable
 
 type ctx = {
-  prog : Cfg.program;
+  cands : Candidates.t;
+  fi : int;  (* the boundary's function *)
   g : A.Fgraph.t;
   dom : A.Dom.t;
   reaching : A.Reaching.t;
-  defsites : A.Fgraph.point list array;  (* per register, incl. call clobbers *)
   pb : A.Fgraph.point;  (* the boundary *)
   live : Reg.Set.t;
   pruned : (int, unit) Hashtbl.t;  (* regs already pruned at this boundary *)
@@ -36,56 +36,45 @@ let emit ctx node =
   if ctx.count > max_slice_nodes then raise Unsliceable;
   ctx.emitted <- node :: ctx.emitted
 
+(* No definition of [q] can execute on a path from point [op] to point
+   [sp] of function [fi] without re-crossing [op] (block-granular:
+   entering [op]'s block crosses [op], since blocks are straight-line). *)
+let no_def_between (cands : Candidates.t) fi q (op : A.Fgraph.point)
+    (sp : A.Fgraph.point) =
+  let ob = op.A.Fgraph.blk in
+  let reaches from dst =
+    dst <> ob && Candidates.reaches_avoiding cands fi ~avoid:ob ~from dst
+  in
+  List.for_all
+    (fun (dq : A.Fgraph.point) ->
+      if dq.A.Fgraph.blk = ob then
+        (* Positions before [op] require re-entering the block, which
+           crosses [op] first.  Positions at/after [op] run immediately —
+           but when [sp] sits later in the same block, only defs strictly
+           between the two points interfere (later ones must wrap around
+           and re-cross [op]). *)
+        dq.A.Fgraph.idx < op.A.Fgraph.idx
+        || (sp.A.Fgraph.blk = ob
+           && sp.A.Fgraph.idx > op.A.Fgraph.idx
+           && dq.A.Fgraph.idx >= sp.A.Fgraph.idx)
+      else
+        let step1 = reaches ob dq.A.Fgraph.blk in
+        let step2 =
+          (dq.A.Fgraph.blk = sp.A.Fgraph.blk
+          && dq.A.Fgraph.idx < sp.A.Fgraph.idx)
+          || reaches dq.A.Fgraph.blk sp.A.Fgraph.blk
+        in
+        not (step1 && step2))
+    (Candidates.defsites cands fi q)
+
 (* Value preservation of [q] between [p] and the boundary: either the
    same unique definition reaches both points, or no definition of [q]
    can execute on a path from [p] to the boundary without re-crossing
    [p] (re-crossing re-executes the instruction at [p], refreshing the
    dependence with current values, so the recomputation still agrees). *)
-let no_def_between ctx q p =
-  let pb = ctx.pb in
-  let pblk = p.A.Fgraph.blk in
-  let reach_avoiding srcs dst =
-    let seen = Hashtbl.create 16 in
-    let found = ref false in
-    let rec go b =
-      if b <> pblk && not (Hashtbl.mem seen b) then begin
-        Hashtbl.replace seen b ();
-        if b = dst then found := true
-        else List.iter go ctx.g.A.Fgraph.succ.(b)
-      end
-    in
-    List.iter (fun b -> go b) srcs;
-    !found
-  in
-  List.for_all
-    (fun (dq : A.Fgraph.point) ->
-      if dq.A.Fgraph.blk = pblk then
-        (* Positions before [p] require re-entering the block, which
-           crosses [p] first.  Positions at/after [p] run immediately —
-           but when the boundary sits later in the same block, only defs
-           strictly between the two points interfere (later ones must
-           wrap around and re-cross [p]). *)
-        dq.A.Fgraph.idx < p.A.Fgraph.idx
-        || (pb.A.Fgraph.blk = pblk
-           && pb.A.Fgraph.idx > p.A.Fgraph.idx
-           && dq.A.Fgraph.idx >= pb.A.Fgraph.idx)
-      else
-        let step1 =
-          reach_avoiding ctx.g.A.Fgraph.succ.(pblk) dq.A.Fgraph.blk
-        in
-        let step2 =
-          (dq.A.Fgraph.blk = pb.A.Fgraph.blk
-          && dq.A.Fgraph.idx < pb.A.Fgraph.idx)
-          || reach_avoiding
-               ctx.g.A.Fgraph.succ.(dq.A.Fgraph.blk)
-               pb.A.Fgraph.blk
-        in
-        not (step1 && step2))
-    ctx.defsites.(Reg.to_int q)
-
 let value_preserved ctx q p =
   A.Reaching.same_unique_def ctx.reaching q p ctx.pb
-  || no_def_between ctx q p
+  || no_def_between ctx.cands ctx.fi q p ctx.pb
 
 let rec slice_def ctx depth q (d : A.Reaching.def) =
   if depth > max_depth then raise Unsliceable;
@@ -117,7 +106,7 @@ let rec slice_def ctx depth q (d : A.Reaching.def) =
             need ctx (depth + 1) b dp
         | Instr.Bin (_, _, a, Instr.Oimm _) -> need ctx (depth + 1) a dp
         | Instr.Ld (_, m) ->
-            if not (A.Alias.location_read_only ctx.prog m) then
+            if not (A.Alias.location_read_only ctx.cands.Candidates.prog m) then
               raise Unsliceable;
             (match m.Instr.disp with
             | Instr.Dreg i -> need ctx (depth + 1) i dp
@@ -151,14 +140,14 @@ and need ctx depth q p =
     | Some d -> slice_def ctx depth q d
     | None -> raise Unsliceable
 
-let try_slice prog g dom reaching defsites pb live pruned pinned r =
+let try_slice cands fi dom reaching pb live pruned pinned r =
   let ctx =
     {
-      prog;
-      g;
+      cands;
+      fi;
+      g = cands.Candidates.graphs.(fi);
       dom;
       reaching;
-      defsites;
       pb;
       live;
       pruned;
@@ -205,47 +194,28 @@ let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?(sound = true)
       (fun (h : A.Alias.hazard) ->
         Hashtbl.replace hazardous h.A.Alias.hz_func ();
         Hashtbl.replace hazardous h.A.Alias.hz_store_func ())
-      cands.Candidates.hazards;
+      (Lazy.force cands.Candidates.hazards);
   let site_hazardous (s : Candidates.site) =
     Hashtbl.mem hazardous cands.Candidates.funcs.(s.Candidates.s_func).Cfg.fname
   in
   (* Per-function analyses, shared across the function's boundaries.  Call
      sites act as definition points for the callee's clobber set, so no
-     value is assumed preserved across a call that may overwrite it. *)
-  let clobbers = A.Clobbers.compute p in
-  let call_defs = A.Clobbers.of_function clobbers in
-  let defsites_of (g : A.Fgraph.t) =
-    let ds = Array.make Reg.count [] in
-    Array.iteri
-      (fun bi (b : Cfg.block) ->
-        List.iteri
-          (fun idx i ->
-            Reg.Set.iter
-              (fun r ->
-                ds.(Reg.to_int r) <-
-                  { A.Fgraph.blk = bi; idx } :: ds.(Reg.to_int r))
-              (Instr.defs i))
-          b.Cfg.instrs;
-        match b.Cfg.term with
-        | Instr.Call (callee, _) ->
-            let pos = { A.Fgraph.blk = bi; idx = List.length b.Cfg.instrs } in
-            Reg.Set.iter
-              (fun r -> ds.(Reg.to_int r) <- pos :: ds.(Reg.to_int r))
-              (call_defs callee)
-        | Instr.Jmp _ | Instr.Br _ | Instr.Ret | Instr.Halt -> ())
-      g.A.Fgraph.blocks;
-    ds
+     value is assumed preserved across a call that may overwrite it.
+     Reaching definitions shift with every inserted boundary and are
+     computed per call; dominators are block-level facts. *)
+  let call_defs =
+    A.Clobbers.of_function (Lazy.force cands.Candidates.facts.Candidates.clobbers)
   in
-  let per_func =
+  let reaching =
     Array.map
-      (fun g ->
-        (g, A.Dom.compute g, A.Reaching.compute ~call_defs g, defsites_of g))
+      (fun g -> lazy (A.Reaching.compute ~call_defs g))
       cands.Candidates.graphs
   in
+  let dom fi = Lazy.force cands.Candidates.facts.Candidates.doms.(fi) in
   (* Phase 1: slice-based pruning. *)
   List.iter
     (fun (s : Candidates.site) ->
-      let g, dom, reaching, defsites = per_func.(s.Candidates.s_func) in
+      let fi = s.Candidates.s_func in
       let pruned = Hashtbl.create 8 in
       let pinned = Hashtbl.create 8 in
       let forced = force_keep s.Candidates.s_id in
@@ -258,8 +228,8 @@ let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?(sound = true)
             then (r, Keep)
             else
               match
-                try_slice p g dom reaching defsites s.Candidates.s_point
-                  s.Candidates.s_live pruned pinned r
+                try_slice cands fi (dom fi) (Lazy.force reaching.(fi))
+                  s.Candidates.s_point s.Candidates.s_live pruned pinned r
               with
               | Some slice ->
                   Hashtbl.replace pruned (Reg.to_int r) ();
@@ -307,57 +277,28 @@ let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?(sound = true)
           | Instr.Jmp _ | Instr.Br _ | Instr.Ret | Instr.Halt -> ())
         f.Cfg.blocks)
     p.Cfg.funcs;
-  let block_reach =
-    Array.map (fun (g, _, _, _) -> A.Blockreach.compute g) per_func
-  in
-  (* No definition of [r] on any o->s path avoiding o (block-granular:
-     entering o's block crosses o, since blocks are straight-line). *)
-  let no_defs_between fi (defsites : A.Fgraph.point list array) r
-      (op : A.Fgraph.point) (sp : A.Fgraph.point) =
-    let g = cands.Candidates.graphs.(fi) in
-    let ob = op.A.Fgraph.blk in
-    let reach_avoiding srcs dst =
-      let seen = Hashtbl.create 16 in
-      let found = ref false in
-      let rec go b =
-        if b <> ob && not (Hashtbl.mem seen b) then begin
-          Hashtbl.replace seen b ();
-          if b = dst then found := true
-          else List.iter go g.A.Fgraph.succ.(b)
-        end
-      in
-      List.iter go srcs;
-      !found
-    in
-    List.for_all
-      (fun (dq : A.Fgraph.point) ->
-        if dq.A.Fgraph.blk = ob then
-          (* Positions before o require re-entering the block (crossing
-             o); positions after o interfere only if s is not later in
-             the same block (otherwise they must wrap and re-cross o). *)
-          dq.A.Fgraph.idx < op.A.Fgraph.idx
-          || (sp.A.Fgraph.blk = ob
-             && sp.A.Fgraph.idx > op.A.Fgraph.idx
-             && dq.A.Fgraph.idx >= sp.A.Fgraph.idx)
-        else
-          let step1 = reach_avoiding g.A.Fgraph.succ.(ob) dq.A.Fgraph.blk in
-          let step2 =
-            (dq.A.Fgraph.blk = sp.A.Fgraph.blk
-            && dq.A.Fgraph.idx < sp.A.Fgraph.idx)
-            || reach_avoiding
-                 g.A.Fgraph.succ.(dq.A.Fgraph.blk)
-                 sp.A.Fgraph.blk
-          in
-          not (step1 && step2))
-      defsites.(Reg.to_int r)
-  in
-  (* Per-function dominance-sorted sites (dominators first). *)
+  (* Per-function sites, and for each site the other sites of its
+     function that dominate it (in the same order). *)
   let sites_of_func = Array.make (Array.length cands.Candidates.funcs) [] in
   List.iter
     (fun (s : Candidates.site) ->
       sites_of_func.(s.Candidates.s_func) <-
         s :: sites_of_func.(s.Candidates.s_func))
     cands.Candidates.sites;
+  let dominators = Hashtbl.create 32 in
+  Array.iteri
+    (fun fi sites ->
+      List.iter
+        (fun (s : Candidates.site) ->
+          Hashtbl.replace dominators s.Candidates.s_id
+            (List.filter
+               (fun (o : Candidates.site) ->
+                 o.Candidates.s_id <> s.Candidates.s_id
+                 && A.Dom.dominates_point (dom fi) o.Candidates.s_point
+                      s.Candidates.s_point)
+               sites))
+        sites)
+    sites_of_func;
   (* Sound reuse needs interprocedural window reasoning: a reusing
      restore at [s] reads the owner's slot colour, so no other owned
      store of the register may execute between the owner [o] and [s] on
@@ -391,8 +332,7 @@ let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?(sound = true)
     incr rounds;
     changed := false;
     Array.iteri
-      (fun fi (_, dom, _, defsites) ->
-        let sites = sites_of_func.(fi) in
+      (fun fi sites ->
         List.iter
           (fun (s : Candidates.site) ->
             List.iter
@@ -416,12 +356,9 @@ let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?(sound = true)
                     let doms =
                       List.filter
                         (fun (o : Candidates.site) ->
-                          o.Candidates.s_id <> s.Candidates.s_id
-                          && Reg.Set.mem r o.Candidates.s_live
-                          && A.Dom.dominates_point dom o.Candidates.s_point
-                               s.Candidates.s_point
+                          Reg.Set.mem r o.Candidates.s_live
                           && ((not windowed) || is_owner o.Candidates.s_id r))
-                        sites
+                        (Hashtbl.find dominators s.Candidates.s_id)
                     in
                     (* Nearest = dominated by all the others. *)
                     let nearest =
@@ -431,7 +368,7 @@ let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?(sound = true)
                           | None -> Some o
                           | Some b ->
                               if
-                                A.Dom.dominates_point dom
+                                A.Dom.dominates_point (dom fi)
                                   b.Candidates.s_point o.Candidates.s_point
                               then Some o
                               else best)
@@ -449,7 +386,7 @@ let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?(sound = true)
                         in
                         match target with
                         | Some t
-                          when no_defs_between fi defsites r
+                          when no_def_between cands fi r
                                  o.Candidates.s_point s.Candidates.s_point
                                && ((not windowed)
                                   || no_owned_store_between o s r) ->
@@ -464,7 +401,7 @@ let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?(sound = true)
                     ())
               (Reg.Set.elements s.Candidates.s_live))
           sites)
-      per_func
+      sites_of_func
   done;
   (* Normalize reuse chains: owners decided in a later round may have
      become reusers themselves; restores must reference the root owned
@@ -491,10 +428,12 @@ let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?(sound = true)
     cands.Candidates.sites;
   (* Stability pass. *)
   Array.iteri
-    (fun fi (_, _, _, defsites) ->
-      let reach = block_reach.(fi) in
+    (fun fi sites ->
       let fname = cands.Candidates.funcs.(fi).Cfg.fname in
       if not (Hashtbl.mem callable fname) then
+        let reach =
+          Lazy.force cands.Candidates.facts.Candidates.block_reach.(fi)
+        in
         List.iter
           (fun (s : Candidates.site) ->
             List.iter
@@ -518,7 +457,7 @@ let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?(sound = true)
                             not
                               (A.Blockreach.reaches reach sp.A.Fgraph.blk
                                  dq.A.Fgraph.blk))
-                        defsites.(Reg.to_int r)
+                        (Candidates.defsites cands fi r)
                     in
                     if stable then
                       set_decision s.Candidates.s_id r
@@ -528,8 +467,8 @@ let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?(sound = true)
                 | Some (Prune _) | None ->
                     ())
               (Reg.Set.elements s.Candidates.s_live))
-          sites_of_func.(fi))
-    per_func;
+          sites)
+    sites_of_func;
   result
 
 let analyze = analyze_with ~slices:true ~reuse:true

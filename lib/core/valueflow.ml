@@ -1,68 +1,19 @@
-open Gecko_isa
 module A = Gecko_analysis
 
-type t = {
-  cands : Candidates.t;
-  defsites : A.Fgraph.point list array array; (* func -> reg -> points *)
-}
-
-let make (p : Cfg.program) (cands : Candidates.t) =
-  let clobbers = A.Clobbers.compute p in
-  let call_defs = A.Clobbers.of_function clobbers in
-  let defsites =
-    Array.map
-      (fun (g : A.Fgraph.t) ->
-        let ds = Array.make Reg.count [] in
-        Array.iteri
-          (fun bi (b : Cfg.block) ->
-            List.iteri
-              (fun idx i ->
-                Reg.Set.iter
-                  (fun r ->
-                    ds.(Reg.to_int r) <-
-                      { A.Fgraph.blk = bi; idx } :: ds.(Reg.to_int r))
-                  (Instr.defs i))
-              b.Cfg.instrs;
-            match b.Cfg.term with
-            | Instr.Call (callee, _) ->
-                let pos =
-                  { A.Fgraph.blk = bi; idx = List.length b.Cfg.instrs }
-                in
-                Reg.Set.iter
-                  (fun r -> ds.(Reg.to_int r) <- pos :: ds.(Reg.to_int r))
-                  (call_defs callee)
-            | Instr.Jmp _ | Instr.Br _ | Instr.Ret | Instr.Halt -> ())
-          g.A.Fgraph.blocks;
-        ds)
-      cands.Candidates.graphs
-  in
-  { cands; defsites }
-
-let same_value_over_edge t r ~(src : Candidates.site) ~(dst : Candidates.site)
-    =
+let same_value_over_edge (cands : Candidates.t) r ~(src : Candidates.site)
+    ~(dst : Candidates.site) =
   src.Candidates.s_func = dst.Candidates.s_func
   &&
   let fi = src.Candidates.s_func in
-  let g = t.cands.Candidates.graphs.(fi) in
   let op = src.Candidates.s_point in
   let sp = dst.Candidates.s_point in
   let ob = op.A.Fgraph.blk in
-  (* Reach [dstb] from [srcs] without passing through [ob] — except that
-     arriving AT [dstb] itself is always allowed, even when dstb = ob
-     (re-entering the source block is exactly how a wrap-around edge
-     reaches a destination at or before the source). *)
-  let reach_avoiding srcs dstb =
-    let seen = Hashtbl.create 16 in
-    let found = ref false in
-    let rec go b =
-      if b = dstb then found := true
-      else if b <> ob && not (Hashtbl.mem seen b) then begin
-        Hashtbl.replace seen b ();
-        List.iter go g.A.Fgraph.succ.(b)
-      end
-    in
-    List.iter go srcs;
-    !found
+  (* Reach a block from [from] without passing through [ob] — arriving
+     AT [ob] itself is allowed (re-entering the source block is exactly
+     how a wrap-around edge reaches a destination at or before the
+     source). *)
+  let reach_avoiding from dstb =
+    Candidates.reaches_avoiding cands fi ~avoid:ob ~from dstb
   in
   (* Is the destination strictly later in the source block?  Then the
      span is the in-block segment; otherwise it wraps the CFG. *)
@@ -91,11 +42,11 @@ let same_value_over_edge t r ~(src : Candidates.site) ~(dst : Candidates.site)
              (re-entering the block re-crosses the source store). *)
           dq.A.Fgraph.idx <= op.A.Fgraph.idx
       else
-        let step1 = reach_avoiding g.A.Fgraph.succ.(ob) dq.A.Fgraph.blk in
+        let step1 = reach_avoiding ob dq.A.Fgraph.blk in
         let step2 =
           (dq.A.Fgraph.blk = sp.A.Fgraph.blk
           && dq.A.Fgraph.idx < sp.A.Fgraph.idx)
-          || reach_avoiding g.A.Fgraph.succ.(dq.A.Fgraph.blk) sp.A.Fgraph.blk
+          || reach_avoiding dq.A.Fgraph.blk sp.A.Fgraph.blk
         in
         not (step1 && step2))
-    t.defsites.(fi).(Reg.to_int r)
+    (Candidates.defsites cands fi r)

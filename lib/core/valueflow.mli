@@ -10,10 +10,6 @@
 
 open Gecko_isa
 
-type t
-
-val make : Cfg.program -> Candidates.t -> t
-
 val same_value_over_edge :
-  t -> Reg.t -> src:Candidates.site -> dst:Candidates.site -> bool
+  Candidates.t -> Reg.t -> src:Candidates.site -> dst:Candidates.site -> bool
 (** Conservative: [false] whenever the sites are in different functions. *)

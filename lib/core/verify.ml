@@ -10,12 +10,6 @@ let idempotence ?(mode = Mode.default) p =
 
 let coloring p (meta : Meta.t) =
   let cands = Candidates.compute p in
-  let vf = Valueflow.make p cands in
-  let site_tbl = Hashtbl.create 32 in
-  List.iter
-    (fun (s : Candidates.site) ->
-      Hashtbl.replace site_tbl s.Candidates.s_id s)
-    cands.Candidates.sites;
   let owned bid r =
     match Meta.boundary_info meta bid with
     | None -> None
@@ -37,10 +31,10 @@ let coloring p (meta : Meta.t) =
         (fun (b1, b2) ->
           let same_value () =
             match
-              (Hashtbl.find_opt site_tbl b1, Hashtbl.find_opt site_tbl b2)
+              (Candidates.site_opt cands b1, Candidates.site_opt cands b2)
             with
             | Some sa, Some sb ->
-                Valueflow.same_value_over_edge vf r ~src:sa ~dst:sb
+                Valueflow.same_value_over_edge cands r ~src:sa ~dst:sb
             | _ -> false
           in
           match (owned b1 r, owned b2 r) with
@@ -80,12 +74,6 @@ let coloring p (meta : Meta.t) =
 let window_clobber_scan p (meta : Meta.t) =
   let cands = Candidates.compute p in
   let w = Spans.make cands in
-  let vf = Valueflow.make p cands in
-  let site_tbl = Hashtbl.create 32 in
-  List.iter
-    (fun (s : Candidates.site) ->
-      Hashtbl.replace site_tbl s.Candidates.s_id s)
-    cands.Candidates.sites;
   let stable_at bid r =
     match Meta.boundary_info meta bid with
     | None -> None
@@ -161,9 +149,9 @@ let window_clobber_scan p (meta : Meta.t) =
                                 | Some a, Some b -> a = b
                                 | _ -> false)
                                 ||
-                                match Hashtbl.find_opt site_tbl n with
+                                match Candidates.site_opt cands n with
                                 | Some sn ->
-                                    Valueflow.same_value_over_edge vf r
+                                    Valueflow.same_value_over_edge cands r
                                       ~src:s ~dst:sn
                                 | None -> false
                               in

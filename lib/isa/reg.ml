@@ -32,5 +32,38 @@ let r14 = 14
 let r15 = 15
 let sp = r15
 
-module Set = Set.Make (Int)
-module Map = Map.Make (Int)
+module Set = struct
+  type elt = int
+
+  (* Bit [r] is set iff register [r] is a member. *)
+  type t = int
+
+  let empty = 0
+  let is_empty s = s = 0
+  let mem r s = s land (1 lsl r) <> 0
+  let singleton r = 1 lsl r
+  let add r s = s lor (1 lsl r)
+  let remove r s = s land lnot (1 lsl r)
+  let union = ( lor )
+  let diff a b = a land lnot b
+  let equal = Int.equal
+
+  let fold f s acc =
+    let acc = ref acc in
+    for r = 0 to count - 1 do
+      if mem r s then acc := f r !acc
+    done;
+    !acc
+
+  let iter f s =
+    for r = 0 to count - 1 do
+      if mem r s then f r
+    done
+
+  let elements s = List.rev (fold List.cons s [])
+  let of_list = List.fold_left (fun s r -> add r s) empty
+
+  let cardinal s =
+    let rec go s n = if s = 0 then n else go (s land (s - 1)) (n + 1) in
+    go s 0
+end

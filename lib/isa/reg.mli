@@ -42,5 +42,24 @@ val r13 : t
 val r14 : t
 val r15 : t
 
-module Set : Set.S with type elt = t
-module Map : Map.S with type key = t
+(** Register sets as 16-bit masks.  [iter], [fold] and [elements] visit
+    members in ascending register order. *)
+module Set : sig
+  type elt = t
+  type t
+
+  val empty : t
+  val is_empty : t -> bool
+  val mem : elt -> t -> bool
+  val singleton : elt -> t
+  val add : elt -> t -> t
+  val remove : elt -> t -> t
+  val union : t -> t -> t
+  val diff : t -> t -> t
+  val equal : t -> t -> bool
+  val cardinal : t -> int
+  val iter : (elt -> unit) -> t -> unit
+  val fold : (elt -> 'a -> 'a) -> t -> 'a -> 'a
+  val elements : t -> elt list
+  val of_list : elt list -> t
+end

@@ -11,6 +11,40 @@ let test_reg_bounds () =
     (fun () -> ignore (Reg.of_int 16));
   Alcotest.(check int) "sp is r15" 15 (Reg.to_int Reg.sp)
 
+(* Reg.Set is a 16-bit mask; every operation of its signature must agree
+   with the ordered-set model, and [iter]/[fold]/[elements] must visit
+   members in ascending register order. *)
+module M = Set.Make (Int)
+
+let reg_set_model =
+  let regs = QCheck.(list_of_size Gen.(0 -- 20) (int_bound (Reg.count - 1))) in
+  QCheck.Test.make ~count:500 ~name:"Reg.Set model"
+    QCheck.(triple regs regs (int_bound (Reg.count - 1)))
+    (fun (xs, ys, x) ->
+      let set l = Reg.Set.of_list (List.map Reg.of_int l) in
+      let ints s = List.map Reg.to_int (Reg.Set.elements s) in
+      let a = set xs and b = set ys and r = Reg.of_int x in
+      let ma = M.of_list xs and mb = M.of_list ys in
+      let iterated s =
+        let acc = ref [] in
+        Reg.Set.iter (fun r -> acc := Reg.to_int r :: !acc) s;
+        List.rev !acc
+      in
+      let folded s = List.rev (Reg.Set.fold (fun r l -> Reg.to_int r :: l) s []) in
+      ints a = M.elements ma
+      && iterated a = M.elements ma
+      && folded a = M.elements ma
+      && Reg.Set.is_empty a = M.is_empty ma
+      && Reg.Set.is_empty Reg.Set.empty
+      && Reg.Set.cardinal a = M.cardinal ma
+      && Reg.Set.mem r a = M.mem x ma
+      && ints (Reg.Set.singleton r) = [ x ]
+      && ints (Reg.Set.add r a) = M.elements (M.add x ma)
+      && ints (Reg.Set.remove r a) = M.elements (M.remove x ma)
+      && ints (Reg.Set.union a b) = M.elements (M.union ma mb)
+      && ints (Reg.Set.diff a b) = M.elements (M.diff ma mb)
+      && Reg.Set.equal a b = M.equal ma mb)
+
 let test_binop_semantics () =
   let c = Instr.eval_binop in
   Alcotest.(check int) "add" 7 (c Instr.Add 3 4);
@@ -162,6 +196,7 @@ let () =
           Alcotest.test_case "reg bounds" `Quick test_reg_bounds;
           Alcotest.test_case "binop semantics" `Quick test_binop_semantics;
           Alcotest.test_case "defs/uses" `Quick test_defs_uses;
+          QCheck_alcotest.to_alcotest reg_set_model;
         ] );
       ( "builder",
         [
