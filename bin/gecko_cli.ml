@@ -31,16 +31,16 @@ let mode_conv =
   let parse s =
     match Compiler.Mode.of_string s with
     | Some m -> Ok m
-    | None -> Error (`Msg "mode must be legacy | sound | speculative")
+    | None -> Error (`Msg "mode must be legacy | speculative")
   in
   let print ppf m = Format.pp_print_string ppf (Compiler.Mode.to_string m) in
   Arg.conv (parse, print)
 
 let mode_arg =
   let doc =
-    "Pipeline soundness mode: $(b,sound) (syntactic may-alias check, the \
-     default), $(b,speculative) (the same regions, with optimistic \
-     checkpoint-slot reuse and the unprovable window clobbers guarded at \
+    "Pipeline soundness mode: $(b,speculative) (the default and only \
+     sound mode: syntactic may-alias region cuts, optimistic \
+     checkpoint-slot reuse, and the unprovable window clobbers guarded at \
      runtime via the NVM undo log), or $(b,legacy) (the seed's \
      optimistic, potentially unsound baseline — for overhead measurement \
      only)."
@@ -504,7 +504,7 @@ let fuzz_cmd =
       match mode with
       | Compiler.Mode.Speculative ->
           Compiler.Pipeline.speculation_guards prog meta
-      | Compiler.Mode.Legacy | Compiler.Mode.Sound -> []
+      | Compiler.Mode.Legacy -> []
     in
     let shrink_check board =
       FI.Shrink.default_check

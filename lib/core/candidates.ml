@@ -101,8 +101,8 @@ let compute ?facts:given ?hazards (p : Cfg.program) =
   (* Residual may-alias WAR hazards travel with the candidate set so
      downstream passes (pruning, verification) can refuse to optimize
      across a hazard region formation failed to cut.  Empty on any
-     correctly formed program.  Always the sound syntactic verdicts:
-     every sound mode cuts this same set. *)
+     correctly formed program.  Always the sound syntactic verdicts,
+     the set [Speculative] region formation cuts. *)
   let hazards =
     match hazards with
     | Some hs -> Lazy.from_val hs

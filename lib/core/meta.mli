@@ -49,9 +49,10 @@ type t = {
   stats : stats;
   guards : (string * string * int) list;
       (** Speculation guards: [(fname, block label, instr idx)] of every
-          owned checkpoint store whose (register, colour) slot some
-          boundary's restore reuses — the stores the optimistic reuse
-          pass trusts without the sound crash-window survival proof.
+          owned checkpoint store that may overwrite, inside some
+          boundary's crash window, a slot that boundary's recovery
+          state reads — the overwrites the optimistic reuse pass does
+          not prove harmless ({!Verify.slot_clobbers}).
           The linker marks these code slots so the runtime appends an
           undo-log entry (the slot cell's old word) before each such
           store; rollback replays the log before running restores.

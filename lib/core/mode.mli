@@ -1,20 +1,18 @@
-(** Pipeline soundness/speculation mode — supersedes the old bare
-    [?sound] flag of {!Pipeline.compile}.
+(** Pipeline soundness/speculation mode.
 
     [Legacy] is the seed's optimistic (unsound) compiler, kept only as
-    the soundness-overhead measurement baseline.  [Sound] (the default)
-    is the syntactic may-alias sound pipeline.  [Speculative] forms the
-    same regions as [Sound] but reuses checkpoint slots optimistically
-    (pruning the residual may-alias candidates the sound crash-window
-    discipline kept alive) and emits runtime speculation guards (NVM
-    undo-log appends) on the owned stores whose window clobbers cannot
-    be proven harmless, so a rollback can restore the overwritten slot
-    words before running the register restores. *)
+    the soundness-overhead measurement baseline.  [Speculative] (the
+    default) is the sound pipeline: it cuts every syntactic may-alias
+    hazard at region formation, reuses checkpoint slots optimistically,
+    and emits runtime speculation guards (NVM undo-log appends) on the
+    owned stores whose window clobbers cannot be proven harmless, so a
+    rollback can restore the overwritten slot words before running the
+    register restores. *)
 
-type t = Legacy | Sound | Speculative
+type t = Legacy | Speculative
 
 val default : t
-(** [Sound]. *)
+(** [Speculative]. *)
 
 val to_string : t -> string
 
@@ -24,7 +22,3 @@ val of_string : string -> t option
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-
-val is_sound : t -> bool
-(** Every mode except [Legacy]: rollback correctness is guaranteed
-    (statically, or — for [Speculative] — via runtime guards). *)

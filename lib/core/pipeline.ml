@@ -50,10 +50,10 @@ let pass ?obs ?metrics p name f =
   r
 
 (* Speculation guards: the optimistic reuse pass lets a restore read a
-   slot owned by a (possibly distant) dominating boundary without the
-   sound crash-window survival proof.  The stores that actually endanger
-   a read are exactly the window clobbers the {!Verify.slots} scan
-   cannot exempt (most owner re-executions store the identical word —
+   slot owned by a (possibly distant) dominating boundary without
+   proving that the slot survives the restore's crash window.  The
+   stores that actually endanger a read are exactly the window clobbers
+   the {!Verify.slots} scan cannot exempt (most owner re-executions store the identical word —
    loop-invariant re-checkpoints — and need nothing): each of those
    carries a runtime guard, an undo-log append of the slot cell's old
    value.  Rollback replays the log before running restores, so the
@@ -67,7 +67,6 @@ let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
     ?(prune_reuse = true) ?(mode = Mode.default) ?obs ?metrics scheme prog =
   let p = pass ?obs ?metrics prog "copy" (fun () -> Copy.program prog) in
   let pass name f = pass ?obs ?metrics p name f in
-  let sound = Mode.is_sound mode in
   match scheme with
   | Scheme.Nvp -> (p, Meta.empty Scheme.Nvp)
   | Scheme.Ratchet | Scheme.Gecko_noprune | Scheme.Gecko ->
@@ -87,9 +86,9 @@ let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
               match scheme with
               | Scheme.Gecko ->
                   fun ~force_keep p cands ->
-                    Prune.analyze_with ~force_keep ~sound
-                      ~speculative:(mode = Mode.Speculative)
-                      ~slices:prune_slices ~reuse:prune_reuse p cands
+                    Prune.analyze_with ~force_keep
+                      ~sound:(mode = Mode.Speculative) ~slices:prune_slices
+                      ~reuse:prune_reuse p cands
               | Scheme.Gecko_noprune | Scheme.Ratchet | Scheme.Nvp ->
                   fun ~force_keep _p cands ->
                     ignore force_keep;
@@ -108,34 +107,36 @@ let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
                   col.Coloring.colors)
         | Scheme.Nvp -> assert false
       in
-      (* Speculative mode pruned optimistically: enumerate the owned
-         checkpoint stores of reused slots on the final program
-         (post-split, post-repair, post-emit — positions are the
-         linker's) and record them as runtime guards. *)
-      let meta =
+      (* [Legacy] is the measurement baseline and stops here.  The sound
+         pipeline pruned optimistically: enumerate the owned checkpoint
+         stores of reused slots on the final program (post-split,
+         post-repair, post-emit — positions are the linker's) and record
+         them as runtime guards, then certify slots, io commits and the
+         undo-log bound in the verify pass. *)
+      let meta, sound_gates =
         match mode with
+        | Mode.Legacy -> (meta, fun () -> ())
         | Mode.Speculative ->
             let guards = pass "guards" (fun () -> speculation_guards p meta) in
-            { meta with Meta.guards }
-        | Mode.Legacy | Mode.Sound -> meta
+            let meta = { meta with Meta.guards } in
+            ( meta,
+              fun () ->
+                (match scheme with
+                | Scheme.Gecko | Scheme.Gecko_noprune ->
+                    fail_on_errors "slots" (Verify.slots p meta)
+                | Scheme.Ratchet | Scheme.Nvp -> ());
+                fail_on_errors "io_commit" (Verify.io_commit p);
+                fail_on_errors "speculation"
+                  (Verify.speculation ~capacity:Link.Cells.undo_capacity p
+                     meta) )
       in
       pass "verify" (fun () ->
           fail_on_errors "idempotence" (Verify.idempotence ~mode p);
           (match scheme with
           | Scheme.Gecko | Scheme.Gecko_noprune ->
-              fail_on_errors "coloring" (Verify.coloring p meta);
-              if sound then
-                fail_on_errors "slots" (Verify.slots p meta)
+              fail_on_errors "coloring" (Verify.coloring p meta)
           | Scheme.Ratchet | Scheme.Nvp -> ());
-          (match scheme with
-          | Scheme.Ratchet | Scheme.Gecko | Scheme.Gecko_noprune ->
-              if sound then fail_on_errors "io_commit" (Verify.io_commit p)
-          | Scheme.Nvp -> ());
-          (match mode with
-          | Mode.Speculative ->
-              fail_on_errors "speculation"
-                (Verify.speculation ~capacity:Link.Cells.undo_capacity p meta)
-          | Mode.Legacy | Mode.Sound -> ());
+          sound_gates ();
           fail_on_errors "wcet" (Verify.wcet ~budget:budget_cycles p));
       (p, meta)
 

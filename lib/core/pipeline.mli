@@ -36,23 +36,20 @@ val compile :
     the ablation study.  Raises [Failure] if a verification pass fails —
     a compiler bug, not a user error.
 
-    [mode] (default [Sound]) selects the soundness/speculation point of the
-    whole pipeline (it supersedes the former [sound] flag):
+    [mode] (default [Speculative]) selects the soundness point of the
+    whole pipeline:
 
-    - [Sound] — the may-alias-sound pipeline with the syntactic alias
-      domain: interprocedural WAR hazard detection in region formation,
-      the hazard-aware pruning discipline, and the independent
-      [Verify.slots] / [Verify.io_commit] gates.  Byte-identical to the
-      historical [sound:true] output.
-    - [Speculative] — same region formation as [Sound] (every hazard is
-      still cut, so regions stay idempotent), but checkpoint pruning
-      reuses slots optimistically, without the sound crash-window
-      survival proof.  Every owned checkpoint store of a
-      reused slot gets a runtime speculation guard (an undo-log append
-      of the slot's old word) recorded in {!Meta.t.guards}; rollback
-      replays the log before running restores, so reused slots read
-      their as-of-commit values.  Guard positions are exempted by
-      [Verify.slots] and capacity-bounded by [Verify.speculation].
+    - [Speculative] — the sound pipeline: interprocedural syntactic
+      may-alias WAR hazards are all cut at region formation (regions
+      stay idempotent), pruning quarantines functions with residual
+      hazards, and checkpoint pruning reuses slots optimistically.
+      Every owned checkpoint store that may overwrite a reused slot
+      inside a crash window gets a runtime speculation guard (an
+      undo-log append of the slot's old word) recorded in
+      {!Meta.t.guards}; rollback replays the log before running
+      restores, so reused slots read their as-of-commit values.  The
+      independent [Verify.slots], [Verify.io_commit] and
+      [Verify.speculation] gates run on the result.
     - [Legacy] — the seed's optimistic compiler; exists solely as the
       baseline for soundness-overhead measurement (it can emit programs
       whose rollback is unsound under dynamic addressing).

@@ -171,16 +171,7 @@ let try_slice cands fi dom reaching pb live pruned pinned r =
       with Unsliceable -> None)
 
 let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?(sound = true)
-    ?(speculative = false) ~slices ~reuse (p : Cfg.program)
-    (cands : Candidates.t) =
-  (* [speculative] relaxes exactly the crash-window slot-overwrite
-     restrictions of the sound reuse pass (the span walk, the
-     direct-owner requirement and root pinning): with every owned store
-     of a reused slot carrying a runtime speculation guard, a rollback
-     replays the undo log first and the slot reads its as-of-commit
-     value no matter what the window overwrote.  Everything else — the
-     hazard quarantine, the slice discipline, repairs — stays sound. *)
-  let windowed = sound && not speculative in
+    ~slices ~reuse (p : Cfg.program) (cands : Candidates.t) =
   let result : result = Hashtbl.create 32 in
   (* Never prune across an unresolved dynamic hazard: if region formation
      left a may-alias WAR in some function (possible only when a caller
@@ -246,9 +237,9 @@ let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?(sound = true)
      pseudo-definitions — can execute on a path from [o] to [s] that does
      not re-cross [o].  Then [r]'s value at [s] equals the value the
      root store saved on this very pass, so the restore can reference the
-     root's slot.  (Any other store of [r] in between necessarily writes
-     that same value, so even a shared colour is harmless; no further
-     containment condition is needed.)
+     root's slot.  Whether that slot survives the reuser's crash window
+     is not checked here: a store that may overwrite it there carries a
+     runtime undo-log guard ({!Verify.slot_clobbers}).
 
      A second pass marks the remaining owned stores whose value is
      identical at every crossing ([Keep_stable]): no definition of the
@@ -299,33 +290,6 @@ let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?(sound = true)
                sites))
         sites)
     sites_of_func;
-  (* Sound reuse needs interprocedural window reasoning: a reusing
-     restore at [s] reads the owner's slot colour, so no other owned
-     store of the register may execute between the owner [o] and [s] on
-     any runtime path — otherwise the slot a crash-time restore reads
-     can hold a stale (or, with a repair boundary's forced store inside
-     [s]'s own crash window, a future) crossing's value.
-     [Spans.from_site] walks exactly those paths.  Reuse roots are
-     pinned: once some site references [o]'s slot for [r], [o] must
-     remain an owned store of [r] in every later round. *)
-  let spans = lazy (Spans.make cands) in
-  let is_owner bid r =
-    match decision_for bid r with
-    | Some Keep | Some (Keep_stable _) -> true
-    | Some (Reuse _) | Some (Prune _) | None -> false
-  in
-  let no_owned_store_between (o : Candidates.site) (s : Candidates.site) r =
-    let ok = ref true in
-    Spans.from_site (Lazy.force spans) o ~on_boundary:(fun id ->
-        if id = s.Candidates.s_id then true
-        else if is_owner id r then begin
-          ok := false;
-          true
-        end
-        else false);
-    !ok
-  in
-  let root_pinned : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
   let changed = ref reuse in
   let rounds = ref 0 in
   while !changed && !rounds < 8 do
@@ -342,22 +306,16 @@ let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?(sound = true)
                      colouring requested this store, so reuse must never
                      take it back. *)
                   Reg.Set.mem r (force_keep s.Candidates.s_id)
-                  || (sound && site_hazardous s)
-                  || windowed
-                     && Hashtbl.mem root_pinned
-                          (s.Candidates.s_id, Reg.to_int r)
+                  || site_hazardous s
                 in
                 match decision_for s.Candidates.s_id r with
                 | Some Keep when not blocked ->
                     (* Nearest dominating site with r live and a usable
-                       restore; sound mode only considers direct owners
-                       (Keep / Keep_stable), so the referenced slot is
-                       written by the target itself. *)
+                       restore. *)
                     let doms =
                       List.filter
                         (fun (o : Candidates.site) ->
-                          Reg.Set.mem r o.Candidates.s_live
-                          && ((not windowed) || is_owner o.Candidates.s_id r))
+                          Reg.Set.mem r o.Candidates.s_live)
                         (Hashtbl.find dominators s.Candidates.s_id)
                     in
                     (* Nearest = dominated by all the others. *)
@@ -381,19 +339,14 @@ let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?(sound = true)
                           match decision_for o.Candidates.s_id r with
                           | Some Keep | Some (Keep_stable _) ->
                               Some o.Candidates.s_id
-                          | Some (Reuse t) -> if windowed then None else Some t
+                          | Some (Reuse t) -> Some t
                           | Some (Prune _) | None -> None
                         in
                         match target with
                         | Some t
                           when no_def_between cands fi r
-                                 o.Candidates.s_point s.Candidates.s_point
-                               && ((not windowed)
-                                  || no_owned_store_between o s r) ->
+                                 o.Candidates.s_point s.Candidates.s_point ->
                             set_decision s.Candidates.s_id r (Reuse t);
-                            if windowed then
-                              Hashtbl.replace root_pinned (t, Reg.to_int r)
-                                ();
                             changed := true
                         | Some _ | None -> ()))
                 | Some Keep | Some (Keep_stable _) | Some (Reuse _)
@@ -471,8 +424,6 @@ let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?(sound = true)
     sites_of_func;
   result
 
-let analyze = analyze_with ~slices:true ~reuse:true
-
 let keep_all (cands : Candidates.t) =
   let result : result = Hashtbl.create 32 in
   List.iter
@@ -481,26 +432,3 @@ let keep_all (cands : Candidates.t) =
         (List.map (fun r -> (r, Keep)) (Reg.Set.elements s.Candidates.s_live)))
     cands.Candidates.sites;
   result
-
-let count_matching f (result : result) =
-  Hashtbl.fold
-    (fun _ ds acc ->
-      acc + List.length (List.filter (fun (_, d) -> f d) ds))
-    result 0
-
-let kept_count =
-  count_matching (function
-    | Keep | Keep_stable _ -> true
-    | Reuse _ | Prune _ -> false)
-
-let reused_count =
-  count_matching (function
-    | Reuse _ -> true
-    | Keep | Keep_stable _ | Prune _ -> false)
-
-let sliced_count =
-  count_matching (function
-    | Prune _ -> true
-    | Keep | Keep_stable _ | Reuse _ -> false)
-
-let pruned_count r = reused_count r + sliced_count r

@@ -44,60 +44,34 @@ type result = (int, (Reg.t * decision) list) Hashtbl.t
 
 val max_slice_nodes : int
 
-val analyze :
-  ?force_keep:(int -> Reg.Set.t) ->
-  ?sound:bool ->
-  ?speculative:bool ->
-  Cfg.program ->
-  Candidates.t ->
-  result
-
 val analyze_with :
   ?force_keep:(int -> Reg.Set.t) ->
   ?sound:bool ->
-  ?speculative:bool ->
   slices:bool ->
   reuse:bool ->
   Cfg.program ->
   Candidates.t ->
   result
-(** Ablation entry point: disable the recovery-block slicing and/or the
-    redundant-checkpoint reuse independently ([analyze] enables both).
+(** Pruning entry point; [slices] and [reuse] enable the recovery-block
+    slicing and the redundant-checkpoint reuse independently (the
+    ablation study disables one or the other).
 
     [force_keep] (default: none) maps a boundary id to registers that
     must stay plain [Keep] — the colouring pass passes its repair
     boundaries here so their fresh stores are known {e during} analysis
     and can never be targeted or converted by the reuse pass.
 
-    [sound] (default [true]) controls the may-alias WAR discipline:
+    Reuse is optimistic: a reused restore reads the slot of a dominating
+    owner, and nothing here proves that no other store of the register
+    overwrites that slot inside the reuser's crash window.  The
+    speculative pipeline guards every such store at runtime (an undo-log
+    append, see {!Verify.slot_clobbers}), so the slot still reads its
+    as-of-commit value after a rollback.
 
-    - candidates in functions with residual dynamic hazards are all kept;
-    - reuse targets are restricted to direct owned stores with no other
-      owned store of the register on any interprocedural path between
-      owner and reuser (so the slot colour read at a crash cannot have
-      been overwritten inside the crash window);
-    - reuse roots are pinned so they remain owners in later rounds.
-
+    [sound] (default [true]) quarantines residual dynamic hazards: every
+    candidate in a function that still has a may-alias WAR is kept.
     [sound:false] reproduces the seed's optimistic analysis and exists
-    only as the baseline for soundness-overhead measurement.
-
-    [speculative] (default [false], meaningful with [sound:true])
-    relaxes only the crash-window slot-overwrite restrictions of the
-    sound reuse pass — the interprocedural span walk, the direct-owner
-    requirement and root pinning — because the speculative pipeline
-    emits a runtime guard (an undo-log append) on every owned
-    checkpoint store of a reused slot: rollback replays the undo log
-    before running restores, so the slot reads its as-of-commit value
-    regardless of what the crash window overwrote.  The hazard
-    quarantine and the slice discipline stay fully sound. *)
+    only as the baseline for soundness-overhead measurement. *)
 
 val keep_all : Candidates.t -> result
 (** The no-pruning configuration: every candidate kept. *)
-
-val kept_count : result -> int
-
-val pruned_count : result -> int
-(** Sliced plus reused — checkpoint stores removed. *)
-
-val reused_count : result -> int
-val sliced_count : result -> int

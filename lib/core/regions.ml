@@ -76,13 +76,13 @@ let structural_pass next_id (p : Cfg.program) =
 (* Anti-dependence cuts: the may-alias WAR/WARAW hazard set lives in the
    analysis layer ({!A.Alias.war_hazards}); region formation resolves each
    hazard by inserting a boundary immediately before the offending store,
-   so a rollback can never land between the load and the store.  Every
-   sound mode uses the same syntactic verdicts; [Legacy] reproduces the
+   so a rollback can never land between the load and the store.
+   [Speculative] uses the syntactic verdicts; [Legacy] reproduces the
    seed's analysis (intraprocedural, optimistic WARAW scan) — only the
    soundness-overhead measurement baseline compiles with it. *)
 
 let hazards ?(mode = Mode.default) (p : Cfg.program) =
-  A.Alias.war_hazards ~legacy:(not (Mode.is_sound mode)) p
+  A.Alias.war_hazards ~legacy:(mode = Mode.Legacy) p
 
 let insert_in_block (b : Cfg.block) idx instr =
   let rec go i = function
@@ -110,10 +110,9 @@ let form ?(mode = Mode.default) ~next_id p =
   (* Every mode cuts its hazard set to empty — [Speculative] included:
      regions stay idempotent by construction, so re-execution after a
      rollback is deterministic without any memory replay.  What
-     [Speculative] relaxes is downstream checkpoint PRUNING (optimistic
-     slot reuse with runtime-guarded roots; see {!Prune} and
-     {!Pipeline}), not the anti-dependence discipline, so it cuts exactly
-     the regions [Sound] cuts. *)
+     [Speculative] speculates on is downstream checkpoint slot reuse
+     (runtime-guarded; see {!Prune} and {!Pipeline}), not the
+     anti-dependence discipline. *)
   let b = war_fixpoint ~mode next_id p 0 in
   a + b
 

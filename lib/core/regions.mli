@@ -27,8 +27,8 @@ val form : ?mode:Mode.t -> next_id:int ref -> Cfg.program -> int
 (** Returns the number of boundaries inserted.  [mode] picks the hazard
     verdicts: [Legacy] is the seed's unsound analysis (intraprocedural,
     optimistic WARAW scan — only the soundness-overhead measurement
-    baseline uses it); [Sound] and [Speculative] cut the same hazard set
-    and so form the same regions. *)
+    baseline uses it); [Speculative] cuts the sound syntactic hazard
+    set. *)
 
 val hazards : ?mode:Mode.t -> Cfg.program -> A.Alias.hazard list
 (** Residual may-alias WAR hazards under the mode's verdicts (empty on a

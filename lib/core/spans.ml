@@ -39,9 +39,10 @@ let make (cands : Candidates.t) =
     cands.Candidates.graphs;
   { cands; bodies; func_index; ret_points }
 
-(* From (fi, blk, idx): report every boundary encountered via [on_boundary];
-   when it returns true the path stops there. *)
-let walk w ~on_boundary fi blk idx =
+(* From (fi, blk, idx), scan every interprocedural path forward, once
+   per block: [visit fi blk idx instr] sees each instruction position, and
+   a [true] return stops that path there. *)
+let walk w ~visit fi blk idx =
   let visited = Hashtbl.create 16 in
   let rec scan fi blk idx =
     let body = w.bodies.(fi).(blk) in
@@ -49,9 +50,7 @@ let walk w ~on_boundary fi blk idx =
     let stop = ref false in
     let i = ref idx in
     while (not !stop) && !i < n do
-      (match body.(!i) with
-      | Instr.Boundary id -> if on_boundary id then stop := true
-      | _ -> ());
+      if visit fi blk !i body.(!i) then stop := true;
       incr i
     done;
     if not !stop then
@@ -77,8 +76,8 @@ let walk w ~on_boundary fi blk idx =
   in
   scan fi blk idx
 
-let from_site w (s : Candidates.site) ~on_boundary =
-  walk w ~on_boundary s.Candidates.s_func s.Candidates.s_point.A.Fgraph.blk
+let from_site w (s : Candidates.site) ~visit =
+  walk w ~visit s.Candidates.s_func s.Candidates.s_point.A.Fgraph.blk
     (s.Candidates.s_point.A.Fgraph.idx + 1)
 
 (* Visit every instruction position reachable from just after [s] before
@@ -86,72 +85,24 @@ let from_site w (s : Candidates.site) ~on_boundary =
    it rolls back to [s], so anything executed here (in particular [Ckpt]
    slot stores of the next boundary) can have happened before the restore
    at [s] re-runs. *)
-let iter_window w (s : Candidates.site) ~f =
-  let visited = Hashtbl.create 16 in
-  let rec scan fi blk idx =
-    let body = w.bodies.(fi).(blk) in
-    let n = Array.length body in
-    let stop = ref false in
-    let i = ref idx in
-    while (not !stop) && !i < n do
-      (match body.(!i) with
-      | Instr.Boundary _ -> stop := true
-      | instr -> f fi blk !i instr);
-      incr i
-    done;
-    if not !stop then
-      let g = w.cands.Candidates.graphs.(fi) in
-      match g.A.Fgraph.blocks.(blk).Cfg.term with
-      | Instr.Halt -> ()
-      | Instr.Jmp _ | Instr.Br _ ->
-          List.iter (fun b -> enter fi b) g.A.Fgraph.succ.(blk)
-      | Instr.Call (callee, _) -> (
-          match Hashtbl.find_opt w.func_index callee with
-          | Some cf -> enter cf 0
-          | None -> ())
-      | Instr.Ret ->
-          let fname = w.cands.Candidates.funcs.(fi).Cfg.fname in
-          List.iter
-            (fun (caller, ret_blk) -> enter caller ret_blk)
-            (try Hashtbl.find w.ret_points fname with Not_found -> [])
-  and enter fi blk =
-    if not (Hashtbl.mem visited (fi, blk)) then begin
-      Hashtbl.replace visited (fi, blk) ();
-      scan fi blk 0
-    end
-  in
-  scan s.Candidates.s_func s.Candidates.s_point.A.Fgraph.blk
-    (s.Candidates.s_point.A.Fgraph.idx + 1)
+let iter_window w s ~f =
+  from_site w s ~visit:(fun fi blk idx instr ->
+      match instr with
+      | Instr.Boundary _ -> true
+      | _ ->
+          f fi blk idx instr;
+          false)
 
 let edges w ~stops =
   let acc = Hashtbl.create 64 in
   List.iter
     (fun (s : Candidates.site) ->
       if stops s.Candidates.s_id then
-        from_site w s ~on_boundary:(fun id ->
-            if stops id then begin
-              Hashtbl.replace acc (s.Candidates.s_id, id) ();
-              true
-            end
-            else false))
+        from_site w s ~visit:(fun _ _ _ instr ->
+            match instr with
+            | Instr.Boundary id when stops id ->
+                Hashtbl.replace acc (s.Candidates.s_id, id) ();
+                true
+            | _ -> false))
     w.cands.Candidates.sites;
   Hashtbl.fold (fun e () l -> e :: l) acc []
-
-let reachable_sites w src =
-  let s = Candidates.site w.cands src in
-  let acc = Hashtbl.create 32 in
-  from_site w s ~on_boundary:(fun id ->
-      Hashtbl.replace acc id ();
-      false);
-  Hashtbl.fold (fun id () l -> id :: l) acc []
-
-let reachable_until w ~src ~stop =
-  let s = Candidates.site w.cands src in
-  let acc = Hashtbl.create 32 in
-  from_site w s ~on_boundary:(fun id ->
-      if id = stop then true
-      else begin
-        Hashtbl.replace acc id ();
-        false
-      end);
-  Hashtbl.fold (fun id () l -> id :: l) acc []

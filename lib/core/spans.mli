@@ -2,17 +2,12 @@
     whom at runtime, across functions (calls flow into callee entries,
     returns flow to every call site's return block).
 
-    Shared by slot colouring (consecutive-store adjacency), pruning
-    (containment checks for redundant-checkpoint reuse) and the
-    verification pass. *)
+    Shared by slot colouring (consecutive-store adjacency) and the
+    verification pass (crash windows). *)
 
 type t
 
 val make : Candidates.t -> t
-
-val from_site : t -> Candidates.site -> on_boundary:(int -> bool) -> unit
-(** Walk all paths from just after the site, reporting every boundary id
-    encountered to [on_boundary]; a [true] return stops that path. *)
 
 val iter_window : t -> Candidates.site -> f:(int -> int -> int -> Gecko_isa.Instr.t -> unit) -> unit
 (** Visit every instruction position [(func, blk, idx, instr)] reachable
@@ -24,12 +19,3 @@ val edges : t -> stops:(int -> bool) -> (int * int) list
 (** Directed pairs [(a, b)]: from just after boundary [a], boundary [b]
     is the first boundary satisfying [stops] on some path.  Only
     boundaries satisfying [stops] are used as walk sources. *)
-
-val reachable_sites : t -> int -> int list
-(** All boundary ids encountered on any path from just after the given
-    boundary (no stopping; loops traversed once). *)
-
-val reachable_until : t -> src:int -> stop:int -> int list
-(** Boundary ids encountered on paths from just after [src], where paths
-    are cut at boundary [stop] (exclusive).  Used to compute what lies
-    between two boundaries without re-crossing the first. *)

@@ -179,9 +179,13 @@ let window_clobber_scan p (meta : Meta.t) =
     cands.Candidates.sites;
   (List.rev !clobbers, List.rev !errs)
 
-let slot_clobbers p meta =
-  let clobbers, _ = window_clobber_scan p meta in
-  List.sort_uniq compare (List.map fst clobbers)
+let slot_clobbers p (meta : Meta.t) =
+  (* Without boundary metadata (Ratchet) no recovery state reads a slot,
+     so the scan would find nothing: skip its analyses. *)
+  if Hashtbl.length meta.Meta.infos = 0 then []
+  else
+    let clobbers, _ = window_clobber_scan p meta in
+    List.sort_uniq compare (List.map fst clobbers)
 
 let slots p (meta : Meta.t) =
   let clobbers, errs = window_clobber_scan p meta in
@@ -230,38 +234,61 @@ let io_commit (p : Cfg.program) =
     p.Cfg.funcs;
   match !errs with [] -> Ok () | e -> Error (List.rev e)
 
-(* Undo-log capacity gate: a crash window re-executes at most once per
-   rollback, so the undo log only ever holds the guarded stores of a
-   single window.  Statically bound that count per window so the runtime
-   append can never overflow the reserved NVM area. *)
-let speculation ~capacity p (meta : Meta.t) =
+(* Undo-log capacity gate.  [Emit.gecko] inserts a boundary's owned
+   checkpoint stores as one run directly before its [Boundary], and the
+   pipeline guards only such stores ({!slot_clobbers} returns [Ckpt]
+   positions).  The runtime empties the log at every commit and at the
+   end of every completed rollback, so between two such points the log
+   receives the guarded stores of at most one run: once every guard is
+   proven to sit in a run and every run's guard count is at most
+   [capacity], the append can never overflow the reserved NVM area. *)
+let speculation ~capacity (p : Cfg.program) (meta : Meta.t) =
   if meta.Meta.guards = [] then Ok ()
   else begin
-    let cands = Candidates.compute p in
-    let w = Spans.make cands in
+    let guards = Hashtbl.create 16 in
+    List.iter (fun g -> Hashtbl.replace guards g ()) meta.Meta.guards;
+    (* Guards seen in a run that reached its boundary. *)
+    let covered = Hashtbl.create 16 in
     let errs = ref [] in
     List.iter
-      (fun (s : Candidates.site) ->
-        let count = ref 0 in
-        Spans.iter_window w s ~f:(fun fi blk idx instr ->
-            match instr with
-            | Instr.St _ | Instr.Ckpt _ ->
-                let fname = cands.Candidates.funcs.(fi).Cfg.fname in
-                let label =
-                  cands.Candidates.graphs.(fi).A.Fgraph.blocks.(blk).Cfg.label
-                in
-                if List.mem (fname, label, idx) meta.Meta.guards then
-                  incr count
-            | _ -> ());
-        if !count > capacity then
-          errs :=
-            Printf.sprintf
-              "crash window of boundary %d holds %d guarded stores, undo \
-               log capacity is %d"
-              s.Candidates.s_id !count capacity
-            :: !errs)
-      cands.Candidates.sites;
-    match !errs with [] -> Ok () | e -> Error (List.rev e)
+      (fun (f : Cfg.func) ->
+        List.iter
+          (fun (b : Cfg.block) ->
+            let run = ref [] in
+            List.iteri
+              (fun i instr ->
+                match instr with
+                | Instr.Ckpt _ ->
+                    let pos = (f.Cfg.fname, b.Cfg.label, i) in
+                    if Hashtbl.mem guards pos then run := pos :: !run
+                | Instr.Boundary id ->
+                    List.iter (fun pos -> Hashtbl.replace covered pos ()) !run;
+                    let n = List.length !run in
+                    if n > capacity then
+                      errs :=
+                        Printf.sprintf
+                          "boundary %d commits %d guarded stores, undo log \
+                           capacity is %d"
+                          id n capacity
+                        :: !errs;
+                    run := []
+                | _ -> run := [])
+              b.Cfg.instrs)
+          f.Cfg.blocks)
+      p.Cfg.funcs;
+    let strays =
+      List.filter_map
+        (fun ((fname, label, i) as pos) ->
+          if Hashtbl.mem covered pos then None
+          else
+            Some
+              (Printf.sprintf
+                 "guard at %s/%s:%d is not a checkpoint store in the run \
+                  that ends at its block's boundary"
+                 fname label i))
+        (List.sort_uniq compare meta.Meta.guards)
+    in
+    match List.rev_append !errs strays with [] -> Ok () | e -> Error e
   end
 
 let wcet ~budget p =

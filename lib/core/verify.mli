@@ -12,9 +12,9 @@ val idempotence : ?mode:Mode.t -> Cfg.program -> (unit, string list) result
     between the load and the store (WARAW-exempt pairs aside), in every
     mode — regions are idempotent by construction and re-execution after
     a rollback is deterministic without memory replay.  [mode] (default
-    [Sound]) picks the hazard verdicts: [Legacy] checks only the seed's
-    optimistic criterion (soundness-overhead measurement baseline);
-    [Sound] and [Speculative] share the sound syntactic check. *)
+    [Speculative]) picks the hazard verdicts: [Legacy] checks only the
+    seed's optimistic criterion (soundness-overhead measurement
+    baseline); [Speculative] checks the sound syntactic set. *)
 
 val coloring : Cfg.program -> Meta.t -> (unit, string list) result
 (** No two span-adjacent boundaries checkpoint the same register into the
@@ -24,11 +24,9 @@ val slot_clobbers : Cfg.program -> Meta.t -> (string * string * int) list
 (** The positions — [(fname, block label, instr idx)], sorted — of every
     checkpoint store that overwrites, inside some boundary's crash
     window, a slot that boundary's committed recovery state reads,
-    without a value-equality or stability exemption.  On a sound image
-    this is empty (that is what [slots] certifies); on a
-    speculative image it is precisely the set of stores that must carry
-    a runtime undo-log guard, which is how the pipeline computes
-    {!Meta.t.guards}. *)
+    without a value-equality or stability exemption: precisely the
+    stores that must carry a runtime undo-log guard, which is how the
+    pipeline computes {!Meta.t.guards}.  Every position is a [Ckpt]. *)
 
 val slots : Cfg.program -> Meta.t -> (unit, string list) result
 (** Window-clobber gate: no slot read by a boundary's committed recovery
@@ -49,10 +47,13 @@ val io_commit : Cfg.program -> (unit, string list) result
 
 val speculation :
   capacity:int -> Cfg.program -> Meta.t -> (unit, string list) result
-(** Undo-log capacity gate ([Speculative] images only): no crash window
-    contains more guarded stores (plain or checkpoint) than the
-    runtime's reserved undo-log [capacity], so the per-store append can
-    never overflow.  Trivially [Ok] when the image carries no guards. *)
+(** Undo-log capacity gate: every guard names a [Ckpt] inside the run of
+    checkpoint stores that ends at its block's [Boundary], and no run
+    holds more than [capacity] guards.  The runtime empties the undo log
+    at every commit and at the end of every completed rollback, so the
+    log never holds more than one run's guarded stores and the
+    per-store append cannot overflow the reserved area.  Trivially [Ok]
+    when the image carries no guards. *)
 
 val wcet : budget:int -> Cfg.program -> (unit, string list) result
 (** Every region span (with its emitted checkpoint stores) fits the

@@ -920,22 +920,19 @@ let budget_sweep _fidelity =
 
 (* Soundness overhead: what may-alias soundness costs over the seed's
    optimistic (unsound) compiler, per workload, under no-attack constant
-   power — and how much of it speculative slot reuse claws back.  Three
-   pipeline modes run against the same NVP baseline:
+   power.  Two pipeline modes run against the same NVP baseline:
 
    - [Legacy]: the seed's optimistic baseline (can be unsound);
-   - [Sound]: syntactic may-alias check (the historical sound default);
-   - [Speculative]: the same regions, with optimistic checkpoint-slot
-     reuse and the unprovable window clobbers guarded at runtime.
+   - [Speculative]: the sound pipeline — syntactic may-alias region
+     cuts, optimistic checkpoint-slot reuse and the unprovable window
+     clobbers guarded at runtime.
 
    The HEADLINE metric ([<wl>.soundness_overhead_pct]) is the residual
-   cost of the shipping sound configuration — Speculative — over
-   Legacy; the statically sound column is kept as
-   [<wl>.sound_overhead_pct].  A negative
+   cost of Speculative over Legacy, in percentage points.  A negative
    value means the sound build ran FASTER than the optimistic one
-   (boundary placement is budget-driven, so fewer/more WAR cuts move
-   WCET split points and occasionally land a luckier checkpoint layout);
-   negatives are flagged and counted ([negative_overheads]) rather than
+   (boundary placement is budget-driven, so more WAR cuts can move WCET
+   split points and land a luckier checkpoint layout); negatives are
+   flagged and counted ([negative_overheads]) rather than
    celebrated. *)
 let soundness_overhead _fidelity =
   let board = Board.default () in
@@ -946,9 +943,7 @@ let soundness_overhead _fidelity =
          headline = speculative vs the seed's optimistic baseline (no \
          power outage)"
       ~header:
-        [
-          "workload"; "legacy"; "sound"; "speculative"; "headline";
-        ]
+        [ "workload"; "legacy"; "speculative"; "headline" ]
       ()
   in
   let rows =
@@ -974,7 +969,6 @@ let soundness_overhead _fidelity =
         in
         ( wname,
           overhead_pct Core.Mode.Legacy,
-          overhead_pct Core.Mode.Sound,
           overhead_pct Core.Mode.Speculative ))
       W.names
   in
@@ -985,45 +979,36 @@ let soundness_overhead _fidelity =
   let ms = ref [] in
   let negatives = ref 0 in
   List.iter
-    (fun (wname, legacy, sound, spec) ->
+    (fun (wname, legacy, spec) ->
       let headline = pp spec legacy in
       if headline < 0. then incr negatives;
-      ms :=
-        (wname ^ ".sound_overhead_pct", pp sound legacy)
-        :: (wname ^ ".soundness_overhead_pct", headline)
-        :: !ms;
+      ms := (wname ^ ".soundness_overhead_pct", headline) :: !ms;
       U.Table.add_row t
         [
           wname;
           Printf.sprintf "%+.1f%%" legacy;
-          Printf.sprintf "%+.1f%%" sound;
           Printf.sprintf "%+.1f%%" spec;
           Printf.sprintf "%+.1f pp%s" headline
             (if headline < 0. then " (!)" else "");
         ])
     rows;
-  let geomean_pp sel =
-    let ratios =
-      List.map
-        (fun (_, legacy, sound, spec) -> ratio (sel (sound, spec)) legacy)
-        rows
-    in
-    100. *. (U.Stats.geomean ratios -. 1.)
+  let geo_spec =
+    100.
+    *. (U.Stats.geomean
+          (List.map (fun (_, legacy, spec) -> ratio spec legacy) rows)
+       -. 1.)
   in
-  let geo_sound = geomean_pp fst in
-  let geo_spec = geomean_pp snd in
   ms :=
     ("negative_overheads", float_of_int !negatives)
-    :: ("geomean.sound_overhead_pct", geo_sound)
     :: ("geomean.soundness_overhead_pct", geo_spec)
     :: !ms;
   {
     text =
       U.Table.render t
       ^ Printf.sprintf
-          "Geomean slowdown over optimistic: sound %+.1f%%, speculative \
-           %+.1f%% (headline)\n"
-          geo_sound geo_spec
+          "Geomean slowdown over optimistic: speculative %+.1f%% \
+           (headline)\n"
+          geo_spec
       ^ (if !negatives > 0 then
            Printf.sprintf
              "(!) %d workload(s) ran FASTER sound than optimistic — a \

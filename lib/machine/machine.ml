@@ -935,7 +935,15 @@ let complete st =
    entry above the count is never replayed), and only then may the
    caller overwrite [addr].  The tag and the count come from the
    volatile mirrors, so the append costs 1 NVM read (the old value) +
-   4 NVM writes, charged to instrumentation. *)
+   4 NVM writes, charged to instrumentation.
+
+   Capacity: the pipeline guards only checkpoint stores, which sit in
+   one run directly before their boundary, and every commit and every
+   completed rollback empties the log — so it never holds more than one
+   run, at most [Reg.count] entries, and [Verify.speculation] checks
+   each run against [undo_capacity] at compile time.  The overflow
+   [failwith] below is only reachable by an image the pipeline did not
+   produce. *)
 let undo_append st addr =
   st.guarded_stores <- st.guarded_stores + 1;
   let count = st.undo_count_v in
@@ -1000,9 +1008,9 @@ let exec_op st i =
   | Instr.Ckpt (src, colour) ->
       st.ckpt_stores <- st.ckpt_stores + 1;
       let addr = gecko_cell st src colour in
-      (* Guarded checkpoint store: this owned store targets a slot some
-         restore reuses without the sound crash-window survival proof,
-         so log the slot's as-of-commit word before overwriting it. *)
+      (* Guarded checkpoint store: this owned store may overwrite,
+         inside a crash window, a slot some restore reads, so log the
+         slot's as-of-commit word before overwriting it. *)
       if st.k_has_guards && Array.unsafe_get st.image.Link.guards (st.pc - 1)
       then undo_append st addr;
       spend st c ~extra:(nvm_extra st ~reads:0 ~writes:1);

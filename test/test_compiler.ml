@@ -66,10 +66,13 @@ let test_mode_names () =
   in
   List.iter
     (fun m -> parses (Core.Mode.to_string m) m)
-    Core.Mode.[ Legacy; Sound; Speculative ];
+    Core.Mode.[ Legacy; Speculative ];
   parses "spec" Core.Mode.Speculative;
-  Alcotest.(check bool) "precise is not a mode" true
-    (Core.Mode.of_string "precise" = None)
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " is not a mode") true
+        (Core.Mode.of_string s = None))
+    [ "precise"; "sound" ]
 
 
 (* ------------------------------------------------------------------ *)
@@ -228,58 +231,46 @@ let test_budget_too_small () =
    change that should not move compiler output must leave these alone. *)
 let builds =
   [
-    ("ratchet", Core.Scheme.Ratchet, Core.Mode.Sound);
-    ("gecko-noprune", Core.Scheme.Gecko_noprune, Core.Mode.Sound);
-    ("gecko", Core.Scheme.Gecko, Core.Mode.Sound);
-    ("gecko-spec", Core.Scheme.Gecko, Core.Mode.Speculative);
+    ("ratchet", Core.Scheme.Ratchet);
+    ("gecko-noprune", Core.Scheme.Gecko_noprune);
+    ("gecko", Core.Scheme.Gecko);
   ]
 
 let expected_listings =
   [
     ("basicmath", "ratchet", "d916179b9138373fdc0b4fe6c21df6fc");
     ("basicmath", "gecko-noprune", "63a6c86e56ee25b946434ae3bad1e9a4");
-    ("basicmath", "gecko", "0dfd873e30ab22e2e75f0bdd5f5ae6cd");
-    ("basicmath", "gecko-spec", "717e2e352f8dec4d3c3ad65e920ef50f");
+    ("basicmath", "gecko", "717e2e352f8dec4d3c3ad65e920ef50f");
     ("bitcnt", "ratchet", "d9024b570f9f9f62866690296ca02249");
     ("bitcnt", "gecko-noprune", "4f903f1491b07897b740b80a5ba45923");
     ("bitcnt", "gecko", "05c6c2c412ca4d9abebd4982c03fdad8");
-    ("bitcnt", "gecko-spec", "05c6c2c412ca4d9abebd4982c03fdad8");
     ("blink", "ratchet", "52357a19b8cbfb7d48d687b5117b88be");
     ("blink", "gecko-noprune", "e258d2e252ea18c66c2e3cf98e75ffce");
-    ("blink", "gecko", "508f120aca09858be04748d86dbf037a");
-    ("blink", "gecko-spec", "7aa660b0867087f37baf12dfdbcd5dc7");
+    ("blink", "gecko", "7aa660b0867087f37baf12dfdbcd5dc7");
     ("crc16", "ratchet", "f4958a3f43e27ca1b88bfb51291461a8");
     ("crc16", "gecko-noprune", "99e1fd2651eac00249148e597dd41825");
     ("crc16", "gecko", "ef4f89740651d0a1b3862ef6538dead9");
-    ("crc16", "gecko-spec", "ef4f89740651d0a1b3862ef6538dead9");
     ("crc32", "ratchet", "ecf19a3ff83c1aad5970ff10f081e09b");
     ("crc32", "gecko-noprune", "5f51c1b68a58fad0f7c93fe377133367");
     ("crc32", "gecko", "c1f09e898dbd39543849cfc3d6b81eb6");
-    ("crc32", "gecko-spec", "c1f09e898dbd39543849cfc3d6b81eb6");
     ("dhrystone", "ratchet", "f4ee9246812e8b22e9aa062740ae7415");
     ("dhrystone", "gecko-noprune", "5b47a2c6d8de0671469e27e442c5c2ba");
-    ("dhrystone", "gecko", "2ba1f55c84147ad14e5f6d42e4f8fe36");
-    ("dhrystone", "gecko-spec", "4c3d55c8ddb86bb10bd53e475e777421");
+    ("dhrystone", "gecko", "4c3d55c8ddb86bb10bd53e475e777421");
     ("dijkstra", "ratchet", "242a3cd759b0873ec28aa9d563d41d82");
     ("dijkstra", "gecko-noprune", "1e44d0cfa63b3c896478efb0eed49b70");
-    ("dijkstra", "gecko", "4b9bd86a3267ff0a19d8e224112d8a91");
-    ("dijkstra", "gecko-spec", "23a0b5e919d977ab4c4e7c9ef873c7e2");
+    ("dijkstra", "gecko", "23a0b5e919d977ab4c4e7c9ef873c7e2");
     ("fft", "ratchet", "ddb5e9603a9ded1ed7d88cf30eed3692");
     ("fft", "gecko-noprune", "820179acf53aa62428c84ed9894c51b4");
-    ("fft", "gecko", "57ddce7dd99d91adb4d86dc29375ea65");
-    ("fft", "gecko-spec", "5c5ca553d3c4cc1e0888d9eab6914acf");
+    ("fft", "gecko", "5c5ca553d3c4cc1e0888d9eab6914acf");
     ("fir", "ratchet", "0ba76002caccce13bf1f991ac16d18be");
     ("fir", "gecko-noprune", "dcdc16c3fc66558c6b2520723a6140ec");
     ("fir", "gecko", "7dd4c1eb6a3f889c46c96a1978288f5e");
-    ("fir", "gecko-spec", "7dd4c1eb6a3f889c46c96a1978288f5e");
     ("qsort", "ratchet", "1478c62630c984a53e3d8cbfe1027f6e");
     ("qsort", "gecko-noprune", "8ff37ec87083d6afb81f8493de23a0be");
-    ("qsort", "gecko", "fcb61e0a2a9ea3797401db074cb3fadd");
-    ("qsort", "gecko-spec", "1e00b42e9a8c1e394b901c6ef324d8a9");
+    ("qsort", "gecko", "1e00b42e9a8c1e394b901c6ef324d8a9");
     ("stringsearch", "ratchet", "a2ff0fdadee95523f7c8f0693be8584e");
     ("stringsearch", "gecko-noprune", "fdae966649fc1d656dfc6379bc929517");
     ("stringsearch", "gecko", "fdae966649fc1d656dfc6379bc929517");
-    ("stringsearch", "gecko-spec", "fdae966649fc1d656dfc6379bc929517");
   ]
 
 let listing_digest (p, (meta : Core.Meta.t)) =
@@ -294,8 +285,8 @@ let test_listings () =
       (fun name ->
         let src = (Gecko_workloads.Workload.find name).Gecko_workloads.Workload.build () in
         List.map
-          (fun (slug, scheme, mode) ->
-            (name, slug, listing_digest (Core.Pipeline.compile ~mode scheme src)))
+          (fun (slug, scheme) ->
+            (name, slug, listing_digest (Core.Pipeline.compile scheme src)))
           builds)
       Gecko_workloads.Workload.names
   in
@@ -316,18 +307,17 @@ let coloring_rounds builds names =
     (Gecko_obs.Metrics.counter reg "pipeline.coloring.rounds")
 
 let test_coloring_rounds () =
-  Alcotest.(check int) "suite: noprune, sound, speculative" 196
+  Alcotest.(check int) "suite: noprune, gecko" 112
     (coloring_rounds
        [
          (Core.Scheme.Gecko_noprune, Core.Mode.default);
          (Core.Scheme.Gecko, Core.Mode.default);
-         (Core.Scheme.Gecko, Core.Mode.Speculative);
        ]
        Gecko_workloads.Workload.names);
-  Alcotest.(check int) "qsort, sound: 23 repairs" 24
-    (coloring_rounds [ (Core.Scheme.Gecko, Core.Mode.Sound) ] [ "qsort" ]);
+  Alcotest.(check int) "qsort: 16 repairs" 17
+    (coloring_rounds [ (Core.Scheme.Gecko, Core.Mode.default) ] [ "qsort" ]);
   Alcotest.(check int) "ratchet colours nothing" 0
-    (coloring_rounds [ (Core.Scheme.Ratchet, Core.Mode.Sound) ] [ "qsort" ])
+    (coloring_rounds [ (Core.Scheme.Ratchet, Core.Mode.default) ] [ "qsort" ])
 
 let () =
   Alcotest.run "compiler"

@@ -51,7 +51,7 @@ let explore ?(budget = 120) ?pairs ?mode scheme w =
      defective ones (basicmath, blink, dhrystone, fft, qsort — may-alias
      WAR hazards through dynamically addressed stores, and blink's torn
      io_log across a rollback) went clean with the sound pipeline
-     (hazard-aware region formation + owner-only pinned reuse +
+     (hazard-aware region formation + undo-log-guarded slot reuse +
      Verify.slots/io_commit gates + staged io_log commit); they get
      extra k=2 pair exploration below so a regression in the fix shows
      up as a FOUND failure here. *)
@@ -456,12 +456,7 @@ let prop_fork_equals_power_on =
             Core.Scheme.Gecko ]
           (seed mod 4)
       in
-      let mode =
-        match scheme with
-        | Core.Scheme.Gecko when seed mod 3 = 0 -> Core.Mode.Speculative
-        | _ -> Core.Mode.default
-      in
-      let p, meta = Core.Pipeline.compile ~mode scheme (Gen_prog.generate seed) in
+      let p, meta = Core.Pipeline.compile scheme (Gen_prog.generate seed) in
       let image = Link.link ~guards:meta.Core.Meta.guards p in
       let board =
         if seed mod 2 = 0 then fi_board ()

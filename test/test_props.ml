@@ -269,15 +269,11 @@ let prop_optimized_matches_reference =
             Core.Scheme.Gecko ]
           (seed mod 4)
       in
-      (* A third of the Gecko seeds compile speculatively so the guarded
-         undo-log protocol (volatile mirrors, epoch-packed commits,
-         rollback replay) is diffed against the reference too. *)
-      let mode =
-        match scheme with
-        | Core.Scheme.Gecko when seed mod 3 = 0 -> Core.Mode.Speculative
-        | _ -> Core.Mode.default
-      in
-      let p, meta = Core.Pipeline.compile ~mode scheme (Gen_prog.generate seed) in
+      (* Gecko images compile speculatively, so the guarded undo-log
+         protocol (volatile mirrors, epoch-packed commits, rollback
+         replay) is diffed against the reference wherever a seed needs
+         guards. *)
+      let p, meta = Core.Pipeline.compile scheme (Gen_prog.generate seed) in
       let image = Link.link ~guards:meta.Core.Meta.guards p in
       let board = diff_board seed in
       let schedule = random_schedule seed in

@@ -257,6 +257,74 @@ let test_io_commit_ok_after_pipeline () =
   let p, _ = Core.Pipeline.compile Core.Scheme.Gecko prog in
   check_ok "io_commit on compiled blink" (Core.Verify.io_commit p)
 
+(* --- speculation (undo-log bound) --------------------------------------- *)
+
+(* One block "entry" of function "main" holding exactly [instrs], which
+   may store to the one-word space [d]. *)
+let one_block ?(d = fun _ -> []) instrs =
+  let b = B.program "spec" in
+  let space = B.space b "d" ~words:1 () in
+  B.func b "main";
+  B.block b "entry";
+  B.halt b;
+  let p = B.finish b in
+  (List.hd (List.hd p.Cfg.funcs).Cfg.blocks).Cfg.instrs <-
+    d (B.at space 0) @ instrs;
+  p
+
+let guarded idxs =
+  {
+    (Core.Meta.empty Core.Scheme.Gecko) with
+    Core.Meta.guards = List.map (fun i -> ("main", "entry", i)) idxs;
+  }
+
+let ckpt r = Instr.Ckpt (r, 0)
+
+let test_speculation_flags_plain_store () =
+  let p =
+    one_block ~d:(fun m -> [ Instr.St (m, Reg.r1) ]) [ Instr.Boundary 0 ]
+  in
+  check_err "guard on a plain St"
+    (Core.Verify.speculation ~capacity:64 p (guarded [ 0 ]))
+
+let test_speculation_flags_detached_ckpt () =
+  let p = one_block [ ckpt Reg.r1; Instr.Nop; ckpt Reg.r2; Instr.Boundary 0 ] in
+  check_ok "guard on the Ckpt that leads to the boundary"
+    (Core.Verify.speculation ~capacity:64 p (guarded [ 2 ]));
+  check_err "guard on a Ckpt cut off from its boundary"
+    (Core.Verify.speculation ~capacity:64 p (guarded [ 0 ]));
+  check_err "guard on a Ckpt with no boundary after it"
+    (Core.Verify.speculation ~capacity:64 (one_block [ ckpt Reg.r1 ])
+       (guarded [ 0 ]))
+
+let test_speculation_flags_overfull_run () =
+  let p =
+    one_block [ ckpt Reg.r1; ckpt Reg.r2; ckpt Reg.r3; Instr.Boundary 0 ]
+  in
+  check_ok "three guards, capacity 3"
+    (Core.Verify.speculation ~capacity:3 p (guarded [ 0; 1; 2 ]));
+  check_err "three guards, capacity 2"
+    (Core.Verify.speculation ~capacity:2 p (guarded [ 0; 1; 2 ]))
+
+(* Every default-mode GECKO image passes at the pipeline's capacity and
+   at [Reg.count], the bound DESIGN.md argues for: a boundary stores each
+   register at most once.  dhrystone is the one that carries guards. *)
+let test_speculation_accepts_suite () =
+  List.iter
+    (fun name ->
+      let prog = (Gecko_workloads.Workload.find name).Gecko_workloads.Workload.build () in
+      let p, meta = Core.Pipeline.compile Core.Scheme.Gecko prog in
+      List.iter
+        (fun capacity ->
+          check_ok
+            (Printf.sprintf "speculation on %s, capacity %d" name capacity)
+            (Core.Verify.speculation ~capacity p meta))
+        [ Link.Cells.undo_capacity; Reg.count ];
+      if name = "dhrystone" then
+        Alcotest.(check bool) "dhrystone carries guards" true
+          (meta.Core.Meta.guards <> []))
+    Gecko_workloads.Workload.names
+
 (* --- wcet ------------------------------------------------------------- *)
 
 let test_wcet_ok_with_ample_budget () =
@@ -314,6 +382,17 @@ let () =
             test_io_commit_accepts_bracketed_out;
           Alcotest.test_case "accepts compiled blink" `Quick
             test_io_commit_ok_after_pipeline;
+        ] );
+      ( "speculation",
+        [
+          Alcotest.test_case "flags a guarded plain store" `Quick
+            test_speculation_flags_plain_store;
+          Alcotest.test_case "flags a detached guarded Ckpt" `Quick
+            test_speculation_flags_detached_ckpt;
+          Alcotest.test_case "flags a run over capacity" `Quick
+            test_speculation_flags_overfull_run;
+          Alcotest.test_case "accepts every GECKO image" `Quick
+            test_speculation_accepts_suite;
         ] );
       ( "wcet",
         [
