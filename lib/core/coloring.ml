@@ -8,10 +8,6 @@ let color t bid r =
   | Some c -> c
   | None -> raise Not_found
 
-let adjacency cands = Spans.edges (Spans.make cands) ~stops:(fun _ -> true)
-
-let adjacency_for cands ~stops = Spans.edges (Spans.make cands) ~stops
-
 (* ------------------------------------------------------------------ *)
 (* 2-colouring                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -29,23 +25,30 @@ let decision_of (decisions : Prune.result) bid r =
         (fun (x, d) -> if Reg.equal x r then Some d else None)
         ds
 
-let stores_reg decisions bid r =
-  match decision_of decisions bid r with
-  | Some Prune.Keep | Some (Prune.Keep_stable _) -> true
-  | Some (Prune.Reuse _) | Some (Prune.Prune _) | None -> false
+(* Registers a boundary stores, under the decisions. *)
+let stores_of (decisions : Prune.result) =
+  let tbl = Hashtbl.create 64 in
+  Hashtbl.iter
+    (fun bid ds ->
+      Hashtbl.replace tbl bid
+        (List.fold_left
+           (fun acc (r, d) ->
+             match d with
+             | Prune.Keep | Prune.Keep_stable _ -> Reg.Set.add r acc
+             | Prune.Reuse _ | Prune.Prune _ -> acc)
+           Reg.Set.empty ds))
+    decisions;
+  fun bid -> Option.value ~default:Reg.Set.empty (Hashtbl.find_opt tbl bid)
 
 (* Stores that provably write the same word may share a colour: a
    partial overwrite leaves the value unchanged.  Two cases: same
-   stability class (globally crossing-invariant values), or no
-   definition of the register between the two stores (segment-level
-   identity, Valueflow). *)
-let exempt_edge cands decisions r (a, b) =
-  (match (decision_of decisions a r, decision_of decisions b r) with
-  | Some (Prune.Keep_stable ca), Some (Prune.Keep_stable cb) -> ca = cb
-  | _ -> false)
+   stability class (globally crossing-invariant values), or no path of
+   the span between the two stores defines the register. *)
+let exempt_edge decisions r (a, b, redefined) =
+  (not redefined)
   ||
-  match (Candidates.site_opt cands a, Candidates.site_opt cands b) with
-  | Some sa, Some sb -> Valueflow.same_value_over_edge cands r ~src:sa ~dst:sb
+  match (decision_of decisions a r, decision_of decisions b r) with
+  | Some (Prune.Keep_stable ca), Some (Prune.Keep_stable cb) -> ca = cb
   | _ -> false
 
 (* Recover the odd cycle from the BFS parent map when edge (u, v) closes
@@ -76,18 +79,14 @@ let recover_cycle parents u v =
   u_part @ List.rev v_part
 
 let try_color (cands : Candidates.t) (decisions : Prune.result) =
-  let w = Spans.make cands in
+  let stores = stores_of decisions in
+  let edges = Spans.edges (Spans.make cands) ~stores in
   (* A register no site stores has no edges and nothing to colour. *)
   let stored =
-    Hashtbl.fold
-      (fun _ ds acc ->
-        List.fold_left
-          (fun acc (r, d) ->
-            match d with
-            | Prune.Keep | Prune.Keep_stable _ -> Reg.Set.add r acc
-            | Prune.Reuse _ | Prune.Prune _ -> acc)
-          acc ds)
-      decisions Reg.Set.empty
+    List.fold_left
+      (fun acc (s : Candidates.site) ->
+        Reg.Set.union acc (stores s.Candidates.s_id))
+      Reg.Set.empty cands.Candidates.sites
   in
   let colors : t = Hashtbl.create 64 in
   let result = ref None in
@@ -95,11 +94,12 @@ let try_color (cands : Candidates.t) (decisions : Prune.result) =
      Reg.Set.iter
        (fun r ->
          let ri = Reg.to_int r in
-         let stops bid = stores_reg decisions bid r in
+         let stops bid = Reg.Set.mem r (stores bid) in
          let redges =
-           List.filter
-             (fun e -> not (exempt_edge cands decisions r e))
-             (Spans.edges w ~stops)
+           List.filter_map
+             (fun ((a, b, _) as e) ->
+               if exempt_edge decisions r e then None else Some (a, b))
+             edges.(ri)
          in
          begin
            (* Self-loops are odd cycles of length one. *)
@@ -276,10 +276,3 @@ let assign ~next_id ~analyze (p : Cfg.program) =
           (match hazards with [] -> [] | _ :: _ -> A.Alias.war_hazards p)
   in
   loop 0 (A.Alias.war_hazards p)
-
-let try_color_debug cands decisions =
-  match try_color cands decisions with
-  | Colored _ -> None
-  | Conflict (_, c, _) -> Some c
-
-let insert_repair_debug = insert_repair

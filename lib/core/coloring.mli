@@ -1,19 +1,24 @@
 (** Checkpoint-slot colouring — static double buffering (Section VI-D).
 
-    If checkpoint store [b2] of register [r] can be the {e next} store of
-    [r] after store [b1] at runtime (some execution path connects them
-    without an intervening store of [r]), the two must target different
-    slot indices: a power failure in the middle of [b2]'s checkpoint
-    sequence must leave the slots the committed recovery state references
-    intact.
+    A power failure in the middle of a boundary's checkpoint-store run
+    must leave intact every slot the committed boundary's recovery state
+    reads.  The pass therefore 2-colours, per register [r], the graph of
+    emitted stores of [r] under span adjacency ({!Spans.edges}): store
+    [b] of [r] is adjacent to store [a] when a path from just after [a]
+    reaches [b] without crossing another store of [r] or a boundary
+    where [r] is dead.  Edges cross functions via calls and returns.
 
-    The pass 2-colours, per register, the graph of emitted checkpoint
-    stores under that consecutive-store adjacency (including
-    cross-function edges via calls and returns).  An odd cycle (the
-    paper's "join point" conflict) is repaired by inserting a fresh
-    boundary immediately after a cycle node that is the source of a
-    private cycle edge; the new boundary checkpoints all its live-ins
-    unpruned — the paper's "additional checkpoint". *)
+    Two adjacent stores may share a colour when they write the same
+    word: no path of the span between them defines [r], or both belong
+    to one stability class ([Prune.Keep_stable]).
+
+    An odd cycle (the paper's "join point" conflict) is repaired by
+    inserting a fresh boundary immediately after a cycle node that is
+    the source of a directed cycle edge.  The repair boundary force-keeps
+    only the conflicting register (or registers, when conflicts at one
+    node share a repair) — the paper's "additional checkpoint that saves
+    the problematic register to a different index" — and treats its
+    other live-ins like any boundary's. *)
 
 open Gecko_isa
 
@@ -22,14 +27,6 @@ type t
 val color : t -> int -> Reg.t -> int
 (** Colour of the checkpoint store of a register at a boundary; raises
     [Not_found] if that pair is not an emitted store. *)
-
-val adjacency : Candidates.t -> (int * int) list
-(** Immediate span-successor pairs of boundary ids (every boundary stops
-    the walk). *)
-
-val adjacency_for : Candidates.t -> stops:(int -> bool) -> (int * int) list
-(** Directed consecutive pairs where only boundaries satisfying [stops]
-    terminate the walk (and only they are walk sources). *)
 
 type outcome = {
   cands : Candidates.t;  (** of the final, repaired program *)
@@ -56,10 +53,3 @@ val assign :
     change (liveness, clobbers, dominators, block reachability, an empty
     hazard set) are computed once per call.  Raises [Failure] if
     colouring does not converge. *)
-
-(**/**)
-
-(* Debug hooks for convergence tracing (tests only). *)
-val try_color_debug : Candidates.t -> Prune.result -> int list option
-val insert_repair_debug : next_id:int ref -> Candidates.t -> int -> unit
-val pick_repair_node : (int * int) list -> int list -> int

@@ -8,47 +8,43 @@ let idempotence ?(mode = Mode.default) p =
      selects [Legacy]'s optimistic hazard criterion. *)
   match Regions.violations ~mode p with [] -> Ok () | errs -> Error errs
 
+(* Registers whose checkpoint store a boundary emits, with the colour
+   and stability class of each. *)
+let owned_restores (meta : Meta.t) bid =
+  match Meta.boundary_info meta bid with
+  | None -> []
+  | Some info -> List.filter (fun (x : Meta.restore) -> x.Meta.r_owned) info.Meta.restores
+
 let coloring p (meta : Meta.t) =
   let cands = Candidates.compute p in
   let owned bid r =
-    match Meta.boundary_info meta bid with
-    | None -> None
-    | Some info ->
-        List.find_map
-          (fun (x : Meta.restore) ->
-            if Reg.equal x.Meta.r_reg r && x.Meta.r_owned then
-              Some (x.Meta.r_color, x.Meta.r_stable)
-            else None)
-          info.Meta.restores
+    List.find_map
+      (fun (x : Meta.restore) ->
+        if Reg.equal x.Meta.r_reg r then Some (x.Meta.r_color, x.Meta.r_stable)
+        else None)
+      (owned_restores meta bid)
   in
-  let owned_color bid r = Option.map fst (owned bid r) in
+  let stores bid =
+    Reg.Set.of_list
+      (List.map (fun (x : Meta.restore) -> x.Meta.r_reg) (owned_restores meta bid))
+  in
+  let edges = Spans.edges (Spans.make cands) ~stores in
   let errs = ref [] in
   List.iter
     (fun r ->
-      let stops bid = owned_color bid r <> None in
-      let edges = Coloring.adjacency_for cands ~stops in
       List.iter
-        (fun (b1, b2) ->
-          let same_value () =
-            match
-              (Candidates.site_opt cands b1, Candidates.site_opt cands b2)
-            with
-            | Some sa, Some sb ->
-                Valueflow.same_value_over_edge cands r ~src:sa ~dst:sb
-            | _ -> false
-          in
+        (fun (b1, b2, redefined) ->
           match (owned b1 r, owned b2 r) with
           | Some (_, Some s1), Some (_, Some s2) when s1 = s2 ->
               () (* same stability class: identical values, exempt *)
-          | Some (c1, _), Some (c2, _) when c1 = c2 && same_value () -> ()
-          | Some (c1, _), Some (c2, _) when c1 = c2 ->
+          | Some (c1, _), Some (c2, _) when c1 = c2 && redefined ->
               errs :=
                 Printf.sprintf
                   "stores %d -> %d both checkpoint %s into colour %d" b1 b2
                   (Reg.to_string r) c1
                 :: !errs
-          | _ -> ())
-        edges)
+          | _ -> () (* different colours, or the identical word *))
+        edges.(Reg.to_int r))
     Reg.all;
   match !errs with [] -> Ok () | e -> Error (List.rev e)
 
@@ -58,12 +54,14 @@ let coloring p (meta : Meta.t) =
    instructions executable after [s] commits and before the next boundary
    commits.  Any [Ckpt] in that window targeting a read (register,
    colour) pair clobbers the slot a crash-time rollback to [s] would
-   load, unless the overwrite provably stores the identical word (same
-   stability class, or value-equality from [s] to the writer's owning
-   boundary).  This re-derives the protection property directly from the
-   emitted instruction stream, independent of how pruning/colouring
-   reasoned — it is the gate that catches a reused restore routed at a
-   slot some later (e.g. repair) boundary overwrites.
+   load, unless the overwrite provably stores the identical word: it is
+   reached only along window paths that do not redefine the register
+   (every read slot holds the register's value at [s]), or writer and
+   read share a stability class.  This re-derives the protection
+   property directly from the emitted instruction stream, independent of
+   how pruning/colouring reasoned — it is the gate that catches a reused
+   restore routed at a slot some later (e.g. repair) boundary
+   overwrites.
 
    The scan is shared: [slots] turns unexempted clobbers into errors
    (minus the positions carrying a speculation guard — a guarded store
@@ -127,10 +125,14 @@ let window_clobber_scan p (meta : Meta.t) =
       | None -> ()
       | Some info ->
           let reads = reads_of info in
+          let regs = Reg.Set.of_list (List.map (fun (r, _, _) -> r) reads) in
           if reads <> [] then
-            Spans.iter_window w s ~f:(fun fi blk idx instr ->
+            Spans.iter_window w s regs ~f:(fun fi blk idx instr ~redefined ->
                 match instr with
-                | Instr.Ckpt (wr, wc) ->
+                (* Reached only along paths that leave [wr] unchanged
+                   since [s], the store writes the word every read slot
+                   of [wr] holds. *)
+                | Instr.Ckpt (wr, wc) when Reg.Set.mem wr redefined ->
                     List.iter
                       (fun (r, c, stable_r) ->
                         if Reg.equal wr r && wc = c then
@@ -145,15 +147,9 @@ let window_clobber_scan p (meta : Meta.t) =
                                 :: !errs
                           | Some n ->
                               let exempt =
-                                (match (stable_r, stable_at n r) with
+                                match (stable_r, stable_at n r) with
                                 | Some a, Some b -> a = b
-                                | _ -> false)
-                                ||
-                                match Candidates.site_opt cands n with
-                                | Some sn ->
-                                    Valueflow.same_value_over_edge cands r
-                                      ~src:s ~dst:sn
-                                | None -> false
+                                | _ -> false
                               in
                               if not exempt then
                                 let pos =

@@ -17,8 +17,11 @@ val idempotence : ?mode:Mode.t -> Cfg.program -> (unit, string list) result
     baseline); [Speculative] checks the sound syntactic set. *)
 
 val coloring : Cfg.program -> Meta.t -> (unit, string list) result
-(** No two span-adjacent boundaries checkpoint the same register into the
-    same slot colour. *)
+(** No two span-adjacent boundaries ({!Spans.edges} over the owned
+    stores) checkpoint the same register into the same slot colour,
+    unless the two stores write the same word: no path of the span
+    between them defines the register, or both share a stability
+    class. *)
 
 val slot_clobbers : Cfg.program -> Meta.t -> (string * string * int) list
 (** The positions — [(fname, block label, instr idx)], sorted — of every
@@ -32,10 +35,12 @@ val slots : Cfg.program -> Meta.t -> (unit, string list) result
 (** Window-clobber gate: no slot read by a boundary's committed recovery
     state (restores — owned or reused — and recovery-block slot loads) is
     overwritten by a checkpoint store inside that boundary's crash
-    window, unless the overwrite provably stores the identical word or
-    carries a speculation guard (a guarded store appends the slot's old
-    word to the undo log, and rollback replays the log before running
-    restores, so the read survives by construction).  Derived directly
+    window, unless the overwrite provably stores the identical word
+    (every window path reaching it leaves the register unchanged, or
+    writer and read share a stability class) or carries a speculation
+    guard (a guarded store appends the slot's old word to the undo log,
+    and rollback replays the log before running restores, so the read
+    survives by construction).  Derived directly
     from the emitted instruction stream; in particular it rejects a
     reused restore whose owner's slot a later (e.g. repair) boundary
     clobbers. *)

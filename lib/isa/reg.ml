@@ -46,6 +46,7 @@ module Set = struct
   let remove r s = s land lnot (1 lsl r)
   let union = ( lor )
   let diff a b = a land lnot b
+  let inter = ( land )
   let equal = Int.equal
 
   let fold f s acc =

@@ -56,6 +56,7 @@ module Set : sig
   val remove : elt -> t -> t
   val union : t -> t -> t
   val diff : t -> t -> t
+  val inter : t -> t -> t
   val equal : t -> t -> bool
   val cardinal : t -> int
   val iter : (elt -> unit) -> t -> unit

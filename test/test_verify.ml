@@ -203,6 +203,87 @@ let test_coloring_flags_collapsed_colors () =
   check_err "coloring with every colour forced to 0"
     (Core.Verify.coloring p' meta')
 
+(* Hand-built images: [set_block p label instrs] replaces a block's body
+   of function "main", and [restores_meta] describes boundaries by their
+   restores [(bid, [(reg, colour, owned)])]. *)
+let set_block p label instrs =
+  (Cfg.find_block (Cfg.find_func p "main") label).Cfg.instrs <- instrs
+
+let restores_meta bs =
+  let infos = Hashtbl.create 8 in
+  List.iter
+    (fun (bid, rs) ->
+      Hashtbl.replace infos bid
+        {
+          Core.Meta.b_id = bid;
+          b_func = "main";
+          restores =
+            List.map
+              (fun (r, c, owned) ->
+                {
+                  Core.Meta.r_reg = r;
+                  r_color = c;
+                  r_owned = owned;
+                  r_stable = None;
+                })
+              rs;
+          recoveries = [];
+        })
+    bs;
+  { (Core.Meta.empty Core.Scheme.Gecko) with Core.Meta.infos }
+
+(* A counted loop: the header boundary 0 stores the counter r1 and the
+   body boundary 1 stores r0 and r1, each register's two stores in
+   alternating colours except r0, which boundary 1 alone stores, in
+   colour 0.  [header_use] makes r0 live at the header (an increment,
+   and boundary 0 reuses boundary 1's slot) instead of dead (set afresh). *)
+let header_loop_image ~header_use =
+  let b = B.program "hdr" in
+  B.func b "main";
+  B.block b "entry";
+  B.li b Reg.r0 0;
+  B.li b Reg.r1 4;
+  B.block b "hdr" ~loop_bound:4;
+  B.sub b Reg.r1 Reg.r1 (B.reg Reg.r0);
+  B.br b Instr.Nz Reg.r1 "hdr" "exit_";
+  B.block b "exit_";
+  B.halt b;
+  let p = B.finish b in
+  set_block p "hdr"
+    [
+      Instr.Ckpt (Reg.r1, 0);
+      Instr.Boundary 0;
+      (if header_use then Instr.Bin (Instr.Add, Reg.r0, Reg.r0, Instr.Oimm 1)
+       else Instr.Li (Reg.r0, 7));
+      Instr.Ckpt (Reg.r0, 0);
+      Instr.Ckpt (Reg.r1, 1);
+      Instr.Boundary 1;
+      Instr.Bin (Instr.Sub, Reg.r1, Reg.r1, Instr.Oreg Reg.r0);
+    ];
+  let meta =
+    restores_meta
+      [
+        ( 0,
+          (Reg.r1, 0, true)
+          :: (if header_use then [ (Reg.r0, 0, false) ] else []) );
+        (1, [ (Reg.r0, 0, true); (Reg.r1, 1, true) ]);
+      ]
+  in
+  (p, meta)
+
+let test_coloring_dead_header_ends_span () =
+  (* r0 is dead at the header, so the back edge ends boundary 1's span
+     there: its lone colour meets no other store of r0. *)
+  let p, meta = header_loop_image ~header_use:false in
+  check_ok "r0 stored once per iteration, dead at the header"
+    (Core.Verify.coloring p meta)
+
+let test_coloring_flags_live_header () =
+  (* With r0 live (and reused) at the header, the span runs through it to
+     the same store after the increment: a self-loop in one colour. *)
+  let p, meta = header_loop_image ~header_use:true in
+  check_err "r0 live at the header, one colour" (Core.Verify.coloring p meta)
+
 (* --- slots (window clobbers) ------------------------------------------ *)
 
 let test_slots_ok_after_pipeline () =
@@ -217,6 +298,44 @@ let test_slots_flags_collapsed_colors () =
   let p, meta = compile ~budget_cycles:80 Core.Scheme.Gecko in
   let p', meta' = sabotage_colors p meta in
   check_err "slots with every colour forced to 0" (Core.Verify.slots p' meta')
+
+(* Boundary 0 stores r0 in colour 0; two paths lead to boundary 1, which
+   stores r0 in the same colour.  [redefine] makes one of them increment
+   r0, so the second store can overwrite the slot boundary 0's restore
+   reads with a different word inside boundary 0's crash window. *)
+let window_image ~redefine =
+  let b = B.program "win" in
+  B.func b "main";
+  B.block b "entry";
+  B.li b Reg.r0 1;
+  B.br b Instr.Z Reg.r0 "left" "right";
+  B.block b "left";
+  (if redefine then B.add b Reg.r0 Reg.r0 (B.imm 1) else B.mov b Reg.r2 Reg.r0);
+  B.jmp b "join";
+  B.block b "right";
+  B.mov b Reg.r2 Reg.r0;
+  B.block b "join";
+  B.mov b Reg.r3 Reg.r0;
+  B.halt b;
+  let p = B.finish b in
+  set_block p "entry"
+    [ Instr.Li (Reg.r0, 1); Instr.Ckpt (Reg.r0, 0); Instr.Boundary 0 ];
+  set_block p "join"
+    [ Instr.Ckpt (Reg.r0, 0); Instr.Boundary 1; Instr.Mov (Reg.r3, Reg.r0) ];
+  (p, restores_meta [ (0, [ (Reg.r0, 0, true) ]); (1, [ (Reg.r0, 0, true) ]) ])
+
+let test_slots_flags_redefining_path () =
+  let p, meta = window_image ~redefine:true in
+  check_err "store reached along a path that redefines r0"
+    (Core.Verify.slots p meta);
+  Alcotest.(check (list (triple string string int)))
+    "the clobbering store" [ ("main", "join", 0) ]
+    (Core.Verify.slot_clobbers p meta)
+
+let test_slots_accepts_identical_word () =
+  let p, meta = window_image ~redefine:false in
+  check_ok "store reached only along paths that keep r0"
+    (Core.Verify.slots p meta)
 
 (* --- io_commit (atomic io_log) ---------------------------------------- *)
 
@@ -366,6 +485,10 @@ let () =
             test_coloring_ok_after_pipeline;
           Alcotest.test_case "flags collapsed colours" `Quick
             test_coloring_flags_collapsed_colors;
+          Alcotest.test_case "dead header ends the span" `Quick
+            test_coloring_dead_header_ends_span;
+          Alcotest.test_case "flags a live header's self-loop" `Quick
+            test_coloring_flags_live_header;
         ] );
       ( "slots",
         [
@@ -373,6 +496,10 @@ let () =
             test_slots_ok_after_pipeline;
           Alcotest.test_case "flags collapsed colours" `Quick
             test_slots_flags_collapsed_colors;
+          Alcotest.test_case "flags a store on a redefining path" `Quick
+            test_slots_flags_redefining_path;
+          Alcotest.test_case "accepts the identical word" `Quick
+            test_slots_accepts_identical_word;
         ] );
       ( "io-commit",
         [
