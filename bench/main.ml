@@ -201,8 +201,7 @@ let sim_instr_per_sec scheme =
   let r3 = once () in
   Float.max r1 (Float.max r2 r3)
 
-(* Dispatch-layer profile: one-time decode cost, how much of the decoded
-   stream the superinstruction fuser covered, and the resulting
+(* Dispatch-layer profile: one-time decode cost and the resulting
    interpreter rate, per workload (all under GECKO, the scheme with the
    busiest instruction stream). *)
 let dispatch_bench () =
@@ -246,22 +245,19 @@ let dispatch_bench () =
           float_of_int o.Gecko_machine.Machine.instructions
           /. Float.max wall 1e-9
         in
-        (name, decode_ns, Gecko_machine.Decode.fused_share dec, ips))
+        (name, decode_ns, ips))
       workloads
   in
   let wall = now () -. t0 in
-  Printf.printf "%-14s %14s %12s %14s\n" "workload" "decode ns" "fused share"
-    "sim instr/s";
+  Printf.printf "%-14s %14s %14s\n" "workload" "decode ns" "sim instr/s";
   List.iter
-    (fun (name, decode_ns, share, ips) ->
-      Printf.printf "%-14s %14.0f %11.0f%% %14.3e\n" name decode_ns
-        (100. *. share) ips)
+    (fun (name, decode_ns, ips) ->
+      Printf.printf "%-14s %14.0f %14.3e\n" name decode_ns ips)
     rows;
   List.concat_map
-    (fun (name, decode_ns, share, ips) ->
+    (fun (name, decode_ns, ips) ->
       [
         (name ^ "_decode_ns", decode_ns);
-        (name ^ "_fused_share", share);
         (name ^ "_instr_per_sec", ips);
       ])
     rows

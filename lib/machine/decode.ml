@@ -17,11 +17,10 @@
      restore, rollback resume), that a whole block can run without any
      per-instruction brownout / monitor / attack-window / limit check
      firing;
-   - the dominant load→op, op→store and compare→branch pairs are fused
-     into superinstructions.  A fused op occupies the slot of its first
-     constituent; the second slot keeps its own unfused op so control
-     may still enter there (a restore or return can land on any slot).
-     Fusion never crosses a block split point.
+   - every slot holds the lowering of its own linked instruction, so the
+     dispatcher retires exactly one instruction per micro-op and control
+     may enter or stop at any slot (a restore or return can land
+     anywhere).
 
    Boundary commits and Halt have data-dependent cost (progress flag,
    restart) and power/mode side effects, so they are "solo" slots: their
@@ -57,35 +56,6 @@ type mop =
   | M_call of int * int  (* callee entry, return slot *)
   | M_ret
   | M_halt  (* solo: completion/restart has data-dependent cost *)
-  (* Fused superinstructions.  Field order mirrors the constituents. *)
-  | M_f_ld_op_rr of int * int * Instr.binop * int * int * int
-      (* Ld(d1, abs); Bin(op, d2, a2, b2) *)
-  | M_f_ld_op_ri of int * int * Instr.binop * int * int * int
-      (* Ld(d1, abs); Bin(op, d2, a2, imm) *)
-  | M_f_op_st_rr of Instr.binop * int * int * int * int
-      (* Bin(op, d, a, b); St(abs, d) *)
-  | M_f_op_st_ri of Instr.binop * int * int * int * int
-      (* Bin(op, d, a, imm); St(abs, d) *)
-  | M_f_cmp_br_rr of Instr.binop * int * int * int * Instr.cond * int * int
-      (* Bin(op, d, a, b); Br(cond, d, t, e) *)
-  | M_f_cmp_br_ri of Instr.binop * int * int * int * Instr.cond * int * int
-      (* Bin(op, d, a, imm); Br(cond, d, t, e) *)
-  | M_f_lddyn_op_rr of int * int * int * Instr.binop * int * int * int
-      (* Ld(d1, base + idx reg); Bin(op, d2, a2, b2) *)
-  | M_f_lddyn_op_ri of int * int * int * Instr.binop * int * int * int
-      (* Ld(d1, base + idx reg); Bin(op, d2, a2, imm) *)
-  | M_f_op_op_rr_rr of
-      Instr.binop * int * int * int * Instr.binop * int * int * int
-      (* Bin(op1, d1, a1, b1); Bin(op2, d2, a2, b2) *)
-  | M_f_op_op_rr_ri of
-      Instr.binop * int * int * int * Instr.binop * int * int * int
-      (* Bin(op1, d1, a1, b1); Bin(op2, d2, a2, imm) *)
-  | M_f_op_op_ri_rr of
-      Instr.binop * int * int * int * Instr.binop * int * int * int
-      (* Bin(op1, d1, a1, imm); Bin(op2, d2, a2, b2) *)
-  | M_f_op_op_ri_ri of
-      Instr.binop * int * int * int * Instr.binop * int * int * int
-      (* Bin(op1, d1, a1, imm1); Bin(op2, d2, a2, imm2) *)
 
 type t = {
   image : Link.image;  (* provenance *)
@@ -93,13 +63,10 @@ type t = {
   dt : float array;  (* wall advance of the slot's own instruction *)
   en : float array;  (* capacitor drain, incl. NVM access energy *)
   cyc : int array;  (* cycle count, for app/instrumentation accounting *)
-  block_start : bool array;  (* control can be *required* to stop here *)
   blk_end : int array;  (* slot -> exclusive end of its basic block *)
   e_sfx : float array;  (* energy from slot to block end; inf on solo *)
   dt_sfx : float array;  (* wall time from slot to block end *)
   n_ops : int;
-  n_fused : int;  (* fused superinstruction slots *)
-  n_blocks : int;
 }
 
 let solo = function M_boundary _ | M_halt -> true | _ -> false
@@ -240,46 +207,6 @@ let decode ~device (image : Link.image) =
   for i = n - 1 downto 0 do
     blk_end.(i) <- (if start.(i + 1) then i + 1 else blk_end.(i + 1))
   done;
-  (* Fusion: adjacent pairs inside one block.  The second slot keeps its
-     unfused op for mid-block entry. *)
-  let n_fused = ref 0 in
-  for i = 0 to n - 2 do
-    if blk_end.(i) > i + 1 then begin
-      let fused =
-        match (ops.(i), ops.(i + 1)) with
-        | M_ld (d1, a), M_bin_rr (op, d2, a2, b2) ->
-            Some (M_f_ld_op_rr (d1, a, op, d2, a2, b2))
-        | M_ld (d1, a), M_bin_ri (op, d2, a2, v) ->
-            Some (M_f_ld_op_ri (d1, a, op, d2, a2, v))
-        | M_bin_rr (op, d, a, b), M_st (addr, s) when s = d ->
-            Some (M_f_op_st_rr (op, d, a, b, addr))
-        | M_bin_ri (op, d, a, v), M_st (addr, s) when s = d ->
-            Some (M_f_op_st_ri (op, d, a, v, addr))
-        | M_bin_rr (op, d, a, b), M_br (c, r, t, e) when r = d ->
-            Some (M_f_cmp_br_rr (op, d, a, b, c, t, e))
-        | M_bin_ri (op, d, a, v), M_br (c, r, t, e) when r = d ->
-            Some (M_f_cmp_br_ri (op, d, a, v, c, t, e))
-        | M_ld_dyn (d1, base, r), M_bin_rr (op, d2, a2, b2) ->
-            Some (M_f_lddyn_op_rr (d1, base, r, op, d2, a2, b2))
-        | M_ld_dyn (d1, base, r), M_bin_ri (op, d2, a2, v) ->
-            Some (M_f_lddyn_op_ri (d1, base, r, op, d2, a2, v))
-        | M_bin_rr (op1, d1, a1, b1), M_bin_rr (op2, d2, a2, b2) ->
-            Some (M_f_op_op_rr_rr (op1, d1, a1, b1, op2, d2, a2, b2))
-        | M_bin_rr (op1, d1, a1, b1), M_bin_ri (op2, d2, a2, v2) ->
-            Some (M_f_op_op_rr_ri (op1, d1, a1, b1, op2, d2, a2, v2))
-        | M_bin_ri (op1, d1, a1, v1), M_bin_rr (op2, d2, a2, b2) ->
-            Some (M_f_op_op_ri_rr (op1, d1, a1, v1, op2, d2, a2, b2))
-        | M_bin_ri (op1, d1, a1, v1), M_bin_ri (op2, d2, a2, v2) ->
-            Some (M_f_op_op_ri_ri (op1, d1, a1, v1, op2, d2, a2, v2))
-        | _ -> None
-      in
-      match fused with
-      | Some f ->
-          ops.(i) <- f;
-          incr n_fused
-      | None -> ()
-    end
-  done;
   (* Suffix totals within each block; solo slots get [infinity] so the
      machine's block guard always rejects them. *)
   let e_sfx = Array.make n infinity in
@@ -295,33 +222,19 @@ let decode ~device (image : Link.image) =
         dt_sfx.(i) <- dt.(i) +. dt_sfx.(i + 1)
       end
   done;
-  let n_blocks = ref 0 in
-  for i = 0 to n - 1 do
-    if start.(i) then incr n_blocks
-  done;
   {
     image;
     ops;
     dt;
     en;
     cyc;
-    block_start = Array.sub start 0 n;
     blk_end;
     e_sfx;
     dt_sfx;
     n_ops = n;
-    n_fused = !n_fused;
-    n_blocks = !n_blocks;
   }
 
-let fused_share t =
-  if t.n_ops = 0 then 0. else float_of_int t.n_fused /. float_of_int t.n_ops
-
-(* Number of source instructions a slot's op retires: 2 for fused. *)
-let width = function
-  | M_f_ld_op_rr _ | M_f_ld_op_ri _ | M_f_op_st_rr _ | M_f_op_st_ri _
-  | M_f_cmp_br_rr _ | M_f_cmp_br_ri _ | M_f_lddyn_op_rr _ | M_f_lddyn_op_ri _
-  | M_f_op_op_rr_rr _ | M_f_op_op_rr_ri _ | M_f_op_op_ri_rr _
-  | M_f_op_op_ri_ri _ ->
-      2
-  | _ -> 1
+(* Share of slots holding a fused superinstruction: always [0.], since
+   every slot lowers its own instruction.  Kept for the benchmark's
+   [machine.fused_share] metric, which reads it. *)
+let fused_share (_ : t) = 0.

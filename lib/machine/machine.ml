@@ -1410,138 +1410,6 @@ let exec_block st pc endp =
         (* Solo slots never pass the block guard; if control ever lands
            here the slot is replayed on the checked path untouched. *)
         st.pc <- s
-    | Decode.M_f_ld_op_rr (d1, addr, op, d2, a2, b2) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
-        Array.unsafe_set regs d1 (Nvm.read nvm addr);
-        let s1 = s + 1 in
-        spend_fast st (Array.unsafe_get dta s1) (Array.unsafe_get ena s1)
-          (Array.unsafe_get cyc s1);
-        Array.unsafe_set regs d2
-          (Instr.eval_binop op (Array.unsafe_get regs a2)
-             (Array.unsafe_get regs b2));
-        go (s + 2)
-    | Decode.M_f_ld_op_ri (d1, addr, op, d2, a2, v) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
-        Array.unsafe_set regs d1 (Nvm.read nvm addr);
-        let s1 = s + 1 in
-        spend_fast st (Array.unsafe_get dta s1) (Array.unsafe_get ena s1)
-          (Array.unsafe_get cyc s1);
-        Array.unsafe_set regs d2
-          (Instr.eval_binop op (Array.unsafe_get regs a2) v);
-        go (s + 2)
-    | Decode.M_f_op_st_rr (op, dd, a, b, addr) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
-        Array.unsafe_set regs dd
-          (Instr.eval_binop op (Array.unsafe_get regs a)
-             (Array.unsafe_get regs b));
-        let s1 = s + 1 in
-        spend_fast st (Array.unsafe_get dta s1) (Array.unsafe_get ena s1)
-          (Array.unsafe_get cyc s1);
-        Nvm.write nvm addr (Array.unsafe_get regs dd);
-        go (s + 2)
-    | Decode.M_f_op_st_ri (op, dd, a, v, addr) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
-        Array.unsafe_set regs dd
-          (Instr.eval_binop op (Array.unsafe_get regs a) v);
-        let s1 = s + 1 in
-        spend_fast st (Array.unsafe_get dta s1) (Array.unsafe_get ena s1)
-          (Array.unsafe_get cyc s1);
-        Nvm.write nvm addr (Array.unsafe_get regs dd);
-        go (s + 2)
-    | Decode.M_f_cmp_br_rr (op, dd, a, b, cond, t, e) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
-        Array.unsafe_set regs dd
-          (Instr.eval_binop op (Array.unsafe_get regs a)
-             (Array.unsafe_get regs b));
-        let s1 = s + 1 in
-        spend_fast st (Array.unsafe_get dta s1) (Array.unsafe_get ena s1)
-          (Array.unsafe_get cyc s1);
-        st.pc <-
-          (if Instr.eval_cond cond (Array.unsafe_get regs dd) then t else e)
-    | Decode.M_f_cmp_br_ri (op, dd, a, v, cond, t, e) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
-        Array.unsafe_set regs dd
-          (Instr.eval_binop op (Array.unsafe_get regs a) v);
-        let s1 = s + 1 in
-        spend_fast st (Array.unsafe_get dta s1) (Array.unsafe_get ena s1)
-          (Array.unsafe_get cyc s1);
-        st.pc <-
-          (if Instr.eval_cond cond (Array.unsafe_get regs dd) then t else e)
-    | Decode.M_f_lddyn_op_rr (d1, base, r, op, d2, a2, b2) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
-        Array.unsafe_set regs d1 (Nvm.read nvm (base + Array.unsafe_get regs r));
-        let s1 = s + 1 in
-        spend_fast st (Array.unsafe_get dta s1) (Array.unsafe_get ena s1)
-          (Array.unsafe_get cyc s1);
-        Array.unsafe_set regs d2
-          (Instr.eval_binop op (Array.unsafe_get regs a2)
-             (Array.unsafe_get regs b2));
-        go (s + 2)
-    | Decode.M_f_lddyn_op_ri (d1, base, r, op, d2, a2, v) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
-        Array.unsafe_set regs d1 (Nvm.read nvm (base + Array.unsafe_get regs r));
-        let s1 = s + 1 in
-        spend_fast st (Array.unsafe_get dta s1) (Array.unsafe_get ena s1)
-          (Array.unsafe_get cyc s1);
-        Array.unsafe_set regs d2
-          (Instr.eval_binop op (Array.unsafe_get regs a2) v);
-        go (s + 2)
-    | Decode.M_f_op_op_rr_rr (op1, d1, a1, b1, op2, d2, a2, b2) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
-        Array.unsafe_set regs d1
-          (Instr.eval_binop op1 (Array.unsafe_get regs a1)
-             (Array.unsafe_get regs b1));
-        let s1 = s + 1 in
-        spend_fast st (Array.unsafe_get dta s1) (Array.unsafe_get ena s1)
-          (Array.unsafe_get cyc s1);
-        Array.unsafe_set regs d2
-          (Instr.eval_binop op2 (Array.unsafe_get regs a2)
-             (Array.unsafe_get regs b2));
-        go (s + 2)
-    | Decode.M_f_op_op_rr_ri (op1, d1, a1, b1, op2, d2, a2, v2) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
-        Array.unsafe_set regs d1
-          (Instr.eval_binop op1 (Array.unsafe_get regs a1)
-             (Array.unsafe_get regs b1));
-        let s1 = s + 1 in
-        spend_fast st (Array.unsafe_get dta s1) (Array.unsafe_get ena s1)
-          (Array.unsafe_get cyc s1);
-        Array.unsafe_set regs d2
-          (Instr.eval_binop op2 (Array.unsafe_get regs a2) v2);
-        go (s + 2)
-    | Decode.M_f_op_op_ri_rr (op1, d1, a1, v1, op2, d2, a2, b2) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
-        Array.unsafe_set regs d1
-          (Instr.eval_binop op1 (Array.unsafe_get regs a1) v1);
-        let s1 = s + 1 in
-        spend_fast st (Array.unsafe_get dta s1) (Array.unsafe_get ena s1)
-          (Array.unsafe_get cyc s1);
-        Array.unsafe_set regs d2
-          (Instr.eval_binop op2 (Array.unsafe_get regs a2)
-             (Array.unsafe_get regs b2));
-        go (s + 2)
-    | Decode.M_f_op_op_ri_ri (op1, d1, a1, v1, op2, d2, a2, v2) ->
-        spend_fast st (Array.unsafe_get dta s) (Array.unsafe_get ena s)
-          (Array.unsafe_get cyc s);
-        Array.unsafe_set regs d1
-          (Instr.eval_binop op1 (Array.unsafe_get regs a1) v1);
-        let s1 = s + 1 in
-        spend_fast st (Array.unsafe_get dta s1) (Array.unsafe_get ena s1)
-          (Array.unsafe_get cyc s1);
-        Array.unsafe_set regs d2
-          (Instr.eval_binop op2 (Array.unsafe_get regs a2) v2);
-        go (s + 2)
   in
   go pc
 
@@ -1559,13 +1427,13 @@ let exec_block st pc endp =
    low-energy point lands inside the block): batch the longest prefix
    that provably finishes before the earliest such point instead of
    surrendering the whole block to the single-step path.  The walk
-   follows the execution path from [pc] by superinstruction width, so
-   the prefix always ends exactly where control would land — a fused
-   pair never straddles the cut.  Prefix totals are differences of the
-   decoder's suffix sums; the same relative margins as the full guard
-   absorb the extra rounding.  Comparator monitors (next_obs = -inf)
-   are handled by the full guard's quiescence proof only — a failed
-   proof means per-instruction observation really is required. *)
+   goes slot by slot from [pc]; every slot retires one instruction, so
+   any cut is a point where control can stop.  Prefix totals are
+   differences of the decoder's suffix sums; the same relative margins
+   as the full guard absorb the extra rounding.  Comparator monitors
+   (next_obs = -inf) are handled by the full guard's quiescence proof
+   only — a failed proof means per-instruction observation really is
+   required. *)
 let try_fast_prefix st pc =
   let d = st.dec in
   let ph = st.ph in
@@ -1581,11 +1449,10 @@ let try_fast_prefix st pc =
     let esfx0 = Array.unsafe_get d.Decode.e_sfx pc in
     let e_cap = Capacitor.energy st.cap in
     let e_floor = (st.k_e_off *. 1.000001) +. 1e-18 in
-    let ops = d.Decode.ops in
     let m = ref pc in
     let go_on = ref true in
     while !go_on && !m < endp do
-      let nxt = !m + Decode.width (Array.unsafe_get ops !m) in
+      let nxt = !m + 1 in
       let dt_pre =
         dsfx0
         -. (if nxt >= endp then 0. else Array.unsafe_get d.Decode.dt_sfx nxt)

@@ -34,11 +34,8 @@ let seed_gen = QCheck.make ~print:string_of_int (QCheck.Gen.int_bound 99999)
    the machine, and both sides here decode the same image anyway. *)
 let dec_eq (a : D.t) (b : D.t) =
   a.D.ops = b.D.ops && a.D.dt = b.D.dt && a.D.en = b.D.en && a.D.cyc = b.D.cyc
-  && a.D.block_start = b.D.block_start
   && a.D.blk_end = b.D.blk_end && a.D.e_sfx = b.D.e_sfx
   && a.D.dt_sfx = b.D.dt_sfx && a.D.n_ops = b.D.n_ops
-  && a.D.n_fused = b.D.n_fused
-  && a.D.n_blocks = b.D.n_blocks
 
 let decode_of_seed seed =
   let image, _meta = compile (scheme_of seed) seed in
@@ -46,9 +43,7 @@ let decode_of_seed seed =
   (image, D.decode ~device image)
 
 (* Decode is total on every generated program x scheme and lowers each
-   linked instruction to exactly one slot; boundaries survive 1:1 (a
-   fused pair rewrites only its first slot, the second keeps its
-   original op, so nothing disappears from the stream). *)
+   linked instruction to exactly one slot, so boundaries survive 1:1. *)
 let prop_decode_total_counts =
   QCheck.Test.make ~count:100
     ~name:"decode is total and preserves instruction/boundary counts"
@@ -70,30 +65,70 @@ let prop_decode_total_counts =
       in
       d.D.n_ops = Array.length code
       && Array.length d.D.ops = d.D.n_ops
-      && boundaries_dec = boundaries_src
-      && d.D.n_blocks > 0
-      && d.D.n_fused >= 0 && d.D.n_fused <= d.D.n_ops)
+      && boundaries_dec = boundaries_src)
 
-(* A fused superinstruction retires two source instructions in one
-   dispatch, so control must never be able to (or required to) stop
-   between its halves: the second half is never a block start, and the
-   pair sits strictly inside its basic block. *)
-let prop_fusion_respects_splits =
+(* The dispatcher retires one instruction per micro-op, so slot [i]
+   must be the lowering of [image.code.(i)] itself: same kind, same
+   operands (register indices, absolute NVM cells), same branch
+   targets.  Written out independently of [Decode.decode]. *)
+let lowers_to (image : Link.image) li op =
+  let ri = Reg.to_int in
+  let gecko_cell r colour =
+    image.Link.gecko_base + Link.Cells.gecko_slot r colour
+  in
+  let sys_cell off = image.Link.sys_base + off in
+  let base (m : Instr.mref) =
+    image.Link.space_base.(m.Instr.space.Instr.space_id)
+  in
+  match (li, op) with
+  | Link.Op (Instr.Li (d, v)), D.M_li (d', v') -> ri d = d' && v = v'
+  | Link.Op (Instr.Mov (d, s)), D.M_mov (d', s') -> ri d = d' && ri s = s'
+  | Link.Op (Instr.Bin (o, d, a, Instr.Oreg b)), D.M_bin_rr (o', d', a', b')
+    ->
+      o = o' && ri d = d' && ri a = a' && ri b = b'
+  | Link.Op (Instr.Bin (o, d, a, Instr.Oimm v)), D.M_bin_ri (o', d', a', v')
+    ->
+      o = o' && ri d = d' && ri a = a' && v = v'
+  | Link.Op (Instr.Ld (d, ({ Instr.disp = Instr.Dconst c; _ } as m))),
+    D.M_ld (d', addr) ->
+      ri d = d' && base m + c = addr
+  | Link.Op (Instr.Ld (d, ({ Instr.disp = Instr.Dreg r; _ } as m))),
+    D.M_ld_dyn (d', b', r') ->
+      ri d = d' && base m = b' && ri r = r'
+  | Link.Op (Instr.St (({ Instr.disp = Instr.Dconst c; _ } as m), s)),
+    D.M_st (addr, s') ->
+      base m + c = addr && ri s = s'
+  | Link.Op (Instr.St (({ Instr.disp = Instr.Dreg r; _ } as m), s)),
+    D.M_st_dyn (b', r', s') ->
+      base m = b' && ri r = r' && ri s = s'
+  | Link.Op (Instr.In (d, port)), D.M_in (d', port') -> ri d = d' && port = port'
+  | Link.Op (Instr.Out (port, s)), D.M_out (port', s') ->
+      port = port' && ri s = s'
+  | Link.Op Instr.Nop, D.M_nop -> true
+  | Link.Op (Instr.Ckpt (src, colour)), D.M_ckpt (cell, src') ->
+      gecko_cell src colour = cell && ri src = src'
+  | Link.Op (Instr.CkptDyn src), D.M_ckptdyn (src', parity, cells) ->
+      ri src = src'
+      && parity = sys_cell Link.Cells.sys_parity
+      && cells = sys_cell Link.Cells.sys_ratchet_lo + ri src
+  | Link.Op (Instr.LdSlot (d, src, colour)), D.M_ldslot (d', cell) ->
+      ri d = d' && gecko_cell (Reg.of_int src) colour = cell
+  | Link.Op (Instr.Boundary id), D.M_boundary id' -> id = id'
+  | Link.Ljmp t, D.M_jmp t' -> t = t'
+  | Link.Lbr (c, r, t, e), D.M_br (c', r', t', e') ->
+      c = c' && ri r = r' && t = t' && e = e'
+  | Link.Lcall (target, ret), D.M_call (target', ret') ->
+      target = target' && ret = ret'
+  | Link.Lret, D.M_ret | Link.Lhalt, D.M_halt -> true
+  | _ -> false
+
+let prop_decode_lowers_each_slot =
   QCheck.Test.make ~count:100
-    ~name:"fusion never crosses a block split" seed_gen (fun seed ->
-      let _image, d = decode_of_seed seed in
-      let ok = ref true in
-      Array.iteri
-        (fun i op ->
-          if D.width op = 2 then
-            if
-              i + 1 >= d.D.n_ops
-              || d.D.block_start.(i + 1)
-              || d.D.blk_end.(i) < i + 2
-              || D.solo op
-            then ok := false)
-        d.D.ops;
-      !ok)
+    ~name:"decode lowers every slot to its own instruction" seed_gen
+    (fun seed ->
+      let image, d = decode_of_seed seed in
+      Array.length d.D.ops = Array.length image.Link.code
+      && Array.for_all2 (lowers_to image) image.Link.code d.D.ops)
 
 (* Same image, same device -> bit-identical decode, and the Workbench
    cache returns the one memoized value (physical equality) that is
@@ -213,7 +248,8 @@ let test_machine_nvm_checked () =
         (String.starts_with ~prefix:"Nvm: address" msg)
 
 (* The decoded fast path must match the frozen reference with NVM range
-   checking live — same EMI schedule, crash-prone board. *)
+   checking live — same EMI schedule, crash-prone board — in outcome and
+   in the final NVM data segment. *)
 let prop_checked_matches_reference =
   QCheck.Test.make ~count:16
     ~name:"fast path matches the reference under GECKO_CHECKED" seed_gen
@@ -221,8 +257,8 @@ let prop_checked_matches_reference =
       let scheme = scheme_of seed in
       let image, meta = compile scheme seed in
       let board = crashy_board () in
-      let o =
-        M.Machine.run ~board ~image ~meta
+      let o, nvm =
+        M.Machine.run_with_nvm ~board ~image ~meta
           {
             M.Machine.default_options with
             limit = M.Machine.Sim_time 0.15;
@@ -233,8 +269,8 @@ let prop_checked_matches_reference =
             record_events = true;
           }
       in
-      let r =
-        Ref_machine.run ~board ~image ~meta
+      let r, rnvm =
+        Ref_machine.run_with_nvm ~board ~image ~meta
           {
             Ref_machine.default_options with
             Ref_machine.limit = Ref_machine.Sim_time 0.15;
@@ -245,7 +281,7 @@ let prop_checked_matches_reference =
             record_events = true;
           }
       in
-      norm o = norm_ref r)
+      norm o = norm_ref r && nvm = rnvm)
 
 (* Genuine mid-run power failures: the supply is gated by a square wave,
    so the capacitor collapses and recovers repeatedly.  Rollback and
@@ -295,7 +331,11 @@ let prop_outage_matches_reference =
    identically on the fast and the checked interpreter: the decoded
    dispatcher's rollback/replay must be step-for-step equivalent to the
    per-instruction path's.  The reference has no injection hooks, so the
-   machine differentials against itself with [fast] flipped. *)
+   machine differentials against itself with [fast] flipped.  As in
+   [Inject.drive], each side steps on the checked path until the
+   injector has fired, then drops it and finishes on [Step.step_block]:
+   block dispatch only runs without an injector, so the fast side's
+   post-failure recovery really goes through the decoded blocks. *)
 let prop_injected_failure_fast_vs_checked =
   QCheck.Test.make ~count:12
     ~name:"injected mid-run failure: fast path equals checked path"
@@ -327,7 +367,11 @@ let prop_injected_failure_fast_vs_checked =
                    incr fetches;
                    !fetches = target
                | _ -> false));
-        while M.Machine.Step.step h do
+        while !fetches < target && M.Machine.Step.step h do
+          ()
+        done;
+        M.Machine.Step.set_injector h None;
+        while M.Machine.Step.step_block h do
           ()
         done;
         (M.Machine.Step.outcome h, M.Machine.Step.nvm_data h)
@@ -382,7 +426,7 @@ let () =
         q
           [
             prop_decode_total_counts;
-            prop_fusion_respects_splits;
+            prop_decode_lowers_each_slot;
             prop_decode_deterministic;
             prop_decode_cache_hit;
           ] );
