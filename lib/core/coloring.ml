@@ -181,8 +181,11 @@ let insert_repair ~next_id (cands : Candidates.t) bid =
    boundary X reroutes exactly the spans leaving X, so the chosen node
    must be the source of a directed cycle edge; a node with out-degree 1
    is ideal (the rewiring is private to the cycle edge and cannot flip
-   the parity of unrelated cycles). *)
-let pick_repair_node edges cycle =
+   the parity of unrelated cycles).  A node [avoid] holds (a repair
+   boundary already hosting the conflicting register) is passed over
+   while the cycle has another source: repairing after it only moves
+   the same odd cycle onto the next repair, round after round. *)
+let pick_repair_node ~avoid edges cycle =
   match cycle with
   | [] -> invalid_arg "Coloring.pick_repair_node: empty cycle"
   | [ x ] -> x (* self-loop *)
@@ -202,6 +205,11 @@ let pick_repair_node edges cycle =
             let bwd = if List.mem (b, a) edges then [ b ] else [] in
             fwd @ bwd)
           (pairs cycle)
+      in
+      let candidates =
+        match List.filter (fun x -> not (avoid x)) candidates with
+        | [] -> candidates
+        | fresh -> fresh
       in
       let best =
         List.fold_left
@@ -249,7 +257,12 @@ let assign ~next_id ~analyze (p : Cfg.program) =
     match try_color cands decisions with
     | Colored colors -> { cands; decisions; colors; rounds = round + 1 }
     | Conflict (reg, cycle, redges) ->
-        let node = pick_repair_node redges cycle in
+        let avoid x =
+          match Hashtbl.find_opt repairs x with
+          | Some regs -> Reg.Set.mem reg regs
+          | None -> false
+        in
+        let node = pick_repair_node ~avoid redges cycle in
         (* Coalesce: several registers self-looping at the same node
            share one repair boundary.  If that repair already hosts this
            register (the cycle involves the repair itself), a fresh

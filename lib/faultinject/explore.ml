@@ -170,16 +170,9 @@ let explore ?jobs ?(budget = 256) ?(pairs = 0) ?(seed = 1) ?opts ~board ~image
   let work =
     List.map (fun s -> [ s.Inject.s_ordinal ]) targets @ pair_fires
   in
-  let results =
-    if jobs <= 1 then List.map check work
-    else begin
-      let pool = Pool.create ~jobs () in
-      Fun.protect
-        ~finally:(fun () -> Pool.shutdown pool)
-        (fun () -> Pool.map pool check work)
-    end
+  let failures =
+    List.filter_map Fun.id (Pool.map (Pool.shared ~jobs) check work)
   in
-  let failures = List.filter_map Fun.id results in
   {
     sites_total = n_sites;
     sites_by_kind;

@@ -77,8 +77,9 @@ val explore :
     non-[instr] sites are covered first (they are the protocol-critical
     ones), then instruction boundaries at the smallest stride that fits.
     [pairs] (default 0) adds that many seeded-random k=2 replays.
-    [jobs] > 1 fans replays out over a domain pool; results are
-    independent of the pool size.
+    [jobs] > 1 fans replays out over the process-wide pool of that
+    size ({!Gecko_util.Pool.shared}); results are independent of the
+    pool size.
 
     The image is decoded once and the decode shared by every run of the
     sweep.  Replays fork from snapshots of the uninjected run (see

@@ -385,13 +385,59 @@ let refresh_attack st =
 
 (* --- time & energy --------------------------------------------------- *)
 
-let charge st dt =
-  let v = Capacitor.voltage st.cap in
-  let i =
-    Harvester.current st.board.Board.harvester ~time:st.ph.time ~v
-    +. (st.ph.cur_harvest_w /. (if v >= 0.5 then v else 0.5))
+(* One physics step, and the only copy of the capacitor/harvester float
+   sequence: drain [e] joules, source the harvester current (plus any
+   attack-harvested power) over [dt] seconds at the drained voltage, and
+   advance the clock by [dt].  The checked path ([spend]), the block
+   dispatcher ([spend_fast]), sleep and reboot all run it.  Every
+   expression is capacitor.ml's [drain] then [source_current] of
+   harvester.ml's [current], operation for operation, so the voltage
+   trajectory is bit-identical to the frozen reference's.  It is inlined
+   instead of calling those functions: without flambda each
+   cross-module call boxes its floats, which costs more than the float
+   work it wraps.  [min]/[max] are spelled as float comparisons — the
+   stdlib's polymorphic versions give the same result on the non-NaN
+   values involved.  When no attack window is harvesting,
+   [cur_harvest_w = 0.], and adding [0.] to the harvester current
+   cannot change whether or how it charges, so the term is skipped. *)
+let[@inline] physics st dt e =
+  let cap = st.cap in
+  let ph = st.ph in
+  let open Capacitor in
+  let v0 = cap.voltage in
+  let v1 =
+    if e > 0. then begin
+      let stored = 0.5 *. cap.capacitance *. v0 *. v0 in
+      let removed = if e <= stored then e else stored in
+      let v = sqrt (2. *. (stored -. removed) /. cap.capacitance) in
+      cap.voltage <- v;
+      cap.drained_total <- cap.drained_total +. removed;
+      v
+    end
+    else v0
   in
-  Capacitor.source_current st.cap ~amps:i ~dt
+  let i =
+    if st.k_harv_const then ph.k_harv_pw /. (if v1 >= 0.5 then v1 else 0.5)
+    else if st.k_harv_thev then
+      let x = (ph.k_thev_vs -. v1) /. ph.k_thev_r in
+      if 0. >= x then 0. else x
+    else Harvester.current st.k_harv ~time:ph.time ~v:v1
+  in
+  let i =
+    if ph.cur_harvest_w > 0. then
+      i +. (ph.cur_harvest_w /. (if v1 >= 0.5 then v1 else 0.5))
+    else i
+  in
+  if i > 0. && dt > 0. then begin
+    let e0 = 0.5 *. cap.capacitance *. v1 *. v1 in
+    let dv = i *. dt /. cap.capacitance in
+    let v' = v1 +. dv in
+    let v2 = if cap.v_max <= v' then cap.v_max else v' in
+    cap.voltage <- v2;
+    cap.sourced_total <-
+      cap.sourced_total +. ((0.5 *. cap.capacitance *. v2 *. v2) -. e0)
+  end;
+  ph.time <- ph.time +. dt
 
 let bucket_index st = int_of_float (st.ph.time /. st.tl_bucket)
 
@@ -402,13 +448,14 @@ let account_app_seconds st s =
       st.tl_app.(i) <- st.tl_app.(i) +. s
   end
 
-(* Advance time and drain energy for [cycles] plus [extra] joules. *)
+(* The checked path's physics step: [cycles] of core time and energy
+   plus [extra] joules (NVM traffic), through the shared kernel.  Every
+   per-instruction step outside fast blocks comes here: injected fetch
+   sites, the JIT-checkpoint ISR, rollback, undo appends and recovery. *)
 let spend st cycles ~extra =
-  let dt = float_of_int cycles *. cycle_time st in
-  let e = (float_of_int cycles *. epc st) +. extra in
-  ignore (Capacitor.drain st.cap e);
-  charge st dt;
-  st.ph.time <- st.ph.time +. dt
+  physics st
+    (float_of_int cycles *. cycle_time st)
+    ((float_of_int cycles *. epc st) +. extra)
 
 let nvm_extra st ~reads ~writes =
   (float_of_int reads *. st.k_nvm_read_e)
@@ -867,9 +914,7 @@ let try_reboot st =
   else begin
     st.reboots <- st.reboots + 1;
     let latency = (core st).Device.reboot_latency in
-    ignore (Capacitor.drain st.cap (core st).Device.reboot_energy);
-    charge st latency;
-    st.ph.time <- st.ph.time +. latency;
+    physics st latency (core st).Device.reboot_energy;
     if Capacitor.voltage st.cap > st.board.Board.v_off then begin
       st.boot_inhibited <- false;
       st.powered <- true;
@@ -1152,60 +1197,16 @@ let step_instr st =
 
 (* --- pre-decoded block dispatcher ------------------------------------ *)
 
-(* One instruction's physics on the fast path: the exact float sequence
-   of [spend] with [Capacitor.drain]/[charge] inlined (without flambda a
-   cross-module call costs more than the float work it wraps).  Every
-   expression replicates capacitor.ml / harvester.ml operation for
-   operation, so the voltage trajectory is bit-identical to the checked
-   path's.  [min]/[max] are spelled as float comparisons — same result
-   as the polymorphic stdlib versions on the non-NaN values involved.
-   When no attack window is harvesting, [cur_harvest_w = 0.] and the
-   harvester current is >= +0., so skipping the [+. 0.] term cannot
-   change a bit. *)
+(* One instruction on the fast path: the shared [physics] kernel (inlined
+   here, so the dispatcher pays no call for it) plus the counters.  [c]
+   is the instruction's application-cycle count, 0 for
+   compiler-inserted instrumentation (whose cycles the caller books
+   under [instrumentation_cycles]); folding the accounting in here
+   keeps the dispatcher at one call per instruction, which without
+   flambda is a measurable share of the loop. *)
 let spend_fast st dt e c =
   st.instrs <- st.instrs + 1;
-  let cap = st.cap in
-  let ph = st.ph in
-  let open Capacitor in
-  let v0 = cap.voltage in
-  let v1 =
-    if e > 0. then begin
-      let stored = 0.5 *. cap.capacitance *. v0 *. v0 in
-      let removed = if e <= stored then e else stored in
-      let v = sqrt (2. *. (stored -. removed) /. cap.capacitance) in
-      cap.voltage <- v;
-      cap.drained_total <- cap.drained_total +. removed;
-      v
-    end
-    else v0
-  in
-  let i =
-    if st.k_harv_const then ph.k_harv_pw /. (if v1 >= 0.5 then v1 else 0.5)
-    else if st.k_harv_thev then
-      let x = (ph.k_thev_vs -. v1) /. ph.k_thev_r in
-      if 0. >= x then 0. else x
-    else Harvester.current st.k_harv ~time:ph.time ~v:v1
-  in
-  let i =
-    if ph.cur_harvest_w > 0. then
-      i +. (ph.cur_harvest_w /. (if v1 >= 0.5 then v1 else 0.5))
-    else i
-  in
-  if i > 0. && dt > 0. then begin
-    let e0 = 0.5 *. cap.capacitance *. v1 *. v1 in
-    let dv = i *. dt /. cap.capacitance in
-    let v' = v1 +. dv in
-    let v2 = if cap.v_max <= v' then cap.v_max else v' in
-    cap.voltage <- v2;
-    cap.sourced_total <-
-      cap.sourced_total +. ((0.5 *. cap.capacitance *. v2 *. v2) -. e0)
-  end;
-  ph.time <- ph.time +. dt;
-  (* [c] is the instruction's application-cycle count, 0 for
-     compiler-inserted instrumentation (whose cycles the caller books
-     under [instrumentation_cycles]); folding the accounting in here
-     keeps the dispatcher at one call per instruction, which without
-     flambda is a measurable share of the loop. *)
+  physics st dt e;
   st.app_cycles <- st.app_cycles + c;
   if st.k_tl_on && c > 0 then account_app_seconds st dt
 
@@ -1526,9 +1527,7 @@ let step_sleep st =
     if Capacitor.voltage st.cap > st.k_v_off then st.k_sleep_power
     else st.k_sleep_power /. 100.
   in
-  ignore (Capacitor.drain st.cap (sleep_draw *. dt));
-  charge st dt;
-  st.ph.time <- st.ph.time +. dt;
+  physics st dt (sleep_draw *. dt);
   if st.ph.time < st.ph.next_wake_check then ()
   else begin
   st.ph.next_wake_check <- st.ph.time +. wake_poll;

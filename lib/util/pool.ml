@@ -51,6 +51,19 @@ let create ?jobs () =
 
 let jobs t = t.size
 
+let shared_pools = ref []
+let shared_lock = Mutex.create ()
+
+let shared ~jobs =
+  let jobs = max 1 jobs in
+  Mutex.protect shared_lock (fun () ->
+      match List.assoc_opt jobs !shared_pools with
+      | Some p -> p
+      | None ->
+          let p = create ~jobs () in
+          shared_pools := (jobs, p) :: !shared_pools;
+          p)
+
 let shutdown t =
   Mutex.lock t.mutex;
   t.closed <- true;

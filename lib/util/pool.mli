@@ -37,6 +37,16 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     re-raised in the caller with its backtrace — after all tasks of this
     call have finished, so no work is left running in the background. *)
 
+val shared : jobs:int -> t
+(** The process-wide pool of size [jobs] (clamped to at least 1),
+    created on first use and kept for the life of the process, for a
+    caller that would otherwise create and shut down a pool per call.
+    Each spawned and joined domain leaves its share of the major heap
+    behind as free space that the process keeps, so a loop of
+    per-call pools grows the heap with the number of calls.  Never
+    {!shutdown} a shared pool; it is safe to call {!map} on it from
+    several domains at once. *)
+
 val shutdown : t -> unit
 (** Stop and join the worker domains.  Idempotent.  [map] on a shut-down
     pool runs serially. *)

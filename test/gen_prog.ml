@@ -49,7 +49,40 @@ let straight rng b data table =
     random_op rng b data table
   done
 
-let generate seed =
+(* A helper function for [~calls:true] programs: an optional counted
+   loop over the shared data, then [ret].  Helpers write only the data
+   registers and the r11 index mask, and count their loops in r13 (r14
+   the bound test), so the caller's loop counter r10 survives every
+   call and loops still terminate. *)
+let helper rng b data table k =
+  B.func b (Printf.sprintf "f%d" k);
+  B.block b (Printf.sprintf "f%d_entry" k);
+  straight rng b data table;
+  if Rng.bool rng then begin
+    let bound = 2 + Rng.int rng 6 in
+    let i = Reg.of_int 13 and t = Reg.of_int 14 in
+    let hdr = Printf.sprintf "f%d_loop" k in
+    let out = Printf.sprintf "f%d_done" k in
+    B.li b i 0;
+    B.block b hdr ~loop_bound:bound;
+    straight rng b data table;
+    let slot = Rng.int rng 16 in
+    B.ld b t (B.at data slot);
+    B.add b t t (B.reg i);
+    B.st b (B.at data slot) t;
+    B.add b i i (B.imm 1);
+    B.bin b Instr.Slt t i (B.imm bound);
+    B.br b Instr.Nz t hdr out;
+    B.block b out
+  end;
+  B.ret b
+
+(* [calls] (default [false]) adds 1-3 helper functions and phases that
+   call them, some from inside a counted loop: the interprocedural shapes
+   (callee entry checkpoints overwriting slots a caller's boundary
+   restores) that make the speculative pipeline emit undo-log guards.
+   Without it the generator's output is unchanged. *)
+let generate ?(calls = false) seed =
   let rng = Rng.create seed in
   let b = B.program (Printf.sprintf "rand_%d" seed) in
   let data =
@@ -62,6 +95,13 @@ let generate seed =
       ~init:(Array.init 16 (fun i -> (i * 37) land 0xFF))
       ()
   in
+  let helpers = if calls then 1 + Rng.int rng 3 else 0 in
+  let call_some p =
+    let k = Rng.int rng helpers in
+    let ret = Printf.sprintf "ret%d_%d" p k in
+    B.call b (Printf.sprintf "f%d" k) ~ret;
+    B.block b ret
+  in
   B.func b "main";
   B.block b "entry";
   for i = 0 to n_regs - 1 do
@@ -69,7 +109,7 @@ let generate seed =
   done;
   let phases = 2 + Rng.int rng 4 in
   for p = 0 to phases - 1 do
-    match Rng.int rng 3 with
+    match Rng.int rng (if calls then 4 else 3) with
     | 0 -> straight rng b data table
     | 1 ->
         (* Counted loop. *)
@@ -80,6 +120,7 @@ let generate seed =
         let out = Printf.sprintf "after%d" p in
         B.block b hdr ~loop_bound:bound;
         straight rng b data table;
+        if calls && Rng.bool rng then call_some p;
         (* Occasional read-modify-write to force WAR structure. *)
         if Rng.bool rng then begin
           let slot = Rng.int rng 16 in
@@ -91,7 +132,7 @@ let generate seed =
         B.bin b Instr.Slt t i (B.imm bound);
         B.br b Instr.Nz t hdr out;
         B.block b out
-    | _ ->
+    | 2 ->
         (* If-diamond. *)
         let t = Reg.r12 in
         let th = Printf.sprintf "then%d" p
@@ -106,6 +147,13 @@ let generate seed =
         straight rng b data table;
         B.block b j;
         if Rng.bool rng then B.io_out b 1 (reg rng)
+    | _ ->
+        (* Straight-line call. *)
+        straight rng b data table;
+        call_some p
   done;
   B.halt b;
+  for k = 0 to helpers - 1 do
+    helper rng b data table k
+  done;
   B.finish b

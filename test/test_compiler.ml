@@ -200,6 +200,27 @@ let test_prune_decisions () =
   Alcotest.(check bool) "accounting" true
     (s.Core.Meta.kept + s.Core.Meta.pruned = s.Core.Meta.candidates)
 
+(* Colouring repair on call-bearing programs whose main-loop counter is
+   live across calls: repairing after the newest repair boundary only
+   carries the same odd cycle onto the next one, so the repair must
+   move to another node of the cycle for the rounds to converge, in
+   both modes. *)
+let test_coloring_converges_with_calls () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun mode ->
+          let p, meta =
+            Core.Pipeline.compile ~mode Core.Scheme.Gecko
+              (Gen_prog.generate ~calls:true seed)
+          in
+          match Core.Verify.coloring p meta with
+          | Ok () -> ()
+          | Error e ->
+              Alcotest.failf "seed %d: %s" seed (String.concat "; " e))
+        [ Core.Mode.Legacy; Core.Mode.Speculative ])
+    [ 272; 1241 ]
+
 (* Coloring: a loop header's checkpoints get a repair partner with
    alternating colours. *)
 let test_coloring_alternates () =
@@ -510,6 +531,8 @@ let () =
         [
           Alcotest.test_case "prune decisions" `Quick test_prune_decisions;
           Alcotest.test_case "coloring alternates" `Quick test_coloring_alternates;
+          Alcotest.test_case "coloring converges with calls" `Quick
+            test_coloring_converges_with_calls;
         ] );
       ( "colouring rules",
         [

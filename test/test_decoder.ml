@@ -220,6 +220,15 @@ let norm_ref (o : Ref_machine.outcome) =
     List.map (Format.asprintf "%a" Ref_machine.pp_event) o.Ref_machine.events,
     o.Ref_machine.hit_limit )
 
+(* The end-of-run energy gauges (fleet reports aggregate the first two),
+   as raw bits so the comparison is exact. *)
+let energy_bits reg =
+  List.map
+    (fun name ->
+      Int64.bits_of_float
+        (Gecko_obs.Metrics.gauge_value (Gecko_obs.Metrics.gauge reg name)))
+    [ "energy.drained_j"; "energy.sourced_j"; "machine.cap_voltage_final_v" ]
+
 (* The groups below test checked mode only if the machine's memories
    really are checked: a dynamic load past the end of NVM must fail with
    [Nvm]'s own range message, not the runtime's bounds check. *)
@@ -257,6 +266,8 @@ let prop_checked_matches_reference =
       let scheme = scheme_of seed in
       let image, meta = compile scheme seed in
       let board = crashy_board () in
+      let metrics = Gecko_obs.Metrics.create () in
+      let rmetrics = Gecko_obs.Metrics.create () in
       let o, nvm =
         M.Machine.run_with_nvm ~board ~image ~meta
           {
@@ -267,6 +278,7 @@ let prop_checked_matches_reference =
             restart_on_halt = true;
             record_io = true;
             record_events = true;
+            metrics = Some metrics;
           }
       in
       let r, rnvm =
@@ -279,9 +291,11 @@ let prop_checked_matches_reference =
             restart_on_halt = true;
             record_io = true;
             record_events = true;
+            metrics = Some rmetrics;
           }
       in
-      norm o = norm_ref r && nvm = rnvm)
+      norm o = norm_ref r && nvm = rnvm
+      && energy_bits metrics = energy_bits rmetrics)
 
 (* Genuine mid-run power failures: the supply is gated by a square wave,
    so the capacitor collapses and recovers repeatedly.  Rollback and
@@ -301,6 +315,8 @@ let prop_outage_matches_reference =
               (H.thevenin ~v_source:3.3 ~r_source:1500.);
         }
       in
+      let metrics = Gecko_obs.Metrics.create () in
+      let rmetrics = Gecko_obs.Metrics.create () in
       let o, nvm =
         M.Machine.run_with_nvm ~board ~image ~meta
           {
@@ -311,6 +327,7 @@ let prop_outage_matches_reference =
             restart_on_halt = true;
             record_io = true;
             record_events = true;
+            metrics = Some metrics;
           }
       in
       let r, rnvm =
@@ -323,9 +340,11 @@ let prop_outage_matches_reference =
             restart_on_halt = true;
             record_io = true;
             record_events = true;
+            metrics = Some rmetrics;
           }
       in
-      norm o = norm_ref r && nvm = rnvm)
+      norm o = norm_ref r && nvm = rnvm
+      && energy_bits metrics = energy_bits rmetrics)
 
 (* An injected power failure mid-run (the n-th instruction-fetch site),
    identically on the fast and the checked interpreter: the decoded
@@ -344,6 +363,7 @@ let prop_injected_failure_fast_vs_checked =
       let image, meta = compile scheme seed in
       let board = crashy_board () in
       let run_with ~fast =
+        let metrics = Gecko_obs.Metrics.create () in
         let h =
           M.Machine.Step.start ~board ~image ~meta
             {
@@ -355,6 +375,7 @@ let prop_injected_failure_fast_vs_checked =
               record_io = true;
               record_events = true;
               fast;
+              metrics = Some metrics;
             }
         in
         let fetches = ref 0 in
@@ -374,11 +395,12 @@ let prop_injected_failure_fast_vs_checked =
         while M.Machine.Step.step_block h do
           ()
         done;
-        (M.Machine.Step.outcome h, M.Machine.Step.nvm_data h)
+        let o = M.Machine.Step.outcome h in
+        (o, M.Machine.Step.nvm_data h, energy_bits metrics)
       in
-      let o1, nvm1 = run_with ~fast:true in
-      let o2, nvm2 = run_with ~fast:false in
-      norm o1 = norm o2 && nvm1 = nvm2)
+      let o1, nvm1, e1 = run_with ~fast:true in
+      let o2, nvm2, e2 = run_with ~fast:false in
+      norm o1 = norm o2 && nvm1 = nvm2 && e1 = e2)
 
 (* Pure observers (metrics registry, flight recorder) plus an armed but
    always-false injector must leave the fast path's outcome untouched. *)

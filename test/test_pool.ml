@@ -61,6 +61,24 @@ let test_stress_many_tasks () =
           (Pool.map p (fun x -> (x * round) mod 97) xs)
       done)
 
+(* A shared pool is created once per size and serves map calls from
+   several domains at once, each batch in its own input order. *)
+let test_shared_pool () =
+  let p = Pool.shared ~jobs:3 in
+  Alcotest.(check bool) "same pool for the same size" true (p == Pool.shared ~jobs:3);
+  Alcotest.(check bool) "a pool per size" false (p == Pool.shared ~jobs:2);
+  let batch k () = Pool.map p (fun x -> (x * k) + 1) (List.init 200 Fun.id) in
+  let others = List.init 2 (fun k -> Domain.spawn (batch (k + 2))) in
+  let mine = batch 1 () in
+  Alcotest.(check (list int)) "caller's batch" (List.init 200 (fun x -> x + 1)) mine;
+  List.iteri
+    (fun k d ->
+      Alcotest.(check (list int))
+        "concurrent batch"
+        (List.init 200 (fun x -> (x * (k + 2)) + 1))
+        (Domain.join d))
+    others
+
 let test_default_jobs_positive () =
   Alcotest.(check bool) "default_jobs >= 1" true (Pool.default_jobs () >= 1)
 
@@ -99,6 +117,7 @@ let () =
           Alcotest.test_case "usable after failure" `Quick test_survives_failure;
           Alcotest.test_case "size 1 = List.map" `Quick test_serial_matches_list_map;
           Alcotest.test_case "stress: many tasks" `Quick test_stress_many_tasks;
+          Alcotest.test_case "shared pool" `Quick test_shared_pool;
           Alcotest.test_case "default jobs" `Quick test_default_jobs_positive;
         ] );
       ( "workbench",

@@ -11,6 +11,8 @@ open Gecko_isa
 module Core = Gecko_core
 module M = Gecko_machine
 module H = Gecko_energy.Harvester
+module Inject = Gecko_faultinject.Inject
+module Explore = Gecko_faultinject.Explore
 
 let compile scheme seed = Core.Pipeline.compile scheme (Gen_prog.generate seed)
 
@@ -191,6 +193,68 @@ let random_schedule seed =
   in
   Gecko_emi.Schedule.make wins
 
+(* Undo-log bound (DESIGN.md "Undo-log bound"): no image the default
+   (speculative) GECKO pipeline links reaches the overflow [failwith] in
+   [Machine.undo_append], under random EMI schedules or across injected
+   fetch-site crashes, and every injected replay still ends with the
+   golden NVM.  The programs carry calls, the shape that makes the
+   pipeline emit guards.  One case is a batch of seeds, so the property
+   can also demand that it is not vacuous: some seed executes guarded
+   stores, and some crash lands between a guarded store and its
+   boundary, which the recovery then undoes (a misspeculation). *)
+let undo_log_overflow = "Machine: speculation undo log overflow"
+
+let undo_log_case seed =
+  let p, meta =
+    Core.Pipeline.compile Core.Scheme.Gecko (Gen_prog.generate ~calls:true seed)
+  in
+  let image = Link.link ~guards:meta.Core.Meta.guards p in
+  let board = crashy_board () in
+  let scheduled =
+    M.Machine.run ~board ~image ~meta
+      {
+        M.Machine.default_options with
+        schedule = random_schedule seed;
+        limit = M.Machine.Sim_time 0.2;
+        max_sim_time = 0.25;
+        seed;
+        restart_on_halt = true;
+      }
+  in
+  let opts = Explore.default_opts in
+  let golden, _ = Explore.golden ~board ~image ~meta () in
+  let sites, census, _ = Inject.census ~board ~image ~meta opts in
+  let fetches =
+    List.filter
+      (fun s -> s.Inject.s_kind = Inject.K_instr)
+      (Array.to_list sites)
+  in
+  (* At most ~300 crashes per program, evenly spread over its fetches. *)
+  let stride = max 1 ((List.length fetches + 299) / 300) in
+  let replays =
+    List.filteri (fun i _ -> i mod stride = 0) fetches
+    |> List.map (fun s ->
+           Inject.run_with_fires ~board ~image ~meta opts
+             ~fires:[ s.Inject.s_ordinal ])
+  in
+  ( scheduled.M.Machine.guarded_stores + census.M.Machine.guarded_stores > 0,
+    List.exists (fun (o, _) -> o.M.Machine.misspeculations > 0) replays,
+    List.for_all (fun (_, nvm) -> nvm = golden) replays )
+
+let prop_undo_log_bounded =
+  QCheck.Test.make ~count:3
+    ~name:"undo log never overflows under schedules or injected crashes"
+    (QCheck.make
+       ~print:(fun l -> String.concat "," (List.map string_of_int l))
+       QCheck.Gen.(list_repeat 24 (int_bound 99999)))
+    (fun seeds ->
+      match List.map undo_log_case seeds with
+      | exception Failure m when m = undo_log_overflow -> false
+      | cases ->
+          List.exists (fun (guarded, _, _) -> guarded) cases
+          && List.exists (fun (_, undone, _) -> undone) cases
+          && List.for_all (fun (_, _, consistent) -> consistent) cases)
+
 (* Project both outcome types onto one comparable shape (the reference
    predates the [instructions] counter, which is therefore excluded). *)
 let norm_m (o : M.Machine.outcome) =
@@ -253,14 +317,49 @@ let norm_r (o : Ref_machine.outcome) =
     List.map (Format.asprintf "%a" Ref_machine.pp_event) o.Ref_machine.events,
     o.Ref_machine.hit_limit )
 
+(* The board's harvester is drawn from every constructor, so the
+   machine's shared physics kernel is diffed on each of its branches:
+   the constant-power and Thevenin shortcuts and the [Harvester.current]
+   fallback for every other shape. *)
+let diff_harvester rng =
+  match Gecko_util.Rng.int rng 6 with
+  | 0 -> H.constant_power 2e-3
+  | 1 -> H.thevenin ~v_source:3.3 ~r_source:2000.
+  | 2 ->
+      H.square_wave ~period:0.02 ~duty:0.55
+        (H.thevenin ~v_source:3.3 ~r_source:1500.)
+  | 3 ->
+      H.scripted
+        [
+          (0.01, H.thevenin ~v_source:3.3 ~r_source:1500.);
+          (0.005, H.none);
+          (0.01, H.constant_power 1.5e-3);
+        ]
+  | 4 -> H.rf_ambient ~seed:(Gecko_util.Rng.int rng 1000) ~mean_power:3e-3 ~flicker:0.3
+  | _ -> H.none
+
 let diff_board seed =
-  let b = crashy_board () in
+  let b =
+    {
+      (crashy_board ()) with
+      M.Board.harvester = diff_harvester (Gecko_util.Rng.create seed);
+    }
+  in
   if seed mod 2 = 0 then b
   else
     { b with M.Board.monitor_choice = Gecko_devices.Device.Use_comparator }
 
+(* The end-of-run energy gauges (fleet reports aggregate the first two),
+   as raw bits so the comparison is exact. *)
+let energy_bits reg =
+  List.map
+    (fun name ->
+      Int64.bits_of_float
+        (Gecko_obs.Metrics.gauge_value (Gecko_obs.Metrics.gauge reg name)))
+    [ "energy.drained_j"; "energy.sourced_j"; "machine.cap_voltage_final_v" ]
+
 let prop_optimized_matches_reference =
-  QCheck.Test.make ~count:24
+  QCheck.Test.make ~count:36
     ~name:"optimized interpreter matches the frozen reference" seed_gen
     (fun seed ->
       let scheme =
@@ -277,11 +376,14 @@ let prop_optimized_matches_reference =
       let image = Link.link ~guards:meta.Core.Meta.guards p in
       let board = diff_board seed in
       let schedule = random_schedule seed in
-      (* Arm the pure observers on the optimized side for half the
-         seeds: a metrics registry and a flight recorder must not
-         perturb a single float of the outcome, and the reference knows
-         nothing of either. *)
+      (* Arm the flight recorder on the optimized side for half the
+         seeds: a pure observer must not perturb a single float of the
+         outcome, and the reference knows nothing of it.  Both sides
+         export into a metrics registry, whose energy gauges must agree
+         bit for bit.  A third of the seeds run the checked path only. *)
       let observers = seed mod 2 = 1 in
+      let metrics = Gecko_obs.Metrics.create () in
+      let rmetrics = Gecko_obs.Metrics.create () in
       let o =
         M.Machine.run ~board ~image ~meta
           {
@@ -294,11 +396,11 @@ let prop_optimized_matches_reference =
             record_io = true;
             record_events = true;
             timeline_bucket = Some 0.01;
-            metrics =
-              (if observers then Some (Gecko_obs.Metrics.create ()) else None);
+            metrics = Some metrics;
             flight =
               (if observers then Some (Gecko_obs.Flight.create ~capacity:64 ())
                else None);
+            fast = seed mod 3 <> 0;
           }
       in
       let r =
@@ -313,9 +415,10 @@ let prop_optimized_matches_reference =
             record_io = true;
             record_events = true;
             timeline_bucket = Some 0.01;
+            metrics = Some rmetrics;
           }
       in
-      norm_m o = norm_r r)
+      norm_m o = norm_r r && energy_bits metrics = energy_bits rmetrics)
 
 (* The hoisted per-run IO RNG must reproduce the stream the reference
    obtains by allocating a fresh generator per [In]. *)
@@ -397,6 +500,7 @@ let () =
             prop_crash_consistency Core.Scheme.Gecko_noprune;
             prop_crash_consistency Core.Scheme.Gecko;
             prop_gecko_under_attack;
+            prop_undo_log_bounded;
           ] );
       ( "compiler",
         q [ prop_compiler_invariants; prop_cross_scheme_agreement ] );
