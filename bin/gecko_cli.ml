@@ -39,18 +39,13 @@ let mode_conv =
 let mode_arg =
   let doc =
     "Pipeline soundness mode: $(b,speculative) (the default and only \
-     sound mode: syntactic may-alias region cuts, optimistic \
-     checkpoint-slot reuse, and the unprovable window clobbers guarded at \
-     runtime via the NVM undo log), or $(b,legacy) (the seed's \
+     sound mode: syntactic may-alias region cuts, and optimistic \
+     checkpoint-slot reuse with every reuse clobbered in its crash window \
+     force-kept at compile time), or $(b,legacy) (the seed's \
      optimistic, potentially unsound baseline — for overhead measurement \
      only)."
   in
   Arg.(value & opt mode_conv Compiler.Mode.default & info [ "m"; "mode" ] ~doc)
-
-(* Speculative metas carry runtime guards; linking them into the image is
-   what arms the undo-log protocol. *)
-let link_with_guards p (meta : Compiler.Meta.t) =
-  Gecko.Isa.Link.link ~guards:meta.Compiler.Meta.guards p
 
 let find_workload name =
   if Filename.check_suffix name ".gasm" then
@@ -161,9 +156,6 @@ let compile_cmd =
       (Compiler.Mode.to_string mode)
       Compiler.Meta.pp_stats meta.Compiler.Meta.stats
       (Compiler.Pipeline.checkpoint_store_count p);
-    (match meta.Compiler.Meta.guards with
-    | [] -> ()
-    | gs -> Printf.printf "  speculation guards: %d\n" (List.length gs));
     (match registry with
     | Some reg ->
         let module Mx = Gecko.Obs.Metrics in
@@ -177,19 +169,20 @@ let compile_cmd =
                 (1e3 *. Mx.hist_sum h) (Mx.gauge_value g))
           [
             "copy"; "regions"; "split"; "regions2"; "coloring"; "emit";
-            "guards"; "verify";
+            "clobbers"; "verify";
           ];
-        let rounds =
-          Mx.counter_value (Mx.counter reg "pipeline.coloring.rounds")
-        in
-        if rounds > 0 then Printf.printf "  colouring rounds: %d\n" rounds
+        let count name = Mx.counter_value (Mx.counter reg name) in
+        let rounds = count "pipeline.coloring.rounds" in
+        if rounds > 0 then Printf.printf "  colouring rounds: %d\n" rounds;
+        let keeps = count "pipeline.slot_force_keeps" in
+        if keeps > 0 then Printf.printf "  slot force-keeps: %d\n" keeps
     | None -> ());
     (match (tracer, trace_out) with
     | Some tr, Some path -> write_trace path tr
     | _ -> ());
     if asm then print_string (Gecko.Isa.Asm.to_string p);
     if disasm then
-      print_string (Gecko.Isa.Link.disasm (link_with_guards p meta))
+      print_string (Gecko.Isa.Link.disasm (Gecko.Isa.Link.link p))
   in
   Cmd.v (Cmd.info "compile" ~doc:"Compile a workload and show pipeline statistics")
     Term.(const run $ workload_arg $ scheme_arg $ mode_arg $ disasm $ asm
@@ -269,7 +262,7 @@ let run_cmd =
   let run name scheme mode seconds attack_mhz attack_at outages events
       trace_out metrics_out timeline no_fast =
     let p, meta = Compiler.Pipeline.compile ~mode scheme (find_workload name) in
-    let image = link_with_guards p meta in
+    let image = Gecko.Isa.Link.link p in
     let board =
       if outages then
         {
@@ -389,16 +382,13 @@ let run_cmd =
     Printf.printf
       "%s as %s for %.2fs:\n  completions %d | reboots %d | JIT checkpoints %d \
        (%d failed) | rollbacks %d\n  recovery blocks run %d | detections %d | \
-       re-enables %d | corrupt resumes %d%s\n  forward-progress rate %.2f%% | \
+       re-enables %d | corrupt resumes %d\n  forward-progress rate %.2f%% | \
        final mode %s\n"
       name
       (Compiler.Scheme.to_string scheme)
       o.M.sim_time o.M.completions o.M.reboots o.M.jit_checkpoints
       o.M.jit_checkpoint_failures o.M.rollbacks o.M.recovery_block_runs
       o.M.detections o.M.reenables o.M.corruptions
-      (if Array.length image.Gecko.Isa.Link.guards > 0 then
-         Printf.sprintf " | misspeculations %d" o.M.misspeculations
-       else "")
       (100. *. M.forward_progress o)
       (Compiler.Policy.mode_to_string o.M.final_mode)
   in
@@ -461,7 +451,7 @@ let fuzz_cmd =
       | None -> Gecko.Util.Pool.default_jobs ()
     in
     let p, meta = Compiler.Pipeline.compile ~mode scheme (find_workload name) in
-    let image = link_with_guards p meta in
+    let image = Gecko.Isa.Link.link p in
     (* Exploration and fuzzing both want natural checkpoint/rollback
        traffic within a short workload, so starve a micro-cap board
        through a weak supply: the capacitor browns out every few hundred
@@ -494,22 +484,9 @@ let fuzz_cmd =
     (* A tight simulated-time cap keeps shrinking fast: candidate
        programs whose deletions destroyed termination would otherwise
        burn the full 30 s safety cap per replay. *)
-    (* Shrunk mutants re-link with RECOMPUTED guards: deletions shift
-       instruction indices, so the compile-time positions in [meta] go
-       stale, and a guard that slid off its store would unsoundly skip
-       the undo-log append.  The reused (register, colour) roots come
-       from [meta]'s restores — boundary ids are stable under shrink
-       deletions; only the code positions are recomputed. *)
-    let reguard prog =
-      match mode with
-      | Compiler.Mode.Speculative ->
-          Compiler.Pipeline.speculation_guards prog meta
-      | Compiler.Mode.Legacy -> []
-    in
     let shrink_check board =
       FI.Shrink.default_check
-        ~compile:(fun prog ->
-          (Gecko.Isa.Link.link ~guards:(reguard prog) prog, meta))
+        ~compile:(fun prog -> (Gecko.Isa.Link.link prog, meta))
         ~board
         ~opts:{ FI.Explore.default_opts with Gecko.Machine.max_sim_time = 1.0 }
         ()

@@ -221,21 +221,32 @@ let pick_repair_node ~avoid edges cycle =
       in
       (match best with Some x -> x | None -> first)
 
+(* What a colouring call leaves behind for the next one on the same
+   program: the repair boundaries, with the registers each force-keeps. *)
+type state = {
+  repairs : (int, Reg.Set.t) Hashtbl.t;
+  repair_at : (int, int) Hashtbl.t;
+}
+
 type outcome = {
   cands : Candidates.t;
   decisions : Prune.result;
   colors : t;
   rounds : int;
+  state : state;
 }
 
-let assign ~next_id ~analyze (p : Cfg.program) =
-  let repairs : (int, Reg.Set.t) Hashtbl.t = Hashtbl.create 8 in
-  let repair_at : (int, int) Hashtbl.t = Hashtbl.create 8 in
+let assign ?resume ~next_id ~analyze (p : Cfg.program) =
   (* A repair boundary neither uses nor defines a register, so liveness,
      clobbers, dominators and block reachability hold for every round.
      It also sits directly after an existing boundary, so it can only cut
      WAR paths: an empty hazard set stays empty, while a non-empty one
      (whose positions shift) is recomputed. *)
+  let repairs, repair_at =
+    match resume with
+    | Some s -> (s.repairs, s.repair_at)
+    | None -> (Hashtbl.create 8, Hashtbl.create 8)
+  in
   let facts = Candidates.facts p in
   let rec loop round hazards =
     if round > 256 then failwith "Coloring.assign: did not converge";
@@ -244,7 +255,7 @@ let assign ~next_id ~analyze (p : Cfg.program) =
        "additional checkpoint that saves the problematic register to a
        different index"): the forced keeps are passed INTO the analysis —
        not patched in afterwards — so the reuse pass can neither reuse
-       them away (undoing the alternation) nor route another site's
+       them away (reverting the alternation) nor route another site's
        restore at a slot the repair's own store would clobber inside that
        site's crash window; its other live-ins are treated normally. *)
     let cands = Candidates.compute ~facts ~hazards p in
@@ -255,7 +266,14 @@ let assign ~next_id ~analyze (p : Cfg.program) =
     in
     let decisions = analyze ~force_keep p cands in
     match try_color cands decisions with
-    | Colored colors -> { cands; decisions; colors; rounds = round + 1 }
+    | Colored colors ->
+        {
+          cands;
+          decisions;
+          colors;
+          rounds = round + 1;
+          state = { repairs; repair_at };
+        }
     | Conflict (reg, cycle, redges) ->
         let avoid x =
           match Hashtbl.find_opt repairs x with

@@ -28,15 +28,22 @@ val color : t -> int -> Reg.t -> int
 (** Colour of the checkpoint store of a register at a boundary; raises
     [Not_found] if that pair is not an emitted store. *)
 
+type state
+(** What one {!assign} call hands to the next on the same program: its
+    repair boundaries, with the registers each force-keeps. *)
+
 type outcome = {
   cands : Candidates.t;  (** of the final, repaired program *)
   decisions : Prune.result;
   colors : t;
   rounds : int;
-      (** colouring attempts: one per repair, plus the final success *)
+      (** colouring attempts of this call: one per repair, plus the final
+          success *)
+  state : state;
 }
 
 val assign :
+  ?resume:state ->
   next_id:int ref ->
   analyze:
     (force_keep:(int -> Reg.Set.t) ->
@@ -51,5 +58,11 @@ val assign :
     in particular the reuse pass sees them as unprunable owned stores
     rather than discovering them after the fact.  Facts a repair cannot
     change (liveness, clobbers, dominators, block reachability, an empty
-    hazard set) are computed once per call.  Raises [Failure] if
-    colouring does not converge. *)
+    hazard set) are computed once per call.
+
+    [resume] continues from the [state] of an earlier call on the same
+    program, whose repair boundaries are still in place and whose
+    emitted checkpoint stores have been removed again: its repairs stay
+    force-kept instead of being rediscovered one round at a time.  The
+    pipeline resumes this way after it force-keeps a clobbered reuse.
+    Raises [Failure] if colouring does not converge. *)

@@ -48,15 +48,11 @@ type t = {
   infos : (int, binfo) Hashtbl.t;
   stats : stats;
   guards : (string * string * int) list;
-      (** Speculation guards: [(fname, block label, instr idx)] of every
-          owned checkpoint store that may overwrite, inside some
-          boundary's crash window, a slot that boundary's recovery
-          state reads — the overwrites the optimistic reuse pass does
-          not prove harmless ({!Verify.slot_clobbers}).
-          The linker marks these code slots so the runtime appends an
-          undo-log entry (the slot cell's old word) before each such
-          store; rollback replays the log before running restores.
-          Empty outside [Speculative] mode. *)
+      (** Always [[]].  The pipeline proves slot safety statically (a
+          reuse whose slot is clobbered in its crash window is
+          force-kept), so no store needs a runtime guard; the field
+          stays so that code written against the retired guards, such
+          as the [bench/perf] harness, still compiles. *)
 }
 
 val empty : Scheme.t -> t

@@ -7,10 +7,9 @@
    - [Speculative] (the default, and the only sound mode): region
      formation cuts every syntactic may-alias hazard (regions stay
      idempotent), checkpoint pruning reuses slots optimistically, and
-     every owned checkpoint store whose window clobber cannot be proven
-     harmless is emitted with a runtime speculation guard (an NVM
-     undo-log append) so rollback can restore the overwritten slot
-     words before running the register restores. *)
+     every reuse whose slot a store overwrites inside the reuser's crash
+     window is force-kept at compile time, so the emitted image needs
+     no runtime guard. *)
 
 type t = Legacy | Speculative
 

@@ -4,10 +4,8 @@
     the soundness-overhead measurement baseline.  [Speculative] (the
     default) is the sound pipeline: it cuts every syntactic may-alias
     hazard at region formation, reuses checkpoint slots optimistically,
-    and emits runtime speculation guards (NVM undo-log appends) on the
-    owned stores whose window clobbers cannot be proven harmless, so a
-    rollback can restore the overwritten slot words before running the
-    register restores. *)
+    and force-keeps every reuse whose slot a store overwrites inside the
+    reuser's crash window, so slot safety is proven statically. *)
 
 type t = Legacy | Speculative
 

@@ -49,19 +49,20 @@ let pass ?obs ?metrics p name f =
         (float_of_int (Cfg.instr_count p)));
   r
 
-(* Speculation guards: the optimistic reuse pass lets a restore read a
-   slot owned by a (possibly distant) dominating boundary without
-   proving that the slot survives the restore's crash window.  The
-   stores that actually endanger a read are exactly the window clobbers
-   the {!Verify.slots} scan cannot exempt (most owner re-executions store the identical word —
-   loop-invariant re-checkpoints — and need nothing): each of those
-   carries a runtime guard, an undo-log append of the slot cell's old
-   value.  Rollback replays the log before running restores, so the
-   slot reads its as-of-commit value no matter what the crash window
-   overwrote.  Guard positions are named on the FINAL (post-emit)
-   program as (fname, block label, instr idx) for the linker. *)
-let speculation_guards (p : Cfg.program) (meta : Meta.t) =
-  Verify.slot_clobbers p meta
+(* Bound on colour-emit-scan attempts of one compile.  Every attempt
+   after the first force-keeps at least one more reuse, so a compile
+   that needs more has a scan that no keep can satisfy. *)
+let max_settle_attempts = 64
+
+(* Emission only prepends checkpoint stores to the [Boundary]s of
+   existing blocks, so remembering every block's instruction list is
+   enough to take it back. *)
+let snapshot (p : Cfg.program) =
+  List.concat_map
+    (fun (f : Cfg.func) -> List.map (fun b -> (b, b.Cfg.instrs)) f.Cfg.blocks)
+    p.Cfg.funcs
+
+let restore snap = List.iter (fun ((b : Cfg.block), is) -> b.Cfg.instrs <- is) snap
 
 let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
     ?(prune_reuse = true) ?(mode = Mode.default) ?obs ?metrics scheme prog =
@@ -94,49 +95,84 @@ let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
                     ignore force_keep;
                     Prune.keep_all cands
             in
-            let col =
-              pass "coloring" (fun () -> Coloring.assign ~next_id ~analyze p)
+            (* Static slot safety.  Reuse is optimistic: nothing in
+               pruning proves that a reused owner's slot survives the
+               reuser's crash window.  The window-clobber scan finds
+               every read it does not survive; each becomes a forced
+               [Keep] (an owned store, which span colouring gives its
+               own colour), and colouring resumes until the scan is
+               empty.  [Legacy] keeps its optimistic reuses. *)
+            let forced = Hashtbl.create 8 in
+            let forced_at bid =
+              Option.value ~default:Reg.Set.empty (Hashtbl.find_opt forced bid)
             in
-            Option.iter
-              (fun reg ->
-                Gecko_obs.Metrics.incr ~by:col.Coloring.rounds
-                  (Gecko_obs.Metrics.counter reg "pipeline.coloring.rounds"))
-              metrics;
-            pass "emit" (fun () ->
-                Emit.gecko scheme p col.Coloring.cands col.Coloring.decisions
-                  col.Coloring.colors)
+            let analyze ~force_keep p cands =
+              analyze
+                ~force_keep:(fun bid ->
+                  Reg.Set.union (forced_at bid) (force_keep bid))
+                p cands
+            in
+            let rec settle attempt resume =
+              let col =
+                pass "coloring" (fun () ->
+                    Coloring.assign ?resume ~next_id ~analyze p)
+              in
+              Option.iter
+                (fun reg ->
+                  Gecko_obs.Metrics.incr ~by:col.Coloring.rounds
+                    (Gecko_obs.Metrics.counter reg "pipeline.coloring.rounds"))
+                metrics;
+              let colored = snapshot p in
+              let meta =
+                pass "emit" (fun () ->
+                    Emit.gecko scheme p col.Coloring.cands
+                      col.Coloring.decisions col.Coloring.colors)
+              in
+              let clobbers =
+                match mode with
+                | Mode.Legacy -> []
+                | Mode.Speculative ->
+                    pass "clobbers" (fun () -> Verify.slot_clobbers p meta)
+              in
+              match clobbers with
+              | [] -> meta
+              | _ :: _ ->
+                  let fresh =
+                    List.filter
+                      (fun (bid, r) -> not (Reg.Set.mem r (forced_at bid)))
+                      clobbers
+                  in
+                  if fresh = [] || attempt >= max_settle_attempts then
+                    failwith
+                      "Pipeline: window clobbers did not settle under \
+                       forced keeps";
+                  List.iter
+                    (fun (bid, r) ->
+                      Hashtbl.replace forced bid (Reg.Set.add r (forced_at bid)))
+                    fresh;
+                  Option.iter
+                    (fun reg ->
+                      Gecko_obs.Metrics.incr ~by:(List.length fresh)
+                        (Gecko_obs.Metrics.counter reg
+                           "pipeline.slot_force_keeps"))
+                    metrics;
+                  restore colored;
+                  settle (attempt + 1) (Some col.Coloring.state)
+            in
+            settle 1 None
         | Scheme.Nvp -> assert false
       in
-      (* [Legacy] is the measurement baseline and stops here.  The sound
-         pipeline pruned optimistically: enumerate the owned checkpoint
-         stores of reused slots on the final program (post-split,
-         post-repair, post-emit — positions are the linker's) and record
-         them as runtime guards, then certify slots, io commits and the
-         undo-log bound in the verify pass. *)
-      let meta, sound_gates =
-        match mode with
-        | Mode.Legacy -> (meta, fun () -> ())
-        | Mode.Speculative ->
-            let guards = pass "guards" (fun () -> speculation_guards p meta) in
-            let meta = { meta with Meta.guards } in
-            ( meta,
-              fun () ->
-                (match scheme with
-                | Scheme.Gecko | Scheme.Gecko_noprune ->
-                    fail_on_errors "slots" (Verify.slots p meta)
-                | Scheme.Ratchet | Scheme.Nvp -> ());
-                fail_on_errors "io_commit" (Verify.io_commit p);
-                fail_on_errors "speculation"
-                  (Verify.speculation ~capacity:Link.Cells.undo_capacity p
-                     meta) )
-      in
+      (* [Legacy] is the measurement baseline: the slot and io-commit
+         gates certify only the sound pipeline. *)
+      let sound = mode = Mode.Speculative in
       pass "verify" (fun () ->
           fail_on_errors "idempotence" (Verify.idempotence ~mode p);
           (match scheme with
           | Scheme.Gecko | Scheme.Gecko_noprune ->
-              fail_on_errors "coloring" (Verify.coloring p meta)
+              fail_on_errors "coloring" (Verify.coloring p meta);
+              if sound then fail_on_errors "slots" (Verify.slots p meta)
           | Scheme.Ratchet | Scheme.Nvp -> ());
-          sound_gates ();
+          if sound then fail_on_errors "io_commit" (Verify.io_commit p);
           fail_on_errors "wcet" (Verify.wcet ~budget:budget_cycles p));
       (p, meta)
 

@@ -43,13 +43,13 @@ val compile :
       may-alias WAR hazards are all cut at region formation (regions
       stay idempotent), pruning quarantines functions with residual
       hazards, and checkpoint pruning reuses slots optimistically.
-      Every owned checkpoint store that may overwrite a reused slot
-      inside a crash window gets a runtime speculation guard (an
-      undo-log append of the slot's old word) recorded in
-      {!Meta.t.guards}; rollback replays the log before running
-      restores, so reused slots read their as-of-commit values.  The
-      independent [Verify.slots], [Verify.io_commit] and
-      [Verify.speculation] gates run on the result.
+      After emission the window-clobber scan ({!Verify.slot_clobbers})
+      names every reused slot some store overwrites inside the
+      reuser's crash window; each such reuse is force-kept through
+      [Prune.analyze_with ~force_keep] and colouring resumes, until
+      the scan is empty (bounded; raises [Failure] past the bound).
+      The independent [Verify.slots] and [Verify.io_commit] gates run
+      on the result, so no image needs a runtime guard.
     - [Legacy] — the seed's optimistic compiler; exists solely as the
       baseline for soundness-overhead measurement (it can emit programs
       whose rollback is unsound under dynamic addressing).
@@ -58,19 +58,11 @@ val compile :
     host-clock span (category ["compiler"]) with an [ir_instrs] counter
     sample after it.  [metrics] additionally collects per-pass wall-time
     histograms ([pipeline.<pass>.seconds]), IR-size gauges
-    ([pipeline.<pass>.ir_instrs]) and the [pipeline.coloring.rounds]
-    counter (colouring attempts, one per repair boundary plus the final
-    success). *)
-
-val speculation_guards : Cfg.program -> Meta.t -> (string * string * int) list
-(** The owned checkpoint stores targeting a reused (register, colour)
-    slot of a (final, post-emit) program, as (function, block label,
-    instruction index) triples — what [compile ~mode:Speculative]
-    records in {!Meta.t.guards}.  A slot counts as reused when any
-    boundary's metadata carries a non-owned restore of it.  Exposed so
-    harnesses that re-link a mutated program (e.g. counterexample
-    shrinking) can recompute guard positions for the mutant instead of
-    reusing stale ones. *)
+    ([pipeline.<pass>.ir_instrs]), the [pipeline.coloring.rounds]
+    counter (colouring attempts, one per repair boundary plus one
+    success per colour-emit-scan attempt) and the
+    [pipeline.slot_force_keeps] counter (clobbered reuses turned into
+    owned stores). *)
 
 val checkpoint_store_count : Cfg.program -> int
 (** Static count of checkpoint stores ([Ckpt] / [CkptDyn]) — Table III. *)

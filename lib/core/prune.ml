@@ -238,8 +238,8 @@ let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?(sound = true)
      not re-cross [o].  Then [r]'s value at [s] equals the value the
      root store saved on this very pass, so the restore can reference the
      root's slot.  Whether that slot survives the reuser's crash window
-     is not checked here: a store that may overwrite it there carries a
-     runtime undo-log guard ({!Verify.slot_clobbers}).
+     is not checked here: the pipeline's window-clobber scan
+     ({!Verify.slot_clobbers}) force-keeps every reuse it does not.
 
      A second pass marks the remaining owned stores whose value is
      identical at every crossing ([Keep_stable]): no definition of the

@@ -57,16 +57,17 @@ val analyze_with :
     ablation study disables one or the other).
 
     [force_keep] (default: none) maps a boundary id to registers that
-    must stay plain [Keep] — the colouring pass passes its repair
+    must stay plain [Keep].  The colouring pass passes its repair
     boundaries here so their fresh stores are known {e during} analysis
-    and can never be targeted or converted by the reuse pass.
+    and can never be targeted or converted by the reuse pass, and the
+    pipeline adds every reuse the window-clobber scan rejected.
 
     Reuse is optimistic: a reused restore reads the slot of a dominating
     owner, and nothing here proves that no other store of the register
-    overwrites that slot inside the reuser's crash window.  The
-    speculative pipeline guards every such store at runtime (an undo-log
-    append, see {!Verify.slot_clobbers}), so the slot still reads its
-    as-of-commit value after a rollback.
+    overwrites that slot inside the reuser's crash window.  The sound
+    pipeline checks that after emission ({!Verify.slot_clobbers}) and
+    force-keeps each clobbered reuse, so the restore reads a slot of its
+    own.
 
     [sound] (default [true]) quarantines residual dynamic hazards: every
     candidate in a function that still has a may-alias WAR is kept.

@@ -111,7 +111,7 @@ let form ?(mode = Mode.default) ~next_id p =
      regions stay idempotent by construction, so re-execution after a
      rollback is deterministic without any memory replay.  What
      [Speculative] speculates on is downstream checkpoint slot reuse
-     (runtime-guarded; see {!Prune} and {!Pipeline}), not the
+     (settled at compile time; see {!Prune} and {!Pipeline}), not the
      anti-dependence discipline. *)
   let b = war_fixpoint ~mode next_id p 0 in
   a + b

@@ -63,12 +63,9 @@ let coloring p (meta : Meta.t) =
    restore routed at a slot some later (e.g. repair) boundary
    overwrites.
 
-   The scan is shared: [slots] turns unexempted clobbers into errors
-   (minus the positions carrying a speculation guard — a guarded store
-   appends the slot's old word to the undo log, and rollback replays
-   the log before running restores, so the read survives by
-   construction); [slot_clobbers] returns their positions, which is
-   exactly how the speculative pipeline decides where guards go. *)
+   The scan is shared: [slots] turns every clobber into an error, and
+   [slot_clobbers] names the clobbered reads, which is how the pipeline
+   decides which reuses to force-keep. *)
 let window_clobber_scan p (meta : Meta.t) =
   let cands = Candidates.compute p in
   let w = Spans.make cands in
@@ -114,9 +111,9 @@ let window_clobber_scan p (meta : Meta.t) =
     in
     go 0 b.Cfg.instrs
   in
-  (* Unexempted clobbers as ((fname, label, idx), message); malformed
-     programs (a checkpoint store with no owning boundary) as plain
-     messages. *)
+  (* Unexempted clobbers as ((reading boundary, register), message);
+     malformed programs (a checkpoint store with no owning boundary) as
+     plain messages. *)
   let clobbers = ref [] in
   let errs = ref [] in
   List.iter
@@ -152,16 +149,8 @@ let window_clobber_scan p (meta : Meta.t) =
                                 | _ -> false
                               in
                               if not exempt then
-                                let pos =
-                                  ( cands.Candidates.funcs.(fi).Cfg.fname,
-                                    cands.Candidates.graphs.(fi)
-                                      .A.Fgraph.blocks
-                                      .(blk)
-                                      .Cfg.label,
-                                    idx )
-                                in
                                 clobbers :=
-                                  ( pos,
+                                  ( (s.Candidates.s_id, r),
                                     Printf.sprintf
                                       "restore of %s at boundary %d reads \
                                        slot colour %d, overwritten inside \
@@ -176,23 +165,12 @@ let window_clobber_scan p (meta : Meta.t) =
   (List.rev !clobbers, List.rev !errs)
 
 let slot_clobbers p (meta : Meta.t) =
-  (* Without boundary metadata (Ratchet) no recovery state reads a slot,
-     so the scan would find nothing: skip its analyses. *)
-  if Hashtbl.length meta.Meta.infos = 0 then []
-  else
-    let clobbers, _ = window_clobber_scan p meta in
-    List.sort_uniq compare (List.map fst clobbers)
+  let clobbers, _ = window_clobber_scan p meta in
+  List.sort_uniq compare (List.map fst clobbers)
 
 let slots p (meta : Meta.t) =
   let clobbers, errs = window_clobber_scan p meta in
-  let unguarded =
-    List.filter
-      (fun (pos, _) -> not (List.mem pos meta.Meta.guards))
-      clobbers
-  in
-  match errs @ List.map snd unguarded with
-  | [] -> Ok ()
-  | e -> Error e
+  match errs @ List.map snd clobbers with [] -> Ok () | e -> Error e
 
 (* Atomic io_log commit: the runtime stages [Out] records per region and
    persists them only at the region commit point, so every [Out] must be
@@ -229,63 +207,6 @@ let io_commit (p : Cfg.program) =
         f.Cfg.blocks)
     p.Cfg.funcs;
   match !errs with [] -> Ok () | e -> Error (List.rev e)
-
-(* Undo-log capacity gate.  [Emit.gecko] inserts a boundary's owned
-   checkpoint stores as one run directly before its [Boundary], and the
-   pipeline guards only such stores ({!slot_clobbers} returns [Ckpt]
-   positions).  The runtime empties the log at every commit and at the
-   end of every completed rollback, so between two such points the log
-   receives the guarded stores of at most one run: once every guard is
-   proven to sit in a run and every run's guard count is at most
-   [capacity], the append can never overflow the reserved NVM area. *)
-let speculation ~capacity (p : Cfg.program) (meta : Meta.t) =
-  if meta.Meta.guards = [] then Ok ()
-  else begin
-    let guards = Hashtbl.create 16 in
-    List.iter (fun g -> Hashtbl.replace guards g ()) meta.Meta.guards;
-    (* Guards seen in a run that reached its boundary. *)
-    let covered = Hashtbl.create 16 in
-    let errs = ref [] in
-    List.iter
-      (fun (f : Cfg.func) ->
-        List.iter
-          (fun (b : Cfg.block) ->
-            let run = ref [] in
-            List.iteri
-              (fun i instr ->
-                match instr with
-                | Instr.Ckpt _ ->
-                    let pos = (f.Cfg.fname, b.Cfg.label, i) in
-                    if Hashtbl.mem guards pos then run := pos :: !run
-                | Instr.Boundary id ->
-                    List.iter (fun pos -> Hashtbl.replace covered pos ()) !run;
-                    let n = List.length !run in
-                    if n > capacity then
-                      errs :=
-                        Printf.sprintf
-                          "boundary %d commits %d guarded stores, undo log \
-                           capacity is %d"
-                          id n capacity
-                        :: !errs;
-                    run := []
-                | _ -> run := [])
-              b.Cfg.instrs)
-          f.Cfg.blocks)
-      p.Cfg.funcs;
-    let strays =
-      List.filter_map
-        (fun ((fname, label, i) as pos) ->
-          if Hashtbl.mem covered pos then None
-          else
-            Some
-              (Printf.sprintf
-                 "guard at %s/%s:%d is not a checkpoint store in the run \
-                  that ends at its block's boundary"
-                 fname label i))
-        (List.sort_uniq compare meta.Meta.guards)
-    in
-    match List.rev_append !errs strays with [] -> Ok () | e -> Error e
-  end
 
 let wcet ~budget p =
   let over = Split.max_span p in

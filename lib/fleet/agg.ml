@@ -15,7 +15,6 @@ type t = {
   jit_checkpoint_failures : int;
   rollbacks : int;
   recovery_block_runs : int;
-  misspeculations : int;
   detections : int;
   reenables : int;
   corruptions : int;
@@ -42,7 +41,6 @@ let empty =
     jit_checkpoint_failures = 0;
     rollbacks = 0;
     recovery_block_runs = 0;
-    misspeculations = 0;
     detections = 0;
     reenables = 0;
     corruptions = 0;
@@ -69,7 +67,6 @@ let merge a b =
     jit_checkpoint_failures = a.jit_checkpoint_failures + b.jit_checkpoint_failures;
     rollbacks = a.rollbacks + b.rollbacks;
     recovery_block_runs = a.recovery_block_runs + b.recovery_block_runs;
-    misspeculations = a.misspeculations + b.misspeculations;
     detections = a.detections + b.detections;
     reenables = a.reenables + b.reenables;
     corruptions = a.corruptions + b.corruptions;
@@ -127,7 +124,6 @@ let of_device ~(schedule : Schedule.t) ~energy_drained_j ~energy_sourced_j
     jit_checkpoint_failures = o.M.jit_checkpoint_failures;
     rollbacks = o.M.rollbacks;
     recovery_block_runs = o.M.recovery_block_runs;
-    misspeculations = o.M.misspeculations;
     detections = o.M.detections;
     reenables = o.M.reenables;
     corruptions = o.M.corruptions;
@@ -193,7 +189,6 @@ let to_json t =
       ("jit_checkpoint_failures", Json.Int t.jit_checkpoint_failures);
       ("rollbacks", Json.Int t.rollbacks);
       ("recovery_block_runs", Json.Int t.recovery_block_runs);
-      ("misspeculations", Json.Int t.misspeculations);
       ("detections", Json.Int t.detections);
       ("reenables", Json.Int t.reenables);
       ("corruptions", Json.Int t.corruptions);
@@ -230,12 +225,6 @@ let of_json j =
     jit_checkpoint_failures = int "jit_checkpoint_failures";
     rollbacks = int "rollbacks";
     recovery_block_runs = int "recovery_block_runs";
-    (* Absent in snapshots written before the speculative pipeline. *)
-    misspeculations =
-      (match Json.member "misspeculations" j with
-      | Some (Json.Int i) -> i
-      | Some _ -> bad "misspeculations: expected int"
-      | None -> 0);
     detections = int "detections";
     reenables = int "reenables";
     corruptions = int "corruptions";

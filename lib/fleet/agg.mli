@@ -21,11 +21,6 @@ type t = {
   jit_checkpoint_failures : int;
   rollbacks : int;
   recovery_block_runs : int;
-  misspeculations : int;
-      (** Rollbacks on speculative (guarded) images that replayed undo
-          entries — dynamic confirmations of residual may-alias
-          hazards.  Read as 0 from snapshots predating the speculative
-          pipeline. *)
   detections : int;
   reenables : int;
   corruptions : int;

@@ -162,7 +162,6 @@ type t = {
   ckpt_failures : int;
   brownouts : int;
   detections : int;
-  misspeculations : int;
   completions : int;
   latency : Sketch.t;
   top_k : int;
@@ -177,7 +176,6 @@ let empty ~top_k =
     ckpt_failures = 0;
     brownouts = 0;
     detections = 0;
-    misspeculations = 0;
     completions = 0;
     latency = Sketch.empty;
     top_k = max 0 top_k;
@@ -205,7 +203,6 @@ let merge a b =
     ckpt_failures = a.ckpt_failures + b.ckpt_failures;
     brownouts = a.brownouts + b.brownouts;
     detections = a.detections + b.detections;
-    misspeculations = a.misspeculations + b.misspeculations;
     completions = a.completions + b.completions;
     latency = Sketch.merge a.latency b.latency;
     top_k;
@@ -229,7 +226,6 @@ let of_device ~weights ~top_k ~id ~seed ~workload ~scheme ~board ~x ~y
     ckpt_failures = a.Agg.jit_checkpoint_failures;
     brownouts = a.Agg.brownouts;
     detections = a.Agg.detections;
-    misspeculations = a.Agg.misspeculations;
     completions = a.Agg.completions;
     latency = List.fold_left Sketch.add Sketch.empty latencies;
     top_k = max 0 top_k;
@@ -317,7 +313,6 @@ let to_json t =
       ("ckpt_failures", Json.Int t.ckpt_failures);
       ("brownouts", Json.Int t.brownouts);
       ("detections", Json.Int t.detections);
-      ("misspeculations", Json.Int t.misspeculations);
       ("completions", Json.Int t.completions);
       ("latency", Sketch.to_json t.latency);
       ("top_k", Json.Int t.top_k);
@@ -337,12 +332,6 @@ let of_json j =
     ckpt_failures = int_of "ckpt_failures";
     brownouts = int_of "brownouts";
     detections = int_of "detections";
-    (* Absent in streams written before the speculative pipeline. *)
-    misspeculations =
-      (match Json.member "misspeculations" j with
-      | Some (Json.Int i) -> i
-      | Some _ -> bad "misspeculations not int"
-      | None -> 0);
     completions = int_of "completions";
     latency = Sketch.of_json (field "latency");
     top_k = int_of "top_k";

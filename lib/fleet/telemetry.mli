@@ -80,9 +80,6 @@ type t = {
   ckpt_failures : int;
   brownouts : int;
   detections : int;
-  misspeculations : int;
-      (** Undo-log replays on speculative (guarded) images; read as 0
-          from streams predating the speculative pipeline. *)
   completions : int;
   latency : Sketch.t;  (** All onset-to-detection latencies. *)
   top_k : int;

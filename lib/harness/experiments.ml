@@ -924,8 +924,8 @@ let budget_sweep _fidelity =
 
    - [Legacy]: the seed's optimistic baseline (can be unsound);
    - [Speculative]: the sound pipeline — syntactic may-alias region
-     cuts, optimistic checkpoint-slot reuse and the unprovable window
-     clobbers guarded at runtime.
+     cuts, and optimistic checkpoint-slot reuse with every reuse
+     clobbered in its crash window force-kept at compile time.
 
    The HEADLINE metric ([<wl>.soundness_overhead_pct]) is the residual
    cost of Speculative over Legacy, in percentage points.  A negative

@@ -58,9 +58,7 @@ let compiled ?(mode = Core.Mode.default) scheme (prog : Cfg.program) =
       | None ->
           incr cache_misses;
           let p, meta = Core.Pipeline.compile ~mode scheme prog in
-          (* Speculative metas carry guards; linking them into the image
-             is what arms the runtime undo-log protocol. *)
-          let v = (Link.link ~guards:meta.Core.Meta.guards p, meta) in
+          let v = (Link.link p, meta) in
           Hashtbl.replace cache key v;
           v)
 

@@ -15,9 +15,7 @@ val compiled :
   Cfg.program ->
   Link.image * Gecko_core.Meta.t
 (** Compile and link (memoized on program name + scheme + pipeline
-    mode).  Speculative-mode metas carry {!Gecko_core.Meta.t.guards},
-    which are linked into the image so guarded runs arm the undo-log
-    protocol.  Thread-safe: the memo table is shared with the experiment
+    mode).  Thread-safe: the memo table is shared with the experiment
     pool's worker domains — and with every fleet campaign shard, so a
     workload×scheme×mode triple compiles once per process, not once per
     device — and guarded by a mutex. *)

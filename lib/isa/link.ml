@@ -20,7 +20,6 @@ type image = {
   sys_base : int;
   nvm_words : int;
   boundary_index : (int, int) Hashtbl.t;
-  guards : bool array;
 }
 
 let stack_default = 64
@@ -39,18 +38,11 @@ module Cells = struct
   let sys_ack_seen = 35
   let sys_mode = 36
   let sys_words = 37
-
-  (* Speculation undo log (allocated only for guarded images): a count
-     word, then [undo_capacity] entries of [undo_entry_words] words each
-     — (epoch tag, absolute address, old value). *)
-  let sys_undo_count = 37
-  let sys_undo_base = 38
-  let undo_capacity = 64
-  let undo_entry_words = 3
-  let sys_words_guarded = sys_undo_base + (undo_capacity * undo_entry_words)
 end
 
 let link ?(stack_words = stack_default) ?(guards = []) (p : Cfg.program) =
+  if guards <> [] then
+    invalid_arg "Link.link: images carry no speculation guards";
   (* Pass 1: assign slot indices to blocks. *)
   let block_index = Hashtbl.create 64 in
   let slots = ref 0 in
@@ -117,24 +109,7 @@ let link ?(stack_words = stack_default) ?(guards = []) (p : Cfg.program) =
   let jit_base = stack_base + stack_words in
   let gecko_base = jit_base + Cells.jit_words in
   let sys_base = gecko_base + Cells.gecko_words in
-  (* The undo-log area exists only in guarded (speculative) images, so
-     every other image keeps the historical layout bit-for-bit. *)
-  let nvm_words =
-    sys_base
-    + (if guards = [] then Cells.sys_words else Cells.sys_words_guarded)
-  in
-  let guard_slots =
-    if guards = [] then [||]
-    else begin
-      let a = Array.make (Array.length code) false in
-      List.iter
-        (fun (fname, label, idx) ->
-          let base = lookup fname label in
-          a.(base + idx) <- true)
-        guards;
-      a
-    end
-  in
+  let nvm_words = sys_base + Cells.sys_words in
   let entry =
     let mf = Cfg.find_func p p.Cfg.main in
     lookup p.Cfg.main (Cfg.entry_block mf).Cfg.label
@@ -153,7 +128,6 @@ let link ?(stack_words = stack_default) ?(guards = []) (p : Cfg.program) =
     sys_base;
     nvm_words;
     boundary_index;
-    guards = guard_slots;
   }
 
 let resolve img (m : Instr.mref) regs =

@@ -37,10 +37,6 @@ type image = {
   nvm_words : int;
   boundary_index : (int, int) Hashtbl.t;
       (** boundary id -> slot of its [Boundary] instruction. *)
-  guards : bool array;
-      (** Per-code-slot speculation-guard marks ([[||]] when the image
-          carries none): the runtime appends an undo-log entry before
-          executing a store at a marked slot. *)
 }
 
 val stack_default : int
@@ -80,29 +76,14 @@ module Cells : sig
   (** Persisted GECKO policy mode (survives outages). *)
 
   val sys_words : int
-
-  val sys_undo_count : int
-  (** Number of valid undo-log entries (guarded images only). *)
-
-  val sys_undo_base : int
-  (** First undo-log entry word (guarded images only). *)
-
-  val undo_capacity : int
-  (** Maximum undo-log entries — {!Verify.speculation} bounds the static
-      guarded-store count per crash window by this. *)
-
-  val undo_entry_words : int
-  (** Words per undo entry: epoch tag, absolute address, old value. *)
-
-  val sys_words_guarded : int
-  (** Sys-area size when the image carries speculation guards. *)
 end
 
 val link : ?stack_words:int -> ?guards:(string * string * int) list ->
   Cfg.program -> image
-(** [guards] (default none) marks store slots as speculation-guarded by
-    [(fname, block label, instr idx)]; a non-empty list also appends the
-    undo-log area to the sys segment. *)
+(** [guards] exists only so that callers written against the retired
+    runtime speculation guards still compile: the compiler proves slot
+    safety statically, the compiled [Meta.guards] is always empty, and
+    a non-empty list raises [Invalid_argument]. *)
 
 val resolve : image -> Instr.mref -> int array -> int
 (** Absolute word address of a memory reference given the register-file

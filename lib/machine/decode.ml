@@ -190,15 +190,9 @@ let decode ~device (image : Link.image) =
           mark (i + 1)
       | _ -> ())
     ops;
-  (* Speculation-guarded slots behave like solo: the undo-log append has
-     costs and NVM side effects the precomputed block totals know nothing
-     about, so the machine must take the fully-checked path there. *)
-  let guarded i =
-    Array.length image.Link.guards > 0 && image.Link.guards.(i)
-  in
   Array.iteri
     (fun i op ->
-      if solo op || guarded i then begin
+      if solo op then begin
         mark i;
         mark (i + 1)
       end)
@@ -212,7 +206,7 @@ let decode ~device (image : Link.image) =
   let e_sfx = Array.make n infinity in
   let dt_sfx = Array.make n infinity in
   for i = n - 1 downto 0 do
-    if not (solo ops.(i) || guarded i) then
+    if not (solo ops.(i)) then
       if blk_end.(i) = i + 1 then begin
         e_sfx.(i) <- en.(i);
         dt_sfx.(i) <- dt.(i)

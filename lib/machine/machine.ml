@@ -197,8 +197,6 @@ type state = {
   (* pre-decoded instruction stream + block dispatcher switch *)
   dec : Decode.t;
   fast_enabled : bool;
-  (* speculative image: some store slots carry undo-log guards *)
-  k_has_guards : bool;
   rng_io : Gecko_util.Rng.t;  (* per-run RNG behind [In], reseeded per draw *)
   regs : int array;
   mutable pc : int;
@@ -236,20 +234,8 @@ type state = {
   mutable reenables : int;
   mutable rollbacks : int;
   mutable recovery_block_runs : int;
-  mutable misspeculations : int;
   mutable boundary_commits : int;
   mutable ckpt_stores : int;
-  mutable guarded_stores : int;
-  (* Volatile mirrors of the two hot system words of the undo-log
-     protocol (the committed-boundary word and the undo entry count).
-     NVM stays authoritative — every NVM write of either word updates
-     its mirror, and a boot/rollback refresh re-reads them — the
-     mirrors only spare the guarded fast paths the NVM READS: an
-     undo-log append needs just the old-value read (1r + 4w), and a
-     region commit with an empty log needs no extra NVM traffic at
-     all. *)
-  mutable boundary_word_v : int;
-  mutable undo_count_v : int;
   mutable corruptions : int;
   mutable io_in_count : int;
   mutable io_out_count : int;
@@ -451,7 +437,7 @@ let account_app_seconds st s =
 (* The checked path's physics step: [cycles] of core time and energy
    plus [extra] joules (NVM traffic), through the shared kernel.  Every
    per-instruction step outside fast blocks comes here: injected fetch
-   sites, the JIT-checkpoint ISR, rollback, undo appends and recovery. *)
+   sites, the JIT-checkpoint ISR, rollback and recovery. *)
 let spend st cycles ~extra =
   physics st
     (float_of_int cycles *. cycle_time st)
@@ -576,14 +562,6 @@ let reinit_data st =
     st.image.Link.prog.Cfg.init_data;
   (* The progress flag is a power-cycle notion and is left alone here. *)
   Nvm.write st.nvm (sys_cell st Link.Cells.sys_boundary) 0;
-  st.boundary_word_v <- 0;
-  (* Stale undo entries from the previous run would carry tag 0 — the
-     same word a fresh run's pre-commit window has — so they must not
-     survive the restart. *)
-  if st.k_has_guards then begin
-    Nvm.write st.nvm (sys_cell st Link.Cells.sys_undo_count) 0;
-    st.undo_count_v <- 0
-  end;
   Nvm.write st.nvm (jit_cell st Link.Cells.jit_pc) (-1)
 
 (* --- JIT checkpoint ISR (CTPL) --------------------------------------- *)
@@ -692,69 +670,11 @@ let run_recovery_slice st (rec_ : Meta.recovery) =
     rec_.Meta.g_slice;
   st.regs.(Reg.to_int rec_.Meta.g_reg) <- scratch.(Reg.to_int rec_.Meta.g_reg)
 
-(* Misspeculation recovery: replay the undo log in reverse before the
-   register restores, so every word a guarded store clobbered since the
-   last commit holds its pre-window value again and the region's
-   re-execution is deterministic.  Only entries whose tag equals the
-   CURRENT committed-boundary word are live: an entry appended after the
-   last commit carries exactly that word, while one orphaned by a crash
-   between a commit and its count-clear carries the previous epoch's and
-   is skipped.  The count stays until the clear at the end, so a supply
-   collapse mid-replay just replays again next boot (rewriting an old
-   value is idempotent).  Replaying at least one entry IS a detected
-   misspeculation. *)
-let undo_replay st word =
-  (* Rollback is the boot-refresh point of the volatile mirrors: the
-     authoritative NVM words are (re)read here, after which the guarded
-     fast paths trust the mirrors until the next power loss. *)
-  let count = Nvm.read st.nvm (sys_cell st Link.Cells.sys_undo_count) in
-  st.boundary_word_v <- word;
-  st.undo_count_v <- count;
-  if count > 0 then begin
-    let replayed = ref 0 in
-    (try
-       for k = count - 1 downto 0 do
-         if consult st (S_rollback_step k) then force_power_failure st;
-         if Capacitor.voltage st.cap <= st.board.Board.v_off then raise Exit;
-         let base =
-           sys_cell st
-             (Link.Cells.sys_undo_base + (k * Link.Cells.undo_entry_words))
-         in
-         spend st
-           (3 * Cost.nvm_read_cycles)
-           ~extra:(nvm_extra st ~reads:3 ~writes:0);
-         let tag = Nvm.read st.nvm base in
-         let addr = Nvm.read st.nvm (base + 1) in
-         let old = Nvm.read st.nvm (base + 2) in
-         if tag = word then begin
-           spend st Cost.nvm_write_cycles
-             ~extra:(nvm_extra st ~reads:0 ~writes:1);
-           Nvm.write st.nvm addr old;
-           incr replayed
-         end
-       done;
-       spend st Cost.nvm_write_cycles ~extra:(nvm_extra st ~reads:0 ~writes:1);
-       Nvm.write st.nvm (sys_cell st Link.Cells.sys_undo_count) 0;
-       st.undo_count_v <- 0
-     with Exit -> ());
-    if !replayed > 0 then begin
-      st.misspeculations <- st.misspeculations + 1;
-      flight_note st ~arg:!replayed "misspeculation"
-    end
-  end
-
-(* The committed-boundary word of a guarded image packs (epoch, id + 1);
-   plain images store id + 1 directly. *)
-let boundary_word_bid st word =
-  (if st.k_has_guards then word land 0xFFFFFFFF else word) - 1
-
 let gecko_rollback_work st =
   (* Anything staged after the committed boundary is discarded: the
      region that produced it re-executes from the restore point. *)
   st.io_staged <- [];
-  let word = Nvm.read st.nvm (sys_cell st Link.Cells.sys_boundary) in
-  if st.k_has_guards then undo_replay st word;
-  let bid = boundary_word_bid st word in
+  let bid = Nvm.read st.nvm (sys_cell st Link.Cells.sys_boundary) - 1 in
   if bid < 0 then begin
     record st Ev_fresh_start;
     fresh_start st
@@ -795,9 +715,7 @@ let gecko_rollback st =
   hist_observe st.hist_rollback (st.ph.time -. t0)
 
 let ratchet_rollback_work st =
-  let word = Nvm.read st.nvm (sys_cell st Link.Cells.sys_boundary) in
-  if st.k_has_guards then undo_replay st word;
-  let bid = boundary_word_bid st word in
+  let bid = Nvm.read st.nvm (sys_cell st Link.Cells.sys_boundary) - 1 in
   if bid < 0 then begin
     record st Ev_fresh_start;
     fresh_start st
@@ -974,40 +892,6 @@ let complete st =
       st.hit_limit <- true
     end
 
-(* Speculation-guard undo-log append: before a guarded store clobbers
-   [addr], persist (tag, addr, old value).  Crash-atomic append order:
-   entry words first, then the count increment (the commit — a torn
-   entry above the count is never replayed), and only then may the
-   caller overwrite [addr].  The tag and the count come from the
-   volatile mirrors, so the append costs 1 NVM read (the old value) +
-   4 NVM writes, charged to instrumentation.
-
-   Capacity: the pipeline guards only checkpoint stores, which sit in
-   one run directly before their boundary, and every commit and every
-   completed rollback empties the log — so it never holds more than one
-   run, at most [Reg.count] entries, and [Verify.speculation] checks
-   each run against [undo_capacity] at compile time.  The overflow
-   [failwith] below is only reachable by an image the pipeline did not
-   produce. *)
-let undo_append st addr =
-  st.guarded_stores <- st.guarded_stores + 1;
-  let count = st.undo_count_v in
-  if count >= Link.Cells.undo_capacity then
-    failwith "Machine: speculation undo log overflow";
-  let old = Nvm.read st.nvm addr in
-  let base =
-    sys_cell st
-      (Link.Cells.sys_undo_base + (count * Link.Cells.undo_entry_words))
-  in
-  let gc = Cost.nvm_read_cycles + (4 * Cost.nvm_write_cycles) in
-  spend st gc ~extra:(nvm_extra st ~reads:1 ~writes:4);
-  st.instrumentation_cycles <- st.instrumentation_cycles + gc;
-  Nvm.write st.nvm base st.boundary_word_v;
-  Nvm.write st.nvm (base + 1) addr;
-  Nvm.write st.nvm (base + 2) old;
-  Nvm.write st.nvm (sys_cell st Link.Cells.sys_undo_count) (count + 1);
-  st.undo_count_v <- count + 1
-
 let exec_op st i =
   let c = Cost.instr_cycles i in
   let r = Reg.to_int in
@@ -1029,12 +913,6 @@ let exec_op st i =
       st.regs.(r d) <- Nvm.read st.nvm (Link.resolve st.image m st.regs)
   | Instr.St (m, s) ->
       let addr = Link.resolve st.image m st.regs in
-      (* Speculation guard: a slot of this store is marked by the
-         linker, so before clobbering the word we persist its old value
-         in the undo log.  The executing slot is [st.pc - 1]: the fetch
-         already advanced the pc. *)
-      if st.k_has_guards && Array.unsafe_get st.image.Link.guards (st.pc - 1)
-      then undo_append st addr;
       spend st c ~extra:(nvm_extra st ~reads:0 ~writes:1);
       Nvm.write st.nvm addr st.regs.(r s)
   | Instr.In (d, port) ->
@@ -1053,11 +931,6 @@ let exec_op st i =
   | Instr.Ckpt (src, colour) ->
       st.ckpt_stores <- st.ckpt_stores + 1;
       let addr = gecko_cell st src colour in
-      (* Guarded checkpoint store: this owned store may overwrite,
-         inside a crash window, a slot some restore reads, so log the
-         slot's as-of-commit word before overwriting it. *)
-      if st.k_has_guards && Array.unsafe_get st.image.Link.guards (st.pc - 1)
-      then undo_append st addr;
       spend st c ~extra:(nvm_extra st ~reads:0 ~writes:1);
       Nvm.write st.nvm addr st.regs.(r src)
   | Instr.CkptDyn src ->
@@ -1071,29 +944,7 @@ let exec_op st i =
   | Instr.Boundary id ->
       st.boundary_commits <- st.boundary_commits + 1;
       spend st c ~extra:(nvm_extra st ~reads:0 ~writes:1);
-      (if st.k_has_guards then begin
-         (* Guarded image: the commit word packs (epoch, id + 1) in one
-            atomic NVM write, so undo entries appended before this
-            commit stop matching the boundary word even when the SAME
-            boundary id commits again (a self-loop region).  The count
-            clear after the commit discards them; a crash in between
-            leaves orphans whose stale tag the replay skips.  The
-            previous epoch comes from the volatile mirror, and the
-            count clear is elided when the log is already empty — the
-            steady-state commit costs exactly its plain-image write. *)
-         let epoch = ((st.boundary_word_v lsr 32) + 1) land 0x3FFFFFFF in
-         let word = (epoch lsl 32) lor (id + 1) in
-         Nvm.write st.nvm (sys_cell st Link.Cells.sys_boundary) word;
-         st.boundary_word_v <- word;
-         if st.undo_count_v > 0 then begin
-           let gc = Cost.nvm_write_cycles in
-           spend st gc ~extra:(nvm_extra st ~reads:0 ~writes:1);
-           st.instrumentation_cycles <- st.instrumentation_cycles + gc;
-           Nvm.write st.nvm (sys_cell st Link.Cells.sys_undo_count) 0;
-           st.undo_count_v <- 0
-         end
-       end
-       else Nvm.write st.nvm (sys_cell st Link.Cells.sys_boundary) (id + 1));
+      Nvm.write st.nvm (sys_cell st Link.Cells.sys_boundary) (id + 1);
       flight_note st ~arg:id "boundary";
       if not st.progress_written then begin
         (* Once per power cycle: the detection flag. *)
@@ -1222,17 +1073,12 @@ let spend_fast st dt e c =
    of a power cycle, staged io_log records, Probe re-enable, rollback
    modes) falls back to the fully-checked path untouched. *)
 let try_fast_solo st pc id =
-  (* Guarded images pack (epoch, id) into the commit word — free, it is
-     the same single NVM write — but a non-empty undo log adds a count
-     clear this O(1) guard does not model, so that case falls back. *)
-  (if st.progress_written && ((not st.k_has_guards) || st.undo_count_v = 0)
-   then
-     match st.meta.Meta.scheme with
+  st.progress_written
+  && (match st.meta.Meta.scheme with
      | Scheme.Nvp | Scheme.Ratchet -> true
      | Scheme.Gecko | Scheme.Gecko_noprune ->
          (match st.io_staged with [] -> true | _ :: _ -> false)
-         && Policy.on_region_commit st.mode = st.mode
-   else false)
+         && Policy.on_region_commit st.mode = st.mode)
   &&
   let d = st.dec in
   let dt = Array.unsafe_get d.Decode.dt pc in
@@ -1258,16 +1104,7 @@ let try_fast_solo st pc id =
       else begin
         st.boundary_commits <- st.boundary_commits + 1;
         spend_fast st dt en 0;
-        let word =
-          if st.k_has_guards then begin
-            let epoch = ((st.boundary_word_v lsr 32) + 1) land 0x3FFFFFFF in
-            let w = (epoch lsl 32) lor (id + 1) in
-            st.boundary_word_v <- w;
-            w
-          end
-          else id + 1
-        in
-        Nvm.write st.nvm (sys_cell st Link.Cells.sys_boundary) word;
+        Nvm.write st.nvm (sys_cell st Link.Cells.sys_boundary) (id + 1);
         flight_note st ~arg:id "boundary";
         (match st.meta.Meta.scheme with
         | Scheme.Ratchet ->
@@ -1634,7 +1471,6 @@ let make_state ~board ~image ~meta opts =
         | Some d when d.Decode.image == image -> d
         | Some _ | None -> Decode.decode ~device image);
       fast_enabled = opts.fast;
-      k_has_guards = Array.length image.Link.guards > 0;
       rng_io = Gecko_util.Rng.create 0;
       regs = Array.make Reg.count 0;
       pc = image.Link.entry;
@@ -1667,12 +1503,8 @@ let make_state ~board ~image ~meta opts =
       reenables = 0;
       rollbacks = 0;
       recovery_block_runs = 0;
-      misspeculations = 0;
       boundary_commits = 0;
       ckpt_stores = 0;
-      guarded_stores = 0;
-      boundary_word_v = 0;
-      undo_count_v = 0;
       corruptions = 0;
       io_in_count = 0;
       io_out_count = 0;
@@ -1750,10 +1582,8 @@ let export_metrics st =
       c "machine.reenables" st.reenables;
       c "machine.rollbacks" st.rollbacks;
       c "machine.recovery_block_runs" st.recovery_block_runs;
-      c "machine.misspeculations" st.misspeculations;
       c "machine.boundary_commits" st.boundary_commits;
       c "machine.ckpt_stores" st.ckpt_stores;
-      c "machine.guarded_stores" st.guarded_stores;
       c "machine.corruptions" st.corruptions;
       c "machine.instructions" st.instrs;
       c "machine.app_cycles" st.app_cycles;
@@ -1807,10 +1637,10 @@ let finish st =
     reenables = st.reenables;
     rollbacks = st.rollbacks;
     recovery_block_runs = st.recovery_block_runs;
-    misspeculations = st.misspeculations;
+    misspeculations = 0;
     boundary_commits = st.boundary_commits;
     ckpt_stores = st.ckpt_stores;
-    guarded_stores = st.guarded_stores;
+    guarded_stores = 0;
     corruptions = st.corruptions;
     io_out_count = st.io_out_count;
     io_log = List.rev st.io_log;

@@ -133,16 +133,16 @@ type outcome = {
   rollbacks : int;
   recovery_block_runs : int;
   misspeculations : int;
-      (** Rollbacks on a speculative (guarded) image that replayed at
-          least one undo-log entry — a residual may-alias hazard whose
-          store really did clobber a word its crash window had read. *)
+      (** Always 0: images carry no runtime speculation guards, so no
+          rollback replays anything.  Kept for the [bench/perf]
+          harness, which still reads it. *)
   boundary_commits : int;
       (** Dynamic [Boundary] executions (region commits). *)
   ckpt_stores : int;
       (** Dynamic [Ckpt]/[CkptDyn] executions (checkpoint slot writes). *)
   guarded_stores : int;
-      (** Dynamic executions of speculation-guarded stores (undo-log
-          appends).  Zero on unguarded images. *)
+      (** Always 0, for the same reason and reader as
+          [misspeculations]. *)
   corruptions : int;  (** Boots that resumed from a corrupt JIT image. *)
   io_out_count : int;
   io_log : (int * int) list;  (** (port, value), in order, if recorded. *)

@@ -6,10 +6,7 @@
    outcomes to Ref_machine.run on every program x board x schedule x
    scheme; the differential QCheck property enforces it.  Do not
    "clean up" or re-optimize this module — its value is that it stays
-   behind.  (Exception: semantic runtime additions MUST be mirrored here
-   or the differential loses its subject — currently the speculation
-   undo-log protocol for guarded images, kept step-for-step identical to
-   the optimized interpreter, minus its injector/flight hooks.) *)
+   behind. *)
 
 open Gecko_isa
 open Gecko_emi
@@ -108,7 +105,6 @@ type outcome = {
   reenables : int;
   rollbacks : int;
   recovery_block_runs : int;
-  misspeculations : int;
   corruptions : int;
   io_out_count : int;
   io_log : (int * int) list;
@@ -153,11 +149,6 @@ type state = {
   mutable stop : bool;
   mutable hit_limit : bool;
   mutable progress_written : bool;  (* progress flag written this power cycle *)
-  k_has_guards : bool;  (* speculative image: undo-log protocol active *)
-  (* Volatile mirrors of the committed-boundary word and the undo count
-     (NVM stays authoritative; refreshed at boot/rollback). *)
-  mutable boundary_word_v : int;
-  mutable undo_count_v : int;
   mutable boot_inhibited : bool;  (* BOR hysteresis after a failed boot *)
   mutable boot_time : float;  (* when the current power cycle began *)
   mutable next_wake_check : float;
@@ -175,7 +166,6 @@ type state = {
   mutable reenables : int;
   mutable rollbacks : int;
   mutable recovery_block_runs : int;
-  mutable misspeculations : int;
   mutable corruptions : int;
   mutable io_in_count : int;
   mutable io_out_count : int;
@@ -362,11 +352,6 @@ let reinit_data st =
     st.image.Link.prog.Cfg.init_data;
   (* The progress flag is a power-cycle notion and is left alone here. *)
   Nvm.write st.nvm (sys_cell st Link.Cells.sys_boundary) 0;
-  st.boundary_word_v <- 0;
-  if st.k_has_guards then begin
-    Nvm.write st.nvm (sys_cell st Link.Cells.sys_undo_count) 0;
-    st.undo_count_v <- 0
-  end;
   Nvm.write st.nvm (jit_cell st Link.Cells.jit_pc) (-1)
 
 (* --- JIT checkpoint ISR (CTPL) --------------------------------------- *)
@@ -466,63 +451,11 @@ let run_recovery_slice st (rec_ : Meta.recovery) =
     rec_.Meta.g_slice;
   st.regs.(Reg.to_int rec_.Meta.g_reg) <- scratch.(Reg.to_int rec_.Meta.g_reg)
 
-(* Misspeculation recovery: replay the undo log in reverse before the
-   register restores, so every word a guarded store clobbered since the
-   last commit holds its pre-window value again and the region's
-   re-execution is deterministic.  Only entries whose tag equals the
-   CURRENT committed-boundary word are live: an entry appended after the
-   last commit carries exactly that word, while one orphaned by a crash
-   between a commit and its count-clear carries the previous epoch's and
-   is skipped.  The count stays until the clear at the end, so a supply
-   collapse mid-replay just replays again next boot (rewriting an old
-   value is idempotent).  Replaying at least one entry IS a detected
-   misspeculation. *)
-let undo_replay st word =
-  (* Rollback is the boot-refresh point of the volatile mirrors. *)
-  let count = Nvm.read st.nvm (sys_cell st Link.Cells.sys_undo_count) in
-  st.boundary_word_v <- word;
-  st.undo_count_v <- count;
-  if count > 0 then begin
-    let replayed = ref 0 in
-    (try
-       for k = count - 1 downto 0 do
-         if Capacitor.voltage st.cap <= st.board.Board.v_off then raise Exit;
-         let base =
-           sys_cell st
-             (Link.Cells.sys_undo_base + (k * Link.Cells.undo_entry_words))
-         in
-         spend st
-           (3 * Cost.nvm_read_cycles)
-           ~extra:(nvm_extra st ~reads:3 ~writes:0);
-         let tag = Nvm.read st.nvm base in
-         let addr = Nvm.read st.nvm (base + 1) in
-         let old = Nvm.read st.nvm (base + 2) in
-         if tag = word then begin
-           spend st Cost.nvm_write_cycles
-             ~extra:(nvm_extra st ~reads:0 ~writes:1);
-           Nvm.write st.nvm addr old;
-           incr replayed
-         end
-       done;
-       spend st Cost.nvm_write_cycles ~extra:(nvm_extra st ~reads:0 ~writes:1);
-       Nvm.write st.nvm (sys_cell st Link.Cells.sys_undo_count) 0;
-       st.undo_count_v <- 0
-     with Exit -> ());
-    if !replayed > 0 then st.misspeculations <- st.misspeculations + 1
-  end
-
-(* The committed-boundary word of a guarded image packs (epoch, id + 1);
-   plain images store id + 1 directly. *)
-let boundary_word_bid st word =
-  (if st.k_has_guards then word land 0xFFFFFFFF else word) - 1
-
 let gecko_rollback_work st =
   (* Anything staged after the committed boundary is discarded: the
      region that produced it re-executes from the restore point. *)
   st.io_staged <- [];
-  let word = Nvm.read st.nvm (sys_cell st Link.Cells.sys_boundary) in
-  if st.k_has_guards then undo_replay st word;
-  let bid = boundary_word_bid st word in
+  let bid = Nvm.read st.nvm (sys_cell st Link.Cells.sys_boundary) - 1 in
   if bid < 0 then begin
     record st Ev_fresh_start;
     fresh_start st
@@ -553,9 +486,7 @@ let gecko_rollback st =
   hist_observe st.hist_rollback (st.time -. t0)
 
 let ratchet_rollback_work st =
-  let word = Nvm.read st.nvm (sys_cell st Link.Cells.sys_boundary) in
-  if st.k_has_guards then undo_replay st word;
-  let bid = boundary_word_bid st word in
+  let bid = Nvm.read st.nvm (sys_cell st Link.Cells.sys_boundary) - 1 in
   if bid < 0 then begin
     record st Ev_fresh_start;
     fresh_start st
@@ -727,31 +658,6 @@ let complete st =
       st.hit_limit <- true
     end
 
-(* Speculation-guard undo-log append: before a guarded store clobbers
-   [addr], persist (tag, addr, old value).  Crash-atomic append order:
-   entry words first, then the count increment (the commit — a torn
-   entry above the count is never replayed), and only then may the
-   caller overwrite [addr].  The tag and the count come from the
-   volatile mirrors, so the append costs 1 NVM read (the old value) +
-   4 NVM writes, charged to instrumentation. *)
-let undo_append st addr =
-  let count = st.undo_count_v in
-  if count >= Link.Cells.undo_capacity then
-    failwith "Machine: speculation undo log overflow";
-  let old = Nvm.read st.nvm addr in
-  let base =
-    sys_cell st
-      (Link.Cells.sys_undo_base + (count * Link.Cells.undo_entry_words))
-  in
-  let gc = Cost.nvm_read_cycles + (4 * Cost.nvm_write_cycles) in
-  spend st gc ~extra:(nvm_extra st ~reads:1 ~writes:4);
-  st.instrumentation_cycles <- st.instrumentation_cycles + gc;
-  Nvm.write st.nvm base st.boundary_word_v;
-  Nvm.write st.nvm (base + 1) addr;
-  Nvm.write st.nvm (base + 2) old;
-  Nvm.write st.nvm (sys_cell st Link.Cells.sys_undo_count) (count + 1);
-  st.undo_count_v <- count + 1
-
 let exec_op st i =
   let c = Cost.instr_cycles i in
   let r = Reg.to_int in
@@ -772,15 +678,8 @@ let exec_op st i =
       spend st c ~extra:(nvm_extra st ~reads:1 ~writes:0);
       st.regs.(r d) <- Nvm.read st.nvm (Link.resolve st.image m st.regs)
   | Instr.St (m, s) ->
-      let addr = Link.resolve st.image m st.regs in
-      (* Speculation guard: a slot of this store is marked by the
-         linker, so before clobbering the word we persist its old value
-         in the undo log.  The executing slot is [st.pc - 1]: the fetch
-         already advanced the pc. *)
-      if st.k_has_guards && st.image.Link.guards.(st.pc - 1) then
-        undo_append st addr;
       spend st c ~extra:(nvm_extra st ~reads:0 ~writes:1);
-      Nvm.write st.nvm addr st.regs.(r s)
+      Nvm.write st.nvm (Link.resolve st.image m st.regs) st.regs.(r s)
   | Instr.In (d, port) ->
       spend st c ~extra:0.;
       st.regs.(r d) <- io_in_value st port
@@ -795,14 +694,8 @@ let exec_op st i =
         else st.io_log <- (port, st.regs.(r s)) :: st.io_log
   | Instr.Nop -> spend st c ~extra:0.
   | Instr.Ckpt (src, colour) ->
-      let addr = gecko_cell st src colour in
-      (* Guarded checkpoint store: this owned store targets a slot some
-         restore reuses without the sound crash-window survival proof,
-         so log the slot's as-of-commit word before overwriting it. *)
-      if st.k_has_guards && st.image.Link.guards.(st.pc - 1) then
-        undo_append st addr;
       spend st c ~extra:(nvm_extra st ~reads:0 ~writes:1);
-      Nvm.write st.nvm addr st.regs.(r src)
+      Nvm.write st.nvm (gecko_cell st src colour) st.regs.(r src)
   | Instr.CkptDyn src ->
       spend st c ~extra:(nvm_extra st ~reads:1 ~writes:1);
       let parity = Nvm.read st.nvm (sys_cell st Link.Cells.sys_parity) in
@@ -812,28 +705,7 @@ let exec_op st i =
       st.regs.(r d) <- Nvm.read st.nvm (gecko_cell st (Reg.of_int src) colour)
   | Instr.Boundary id ->
       spend st c ~extra:(nvm_extra st ~reads:0 ~writes:1);
-      (if st.k_has_guards then begin
-         (* Guarded image: the commit word packs (epoch, id + 1) in one
-            atomic NVM write, so undo entries appended before this
-            commit stop matching the boundary word even when the SAME
-            boundary id commits again (a self-loop region).  The count
-            clear after the commit discards them; a crash in between
-            leaves orphans whose stale tag the replay skips.  The
-            previous epoch comes from the volatile mirror, and the
-            count clear is elided when the log is already empty. *)
-         let epoch = ((st.boundary_word_v lsr 32) + 1) land 0x3FFFFFFF in
-         let word = (epoch lsl 32) lor (id + 1) in
-         Nvm.write st.nvm (sys_cell st Link.Cells.sys_boundary) word;
-         st.boundary_word_v <- word;
-         if st.undo_count_v > 0 then begin
-           let gc = Cost.nvm_write_cycles in
-           spend st gc ~extra:(nvm_extra st ~reads:0 ~writes:1);
-           st.instrumentation_cycles <- st.instrumentation_cycles + gc;
-           Nvm.write st.nvm (sys_cell st Link.Cells.sys_undo_count) 0;
-           st.undo_count_v <- 0
-         end
-       end
-       else Nvm.write st.nvm (sys_cell st Link.Cells.sys_boundary) (id + 1));
+      Nvm.write st.nvm (sys_cell st Link.Cells.sys_boundary) (id + 1);
       if not st.progress_written then begin
         (* Once per power cycle: the detection flag. *)
         spend st Cost.nvm_write_cycles ~extra:(nvm_extra st ~reads:0 ~writes:1);
@@ -1009,9 +881,6 @@ let make_state ~board ~image ~meta opts =
       stop = false;
       hit_limit = false;
       progress_written = false;
-      k_has_guards = Array.length image.Link.guards > 0;
-      boundary_word_v = 0;
-      undo_count_v = 0;
       boot_inhibited = false;
       boot_time = 0.;
       next_wake_check = 0.;
@@ -1030,7 +899,6 @@ let make_state ~board ~image ~meta opts =
       reenables = 0;
       rollbacks = 0;
       recovery_block_runs = 0;
-      misspeculations = 0;
       corruptions = 0;
       io_in_count = 0;
       io_out_count = 0;
@@ -1101,7 +969,6 @@ let export_metrics st =
       c "machine.reenables" st.reenables;
       c "machine.rollbacks" st.rollbacks;
       c "machine.recovery_block_runs" st.recovery_block_runs;
-      c "machine.misspeculations" st.misspeculations;
       c "machine.corruptions" st.corruptions;
       c "machine.app_cycles" st.app_cycles;
       c "machine.instrumentation_cycles" st.instrumentation_cycles;
@@ -1132,7 +999,6 @@ let finish st =
     reenables = st.reenables;
     rollbacks = st.rollbacks;
     recovery_block_runs = st.recovery_block_runs;
-    misspeculations = st.misspeculations;
     corruptions = st.corruptions;
     io_out_count = st.io_out_count;
     io_log = List.rev st.io_log;

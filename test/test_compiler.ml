@@ -390,6 +390,69 @@ let test_redefining_path_loses_exemption () =
   check_repairs "r2 redefined on one inner path" ~rounds:2 ~regs:[ "r2" ]
     (color ~keeps:only_r2 (nested_loops ~inner_def:true))
 
+(* Rule 3, through the whole pipeline: the return boundary of a call in
+   a loop reuses the loop header's slots of r0 and r1 (nothing between
+   the two defines them), but the header's next stores of both, after
+   the latch increments them, land inside the return boundary's crash
+   window and overwrite exactly those slots.  The window-clobber scan
+   rejects the reuse, so the pipeline force-keeps it: the return
+   boundary stores r0 and r1 itself, span colouring gives those stores
+   their own colour, and no store needs a runtime guard. *)
+let clobbered_reuse () =
+  let b = B.program "clobber" in
+  let d = B.space b "d" ~words:1 () in
+  B.func b "main";
+  B.block b "entry";
+  B.li b Reg.r0 0;
+  B.li b Reg.r1 4;
+  B.block b "loop" ~loop_bound:4;
+  B.call b "f" ~ret:"back";
+  B.block b "back";
+  B.add b Reg.r0 Reg.r0 (B.imm 1);
+  B.sub b Reg.r1 Reg.r1 (B.imm 1);
+  B.br b Instr.Nz Reg.r1 "loop" "exit_";
+  B.block b "exit_";
+  B.halt b;
+  B.func b "f";
+  B.block b "f_entry";
+  B.ld b Reg.r2 (B.at d 0);
+  B.add b Reg.r2 Reg.r2 (B.reg Reg.r0);
+  B.st b (B.at d 0) Reg.r2;
+  B.ret b;
+  B.finish b
+
+let test_clobbered_reuse_force_kept () =
+  let metrics = Gecko_obs.Metrics.create () in
+  let p, meta =
+    Core.Pipeline.compile ~metrics Core.Scheme.Gecko (clobbered_reuse ())
+  in
+  Alcotest.(check int) "no runtime guards" 0 (List.length meta.Core.Meta.guards);
+  Alcotest.(check int) "force-keeps" 2
+    (Gecko_obs.Metrics.counter_value
+       (Gecko_obs.Metrics.counter metrics "pipeline.slot_force_keeps"));
+  let back =
+    List.find_map
+      (function Instr.Boundary id -> Some id | _ -> None)
+      (Cfg.find_block (Cfg.find_func p "main") "back").Cfg.instrs
+  in
+  let info =
+    match Option.bind back (Core.Meta.boundary_info meta) with
+    | Some info -> info
+    | None -> Alcotest.fail "no boundary after the call"
+  in
+  Alcotest.(check (list (pair string bool)))
+    "the return boundary owns its stores"
+    [ ("r0", true); ("r1", true) ]
+    (List.filter_map
+       (fun (x : Core.Meta.restore) ->
+         if Reg.to_int x.Core.Meta.r_reg < 2 then
+           Some (Reg.to_string x.Core.Meta.r_reg, x.Core.Meta.r_owned)
+         else None)
+       info.Core.Meta.restores);
+  match Core.Verify.slots p meta with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "slots: %s" (String.concat "; " e)
+
 (* Recovery slices re-execute cleanly through the machine. *)
 let test_budget_too_small () =
   match Core.Pipeline.compile ~budget_cycles:4 Core.Scheme.Gecko (sum_program ()) with
@@ -398,8 +461,8 @@ let test_budget_too_small () =
   | _ -> Alcotest.fail "expected budget failure"
 
 (* Listings: the compiler's output for every workload under every build,
-   pinned as a digest of the .gasm text plus the speculation guards.  A
-   change that should not move compiler output must leave these alone. *)
+   pinned as a digest of the newline-terminated .gasm text.  A change
+   that should not move compiler output must leave these alone. *)
 let builds =
   [
     ("ratchet", Core.Scheme.Ratchet);
@@ -426,7 +489,7 @@ let expected_listings =
     ("crc32", "gecko", "c1f09e898dbd39543849cfc3d6b81eb6");
     ("dhrystone", "ratchet", "f4ee9246812e8b22e9aa062740ae7415");
     ("dhrystone", "gecko-noprune", "c5c3a55cf3f4da36424ffff85ae87ac1");
-    ("dhrystone", "gecko", "e200aa2ff2a6ae778361805af1953f55");
+    ("dhrystone", "gecko", "4d9f9fa020a5a5796ca024a27fae17f1");
     ("dijkstra", "ratchet", "242a3cd759b0873ec28aa9d563d41d82");
     ("dijkstra", "gecko-noprune", "514ed644b166023be2cc7f2429c14a1d");
     ("dijkstra", "gecko", "3c9929f0578297d88c3d3474b397de55");
@@ -444,11 +507,8 @@ let expected_listings =
     ("stringsearch", "gecko", "fdae966649fc1d656dfc6379bc929517");
   ]
 
-let listing_digest (p, (meta : Core.Meta.t)) =
-  let guards =
-    List.map (fun (f, l, i) -> Printf.sprintf "%s:%s:%d" f l i) meta.Core.Meta.guards
-  in
-  Digest.to_hex (Digest.string (Asm.to_string p ^ "\n" ^ String.concat ";" guards))
+let listing_digest (p, (_ : Core.Meta.t)) =
+  Digest.to_hex (Digest.string (Asm.to_string p ^ "\n"))
 
 let test_listings () =
   let actual =
@@ -463,8 +523,9 @@ let test_listings () =
   in
   Alcotest.(check (list (triple string string string))) "digests" expected_listings actual
 
-(* The colouring loop's round count (one per repair, plus the final
-   successful colouring) is deterministic, so it is pinned exactly. *)
+(* The colouring loop's round count (one per repair, plus one success
+   per colour-emit-scan attempt) is deterministic, so it is pinned
+   exactly.  dhrystone's force-keeps add two resumed attempts. *)
 let coloring_rounds builds names =
   let reg = Gecko_obs.Metrics.create () in
   List.iter
@@ -478,7 +539,7 @@ let coloring_rounds builds names =
     (Gecko_obs.Metrics.counter reg "pipeline.coloring.rounds")
 
 let test_coloring_rounds () =
-  Alcotest.(check int) "suite: noprune, gecko" 87
+  Alcotest.(check int) "suite: noprune, gecko" 89
     (coloring_rounds
        [
          (Core.Scheme.Gecko_noprune, Core.Mode.default);
@@ -491,22 +552,25 @@ let test_coloring_rounds () =
     (coloring_rounds [ (Core.Scheme.Ratchet, Core.Mode.default) ] [ "qsort" ])
 
 (* Suite totals of the default GECKO build's instrumentation: boundaries,
-   static checkpoint stores and speculation guards.  Exact counts, so a
-   colouring or pruning change moves a deterministic number rather than
-   only a wall clock. *)
+   static checkpoint stores and slot force-keeps (all of them
+   dhrystone's).  Exact counts, so a colouring or pruning change moves a
+   deterministic number rather than only a wall clock. *)
 let test_instrumentation_totals () =
-  let totals =
+  let metrics = Gecko_obs.Metrics.create () in
+  let nb, ns =
     List.fold_left
-      (fun (nb, ns, ng) name ->
+      (fun (nb, ns) name ->
         let src = (Gecko_workloads.Workload.find name).Gecko_workloads.Workload.build () in
-        let p, meta = Core.Pipeline.compile Core.Scheme.Gecko src in
-        ( nb + Core.Pipeline.boundary_count p,
-          ns + Core.Pipeline.checkpoint_store_count p,
-          ng + List.length meta.Core.Meta.guards ))
-      (0, 0, 0) Gecko_workloads.Workload.names
+        let p, _ = Core.Pipeline.compile ~metrics Core.Scheme.Gecko src in
+        (nb + Core.Pipeline.boundary_count p, ns + Core.Pipeline.checkpoint_store_count p))
+      (0, 0) Gecko_workloads.Workload.names
+  in
+  let keeps =
+    Gecko_obs.Metrics.counter_value
+      (Gecko_obs.Metrics.counter metrics "pipeline.slot_force_keeps")
   in
   Alcotest.(check (triple int int int))
-    "boundaries, checkpoint stores, guards" (107, 164, 3) totals
+    "boundaries, checkpoint stores, force-keeps" (107, 169, 5) (nb, ns, keeps)
 
 let () =
   Alcotest.run "compiler"
@@ -544,6 +608,8 @@ let () =
             test_invariant_self_span_exempt;
           Alcotest.test_case "redefining path loses the exemption" `Quick
             test_redefining_path_loses_exemption;
+          Alcotest.test_case "clobbered reuse is force-kept" `Quick
+            test_clobbered_reuse_force_kept;
         ] );
       ( "listings",
         [

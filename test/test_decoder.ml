@@ -15,8 +15,10 @@ module M = Gecko_machine
 module D = Gecko_machine.Decode
 module H = Gecko_energy.Harvester
 
+(* Half the seeds carry calls (see [Gen_prog.generate_mixed]), so
+   force-kept slots reach every differential below. *)
 let compile scheme seed =
-  let p, meta = Core.Pipeline.compile scheme (Gen_prog.generate seed) in
+  let p, meta = Core.Pipeline.compile scheme (Gen_prog.generate_mixed seed) in
   (Link.link p, meta)
 
 let scheme_of seed =

@@ -30,7 +30,7 @@ let fi_board () =
 let compile ?budget_cycles ?mode scheme w =
   let prog = (W.Workload.find w).W.Workload.build () in
   let p, meta = Core.Pipeline.compile ?budget_cycles ?mode scheme prog in
-  (Link.link ~guards:meta.Core.Meta.guards p, meta)
+  (Link.link p, meta)
 
 let explore ?(budget = 120) ?pairs ?mode scheme w =
   let image, meta = compile ?mode scheme w in
@@ -51,8 +51,8 @@ let explore ?(budget = 120) ?pairs ?mode scheme w =
      defective ones (basicmath, blink, dhrystone, fft, qsort — may-alias
      WAR hazards through dynamically addressed stores, and blink's torn
      io_log across a rollback) went clean with the sound pipeline
-     (hazard-aware region formation + undo-log-guarded slot reuse +
-     Verify.slots/io_commit gates + staged io_log commit); they get
+     (hazard-aware region formation + slot reuse force-kept where it
+     is clobbered + Verify.slots/io_commit gates + staged io_log commit); they get
      extra k=2 pair exploration below so a regression in the fix shows
      up as a FOUND failure here. *)
 
@@ -111,13 +111,12 @@ let test_formerly_failing_pairs () =
 
 let test_speculative_sweep () =
   (* Acceptance sweep for speculation: with optimistic checkpoint-slot
-     reuse whose unprovable window clobbers carry runtime undo-log
-     guards, GECKO must remain
+     reuse, force-kept wherever a store clobbers the reused slot in the
+     reuser's crash window, GECKO must remain
      crash-consistent at every explored single-failure site of every
      workload — and survive k=2 pair exploration on the five formerly
-     defective ones, where a rollback (now an undo-log replay followed
-     by a register restore) interrupted by a second collapse must also
-     find only committed state. *)
+     defective ones, where a rollback interrupted by a second collapse
+     must also find only committed state. *)
   List.iter
     (fun w ->
       let pairs = if List.mem w gecko_formerly_failing then Some 8 else None in
@@ -457,7 +456,7 @@ let prop_fork_equals_power_on =
           (seed mod 4)
       in
       let p, meta = Core.Pipeline.compile scheme (Gen_prog.generate seed) in
-      let image = Link.link ~guards:meta.Core.Meta.guards p in
+      let image = Link.link p in
       let board =
         if seed mod 2 = 0 then fi_board ()
         else

@@ -14,7 +14,7 @@ module H = Gecko_energy.Harvester
 module Inject = Gecko_faultinject.Inject
 module Explore = Gecko_faultinject.Explore
 
-let compile scheme seed = Core.Pipeline.compile scheme (Gen_prog.generate seed)
+let compile scheme seed = Core.Pipeline.compile scheme (Gen_prog.generate_mixed seed)
 
 (* Outage-prone board: tiny storage, weak harvester, fast boots. *)
 let crashy_board () =
@@ -193,37 +193,23 @@ let random_schedule seed =
   in
   Gecko_emi.Schedule.make wins
 
-(* Undo-log bound (DESIGN.md "Undo-log bound"): no image the default
-   (speculative) GECKO pipeline links reaches the overflow [failwith] in
-   [Machine.undo_append], under random EMI schedules or across injected
-   fetch-site crashes, and every injected replay still ends with the
-   golden NVM.  The programs carry calls, the shape that makes the
-   pipeline emit guards.  One case is a batch of seeds, so the property
-   can also demand that it is not vacuous: some seed executes guarded
-   stores, and some crash lands between a guarded store and its
-   boundary, which the recovery then undoes (a misspeculation). *)
-let undo_log_overflow = "Machine: speculation undo log overflow"
-
-let undo_log_case seed =
+(* Static slot safety (DESIGN.md "Static slot safety"): on call-bearing
+   programs, whose callee entry checkpoints can overwrite slots a
+   caller's boundary reuses, the default GECKO pipeline leaves no window
+   clobber, and every injected fetch-site crash still ends with the
+   golden NVM.  One case is a batch of seeds, so the property can also
+   demand that it is not vacuous: some seed needed a force-keep. *)
+let slot_safety_case seed =
+  let metrics = Gecko_obs.Metrics.create () in
   let p, meta =
-    Core.Pipeline.compile Core.Scheme.Gecko (Gen_prog.generate ~calls:true seed)
+    Core.Pipeline.compile ~metrics Core.Scheme.Gecko
+      (Gen_prog.generate ~calls:true seed)
   in
-  let image = Link.link ~guards:meta.Core.Meta.guards p in
+  let image = Link.link p in
   let board = crashy_board () in
-  let scheduled =
-    M.Machine.run ~board ~image ~meta
-      {
-        M.Machine.default_options with
-        schedule = random_schedule seed;
-        limit = M.Machine.Sim_time 0.2;
-        max_sim_time = 0.25;
-        seed;
-        restart_on_halt = true;
-      }
-  in
   let opts = Explore.default_opts in
   let golden, _ = Explore.golden ~board ~image ~meta () in
-  let sites, census, _ = Inject.census ~board ~image ~meta opts in
+  let sites, _, _ = Inject.census ~board ~image ~meta opts in
   let fetches =
     List.filter
       (fun s -> s.Inject.s_kind = Inject.K_instr)
@@ -237,23 +223,22 @@ let undo_log_case seed =
            Inject.run_with_fires ~board ~image ~meta opts
              ~fires:[ s.Inject.s_ordinal ])
   in
-  ( scheduled.M.Machine.guarded_stores + census.M.Machine.guarded_stores > 0,
-    List.exists (fun (o, _) -> o.M.Machine.misspeculations > 0) replays,
+  ( Gecko_obs.Metrics.counter_value
+      (Gecko_obs.Metrics.counter metrics "pipeline.slot_force_keeps")
+    > 0,
+    Core.Verify.slot_clobbers p meta = [],
     List.for_all (fun (_, nvm) -> nvm = golden) replays )
 
-let prop_undo_log_bounded =
+let prop_static_slot_safety =
   QCheck.Test.make ~count:3
-    ~name:"undo log never overflows under schedules or injected crashes"
+    ~name:"force-kept call-bearing programs survive injected crashes"
     (QCheck.make
        ~print:(fun l -> String.concat "," (List.map string_of_int l))
        QCheck.Gen.(list_repeat 24 (int_bound 99999)))
     (fun seeds ->
-      match List.map undo_log_case seeds with
-      | exception Failure m when m = undo_log_overflow -> false
-      | cases ->
-          List.exists (fun (guarded, _, _) -> guarded) cases
-          && List.exists (fun (_, undone, _) -> undone) cases
-          && List.for_all (fun (_, _, consistent) -> consistent) cases)
+      let cases = List.map slot_safety_case seeds in
+      List.exists (fun (forced, _, _) -> forced) cases
+      && List.for_all (fun (_, clean, consistent) -> clean && consistent) cases)
 
 (* Project both outcome types onto one comparable shape (the reference
    predates the [instructions] counter, which is therefore excluded). *)
@@ -272,7 +257,6 @@ let norm_m (o : M.Machine.outcome) =
       o.M.Machine.reenables ),
     ( o.M.Machine.rollbacks,
       o.M.Machine.recovery_block_runs,
-      o.M.Machine.misspeculations,
       o.M.Machine.corruptions,
       o.M.Machine.io_out_count,
       o.M.Machine.io_log,
@@ -302,7 +286,6 @@ let norm_r (o : Ref_machine.outcome) =
       o.Ref_machine.reenables ),
     ( o.Ref_machine.rollbacks,
       o.Ref_machine.recovery_block_runs,
-      o.Ref_machine.misspeculations,
       o.Ref_machine.corruptions,
       o.Ref_machine.io_out_count,
       o.Ref_machine.io_log,
@@ -368,12 +351,10 @@ let prop_optimized_matches_reference =
             Core.Scheme.Gecko ]
           (seed mod 4)
       in
-      (* Gecko images compile speculatively, so the guarded undo-log
-         protocol (volatile mirrors, epoch-packed commits, rollback
-         replay) is diffed against the reference wherever a seed needs
-         guards. *)
-      let p, meta = Core.Pipeline.compile scheme (Gen_prog.generate seed) in
-      let image = Link.link ~guards:meta.Core.Meta.guards p in
+      (* Half the seeds carry calls, so force-kept slots go through the
+         differential too. *)
+      let p, meta = Core.Pipeline.compile scheme (Gen_prog.generate_mixed seed) in
+      let image = Link.link p in
       let board = diff_board seed in
       let schedule = random_schedule seed in
       (* Arm the flight recorder on the optimized side for half the
@@ -500,7 +481,7 @@ let () =
             prop_crash_consistency Core.Scheme.Gecko_noprune;
             prop_crash_consistency Core.Scheme.Gecko;
             prop_gecko_under_attack;
-            prop_undo_log_bounded;
+            prop_static_slot_safety;
           ] );
       ( "compiler",
         q [ prop_compiler_invariants; prop_cross_scheme_agreement ] );
