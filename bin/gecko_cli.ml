@@ -27,26 +27,6 @@ let scheme_arg =
   let doc = "Recovery scheme: nvp, ratchet, gecko, gecko-noprune." in
   Arg.(value & opt scheme_conv Compiler.Scheme.Gecko & info [ "s"; "scheme" ] ~doc)
 
-let mode_conv =
-  let parse s =
-    match Compiler.Mode.of_string s with
-    | Some m -> Ok m
-    | None -> Error (`Msg "mode must be legacy | speculative")
-  in
-  let print ppf m = Format.pp_print_string ppf (Compiler.Mode.to_string m) in
-  Arg.conv (parse, print)
-
-let mode_arg =
-  let doc =
-    "Pipeline soundness mode: $(b,speculative) (the default and only \
-     sound mode: syntactic may-alias region cuts, and optimistic \
-     checkpoint-slot reuse with every reuse clobbered in its crash window \
-     force-kept at compile time), or $(b,legacy) (the seed's \
-     optimistic, potentially unsound baseline — for overhead measurement \
-     only)."
-  in
-  Arg.(value & opt mode_conv Compiler.Mode.default & info [ "m"; "mode" ] ~doc)
-
 let find_workload name =
   if Filename.check_suffix name ".gasm" then
     match Gecko.Isa.Asm.parse_file name with
@@ -139,7 +119,7 @@ let compile_cmd =
             "Write the compiler profile as a Chrome trace-event JSON file \
              (.jsonl for line-delimited records).")
   in
-  let run name scheme mode disasm asm profile trace_out =
+  let run name scheme disasm asm profile trace_out =
     let registry =
       if profile then Some (Gecko.Obs.Metrics.create ()) else None
     in
@@ -147,13 +127,11 @@ let compile_cmd =
       if trace_out <> None then Some (Gecko.Obs.Trace.create ()) else None
     in
     let p, meta =
-      Compiler.Pipeline.compile ~mode ?obs:tracer ?metrics:registry scheme
+      Compiler.Pipeline.compile ?obs:tracer ?metrics:registry scheme
         (find_workload name)
     in
-    Format.printf "%s as %s (%s):@.  %a@.  static checkpoint stores: %d@."
-      name
+    Format.printf "%s as %s:@.  %a@.  static checkpoint stores: %d@." name
       (Compiler.Scheme.to_string scheme)
-      (Compiler.Mode.to_string mode)
       Compiler.Meta.pp_stats meta.Compiler.Meta.stats
       (Compiler.Pipeline.checkpoint_store_count p);
     (match registry with
@@ -185,7 +163,7 @@ let compile_cmd =
       print_string (Gecko.Isa.Link.disasm (Gecko.Isa.Link.link p))
   in
   Cmd.v (Cmd.info "compile" ~doc:"Compile a workload and show pipeline statistics")
-    Term.(const run $ workload_arg $ scheme_arg $ mode_arg $ disasm $ asm
+    Term.(const run $ workload_arg $ scheme_arg $ disasm $ asm
           $ profile $ trace_out)
 
 (* --- run -------------------------------------------------------------- *)
@@ -259,9 +237,9 @@ let run_cmd =
              instruction on the checked path.  Outcomes are identical \
              either way; this exists for debugging and A/B timing.")
   in
-  let run name scheme mode seconds attack_mhz attack_at outages events
-      trace_out metrics_out timeline no_fast =
-    let p, meta = Compiler.Pipeline.compile ~mode scheme (find_workload name) in
+  let run name scheme seconds attack_mhz attack_at outages events trace_out
+      metrics_out timeline no_fast =
+    let p, meta = Compiler.Pipeline.compile scheme (find_workload name) in
     let image = Gecko.Isa.Link.link p in
     let board =
       if outages then
@@ -396,7 +374,7 @@ let run_cmd =
     (Cmd.info "run"
        ~doc:"Run a workload on the simulated intermittent system")
     Term.(
-      const run $ workload_arg $ scheme_arg $ mode_arg $ seconds $ attack_mhz
+      const run $ workload_arg $ scheme_arg $ seconds $ attack_mhz
       $ attack_at $ outages $ events $ trace_out $ metrics_out $ timeline
       $ no_fast)
 
@@ -437,7 +415,7 @@ let fuzz_cmd =
       & info [ "o"; "out" ] ~docv:"FILE"
           ~doc:"Write the JSON report here (default: stdout).")
   in
-  let run name scheme mode budget seed pairs jobs out =
+  let run name scheme budget seed pairs jobs out =
     if budget < 1 then begin
       Printf.eprintf "--budget must be >= 1 (got %d)\n" budget;
       exit 1
@@ -450,7 +428,7 @@ let fuzz_cmd =
           exit 1
       | None -> Gecko.Util.Pool.default_jobs ()
     in
-    let p, meta = Compiler.Pipeline.compile ~mode scheme (find_workload name) in
+    let p, meta = Compiler.Pipeline.compile scheme (find_workload name) in
     let image = Gecko.Isa.Link.link p in
     (* Exploration and fuzzing both want natural checkpoint/rollback
        traffic within a short workload, so starve a micro-cap board
@@ -548,7 +526,7 @@ let fuzz_cmd =
        ~doc:
          "Exhaustive single-failure injection plus adversarial EMI-schedule \
           fuzzing against the crash-consistency oracle")
-    Term.(const run $ workload_arg $ scheme_arg $ mode_arg $ budget $ seed
+    Term.(const run $ workload_arg $ scheme_arg $ budget $ seed
           $ pairs $ jobs $ out)
 
 (* --- fleet ------------------------------------------------------------ *)
@@ -1050,7 +1028,7 @@ let experiment_cmd =
   let names =
     [ "fig4"; "fig5"; "fig7"; "fig8"; "fig9"; "table1"; "table2"; "fig11";
       "fig12"; "fig13"; "fig14"; "fig15"; "table3"; "ablation";
-      "budget-sweep"; "soundness-overhead"; "detection-latency" ]
+      "budget-sweep"; "detection-latency" ]
   in
   let which =
     let doc =

@@ -52,8 +52,7 @@ let must_alias_in_block (body : Instr.t array) j idx (w : Instr.mref)
           !unchanged)
   | Instr.Dconst _, Instr.Dreg _ | Instr.Dreg _, Instr.Dconst _ -> false
 
-let last_write_before ?(strict = true) (body : Instr.t array) idx
-    (m : Instr.mref) =
+let last_write_before (body : Instr.t array) idx (m : Instr.mref) =
   let result = ref No_write in
   (try
      for j = idx - 1 downto 0 do
@@ -64,13 +63,10 @@ let last_write_before ?(strict = true) (body : Instr.t array) idx
            | Some w when must_alias_in_block body j idx w m ->
                result := Write j;
                raise Exit
-           | Some w when strict && may_alias w m ->
+           | Some w when may_alias w m ->
                (* A may-aliasing (dynamically addressed) store intervenes:
                   nothing earlier can be trusted to describe the
-                  location's content.  The non-strict mode reproduces the
-                  seed's silently-optimistic scan, which skipped such
-                  stores and kept searching — kept only as the
-                  measurement baseline for the soundness overhead. *)
+                  location's content. *)
                result := Clobbered j;
                raise Exit
            | Some _ | None -> ())
@@ -134,12 +130,10 @@ let walker (p : Cfg.program) =
 (* Every store that may alias [m], reachable from (fi, blk, idx) without
    crossing a boundary.  Each path stops at its first such store (a cut
    inserted before it re-protects everything behind it) or at a
-   boundary.  Unless [legacy], the walk follows calls into the callee
-   entry and returns into every caller's return block
-   (context-insensitive, hence conservative); [~legacy:true] stops at
-   call/return terminators — the seed's interprocedural blind spot, kept
-   as the measurement baseline. *)
-let war_stores ~legacy w (m : Instr.mref) fi blk idx ~f =
+   boundary.  The walk follows calls into the callee entry and returns
+   into every caller's return block (context-insensitive, hence
+   conservative). *)
+let war_stores w (m : Instr.mref) fi blk idx ~f =
   let visited = Hashtbl.create 16 in
   let rec scan fi blk idx =
     let body = w.wbodies.(fi).(blk) in
@@ -163,17 +157,15 @@ let war_stores ~legacy w (m : Instr.mref) fi blk idx ~f =
       | Instr.Halt -> ()
       | Instr.Jmp _ | Instr.Br _ ->
           List.iter (fun s -> enter fi s) g.Fgraph.succ.(blk)
-      | Instr.Call (callee, _) ->
-          if not legacy then (
-            match Hashtbl.find_opt w.wfunc_index callee with
-            | Some cf -> enter cf 0
-            | None -> ())
+      | Instr.Call (callee, _) -> (
+          match Hashtbl.find_opt w.wfunc_index callee with
+          | Some cf -> enter cf 0
+          | None -> ())
       | Instr.Ret ->
-          if not legacy then
-            let fname = w.wfuncs.(fi).Cfg.fname in
-            List.iter
-              (fun (caller, ret_blk) -> enter caller ret_blk)
-              (try Hashtbl.find w.wret_points fname with Not_found -> [])
+          let fname = w.wfuncs.(fi).Cfg.fname in
+          List.iter
+            (fun (caller, ret_blk) -> enter caller ret_blk)
+            (try Hashtbl.find w.wret_points fname with Not_found -> [])
   and enter fi blk =
     if not (Hashtbl.mem visited (fi, blk)) then begin
       Hashtbl.replace visited (fi, blk) ();
@@ -182,7 +174,7 @@ let war_stores ~legacy w (m : Instr.mref) fi blk idx ~f =
   in
   scan fi blk idx
 
-let war_hazards ?(legacy = false) (p : Cfg.program) =
+let war_hazards (p : Cfg.program) =
   let w = walker p in
   let out = ref [] in
   Array.iteri
@@ -194,11 +186,11 @@ let war_hazards ?(legacy = false) (p : Cfg.program) =
             (fun idx instr ->
               match Instr.mem_read instr with
               | Some m -> (
-                  match last_write_before ~strict:(not legacy) body idx m with
+                  match last_write_before body idx m with
                   | Write _ ->
                       () (* WARAW-exempt: re-execution rewrites first *)
                   | Clobbered _ | No_write ->
-                      war_stores ~legacy w m fi bi (idx + 1)
+                      war_stores w m fi bi (idx + 1)
                         ~f:(fun sfi sblk sidx sw ->
                           out :=
                             {

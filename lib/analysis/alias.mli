@@ -40,14 +40,10 @@ type write_before =
       (** A region boundary (or the block start) was reached first: no
           write before the point can be relied upon across rollback. *)
 
-val last_write_before :
-  ?strict:bool -> Instr.t array -> int -> Instr.mref -> write_before
+val last_write_before : Instr.t array -> int -> Instr.mref -> write_before
 (** Scan backward from [idx] in a straight-line body for the most recent
-    store to the referenced location.  [strict] (default) reports
-    [Clobbered] as soon as any may-aliasing store intervenes;
-    [~strict:false] reproduces the seed's optimistic scan that skipped
-    such stores (unsound — kept only as the soundness-overhead
-    measurement baseline, never for compilation). *)
+    store to the referenced location.  Reports [Clobbered] as soon as any
+    may-aliasing store intervenes. *)
 
 val must_alias_in_block :
   Instr.t array -> int -> int -> Instr.mref -> Instr.mref -> bool
@@ -66,15 +62,13 @@ type hazard = {
   hz_dynamic : bool;  (** either access is dynamically addressed *)
 }
 
-val war_hazards : ?legacy:bool -> Cfg.program -> hazard list
+val war_hazards : Cfg.program -> hazard list
 (** Every load → may-aliasing-store anti-dependence reachable without
     crossing a region boundary, WARAW-exempt pairs aside.  Re-executing
     such a region after the store reads the overwritten value — the
     idempotence violation region formation must cut (or double-buffer).
-    By default the walk follows calls and returns and uses the
-    clobber-aware WARAW exemption; [~legacy:true] reproduces the seed's
-    unsound analysis (intraprocedural, optimistic WARAW scan) for
-    overhead measurement. *)
+    The walk follows calls and returns and uses the clobber-aware WARAW
+    exemption. *)
 
 val pp_hazard : Format.formatter -> hazard -> unit
 

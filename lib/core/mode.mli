@@ -1,22 +1,6 @@
-(** Pipeline soundness/speculation mode.
+(** Bench stub.  The pipeline has exactly one (sound) mode; this
+    one-constructor type survives only because [bench/perf/perf.ml]
+    still names [Speculative] and passes it to {!Pipeline.compile},
+    which ignores it. *)
 
-    [Legacy] is the seed's optimistic (unsound) compiler, kept only as
-    the soundness-overhead measurement baseline.  [Speculative] (the
-    default) is the sound pipeline: it cuts every syntactic may-alias
-    hazard at region formation, reuses checkpoint slots optimistically,
-    and force-keeps every reuse whose slot a store overwrites inside the
-    reuser's crash window, so slot safety is proven statically. *)
-
-type t = Legacy | Speculative
-
-val default : t
-(** [Speculative]. *)
-
-val to_string : t -> string
-
-val of_string : string -> t option
-(** Case-insensitive inverse of {!to_string}; also accepts ["spec"] for
-    [Speculative]. *)
-
-val equal : t -> t -> bool
-val compare : t -> t -> int
+type t = Speculative

@@ -65,20 +65,21 @@ let snapshot (p : Cfg.program) =
 let restore snap = List.iter (fun ((b : Cfg.block), is) -> b.Cfg.instrs <- is) snap
 
 let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
-    ?(prune_reuse = true) ?(mode = Mode.default) ?obs ?metrics scheme prog =
+    ?(prune_reuse = true) ?mode ?obs ?metrics scheme prog =
+  ignore (mode : Mode.t option);
   let p = pass ?obs ?metrics prog "copy" (fun () -> Copy.program prog) in
   let pass name f = pass ?obs ?metrics p name f in
   match scheme with
   | Scheme.Nvp -> (p, Meta.empty Scheme.Nvp)
   | Scheme.Ratchet | Scheme.Gecko_noprune | Scheme.Gecko ->
       let next_id = ref 0 in
-      pass "regions" (fun () -> ignore (Regions.form ~mode ~next_id p));
+      pass "regions" (fun () -> ignore (Regions.form ~next_id p));
       let overhead = ckpt_overhead_estimate scheme in
       pass "split" (fun () ->
           ignore
             (Split.by_wcet ~next_id ~budget:budget_cycles
                ~ckpt_overhead:overhead p));
-      pass "regions2" (fun () -> ignore (Regions.form ~mode ~next_id p));
+      pass "regions2" (fun () -> ignore (Regions.form ~next_id p));
       let meta =
         match scheme with
         | Scheme.Ratchet -> pass "emit" (fun () -> Emit.ratchet p)
@@ -87,8 +88,7 @@ let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
               match scheme with
               | Scheme.Gecko ->
                   fun ~force_keep p cands ->
-                    Prune.analyze_with ~force_keep
-                      ~sound:(mode = Mode.Speculative) ~slices:prune_slices
+                    Prune.analyze_with ~force_keep ~slices:prune_slices
                       ~reuse:prune_reuse p cands
               | Scheme.Gecko_noprune | Scheme.Ratchet | Scheme.Nvp ->
                   fun ~force_keep _p cands ->
@@ -101,7 +101,7 @@ let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
                every read it does not survive; each becomes a forced
                [Keep] (an owned store, which span colouring gives its
                own colour), and colouring resumes until the scan is
-               empty.  [Legacy] keeps its optimistic reuses. *)
+               empty. *)
             let forced = Hashtbl.create 8 in
             let forced_at bid =
               Option.value ~default:Reg.Set.empty (Hashtbl.find_opt forced bid)
@@ -128,15 +128,9 @@ let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
                     Emit.gecko scheme p col.Coloring.cands
                       col.Coloring.decisions col.Coloring.colors)
               in
-              let clobbers =
-                match mode with
-                | Mode.Legacy -> []
-                | Mode.Speculative ->
-                    pass "clobbers" (fun () -> Verify.slot_clobbers p meta)
-              in
-              match clobbers with
+              match pass "clobbers" (fun () -> Verify.slot_clobbers p meta) with
               | [] -> meta
-              | _ :: _ ->
+              | clobbers ->
                   let fresh =
                     List.filter
                       (fun (bid, r) -> not (Reg.Set.mem r (forced_at bid)))
@@ -162,17 +156,14 @@ let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
             settle 1 None
         | Scheme.Nvp -> assert false
       in
-      (* [Legacy] is the measurement baseline: the slot and io-commit
-         gates certify only the sound pipeline. *)
-      let sound = mode = Mode.Speculative in
       pass "verify" (fun () ->
-          fail_on_errors "idempotence" (Verify.idempotence ~mode p);
+          fail_on_errors "idempotence" (Verify.idempotence p);
           (match scheme with
           | Scheme.Gecko | Scheme.Gecko_noprune ->
               fail_on_errors "coloring" (Verify.coloring p meta);
-              if sound then fail_on_errors "slots" (Verify.slots p meta)
+              fail_on_errors "slots" (Verify.slots p meta)
           | Scheme.Ratchet | Scheme.Nvp -> ());
-          if sound then fail_on_errors "io_commit" (Verify.io_commit p);
+          fail_on_errors "io_commit" (Verify.io_commit p);
           fail_on_errors "wcet" (Verify.wcet ~budget:budget_cycles p));
       (p, meta)
 

@@ -36,23 +36,19 @@ val compile :
     the ablation study.  Raises [Failure] if a verification pass fails —
     a compiler bug, not a user error.
 
-    [mode] (default [Speculative]) selects the soundness point of the
-    whole pipeline:
+    Regions are idempotent by construction: every interprocedural
+    syntactic may-alias WAR hazard is cut at region formation, pruning
+    quarantines functions with residual hazards, and checkpoint pruning
+    reuses slots optimistically.  After emission the window-clobber scan
+    ({!Verify.slot_clobbers}) names every reused slot some store
+    overwrites inside the reuser's crash window; each such reuse is
+    force-kept through [Prune.analyze_with ~force_keep] and colouring
+    resumes, until the scan is empty (bounded; raises [Failure] past the
+    bound).  The independent [Verify.slots] and [Verify.io_commit] gates
+    run on the result, so no image needs a runtime guard.
 
-    - [Speculative] — the sound pipeline: interprocedural syntactic
-      may-alias WAR hazards are all cut at region formation (regions
-      stay idempotent), pruning quarantines functions with residual
-      hazards, and checkpoint pruning reuses slots optimistically.
-      After emission the window-clobber scan ({!Verify.slot_clobbers})
-      names every reused slot some store overwrites inside the
-      reuser's crash window; each such reuse is force-kept through
-      [Prune.analyze_with ~force_keep] and colouring resumes, until
-      the scan is empty (bounded; raises [Failure] past the bound).
-      The independent [Verify.slots] and [Verify.io_commit] gates run
-      on the result, so no image needs a runtime guard.
-    - [Legacy] — the seed's optimistic compiler; exists solely as the
-      baseline for soundness-overhead measurement (it can emit programs
-      whose rollback is unsound under dynamic addressing).
+    [mode] is ignored: the pipeline has one mode, and the argument
+    exists only for the [bench/perf] harness (see {!Mode}).
 
     [obs] turns on the compiler profiler: every pass is recorded as a
     host-clock span (category ["compiler"]) with an [ir_instrs] counter

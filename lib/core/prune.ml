@@ -170,8 +170,7 @@ let try_slice cands fi dom reaching pb live pruned pinned r =
         Some (List.rev ctx.emitted)
       with Unsliceable -> None)
 
-let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?(sound = true)
-    ~slices ~reuse (p : Cfg.program) (cands : Candidates.t) =
+let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ~slices ~reuse (p : Cfg.program) (cands : Candidates.t) =
   let result : result = Hashtbl.create 32 in
   (* Never prune across an unresolved dynamic hazard: if region formation
      left a may-alias WAR in some function (possible only when a caller
@@ -180,12 +179,11 @@ let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?(sound = true)
      slices (whose loads could observe clobbered locations) nor reuse can
      be justified. *)
   let hazardous = Hashtbl.create 4 in
-  if sound then
-    List.iter
-      (fun (h : A.Alias.hazard) ->
-        Hashtbl.replace hazardous h.A.Alias.hz_func ();
-        Hashtbl.replace hazardous h.A.Alias.hz_store_func ())
-      (Lazy.force cands.Candidates.hazards);
+  List.iter
+    (fun (h : A.Alias.hazard) ->
+      Hashtbl.replace hazardous h.A.Alias.hz_func ();
+      Hashtbl.replace hazardous h.A.Alias.hz_store_func ())
+    (Lazy.force cands.Candidates.hazards);
   let site_hazardous (s : Candidates.site) =
     Hashtbl.mem hazardous cands.Candidates.funcs.(s.Candidates.s_func).Cfg.fname
   in

@@ -46,7 +46,6 @@ val max_slice_nodes : int
 
 val analyze_with :
   ?force_keep:(int -> Reg.Set.t) ->
-  ?sound:bool ->
   slices:bool ->
   reuse:bool ->
   Cfg.program ->
@@ -64,15 +63,13 @@ val analyze_with :
 
     Reuse is optimistic: a reused restore reads the slot of a dominating
     owner, and nothing here proves that no other store of the register
-    overwrites that slot inside the reuser's crash window.  The sound
+    overwrites that slot inside the reuser's crash window.  The
     pipeline checks that after emission ({!Verify.slot_clobbers}) and
     force-keeps each clobbered reuse, so the restore reads a slot of its
     own.
 
-    [sound] (default [true]) quarantines residual dynamic hazards: every
-    candidate in a function that still has a may-alias WAR is kept.
-    [sound:false] reproduces the seed's optimistic analysis and exists
-    only as the baseline for soundness-overhead measurement. *)
+    Residual dynamic hazards are quarantined: every candidate in a
+    function that still has a may-alias WAR is kept. *)
 
 val keep_all : Candidates.t -> result
 (** The no-pruning configuration: every candidate kept. *)

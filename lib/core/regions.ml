@@ -76,13 +76,7 @@ let structural_pass next_id (p : Cfg.program) =
 (* Anti-dependence cuts: the may-alias WAR/WARAW hazard set lives in the
    analysis layer ({!A.Alias.war_hazards}); region formation resolves each
    hazard by inserting a boundary immediately before the offending store,
-   so a rollback can never land between the load and the store.
-   [Speculative] uses the syntactic verdicts; [Legacy] reproduces the
-   seed's analysis (intraprocedural, optimistic WARAW scan) — only the
-   soundness-overhead measurement baseline compiles with it. *)
-
-let hazards ?(mode = Mode.default) (p : Cfg.program) =
-  A.Alias.war_hazards ~legacy:(mode = Mode.Legacy) p
+   so a rollback can never land between the load and the store. *)
 
 let insert_in_block (b : Cfg.block) idx instr =
   let rec go i = function
@@ -95,26 +89,25 @@ let insert_in_block (b : Cfg.block) idx instr =
 let func_by_name (p : Cfg.program) name =
   List.find (fun (f : Cfg.func) -> f.Cfg.fname = name) p.Cfg.funcs
 
-let rec war_fixpoint ~mode next_id (p : Cfg.program) acc =
-  match hazards ~mode p with
+let rec war_fixpoint next_id (p : Cfg.program) acc =
+  match A.Alias.war_hazards p with
   | [] -> acc
   | hz :: _ ->
       let f = func_by_name p hz.A.Alias.hz_store_func in
       let sblk, sidx = hz.A.Alias.hz_store in
       let blk = List.nth f.Cfg.blocks sblk in
       insert_in_block blk sidx (fresh next_id);
-      war_fixpoint ~mode next_id p (acc + 1)
+      war_fixpoint next_id p (acc + 1)
 
-let form ?(mode = Mode.default) ~next_id p =
+let form ~next_id p =
   let a = structural_pass next_id p in
-  (* Every mode cuts its hazard set to empty — [Speculative] included:
-     regions stay idempotent by construction, so re-execution after a
-     rollback is deterministic without any memory replay.  What
-     [Speculative] speculates on is downstream checkpoint slot reuse
-     (settled at compile time; see {!Prune} and {!Pipeline}), not the
-     anti-dependence discipline. *)
-  let b = war_fixpoint ~mode next_id p 0 in
+  (* The hazard set is cut to empty: regions stay idempotent by
+     construction, so re-execution after a rollback is deterministic
+     without any memory replay.  What the pipeline speculates on is
+     downstream checkpoint slot reuse (settled at compile time; see
+     {!Prune} and {!Pipeline}), not the anti-dependence discipline. *)
+  let b = war_fixpoint next_id p 0 in
   a + b
 
-let violations ?(mode = Mode.default) (p : Cfg.program) =
-  List.map (Format.asprintf "%a" A.Alias.pp_hazard) (hazards ~mode p)
+let violations (p : Cfg.program) =
+  List.map (Format.asprintf "%a" A.Alias.pp_hazard) (A.Alias.war_hazards p)

@@ -21,19 +21,11 @@
     already-formed program inserts nothing. *)
 
 open Gecko_isa
-module A = Gecko_analysis
 
-val form : ?mode:Mode.t -> next_id:int ref -> Cfg.program -> int
-(** Returns the number of boundaries inserted.  [mode] picks the hazard
-    verdicts: [Legacy] is the seed's unsound analysis (intraprocedural,
-    optimistic WARAW scan — only the soundness-overhead measurement
-    baseline uses it); [Speculative] cuts the sound syntactic hazard
-    set. *)
+val form : next_id:int ref -> Cfg.program -> int
+(** Returns the number of boundaries inserted. *)
 
-val hazards : ?mode:Mode.t -> Cfg.program -> A.Alias.hazard list
-(** Residual may-alias WAR hazards under the mode's verdicts (empty on a
-    correctly formed program). *)
-
-val violations : ?mode:Mode.t -> Cfg.program -> string list
-(** Human-readable rendering of {!hazards} — the final verification
-    pass. *)
+val violations : Cfg.program -> string list
+(** Human-readable rendering of the residual may-alias WAR hazards
+    ({!Gecko_analysis.Alias.war_hazards}; empty on a correctly formed
+    program) — the final verification pass. *)

@@ -1,12 +1,11 @@
 open Gecko_isa
 module A = Gecko_analysis
 
-let idempotence ?(mode = Mode.default) p =
-  (* Every mode — [Speculative] included — must cut its hazard set to
-     empty: regions are idempotent by construction and re-execution after
-     a rollback is deterministic without memory replay.  [mode] only
-     selects [Legacy]'s optimistic hazard criterion. *)
-  match Regions.violations ~mode p with [] -> Ok () | errs -> Error errs
+let idempotence p =
+  (* The hazard set must be cut to empty: regions are idempotent by
+     construction and re-execution after a rollback is deterministic
+     without memory replay. *)
+  match Regions.violations p with [] -> Ok () | errs -> Error errs
 
 (* Registers whose checkpoint store a boundary emits, with the colour
    and stability class of each. *)

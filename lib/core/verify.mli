@@ -7,14 +7,11 @@
 
 open Gecko_isa
 
-val idempotence : ?mode:Mode.t -> Cfg.program -> (unit, string list) result
+val idempotence : Cfg.program -> (unit, string list) result
 (** No may-alias memory anti-dependence survives without a boundary
-    between the load and the store (WARAW-exempt pairs aside), in every
-    mode — regions are idempotent by construction and re-execution after
-    a rollback is deterministic without memory replay.  [mode] (default
-    [Speculative]) picks the hazard verdicts: [Legacy] checks only the
-    seed's optimistic criterion (soundness-overhead measurement
-    baseline); [Speculative] checks the sound syntactic set. *)
+    between the load and the store (WARAW-exempt pairs aside): regions
+    are idempotent by construction and re-execution after a rollback is
+    deterministic without memory replay. *)
 
 val coloring : Cfg.program -> Meta.t -> (unit, string list) result
 (** No two span-adjacent boundaries ({!Spans.edges} over the owned

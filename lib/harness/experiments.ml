@@ -918,107 +918,6 @@ let budget_sweep _fidelity =
     [ 80; 120; 250; 500; 2000 ];
   { text = U.Table.render t; metrics = List.rev !ms }
 
-(* Soundness overhead: what may-alias soundness costs over the seed's
-   optimistic (unsound) compiler, per workload, under no-attack constant
-   power.  Two pipeline modes run against the same NVP baseline:
-
-   - [Legacy]: the seed's optimistic baseline (can be unsound);
-   - [Speculative]: the sound pipeline — syntactic may-alias region
-     cuts, and optimistic checkpoint-slot reuse with every reuse
-     clobbered in its crash window force-kept at compile time.
-
-   The HEADLINE metric ([<wl>.soundness_overhead_pct]) is the residual
-   cost of Speculative over Legacy, in percentage points.  A negative
-   value means the sound build ran FASTER than the optimistic one
-   (boundary placement is budget-driven, so more WAR cuts can move WCET
-   split points and land a luckier checkpoint layout); negatives are
-   flagged and counted ([negative_overheads]) rather than
-   celebrated. *)
-let soundness_overhead _fidelity =
-  let board = Board.default () in
-  let t =
-    U.Table.create
-      ~title:
-        "Soundness overhead — GECKO overhead vs NVP per pipeline mode; \
-         headline = speculative vs the seed's optimistic baseline (no \
-         power outage)"
-      ~header:
-        [ "workload"; "legacy"; "speculative"; "headline" ]
-      ()
-  in
-  let rows =
-    Workbench.pmap
-      (fun wname ->
-        let w = W.find wname in
-        let nvp_image, nvp_meta =
-          Workbench.compiled Core.Scheme.Nvp (w.W.build ())
-        in
-        let nvp_o = M.run ~board ~image:nvp_image ~meta:nvp_meta M.default_options in
-        let nvp =
-          float_of_int (nvp_o.M.app_cycles + nvp_o.M.instrumentation_cycles)
-        in
-        let overhead_pct mode =
-          let image, meta =
-            Workbench.compiled ~mode Core.Scheme.Gecko (w.W.build ())
-          in
-          let o = M.run ~board ~image ~meta M.default_options in
-          100.
-          *. ((float_of_int (o.M.app_cycles + o.M.instrumentation_cycles)
-               /. nvp)
-             -. 1.)
-        in
-        ( wname,
-          overhead_pct Core.Mode.Legacy,
-          overhead_pct Core.Mode.Speculative ))
-      W.names
-  in
-  (* Overhead-over-legacy in percentage points, and the matching
-     slowdown ratio for geomeans. *)
-  let pp over legacy = over -. legacy in
-  let ratio over legacy = (1. +. (over /. 100.)) /. (1. +. (legacy /. 100.)) in
-  let ms = ref [] in
-  let negatives = ref 0 in
-  List.iter
-    (fun (wname, legacy, spec) ->
-      let headline = pp spec legacy in
-      if headline < 0. then incr negatives;
-      ms := (wname ^ ".soundness_overhead_pct", headline) :: !ms;
-      U.Table.add_row t
-        [
-          wname;
-          Printf.sprintf "%+.1f%%" legacy;
-          Printf.sprintf "%+.1f%%" spec;
-          Printf.sprintf "%+.1f pp%s" headline
-            (if headline < 0. then " (!)" else "");
-        ])
-    rows;
-  let geo_spec =
-    100.
-    *. (U.Stats.geomean
-          (List.map (fun (_, legacy, spec) -> ratio spec legacy) rows)
-       -. 1.)
-  in
-  ms :=
-    ("negative_overheads", float_of_int !negatives)
-    :: ("geomean.soundness_overhead_pct", geo_spec)
-    :: !ms;
-  {
-    text =
-      U.Table.render t
-      ^ Printf.sprintf
-          "Geomean slowdown over optimistic: speculative %+.1f%% \
-           (headline)\n"
-          geo_spec
-      ^ (if !negatives > 0 then
-           Printf.sprintf
-             "(!) %d workload(s) ran FASTER sound than optimistic — a \
-              budget-driven boundary-placement artifact, see \
-              DESIGN.md.\n"
-             !negatives
-         else "");
-    metrics = List.rev !ms;
-  }
-
 (* Detection latency: how quickly GECKO notices an attack that begins
    mid-run. *)
 let detection_latency fidelity =
@@ -1099,7 +998,6 @@ let artifacts =
     ("table3", table3_checkpoint_stores);
     ("ablation", ablation);
     ("budget-sweep", budget_sweep);
-    ("soundness-overhead", soundness_overhead);
     ("detection-latency", detection_latency);
   ]
 

@@ -68,17 +68,6 @@ val budget_sweep : fidelity -> artifact
 (** Beyond the paper: sensitivity of GECKO's overhead to the WCET
     region budget (the charge-cycle sizing knob of Section VI-B). *)
 
-val soundness_overhead : fidelity -> artifact
-(** Per-workload cost of may-alias soundness: GECKO overhead vs NVP
-    under the sound [Mode.Speculative] pipeline minus the same overhead
-    under the seed's optimistic [Mode.Legacy] baseline, no-attack
-    constant power.  The table has a legacy and a speculative column;
-    the headline metric is [<workload>.soundness_overhead_pct], with
-    [geomean.soundness_overhead_pct] over the suite plus
-    [negative_overheads], the count of workloads whose headline is
-    negative (sound-faster-than-optimistic boundary-placement
-    artifacts, flagged rather than hidden). *)
-
 val detection_latency : fidelity -> artifact
 (** Beyond the paper: time from attack onset to reactive detection. *)
 

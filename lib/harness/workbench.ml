@@ -40,16 +40,15 @@ let sense_app () =
    lock keeps two workers from compiling the same program twice (the
    loser of the race counts a hit, so miss totals equal the number of
    distinct keys regardless of pool size). *)
-let cache :
-    (string * Core.Scheme.t * Core.Mode.t, Link.image * Core.Meta.t) Hashtbl.t =
+let cache : (string * Core.Scheme.t, Link.image * Core.Meta.t) Hashtbl.t =
   Hashtbl.create 16
 
 let cache_mutex = Mutex.create ()
 let cache_hits = ref 0
 let cache_misses = ref 0
 
-let compiled ?(mode = Core.Mode.default) scheme (prog : Cfg.program) =
-  let key = (prog.Cfg.pname, scheme, mode) in
+let compiled scheme (prog : Cfg.program) =
+  let key = (prog.Cfg.pname, scheme) in
   Mutex.protect cache_mutex (fun () ->
       match Hashtbl.find_opt cache key with
       | Some v ->
@@ -57,7 +56,7 @@ let compiled ?(mode = Core.Mode.default) scheme (prog : Cfg.program) =
           v
       | None ->
           incr cache_misses;
-          let p, meta = Core.Pipeline.compile ~mode scheme prog in
+          let p, meta = Core.Pipeline.compile scheme prog in
           let v = (Link.link p, meta) in
           Hashtbl.replace cache key v;
           v)
@@ -73,19 +72,16 @@ let cache_counts () =
    Shares [cache_mutex]: both caches are touched at run setup, never in
    the hot loop. *)
 let decode_cache :
-    ( string * Core.Scheme.t * Core.Mode.t * string,
-      Gecko_machine.Decode.t )
-    Hashtbl.t =
+    (string * Core.Scheme.t * string, Gecko_machine.Decode.t) Hashtbl.t =
   Hashtbl.create 16
 
 let decode_hits = ref 0
 let decode_misses = ref 0
 
-let decoded ?(mode = Core.Mode.default) scheme (prog : Cfg.program)
-    ~(board : Board.t) =
-  let image, meta = compiled ~mode scheme prog in
+let decoded scheme (prog : Cfg.program) ~(board : Board.t) =
+  let image, meta = compiled scheme prog in
   let device = board.Board.device in
-  let key = (prog.Cfg.pname, scheme, mode, device.Gecko_devices.Device.model) in
+  let key = (prog.Cfg.pname, scheme, device.Gecko_devices.Device.model) in
   let dec =
     Mutex.protect cache_mutex (fun () ->
         match Hashtbl.find_opt decode_cache key with
@@ -120,8 +116,8 @@ let workload_program name =
           Hashtbl.replace workload_cache name p;
           p)
 
-let decoded_workload ?mode scheme name ~board =
-  decoded ?mode scheme (workload_program name) ~board
+let decoded_workload scheme name ~board =
+  decoded scheme (workload_program name) ~board
 
 let record_cache_metrics reg =
   let hits, misses = cache_counts () in

@@ -10,15 +10,12 @@ val sense_app : unit -> Cfg.program
     endless sense–process–report loop (Section III, "Applications"). *)
 
 val compiled :
-  ?mode:Gecko_core.Mode.t ->
-  Gecko_core.Scheme.t ->
-  Cfg.program ->
-  Link.image * Gecko_core.Meta.t
-(** Compile and link (memoized on program name + scheme + pipeline
-    mode).  Thread-safe: the memo table is shared with the experiment
-    pool's worker domains — and with every fleet campaign shard, so a
-    workload×scheme×mode triple compiles once per process, not once per
-    device — and guarded by a mutex. *)
+  Gecko_core.Scheme.t -> Cfg.program -> Link.image * Gecko_core.Meta.t
+(** Compile and link (memoized on program name + scheme).  Thread-safe:
+    the memo table is shared with the experiment pool's worker domains —
+    and with every fleet campaign shard, so a workload×scheme pair
+    compiles once per process, not once per device — and guarded by a
+    mutex. *)
 
 val cache_counts : unit -> int * int
 (** Process-lifetime [(hits, misses)] of the shared compile cache.
@@ -27,20 +24,19 @@ val cache_counts : unit -> int * int
     run. *)
 
 val decoded :
-  ?mode:Gecko_core.Mode.t ->
   Gecko_core.Scheme.t ->
   Cfg.program ->
   board:Gecko_machine.Board.t ->
   Link.image * Gecko_core.Meta.t * Gecko_machine.Decode.t
 (** {!compiled}, plus the pre-decoded instruction stream for the board's
-    device, memoized beside the compile cache on (program, scheme, mode,
+    device, memoized beside the compile cache on (program, scheme,
     device model).  Feed the third component to
     {!Gecko_machine.Machine.options.decoded} so repeated runs of the
     same workload skip the O(code size) decode pass. *)
 
 val decode_counts : unit -> int * int
 (** Process-lifetime [(hits, misses)] of the decode cache (one miss per
-    distinct (program, scheme, mode, device) key). *)
+    distinct (program, scheme, device) key). *)
 
 val workload_program : string -> Cfg.program
 (** The catalogued workload's CFG, built once per process and memoized
@@ -48,7 +44,6 @@ val workload_program : string -> Cfg.program
     {!Gecko_workloads.Workload.find} on unknown names. *)
 
 val decoded_workload :
-  ?mode:Gecko_core.Mode.t ->
   Gecko_core.Scheme.t ->
   string ->
   board:Gecko_machine.Board.t ->

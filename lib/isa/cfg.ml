@@ -71,6 +71,74 @@ let find_space p name =
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Cfg.find_space: no space %s" name)
 
+(* Control-flow shape the compiler relies on: every block is reachable
+   from the function entry, and every cycle is entered through a single
+   header that dominates it (the graph is reducible), so cutting each
+   natural-loop header leaves no boundary-free cycle.  A retreating DFS
+   edge [u -> v] whose target does not dominate [u] closes a cycle that
+   is also entered elsewhere: the first block of the DFS path from [v]
+   to [u] that a path from the entry reaches without passing [v] is the
+   one named.  Labels must already resolve. *)
+let check_shape f =
+  let blocks = Array.of_list f.blocks in
+  let n = Array.length blocks in
+  let index = Hashtbl.create n in
+  Array.iteri (fun i b -> Hashtbl.replace index b.label i) blocks;
+  let succ =
+    Array.map
+      (fun b -> List.map (Hashtbl.find index) (successors b.term))
+      blocks
+  in
+  (* Blocks reachable from the entry without entering [avoid]. *)
+  let reach ?(avoid = -1) () =
+    let seen = Array.make n false in
+    let rec go i =
+      if i <> avoid && not seen.(i) then begin
+        seen.(i) <- true;
+        List.iter go succ.(i)
+      end
+    in
+    go 0;
+    seen
+  in
+  let state = Array.make n `Unvisited in
+  (* [stack] is the DFS path to [i], innermost first. *)
+  let rec dfs i stack =
+    state.(i) <- `On_stack;
+    let bad =
+      List.find_map
+        (fun s ->
+          match state.(s) with
+          | `Unvisited -> dfs s (s :: stack)
+          | `On_stack ->
+              let avoiding = reach ~avoid:s () in
+              let rec above acc = function
+                | x :: rest when x <> s -> above (x :: acc) rest
+                | _ -> acc
+              in
+              List.find_opt (fun x -> avoiding.(x)) (above [] stack)
+              |> Option.map (fun x -> (x, s))
+          | `Done -> None)
+        succ.(i)
+    in
+    state.(i) <- `Done;
+    bad
+  in
+  match Array.find_index not (reach ()) with
+  | Some i ->
+      Error
+        (Printf.sprintf "%s: block %s is unreachable from the entry" f.fname
+           blocks.(i).label)
+  | None -> (
+      match dfs 0 [ 0 ] with
+      | None -> Ok ()
+      | Some (x, h) ->
+          Error
+            (Printf.sprintf
+               "%s: block %s enters the cycle through %s without passing its \
+                header"
+               f.fname blocks.(x).label blocks.(h).label))
+
 let validate p =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
   let check_func f =
@@ -128,7 +196,7 @@ let validate p =
                     b.instrs)
             f.blocks
         in
-        match bad_target with Some s -> Error s | None -> Ok ()
+        match bad_target with Some s -> Error s | None -> check_shape f
   in
   let ids = List.map (fun (s : Instr.space) -> s.Instr.space_id) p.spaces in
   let sorted = List.sort_uniq compare ids in

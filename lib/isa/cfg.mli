@@ -52,7 +52,10 @@ val find_space : program -> string -> Instr.space
 val validate : program -> (unit, string) result
 (** Structural checks: labels resolve, entry blocks exist, call targets
     exist, constant displacements are in bounds, space ids are unique,
-    the main function exists. *)
+    the main function exists, and every function's control flow has the
+    shape region formation needs — each block reachable from the entry,
+    each cycle entered only through its header (a reducible graph).  An
+    error names the offending function and block. *)
 
 val pp_func : Format.formatter -> func -> unit
 val pp : Format.formatter -> program -> unit

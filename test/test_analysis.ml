@@ -158,9 +158,7 @@ let test_ipliveness () =
 
 (* {1 QCheck properties for the alias layer}
 
-   Constant slots are separated by construction, and the non-strict scan
-   kept as the Legacy measurement baseline still reproduces the seed's
-   optimistic algorithm exactly. *)
+   Constant slots are separated by construction. *)
 
 let space_a = { Instr.space_name = "a"; space_id = 0; space_words = 64 }
 let space_b = { Instr.space_name = "b"; space_id = 1; space_words = 64 }
@@ -178,65 +176,6 @@ let prop_distinct_slots =
       (* Same space: alias iff the very same slot.  Distinct spaces are
          distinct allocations, whatever the offsets. *)
       if same_space then verdict = (i = j) else not verdict)
-
-(* The seed's optimistic backward scan, reimplemented verbatim as the
-   oracle: skip every store that only may-alias, return the first
-   must-alias write, stop at a boundary.  [last_write_before
-   ~strict:false] is kept solely to reproduce this baseline (Legacy
-   mode's overhead measurement), so the two must agree everywhere. *)
-let seed_scan (body : Instr.t array) idx m =
-  let result = ref A.Alias.No_write in
-  (try
-     for j = idx - 1 downto 0 do
-       match body.(j) with
-       | Instr.Boundary _ -> raise Exit
-       | i -> (
-           match Instr.mem_write i with
-           | Some w when A.Alias.must_alias_in_block body j idx w m ->
-               result := A.Alias.Write j;
-               raise Exit
-           | Some _ | None -> ())
-     done
-   with Exit -> ());
-  !result
-
-let scan_case_gen =
-  let open QCheck.Gen in
-  let reg = map Reg.of_int (int_bound 3) in
-  let disp =
-    oneof
-      [
-        map (fun c -> Instr.Dconst c) (int_bound 7);
-        map (fun r -> Instr.Dreg r) reg;
-      ]
-  in
-  let mref = map (fun d -> { Instr.space = space_a; disp = d }) disp in
-  let instr =
-    frequency
-      [
-        (3, map2 (fun m r -> Instr.St (m, r)) mref reg);
-        (2, map2 (fun r v -> Instr.Li (r, v)) reg (int_bound 7));
-        (1, return (Instr.Boundary 0));
-        (1, map2 (fun r m -> Instr.Ld (r, m)) reg mref);
-      ]
-  in
-  list_size (int_range 1 12) instr >>= fun instrs ->
-  let body = Array.of_list instrs in
-  int_bound (Array.length body) >>= fun idx ->
-  mref >>= fun m -> return (body, idx, m)
-
-let prop_nonstrict_scan_is_seed =
-  QCheck.Test.make ~count:500
-    ~name:"~strict:false reproduces the seed's optimistic scan"
-    (QCheck.make
-       ~print:(fun (body, idx, m) ->
-         Printf.sprintf "idx=%d ref=%s in [%s]" idx
-           (Format.asprintf "%a" Instr.pp_mref m)
-           (String.concat "; "
-              (Array.to_list (Array.map Instr.to_string body))))
-       scan_case_gen)
-    (fun (body, idx, m) ->
-      A.Alias.last_write_before ~strict:false body idx m = seed_scan body idx m)
 
 let () =
   Alcotest.run "analysis"
@@ -261,6 +200,6 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_distinct_slots; prop_nonstrict_scan_is_seed ]
+          [ prop_distinct_slots ]
       );
     ]

@@ -55,26 +55,6 @@ let test_pruning_happens () =
   let s = meta.Core.Meta.stats in
   Alcotest.(check bool) "some pruning" true (s.Core.Meta.pruned > 0)
 
-(* The CLI parses --mode through [Mode.of_string], so the list of modes
-   lives in one place. *)
-let test_mode_names () =
-  let parses s m =
-    Alcotest.(check bool) (Printf.sprintf "%S parses" s) true
-      (match Core.Mode.of_string s with
-      | Some m' -> Core.Mode.equal m m'
-      | None -> false)
-  in
-  List.iter
-    (fun m -> parses (Core.Mode.to_string m) m)
-    Core.Mode.[ Legacy; Speculative ];
-  parses "spec" Core.Mode.Speculative;
-  List.iter
-    (fun s ->
-      Alcotest.(check bool) (s ^ " is not a mode") true
-        (Core.Mode.of_string s = None))
-    [ "precise"; "sound" ]
-
-
 (* ------------------------------------------------------------------ *)
 (* Targeted pass-level tests                                           *)
 (* ------------------------------------------------------------------ *)
@@ -203,22 +183,17 @@ let test_prune_decisions () =
 (* Colouring repair on call-bearing programs whose main-loop counter is
    live across calls: repairing after the newest repair boundary only
    carries the same odd cycle onto the next one, so the repair must
-   move to another node of the cycle for the rounds to converge, in
-   both modes. *)
+   move to another node of the cycle for the rounds to converge. *)
 let test_coloring_converges_with_calls () =
   List.iter
     (fun seed ->
-      List.iter
-        (fun mode ->
-          let p, meta =
-            Core.Pipeline.compile ~mode Core.Scheme.Gecko
-              (Gen_prog.generate ~calls:true seed)
-          in
-          match Core.Verify.coloring p meta with
-          | Ok () -> ()
-          | Error e ->
-              Alcotest.failf "seed %d: %s" seed (String.concat "; " e))
-        [ Core.Mode.Legacy; Core.Mode.Speculative ])
+      let p, meta =
+        Core.Pipeline.compile Core.Scheme.Gecko
+          (Gen_prog.generate ~calls:true seed)
+      in
+      match Core.Verify.coloring p meta with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "seed %d: %s" seed (String.concat "; " e))
     [ 272; 1241 ]
 
 (* Coloring: a loop header's checkpoints get a repair partner with
@@ -532,7 +507,7 @@ let coloring_rounds builds names =
     (fun name ->
       let src = (Gecko_workloads.Workload.find name).Gecko_workloads.Workload.build () in
       List.iter
-        (fun (scheme, mode) -> ignore (Core.Pipeline.compile ~metrics:reg ~mode scheme src))
+        (fun scheme -> ignore (Core.Pipeline.compile ~metrics:reg scheme src))
         builds)
     names;
   Gecko_obs.Metrics.counter_value
@@ -541,15 +516,12 @@ let coloring_rounds builds names =
 let test_coloring_rounds () =
   Alcotest.(check int) "suite: noprune, gecko" 89
     (coloring_rounds
-       [
-         (Core.Scheme.Gecko_noprune, Core.Mode.default);
-         (Core.Scheme.Gecko, Core.Mode.default);
-       ]
+       [ Core.Scheme.Gecko_noprune; Core.Scheme.Gecko ]
        Gecko_workloads.Workload.names);
   Alcotest.(check int) "qsort: 8 repairs" 9
-    (coloring_rounds [ (Core.Scheme.Gecko, Core.Mode.default) ] [ "qsort" ]);
+    (coloring_rounds [ Core.Scheme.Gecko ] [ "qsort" ]);
   Alcotest.(check int) "ratchet colours nothing" 0
-    (coloring_rounds [ (Core.Scheme.Ratchet, Core.Mode.default) ] [ "qsort" ])
+    (coloring_rounds [ Core.Scheme.Ratchet ] [ "qsort" ])
 
 (* Suite totals of the default GECKO build's instrumentation: boundaries,
    static checkpoint stores and slot force-keeps (all of them
@@ -580,7 +552,6 @@ let () =
           Alcotest.test_case "formation" `Quick test_formation;
           Alcotest.test_case "all schemes" `Quick test_schemes_compile;
           Alcotest.test_case "pruning" `Quick test_pruning_happens;
-          Alcotest.test_case "mode names" `Quick test_mode_names;
         ] );
       ( "regions",
         [

@@ -147,7 +147,7 @@ let prop_decode_cache_hit =
     ~name:"workbench decode cache hit equals a fresh decode" seed_gen
     (fun seed ->
       let scheme = scheme_of seed in
-      let prog = Gen_prog.generate seed in
+      let prog = Gen_prog.generate_mixed seed in
       let board = M.Board.default () in
       let image, _meta, dec1 = Gecko_harness.Workbench.decoded scheme prog ~board in
       let _, _, dec2 = Gecko_harness.Workbench.decoded scheme prog ~board in

@@ -27,13 +27,13 @@ let fi_board () =
     v_backup = 2.8;
   }
 
-let compile ?budget_cycles ?mode scheme w =
+let compile ?budget_cycles scheme w =
   let prog = (W.Workload.find w).W.Workload.build () in
-  let p, meta = Core.Pipeline.compile ?budget_cycles ?mode scheme prog in
+  let p, meta = Core.Pipeline.compile ?budget_cycles scheme prog in
   (Link.link p, meta)
 
-let explore ?(budget = 120) ?pairs ?mode scheme w =
-  let image, meta = compile ?mode scheme w in
+let explore ?(budget = 120) ?pairs scheme w =
+  let image, meta = compile scheme w in
   FI.Explore.explore ~jobs:2 ~budget ?pairs ~board:(fi_board ()) ~image ~meta ()
 
 (* {1 The explorer sweep: every workload x every scheme}
@@ -121,8 +121,7 @@ let test_speculative_sweep () =
     (fun w ->
       let pairs = if List.mem w gecko_formerly_failing then Some 8 else None in
       let r =
-        explore ~budget:120 ?pairs ~mode:Core.Mode.Speculative
-          Core.Scheme.Gecko w
+        explore ~budget:120 ?pairs Core.Scheme.Gecko w
       in
       let tag = "gecko[speculative]/" ^ w in
       Alcotest.(check bool) (tag ^ " baseline passes oracle") true
@@ -422,12 +421,12 @@ let ref_explore ~budget ~pairs ~seed ~board ~image ~meta =
 
 let test_explore_matches_reference () =
   let cases =
-    List.map (fun w -> (Core.Scheme.Gecko, Core.Mode.Speculative, w)) W.Workload.names
-    @ List.map (fun w -> (Core.Scheme.Nvp, Core.Mode.default, w)) nvp_failing
+    List.map (fun w -> (Core.Scheme.Gecko, w)) W.Workload.names
+    @ List.map (fun w -> (Core.Scheme.Nvp, w)) nvp_failing
   in
   List.iter
-    (fun (scheme, mode, w) ->
-      let image, meta = compile ~mode scheme w in
+    (fun (scheme, w) ->
+      let image, meta = compile scheme w in
       let board = fi_board () in
       let budget = 256 and pairs = 16 and seed = 3 in
       let r = FI.Explore.explore ~jobs:2 ~budget ~pairs ~seed ~board ~image ~meta () in
@@ -455,7 +454,7 @@ let prop_fork_equals_power_on =
             Core.Scheme.Gecko ]
           (seed mod 4)
       in
-      let p, meta = Core.Pipeline.compile scheme (Gen_prog.generate seed) in
+      let p, meta = Core.Pipeline.compile scheme (Gen_prog.generate_mixed seed) in
       let image = Link.link p in
       let board =
         if seed mod 2 = 0 then fi_board ()
@@ -489,7 +488,7 @@ let prop_fork_equals_power_on =
    its forks: drive a collapse through a fork every 97 steps, then finish
    the template and compare it with the census run. *)
 let test_template_survives_forks () =
-  let image, meta = compile ~mode:Core.Mode.Speculative Core.Scheme.Gecko "qsort" in
+  let image, meta = compile Core.Scheme.Gecko "qsort" in
   let board = fi_board () in
   let opts = FI.Explore.default_opts in
   let _, census_o, census_nvm = FI.Inject.census ~board ~image ~meta opts in

@@ -144,6 +144,11 @@ let test_linker_layout () =
   Alcotest.(check int) "resolve dyn" 14
     (Link.resolve img { Instr.space = s2; disp = Instr.Dreg Reg.r0 } regs)
 
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec scan i = i + nl <= hl && (String.sub hay i nl = needle || scan (i + 1)) in
+  scan 0
+
 let test_disasm_nonempty () =
   let b = B.program "d" in
   B.func b "main";
@@ -152,11 +157,6 @@ let test_disasm_nonempty () =
   B.halt b;
   let img = Link.link (B.finish b) in
   let text = Link.disasm img in
-  let contains hay needle =
-    let nl = String.length needle and hl = String.length hay in
-    let rec scan i = i + nl <= hl && (String.sub hay i nl = needle || scan (i + 1)) in
-    scan 0
-  in
   Alcotest.(check bool) "mentions li" true (contains text "li r0")
 
 
@@ -173,6 +173,46 @@ let test_asm_errors () =
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "expected parse error for %S" text)
     bad
+
+(* One-line edits of workload listings whose control flow region
+   formation cannot cut: the parser must reject them with an error that
+   names the block, instead of the compiler raising later on a
+   boundary-free cycle. *)
+let mutate_listing workload ~line ~into =
+  let words s = String.split_on_char ' ' s |> List.filter (( <> ) "") in
+  let text =
+    Asm.to_string ((Gecko_workloads.Workload.find workload).Gecko_workloads.Workload.build ())
+  in
+  let hits = ref 0 in
+  let lines =
+    List.map
+      (fun l ->
+        if words (String.trim l) = words line then begin
+          incr hits;
+          "    " ^ into
+        end
+        else l)
+      (String.split_on_char '\n' text)
+  in
+  Alcotest.(check int) (workload ^ ": edited line is unique") 1 !hits;
+  String.concat "\n" lines
+
+let test_asm_rejects_bad_shape () =
+  let expect_error ~names text =
+    match Asm.parse text with
+    | Ok _ -> Alcotest.fail "expected a validation error"
+    | Error e ->
+        if not (contains e names) then
+          Alcotest.failf "error %S does not name block %s" e names
+  in
+  (* The [ploop] partition loop becomes unreachable. *)
+  expect_error ~names:"block partition is unreachable"
+    (mutate_listing "qsort" ~line:"br.z r7, work_check, partition"
+       ~into:"jmp work");
+  (* A branch into the [relax] loop body, past its header. *)
+  expect_error ~names:"block rel_next1 enters the cycle through relax"
+    (mutate_listing "dijkstra" ~line:"jmp sel_next1"
+       ~into:"br.z r8, rel_next1, rel_doit1")
 
 let test_asm_parse_minimal () =
   let text =
@@ -214,5 +254,7 @@ let () =
         [
           Alcotest.test_case "parse errors" `Quick test_asm_errors;
           Alcotest.test_case "minimal program" `Quick test_asm_parse_minimal;
+          Alcotest.test_case "rejects uncuttable control flow" `Quick
+            test_asm_rejects_bad_shape;
         ] );
     ]

@@ -147,11 +147,100 @@ let prop_amplitude_monotone_power =
 
 let prop_asm_roundtrip =
   QCheck.Test.make ~count:120 ~name:"assembly round-trips" seed_gen (fun seed ->
-      let p = Gen_prog.generate seed in
+      let p = Gen_prog.generate_mixed seed in
       let text = Asm.to_string p in
       match Asm.parse text with
       | Error e -> QCheck.Test.fail_reportf "parse failed: %s" e
       | Ok p' -> Asm.to_string p' = text)
+
+(* Untrusted [.gasm]: a one-line edit of a workload listing (delete,
+   truncate, duplicate or byte-flip a line, or retarget a jump) either
+   fails to parse or compiles under every scheme — an [Error] or an
+   [Ok], never an exception.  Retargeted jumps are what reach the
+   compiler with unreachable blocks and side-entered cycles. *)
+let listings =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun w ->
+            String.split_on_char '\n'
+              (Asm.to_string ((Gecko_workloads.Workload.find w).Gecko_workloads.Workload.build ()))
+            |> Array.of_list)
+          Gecko_workloads.Workload.names))
+
+let mutate_listing seed =
+  let module R = Gecko_util.Rng in
+  let rng = R.create seed in
+  let lines = R.choose rng (Lazy.force listings) in
+  let n = Array.length lines in
+  let words l = String.split_on_char ' ' (String.trim l) |> List.filter (( <> ) "") in
+  let jumps =
+    List.filter
+      (fun k ->
+        match words lines.(k) with
+        | "jmp" :: _ -> true
+        | w :: _ -> String.starts_with ~prefix:"br." w
+        | [] -> false)
+      (List.init n Fun.id)
+  in
+  let labels =
+    Array.of_list
+      (List.filter_map
+         (fun l ->
+           match words l with
+           | w :: _ when l.[0] <> ' ' && l.[0] <> '.' && String.ends_with ~suffix:":" l ->
+               Some (String.concat "" (String.split_on_char ':' w))
+           | _ -> None)
+         (Array.to_list lines))
+  in
+  let op = R.int rng 5 in
+  let k = if op = 4 then R.choose rng (Array.of_list jumps) else R.int rng n in
+  let l = lines.(k) in
+  let edit =
+    match op with
+    | 0 -> []
+    | 1 -> [ String.sub l 0 (R.int rng (String.length l + 1)) ]
+    | 2 -> [ l; l ]
+    | 3 when l <> "" ->
+        let b = Bytes.of_string l in
+        let i = R.int rng (Bytes.length b) in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 + R.int rng 255)));
+        [ Bytes.to_string b ]
+    | 3 -> [ l ]
+    | _ -> (
+        let target = R.choose rng labels in
+        match words l with
+        | [ "jmp"; _ ] -> [ "    jmp " ^ target ]
+        | [ br; r; t; e ] ->
+            if R.bool rng then [ Printf.sprintf "    %s %s %s, %s" br r target e ]
+            else [ Printf.sprintf "    %s %s %s %s" br r t target ]
+        | _ -> [ l ])
+  in
+  let text =
+    String.concat "\n"
+      (Array.to_list (Array.sub lines 0 k) @ edit
+      @ Array.to_list (Array.sub lines (k + 1) (n - k - 1)))
+  in
+  (Printf.sprintf "line %d %S -> [%s]" (k + 1) l (String.concat "; " edit), text)
+
+let prop_mutated_asm_no_exception =
+  QCheck.Test.make ~count:600
+    ~name:"mutated listings parse or compile without an exception" seed_gen
+    (fun seed ->
+      let what, text = mutate_listing seed in
+      match Asm.parse text with
+      | exception e ->
+          QCheck.Test.fail_reportf "%s: parse raised %s" what (Printexc.to_string e)
+      | Error _ -> true
+      | Ok p ->
+          List.for_all
+            (fun scheme ->
+              match Core.Pipeline.compile scheme p with
+              | _ -> true
+              | exception e ->
+                  QCheck.Test.fail_reportf "%s: compile as %s raised %s" what
+                    (Core.Scheme.to_string scheme) (Printexc.to_string e))
+            Core.Scheme.all)
 
 let prop_machine_deterministic =
   QCheck.Test.make ~count:20 ~name:"simulation is deterministic" seed_gen
@@ -462,7 +551,7 @@ let prop_dynamic_budget =
       let budget = 150 in
       let p, meta =
         Core.Pipeline.compile ~budget_cycles:budget Core.Scheme.Gecko
-          (Gen_prog.generate seed)
+          (Gen_prog.generate_mixed seed)
       in
       ignore meta;
       (* Static check is authoritative; it already ran in the pipeline.
@@ -485,7 +574,7 @@ let () =
           ] );
       ( "compiler",
         q [ prop_compiler_invariants; prop_cross_scheme_agreement ] );
-      ("asm", q [ prop_asm_roundtrip ]);
+      ("asm", q [ prop_asm_roundtrip; prop_mutated_asm_no_exception ]);
       ( "machine",
         q [ prop_machine_deterministic; prop_dynamic_budget ] );
       ( "differential",

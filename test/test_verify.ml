@@ -130,11 +130,11 @@ let test_pipeline_cuts_dynamic_war () =
   check_ok "compiled dynamic-WAR program is idempotent"
     (Core.Verify.idempotence p)
 
-(* The seed's optimistic criterion trusted a stale must-alias write even
-   when a register-addressed store in between may clobber the location:
+(* A stale must-alias write is no WARAW exemption when a
+   register-addressed store in between may clobber the location:
    store d[0]; store d[r3] (may alias d[0]); load d[0]; store d[0].  The
-   legacy WARAW exemption sees the first store and exempts the pair; the
-   sound analysis reports the intervening dynamic store as a clobber. *)
+   analysis reports the intervening dynamic store as a clobber rather
+   than exempting the pair on the first store. *)
 let clobbered_waraw () =
   let b = B.program "clobber" in
   let d = B.space b "d" ~words:4 () in
@@ -153,12 +153,6 @@ let clobbered_waraw () =
 let test_sound_rejects_clobbered_waraw () =
   check_err "sound idempotence flags the clobbered WARAW exemption"
     (Core.Verify.idempotence (clobbered_waraw ()))
-
-let test_legacy_accepts_clobbered_waraw () =
-  (* Pinning the strengthening itself: the seed's criterion accepts the
-     very program the sound gate rejects. *)
-  check_ok "legacy idempotence trusts the stale write"
-    (Core.Verify.idempotence ~mode:Core.Mode.Legacy (clobbered_waraw ()))
 
 (* --- coloring --------------------------------------------------------- *)
 
@@ -417,8 +411,6 @@ let () =
             test_pipeline_cuts_dynamic_war;
           Alcotest.test_case "sound rejects clobbered WARAW exemption" `Quick
             test_sound_rejects_clobbered_waraw;
-          Alcotest.test_case "legacy accepts it (pinned delta)" `Quick
-            test_legacy_accepts_clobbered_waraw;
         ] );
       ( "coloring",
         [
