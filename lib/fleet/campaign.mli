@@ -146,8 +146,9 @@ val run :
 val prefix_share : result -> float
 (** The share of the devices' instructions served from shared prefixes
     rather than interpreted again: [1 - stepped_instructions /
-    instructions_run] ([0.] when nothing ran).  In [\[0, 1)]: every
-    prefix a reference steps is inherited by at least one device. *)
+    instructions_run] ([0.] when nothing ran), counting what the
+    devices' forks actually inherited.  In [\[0, 1)]: every prefix a
+    reference steps is inherited by at least one device. *)
 
 (** {2 Drill-down replay}
 

@@ -94,9 +94,9 @@ type prefix = {
       (* whether the seed joins the key: the image reads input *)
   px_slots : (key * float option, slot) Hashtbl.t;
       (* read-only once built; only the slots' atomics change *)
-  px_saved : int;
-      (* instructions the devices inherit minus those the references
-         stepped *)
+  px_stepped : int;  (* instructions the references stepped *)
+  px_inherited : int Atomic.t;
+      (* instructions the devices' forks inherited so far *)
 }
 
 let device_key px (d : device) =
@@ -172,14 +172,13 @@ let prefix ?telemetry ~spec ~field devices =
     Workbench.pmap (build_key ~spec ~flight)
       (Hashtbl.fold (fun k ts l -> (k, ts) :: l) points [])
   in
-  let slots = Hashtbl.create 64 and saved = ref 0 in
+  let slots = Hashtbl.create 64 and stepped = ref 0 in
   List.iter
-    (fun (handles, stepped) ->
-      saved := !saved - stepped;
+    (fun (handles, n_stepped) ->
+      stepped := !stepped + n_stepped;
       List.iter
         (fun (p, h) ->
           let n = Hashtbl.find users p in
-          saved := !saved + (n * M.Step.instructions h);
           Hashtbl.replace slots p
             { s_handle = Atomic.make (Some h); s_users = Atomic.make n })
         handles)
@@ -188,7 +187,8 @@ let prefix ?telemetry ~spec ~field devices =
     px_flight = flight;
     px_seeded = seeded;
     px_slots = slots;
-    px_saved = !saved;
+    px_stepped = !stepped;
+    px_inherited = Atomic.make 0;
   }
 
 let prefix_slot px ~flight (d : device) schedule =
@@ -212,9 +212,10 @@ let prefix_start px ~flight d schedule =
           let h = M.Step.fork ~schedule src in
           if Atomic.fetch_and_add s.s_users (-1) = 1 then
             Atomic.set s.s_handle None;
+          ignore (Atomic.fetch_and_add px.px_inherited (M.Step.instructions h));
           Some h)
 
-let prefix_saved px = px.px_saved
+let prefix_saved px = Atomic.get px.px_inherited - px.px_stepped
 
 (* --- the device runner ------------------------------------------------- *)
 

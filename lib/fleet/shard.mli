@@ -76,9 +76,10 @@ val prefix :
     dropped by the last of these devices to fork it. *)
 
 val prefix_saved : prefix -> int
-(** Instructions the table spares the devices it was built for: those
-    they inherit from their fork points, less those the references
-    stepped (each once). *)
+(** Instructions the table has spared so far: those the devices that
+    forked from it inherited from their fork points, less those the
+    references stepped (each once).  A device that ran from power-on
+    instead adds nothing. *)
 
 val reads_input : Gecko_isa.Link.image -> bool
 (** Whether the image holds an [In] op — then a run depends on its seed,

@@ -39,7 +39,11 @@ let sense_app () =
    is cheap next to simulation, it is deterministic, and holding the
    lock keeps two workers from compiling the same program twice (the
    loser of the race counts a hit, so miss totals equal the number of
-   distinct keys regardless of pool size). *)
+   distinct keys regardless of pool size).
+
+   Both caches key a program on its [Asm.to_string] listing, which
+   carries everything the pipeline reads: two different programs that
+   share a name are two entries. *)
 let cache : (string * Core.Scheme.t, Link.image * Core.Meta.t) Hashtbl.t =
   Hashtbl.create 16
 
@@ -47,8 +51,8 @@ let cache_mutex = Mutex.create ()
 let cache_hits = ref 0
 let cache_misses = ref 0
 
-let compiled scheme (prog : Cfg.program) =
-  let key = (prog.Cfg.pname, scheme) in
+let compiled_listing listing scheme (prog : Cfg.program) =
+  let key = (listing, scheme) in
   Mutex.protect cache_mutex (fun () ->
       match Hashtbl.find_opt cache key with
       | Some v ->
@@ -61,12 +65,14 @@ let compiled scheme (prog : Cfg.program) =
           Hashtbl.replace cache key v;
           v)
 
+let compiled scheme prog = compiled_listing (Asm.to_string prog) scheme prog
+
 let cache_counts () =
   Mutex.protect cache_mutex (fun () -> (!cache_hits, !cache_misses))
 
 (* Decoded-stream cache, beside the compile cache.  [Decode.decode] is
    O(code size) and depends only on the image and the device's
-   timing/energy constants, so it is keyed by (program, scheme, device
+   timing/energy constants, so it is keyed by (listing, scheme, device
    model); the machine validates provenance by physical equality on the
    image, which is stable here because [compiled] memoizes the link.
    Shares [cache_mutex]: both caches are touched at run setup, never in
@@ -78,10 +84,10 @@ let decode_cache :
 let decode_hits = ref 0
 let decode_misses = ref 0
 
-let decoded scheme (prog : Cfg.program) ~(board : Board.t) =
-  let image, meta = compiled scheme prog in
+let decoded_listing listing scheme prog ~(board : Board.t) =
+  let image, meta = compiled_listing listing scheme prog in
   let device = board.Board.device in
-  let key = (prog.Cfg.pname, scheme, device.Gecko_devices.Device.model) in
+  let key = (listing, scheme, device.Gecko_devices.Device.model) in
   let dec =
     Mutex.protect cache_mutex (fun () ->
         match Hashtbl.find_opt decode_cache key with
@@ -96,28 +102,37 @@ let decoded scheme (prog : Cfg.program) ~(board : Board.t) =
   in
   (image, meta, dec)
 
+let decoded scheme prog ~board =
+  decoded_listing (Asm.to_string prog) scheme prog ~board
+
 let decode_counts () =
   Mutex.protect cache_mutex (fun () -> (!decode_hits, !decode_misses))
 
 (* Workload CFG builds are deterministic and keyed by catalogue name, so
    a fleet shard that elaborates thousands of devices re-runs each
-   builder once per process instead of once per device.  Shares
-   [cache_mutex] with the compile/decode caches for the same reason they
-   do: touched at run setup only. *)
-let workload_cache : (string, Gecko_isa.Cfg.program) Hashtbl.t =
+   builder once per process instead of once per device.  The entry
+   carries the program's listing too, so a device's compile and decode
+   lookups serialise nothing.  Shares [cache_mutex] with the
+   compile/decode caches for the same reason they do: touched at run
+   setup only. *)
+let workload_cache : (string, Cfg.program * string) Hashtbl.t =
   Hashtbl.create 16
 
-let workload_program name =
+let workload_entry name =
   Mutex.protect cache_mutex (fun () ->
       match Hashtbl.find_opt workload_cache name with
-      | Some p -> p
+      | Some e -> e
       | None ->
           let p = (Gecko_workloads.Workload.find name).Gecko_workloads.Workload.build () in
-          Hashtbl.replace workload_cache name p;
-          p)
+          let e = (p, Asm.to_string p) in
+          Hashtbl.replace workload_cache name e;
+          e)
+
+let workload_program name = fst (workload_entry name)
 
 let decoded_workload scheme name ~board =
-  decoded scheme (workload_program name) ~board
+  let prog, listing = workload_entry name in
+  decoded_listing listing scheme prog ~board
 
 let record_cache_metrics reg =
   let hits, misses = cache_counts () in

@@ -11,11 +11,12 @@ val sense_app : unit -> Cfg.program
 
 val compiled :
   Gecko_core.Scheme.t -> Cfg.program -> Link.image * Gecko_core.Meta.t
-(** Compile and link (memoized on program name + scheme).  Thread-safe:
-    the memo table is shared with the experiment pool's worker domains —
-    and with every fleet campaign shard, so a workload×scheme pair
-    compiles once per process, not once per device — and guarded by a
-    mutex. *)
+(** Compile and link (memoized on the program's {!Asm.to_string} listing
+    + scheme, so two programs that share a name never share an image).
+    Thread-safe: the memo table is shared with the experiment pool's
+    worker domains — and with every fleet campaign shard, so a
+    workload×scheme pair compiles once per process, not once per device
+    — and guarded by a mutex. *)
 
 val cache_counts : unit -> int * int
 (** Process-lifetime [(hits, misses)] of the shared compile cache.
@@ -29,7 +30,7 @@ val decoded :
   board:Gecko_machine.Board.t ->
   Link.image * Gecko_core.Meta.t * Gecko_machine.Decode.t
 (** {!compiled}, plus the pre-decoded instruction stream for the board's
-    device, memoized beside the compile cache on (program, scheme,
+    device, memoized beside the compile cache on (listing, scheme,
     device model).  Feed the third component to
     {!Gecko_machine.Machine.options.decoded} so repeated runs of the
     same workload skip the O(code size) decode pass. *)
@@ -49,7 +50,8 @@ val decoded_workload :
   board:Gecko_machine.Board.t ->
   Link.image * Gecko_core.Meta.t * Gecko_machine.Decode.t
 (** {!decoded} of {!workload_program}: the fleet device runner's one-stop
-    image/meta/decoded lookup, every layer memoized. *)
+    image/meta/decoded lookup, every layer memoized (the listing too, so
+    a lookup serialises nothing). *)
 
 val record_cache_metrics : Gecko_obs.Metrics.registry -> unit
 (** Publish {!cache_counts} and {!decode_counts} as the

@@ -52,14 +52,15 @@ let test_loops () =
   Alcotest.(check bool) "exit not in body" false (List.mem (id "exit_") l.A.Loops.body)
 
 let test_liveness () =
-  let g = graph_of (diamond_loop ()) in
-  let live = A.Live.compute g in
-  let id l = A.Fgraph.block_id g l in
+  let live = A.Ipliveness.compute (diamond_loop ()) in
+  let g = A.Ipliveness.graph live ~fname:"main" in
+  let at_hdr =
+    A.Ipliveness.live_at live ~fname:"main"
+      { A.Fgraph.blk = A.Fgraph.block_id g "hdr"; idx = 0 }
+  in
   (* r1 (the bound) is live at the loop header, r2 (the scratch) is not. *)
-  Alcotest.(check bool) "r1 live at hdr" true
-    (Reg.Set.mem Reg.r1 (A.Live.live_in live (id "hdr")));
-  Alcotest.(check bool) "r2 dead at hdr" false
-    (Reg.Set.mem Reg.r2 (A.Live.live_in live (id "hdr")))
+  Alcotest.(check bool) "r1 live at hdr" true (Reg.Set.mem Reg.r1 at_hdr);
+  Alcotest.(check bool) "r2 dead at hdr" false (Reg.Set.mem Reg.r2 at_hdr)
 
 let test_reaching () =
   let g = graph_of (diamond_loop ()) in

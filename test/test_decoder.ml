@@ -155,6 +155,37 @@ let prop_decode_cache_hit =
       && dec1.D.image == image
       && dec_eq dec1 (D.decode ~device:board.M.Board.device image))
 
+(* The Workbench caches key a program on its listing, not its name:
+   [generate 4] and [generate_mixed 4] are both [rand_4], the second with
+   calls, and each must get its own image, equal to a fresh compile.
+   Both are checked, so whichever a shared entry would serve, one of
+   them fails. *)
+let test_workbench_keys_on_listing () =
+  let scheme = Core.Scheme.Gecko in
+  let board = M.Board.default () in
+  let plain = Gen_prog.generate 4 and mixed = Gen_prog.generate_mixed 4 in
+  Alcotest.(check string) "same name" plain.Cfg.pname mixed.Cfg.pname;
+  Alcotest.(check bool) "different listings" false
+    (Asm.to_string plain = Asm.to_string mixed);
+  List.iter
+    (fun (what, prog) ->
+      let image, _meta, dec =
+        Gecko_harness.Workbench.decoded scheme prog ~board
+      in
+      let fresh = Link.link (fst (Core.Pipeline.compile scheme prog)) in
+      Alcotest.(check string)
+        (what ^ ": cached listing equals a fresh compile")
+        (Asm.to_string fresh.Link.prog) (Asm.to_string image.Link.prog);
+      Alcotest.(check bool)
+        (what ^ ": cached code equals a fresh compile")
+        true
+        (image.Link.code = fresh.Link.code);
+      Alcotest.(check bool)
+        (what ^ ": cached decode equals a fresh decode")
+        true
+        (dec_eq dec (D.decode ~device:board.M.Board.device fresh)))
+    [ ("generate 4", plain); ("generate_mixed 4", mixed) ]
+
 (* --- differentials under GECKO_CHECKED ------------------------------- *)
 
 (* Outage-prone board as in test_props: tiny storage, weak harvester. *)
@@ -453,6 +484,10 @@ let () =
             prop_decode_lowers_each_slot;
             prop_decode_deterministic;
             prop_decode_cache_hit;
+          ]
+        @ [
+            Alcotest.test_case "workbench keys on the listing" `Quick
+              test_workbench_keys_on_listing;
           ] );
       ( "differential-checked",
         Alcotest.test_case "machine NVM is range-checked" `Quick

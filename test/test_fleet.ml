@@ -214,6 +214,16 @@ let test_jobs_byte_equality () =
       Alcotest.(check string)
         "jobs=1 and jobs=4 merged reports are byte-identical" serial parallel)
 
+(* A campaign's devices fork shared unattacked prefixes, so some but not
+   all of their instructions are served from the prefix table: shards
+   run without it inherit nothing, and the share drops below 0. *)
+let test_campaign_shares_prefixes () =
+  let share = Fleet.Campaign.prefix_share (Fleet.Campaign.run small_spec) in
+  Alcotest.(check bool)
+    (Printf.sprintf "prefix share %g lies in (0, 1)" share)
+    true
+    (0. < share && share < 1.)
+
 let test_resume_equals_uninterrupted () =
   let spec =
     Fleet.Spec.make ~devices:24 ~attackers:1 ~duration:0.02 ~shard_size:4
@@ -633,6 +643,8 @@ let () =
               test_prefix_fork_reads_input;
             Alcotest.test_case "campaign boards use ADC monitors" `Quick
               test_campaign_boards_use_adc;
+            Alcotest.test_case "campaign shares prefixes" `Quick
+              test_campaign_shares_prefixes;
           ] );
       ( "spec",
         [
