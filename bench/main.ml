@@ -6,7 +6,9 @@
    EXPERIMENTS.md; the default quick mode uses coarser grids and shorter
    simulated durations (same code paths).
 
-   Besides the ASCII report on stdout, the harness writes two files:
+   Besides the ASCII report on stdout, a quick run writes two files (a
+   full run only prints, so the committed quick files stay as CI reads
+   them):
    - BENCH_results.json: each artifact's headline scalars.  Every one is
      deterministic and identical at any GECKO_JOBS, so the file is a
      pure function of the code and CI diffs it against the committed
@@ -176,6 +178,9 @@ let () =
     instr_per_sec;
   let wall_total = now () -. t0 in
   Printf.printf "\ntotal wall time: %.2f s\n" wall_total;
-  write "results" "BENCH_results.json" (results_json experiments);
-  write "timings" "BENCH_timings.json"
-    (timings_json experiments ~instr_per_sec ~wall_total)
+  match fidelity with
+  | E.Quick ->
+      write "results" "BENCH_results.json" (results_json experiments);
+      write "timings" "BENCH_timings.json"
+        (timings_json experiments ~instr_per_sec ~wall_total)
+  | E.Full -> ()

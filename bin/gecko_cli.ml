@@ -640,9 +640,10 @@ let fleet_cmd =
       & info [ "telemetry" ] ~docv:"FILE"
           ~doc:
             "Stream live campaign telemetry to FILE as \
-             gecko.fleet-telemetry/1 JSONL: a header, one record per \
-             completed shard with the cumulative merge, a final record, \
-             and one clearly-marked nondeterministic record carrying the \
+             gecko.fleet-telemetry/2 JSONL: a header, one record per \
+             completed shard with its own and the running aggregate, a \
+             final record with the outliers and the campaign total, and \
+             one clearly-marked nondeterministic record carrying the \
              wall-clock rates.  Every device carries a flight recorder; \
              the worst $(b,--top-k) devices ride along as outlier records \
              with their flight dumps.  All records except the \
@@ -704,7 +705,6 @@ let fleet_cmd =
       | path, forced ->
           Some
             {
-              F.Telemetry.default_config with
               F.Telemetry.tel_path = path;
               tel_top_k = top_k;
               tel_progress =
@@ -801,9 +801,8 @@ let replay_cmd =
           ~doc:
             "The campaign to replay from: a bare fleet spec JSON, a \
              gecko.fleet-report/1 report, a gecko.fleet/1 snapshot, or a \
-             gecko.fleet-telemetry/1 JSONL stream.  A stream also supplies \
-             the telemetry config and the recorded outlier records to \
-             verify against.")
+             gecko.fleet-telemetry/2 JSONL stream.  A stream also supplies \
+             the recorded outlier records to verify against.")
   in
   let device =
     Arg.(
@@ -858,27 +857,21 @@ let replay_cmd =
     (* The campaign file can be a single JSON document (bare spec,
        report, snapshot) or a telemetry JSONL stream; a stream's first
        line is its header. *)
-    let spec, config, recorded_final =
+    let spec, recorded_final =
       let parse_doc j =
         match Option.bind (Json.member "schema" j) Json.to_string_opt with
         | Some s
-          when s = F.Report.schema || s = F.Campaign.snapshot_schema -> (
+          when s = F.Report.schema || s = F.Campaign.snapshot_schema
+               || s = F.Telemetry.stream_schema -> (
             match Json.member "spec" j with
-            | Some sj -> (F.Spec.of_json sj, None, None)
+            | Some sj -> F.Spec.of_json sj
             | None -> fail_invalid "campaign file has no spec member")
-        | Some s when s = F.Telemetry.stream_schema -> (
-            match Json.member "spec" j with
-            | Some sj ->
-                ( F.Spec.of_json sj,
-                  Option.map F.Telemetry.config_of_json
-                    (Json.member "config" j),
-                  None )
-            | None -> fail_invalid "telemetry header has no spec member")
         | Some s -> fail_invalid (Printf.sprintf "unknown schema %S" s)
-        | None -> (F.Spec.of_json j, None, None)
+        | None -> F.Spec.of_json j
       in
       match Json.parse contents with
-      | Ok j -> ( try parse_doc j with Invalid_argument m -> fail_invalid m)
+      | Ok j -> (
+          try (parse_doc j, None) with Invalid_argument m -> fail_invalid m)
       | Error _ -> (
           (* JSONL: parse line by line; find the header and the final
              record. *)
@@ -892,14 +885,14 @@ let replay_cmd =
           | [] -> fail_invalid "campaign file is neither JSON nor JSONL"
           | header :: rest -> (
               try
-                let spec, config, _ = parse_doc header in
+                let spec = parse_doc header in
                 let final =
                   List.find_map
                     (fun j ->
                       Option.map F.Telemetry.of_json (Json.member "final" j))
                     rest
                 in
-                (spec, config, final)
+                (spec, final)
               with Invalid_argument m -> fail_invalid m))
     in
     let device_id =
@@ -914,7 +907,7 @@ let replay_cmd =
       | None, None -> fail_invalid "give --device (no telemetry outliers)"
     in
     let rp =
-      try F.Campaign.replay ?config ~device_id spec
+      try F.Campaign.replay ~device_id spec
       with Invalid_argument m -> fail_invalid m
     in
     let d = rp.F.Campaign.rp_device in

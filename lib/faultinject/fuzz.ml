@@ -140,62 +140,54 @@ let fuzz ?jobs ?(budget = 64) ?(seed = 1) ?opts ~board ~image ~meta () =
       checkpoint_schedule ~attack ~width:0.01 times;
     ]
   in
-  let pool =
-    match jobs with
-    | Some j when j > 1 -> Some (Pool.create ~jobs:j ())
-    | _ -> None
-  in
   let map_eval scheds =
-    match pool with
-    | Some p -> Pool.map p eval scheds
-    | None -> List.map eval scheds
+    match jobs with
+    | Some j when j > 1 -> Pool.map (Pool.shared ~jobs:j) eval scheds
+    | Some _ | None -> List.map eval scheds
   in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Pool.shutdown pool)
-    (fun () ->
-      let evals = ref 0 in
-      let failures = ref [] in
-      let scored = ref [] in
-      let run_batch batch =
-        let batch =
-          if !evals + List.length batch > budget then
-            List.filteri (fun i _ -> !evals + i < budget) batch
-          else batch
-        in
-        let rs = map_eval batch in
-        evals := !evals + List.length batch;
-        List.iter2
-          (fun sched (sc, c, failed, detail) ->
-            if failed then
-              failures := { f_schedule = sched; f_detail = detail } :: !failures;
-            scored := (sc, sched, c) :: !scored)
-          batch rs
-      in
-      run_batch seeds;
-      let keep = 4 in
-      while !evals < budget do
-        let top =
-          List.sort (fun (a, _, _) (b, _, _) -> compare b a) !scored
-          |> List.filteri (fun i _ -> i < keep)
-        in
-        let batch =
-          List.concat_map
-            (fun (_, sched, _) ->
-              [ mutate rng ~attack ~times ~horizon sched;
-                mutate rng ~attack ~times ~horizon sched ])
-            top
-        in
-        run_batch batch
-      done;
-      let best_score, best_schedule, best =
-        match List.sort (fun (a, _, _) (b, _, _) -> compare b a) !scored with
-        | x :: _ -> x
-        | [] -> (0., Schedule.empty, counters_of recon)
-      in
-      {
-        evals = !evals;
-        best_score;
-        best_schedule;
-        best;
-        failures = List.rev !failures;
-      })
+  let evals = ref 0 in
+  let failures = ref [] in
+  let scored = ref [] in
+  let run_batch batch =
+    let batch =
+      if !evals + List.length batch > budget then
+        List.filteri (fun i _ -> !evals + i < budget) batch
+      else batch
+    in
+    let rs = map_eval batch in
+    evals := !evals + List.length batch;
+    List.iter2
+      (fun sched (sc, c, failed, detail) ->
+        if failed then
+          failures := { f_schedule = sched; f_detail = detail } :: !failures;
+        scored := (sc, sched, c) :: !scored)
+      batch rs
+  in
+  run_batch seeds;
+  let keep = 4 in
+  while !evals < budget do
+    let top =
+      List.sort (fun (a, _, _) (b, _, _) -> compare b a) !scored
+      |> List.filteri (fun i _ -> i < keep)
+    in
+    let batch =
+      List.concat_map
+        (fun (_, sched, _) ->
+          [ mutate rng ~attack ~times ~horizon sched;
+            mutate rng ~attack ~times ~horizon sched ])
+        top
+    in
+    run_batch batch
+  done;
+  let best_score, best_schedule, best =
+    match List.sort (fun (a, _, _) (b, _, _) -> compare b a) !scored with
+    | x :: _ -> x
+    | [] -> (0., Schedule.empty, counters_of recon)
+  in
+  {
+    evals = !evals;
+    best_score;
+    best_schedule;
+    best;
+    failures = List.rev !failures;
+  }

@@ -59,5 +59,7 @@ val fuzz :
   result
 (** Population search over schedules under [budget] (default 64) total
     evaluations.  Deterministic for a fixed [seed], [budget] and [jobs]
-    (evaluation batches are mapped in input order).  The image is
-    decoded once and the decode shared by every run. *)
+    (evaluation batches are mapped in input order).  With [jobs] > 1
+    the batches run on the process-wide {!Gecko_util.Pool.shared} pool
+    of that size, serially otherwise.  The image is decoded once and the
+    decode shared by every run. *)

@@ -4,23 +4,9 @@ module Decode = Gecko_machine.Decode
 
 type kind = K_instr | K_event of string | K_ckpt_word | K_rollback_step
 
-let event_name : M.event_kind -> string = function
-  | M.Ev_boot _ -> "boot"
-  | M.Ev_restore_jit -> "restore_jit"
-  | M.Ev_rollback _ -> "rollback"
-  | M.Ev_fresh_start -> "fresh_start"
-  | M.Ev_backup_signal true -> "backup_signal_early"
-  | M.Ev_backup_signal false -> "backup_signal"
-  | M.Ev_checkpoint -> "checkpoint"
-  | M.Ev_checkpoint_failed -> "checkpoint_failed"
-  | M.Ev_brownout -> "brownout"
-  | M.Ev_detection -> "detection"
-  | M.Ev_reenable -> "reenable"
-  | M.Ev_completion -> "completion"
-
 let kind_of : M.inject_site -> kind = function
   | M.S_instr -> K_instr
-  | M.S_event k -> K_event (event_name k)
+  | M.S_event k -> K_event (M.event_name k)
   | M.S_ckpt_word _ -> K_ckpt_word
   | M.S_rollback_step _ -> K_rollback_step
 

@@ -32,7 +32,9 @@ type t = {
   energy_sourced_j : float;
   progress : Gecko_util.Stats.Acc.t;  (** Per-device forward progress. *)
   detect_latency : Gecko_util.Stats.Acc.t;
-      (** Attack onset → first detection inside the window, per window. *)
+      (** Attack onset → first detection inside the window, per attack
+          window that saw a detection (each detection event matched to at
+          most one window); every latency is >= 0. *)
 }
 
 val empty : t
@@ -48,11 +50,6 @@ val of_device :
     events, for detection latencies). *)
 
 val checkpoint_failure_rate : t -> float
-
-val detection_latencies :
-  schedule:Gecko_emi.Schedule.t -> Gecko_machine.Machine.outcome -> float list
-(** Onset-to-detection latency per attack window that saw a detection
-    (each detection event matched to at most one window). *)
 
 val to_json : t -> Gecko_obs.Json.t
 val of_json : Gecko_obs.Json.t -> t

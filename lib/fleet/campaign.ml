@@ -167,14 +167,22 @@ type result = {
   telemetry : Telemetry.t option;  (* merged in shard-id order *)
 }
 
+let by_id completed = List.sort (fun a b -> compare a.sr_id b.sr_id) completed
+
+(* The shard-id-order merge of the shards' aggregates: the report's
+   total, and the stream's [final] record's. *)
+let total_of_shards completed =
+  List.fold_left (fun acc sr -> Agg.merge acc sr.sr_agg) Agg.empty
+    (by_id completed)
+
 let report_of_shards (spec : Spec.t) completed =
-  let sorted = List.sort (fun a b -> compare a.sr_id b.sr_id) completed in
+  let sorted = by_id completed in
   let reg = Metrics.create () in
   List.iter (fun sr -> Metrics.merge_into reg (Metrics.of_persist sr.sr_metrics))
     sorted;
   {
     Report.spec;
-    total = List.fold_left (fun acc sr -> Agg.merge acc sr.sr_agg) Agg.empty sorted;
+    total = total_of_shards sorted;
     per_scheme = merge_groups (List.concat_map (fun sr -> sr.sr_per_scheme) sorted);
     per_workload =
       merge_groups (List.concat_map (fun sr -> sr.sr_per_workload) sorted);
@@ -195,20 +203,20 @@ let rec drop n = function
    reduction, like {!report_of_shards}).  [None] when no shard carries
    telemetry. *)
 let telemetry_of_shards completed =
-  let sorted = List.sort (fun a b -> compare a.sr_id b.sr_id) completed in
   List.fold_left
     (fun acc sr ->
       match (acc, sr.sr_telemetry) with
       | None, t -> t
       | Some a, Some t -> Some (Telemetry.merge a t)
       | Some _, None -> acc)
-    None sorted
+    None (by_id completed)
 
-(* The gecko.fleet-telemetry/1 JSONL stream: a header record, one record
+(* The gecko.fleet-telemetry/2 JSONL stream: a header record, one record
    per completed shard (in completion order — which is shard-id order
    within the resumed prefix and within the freshly-run suffix, so the
-   stream is byte-identical at any pool width), a [final] record with
-   the shard-id-order merge, and last a clearly-marked
+   stream is byte-identical at any pool width) with the shard's and the
+   running aggregate, a [final] record with the shard-id-order merges of
+   the outliers and the aggregates, and last a clearly-marked
    [nondeterministic] record carrying the only wall-clock-derived
    fields.  `cmp` streams from different runs after stripping that one
    line. *)
@@ -219,7 +227,7 @@ let stream_header (spec : Spec.t) total (c : Telemetry.config) =
       ("spec", Spec.to_json spec);
       ("total_shards", Json.Int total);
       ("total_devices", Json.Int spec.Spec.devices);
-      ("config", Telemetry.config_to_json c);
+      ("config", Json.Assoc [ ("top_k", Json.Int c.Telemetry.tel_top_k) ]);
     ]
 
 let stream_shard_line sr ~resumed ~cumulative =
@@ -227,12 +235,12 @@ let stream_shard_line sr ~resumed ~cumulative =
     [
       ("shard", Json.Int sr.sr_id);
       ("resumed", Json.Bool resumed);
-      ("devices", Json.Int sr.sr_agg.Agg.devices);
+      ("agg", Agg.to_json sr.sr_agg);
       ( "telemetry",
         match sr.sr_telemetry with
         | Some t -> Telemetry.to_json t
         | None -> Json.Null );
-      ("cumulative", Telemetry.to_json cumulative);
+      ("cumulative", Agg.to_json cumulative);
     ]
 
 let run ?snapshot_path ?resume ?max_shards ?telemetry (spec : Spec.t) =
@@ -276,10 +284,7 @@ let run ?snapshot_path ?resume ?max_shards ?telemetry (spec : Spec.t) =
     match snapshot_path with
     | None -> ()
     | Some path ->
-        let sorted =
-          List.sort (fun a b -> compare a.sr_id b.sr_id) !completed
-        in
-        write_snapshot path (snapshot_json spec sorted)
+        write_snapshot path (snapshot_json spec (by_id !completed))
   in
   (* Telemetry stream + live progress. *)
   let stream_oc =
@@ -295,26 +300,12 @@ let run ?snapshot_path ?resume ?max_shards ?telemetry (spec : Spec.t) =
         output_char oc '\n';
         flush oc
   in
-  let tel_cum =
-    ref
-      (Option.map
-         (fun (c : Telemetry.config) ->
-           Telemetry.empty ~top_k:c.Telemetry.tel_top_k)
-         telemetry)
-  in
-  let devices_done = ref 0 in
+  (* The running aggregate, folded in stream order. *)
+  let cum = ref Agg.empty in
   let emit_shard ~resumed:was_resumed sr =
-    devices_done := !devices_done + sr.sr_agg.Agg.devices;
-    match !tel_cum with
-    | None -> ()
-    | Some cum ->
-        let cum =
-          match sr.sr_telemetry with
-          | Some t -> Telemetry.merge cum t
-          | None -> cum
-        in
-        tel_cum := Some cum;
-        emit_json (stream_shard_line sr ~resumed:was_resumed ~cumulative:cum)
+    cum := Agg.merge !cum sr.sr_agg;
+    if stream_oc <> None then
+      emit_json (stream_shard_line sr ~resumed:was_resumed ~cumulative:!cum)
   in
   let t_start = Gecko_util.Clock.now () in
   let progress_on =
@@ -328,21 +319,19 @@ let run ?snapshot_path ?resume ?max_shards ?telemetry (spec : Spec.t) =
       let resumed_devices =
         List.fold_left (fun n sr -> n + sr.sr_agg.Agg.devices) 0 resumed
       in
-      let fresh = !devices_done - resumed_devices in
+      let c = !cum in
+      let fresh = c.Agg.devices - resumed_devices in
       let rate = float_of_int fresh /. Float.max wall 1e-9 in
-      let remaining = spec.Spec.devices - !devices_done in
+      let remaining = spec.Spec.devices - c.Agg.devices in
       let eta =
         if fresh = 0 || remaining = 0 then ""
         else Printf.sprintf " | ETA %.0fs" (float_of_int remaining /. rate)
       in
-      let anomalies =
-        match !tel_cum with Some t -> t.Telemetry.anomalies | None -> 0
-      in
       Printf.eprintf
-        "\rfleet: %d/%d shards | %d/%d devices | %d anomalies | %.1f \
-         devices/s%s   %!"
-        (List.length !completed) total !devices_done spec.Spec.devices
-        anomalies rate eta
+        "\rfleet: %d/%d shards | %d/%d devices | %d corruptions | %d ckpt \
+         failures | %.1f devices/s%s   %!"
+        (List.length !completed) total c.Agg.devices spec.Spec.devices
+        c.Agg.corruptions c.Agg.jit_checkpoint_failures rate eta
     end
   in
   (match telemetry with
@@ -352,7 +341,7 @@ let run ?snapshot_path ?resume ?max_shards ?telemetry (spec : Spec.t) =
     (* Resumed shards replay into the stream first, in shard-id order. *)
     List.iter
       (fun sr -> emit_shard ~resumed:true sr)
-      (List.sort (fun a b -> compare a.sr_id b.sr_id) resumed);
+      (by_id resumed);
     progress ());
   let wave = max 1 (Workbench.jobs ()) in
   let rec waves todo =
@@ -386,7 +375,13 @@ let run ?snapshot_path ?resume ?max_shards ?telemetry (spec : Spec.t) =
   let all_done = List.length !completed = total in
   let final_telemetry = telemetry_of_shards !completed in
   (match (stream_oc, final_telemetry) with
-  | Some _, Some t -> emit_json (Json.Assoc [ ("final", Telemetry.to_json t) ])
+  | Some _, Some t ->
+      emit_json
+        (Json.Assoc
+           [
+             ("final", Telemetry.to_json t);
+             ("total", Agg.to_json (total_of_shards !completed));
+           ])
   | _ -> ());
   (* The only wall-clock-derived record, marked so deterministic
      consumers can strip it. *)
@@ -439,7 +434,7 @@ type replay = {
 
 (* Replay re-runs the campaign's device path — [Shard.run_device_full]
    — with the forensics kit attached. *)
-let replay ?(config = Telemetry.default_config) ~device_id (spec : Spec.t) =
+let replay ~device_id (spec : Spec.t) =
   ignore (Spec.validate spec);
   if device_id < 0 || device_id >= spec.Spec.devices then
     invalid_arg
@@ -447,17 +442,11 @@ let replay ?(config = Telemetry.default_config) ~device_id (spec : Spec.t) =
          device_id spec.Spec.devices);
   let devices, field = elaborate spec in
   let d = devices.(device_id) in
-  let flight =
-    Gecko_obs.Flight.create ~capacity:config.Telemetry.tel_flight_capacity ()
-  in
+  let flight = Gecko_obs.Flight.create () in
   let trace = Gecko_obs.Trace.create () in
-  let o, agg, reg, latencies =
-    Shard.run_device_full ~trace ~flight ~spec ~field d
-  in
+  let o, agg, reg = Shard.run_device_full ~trace ~flight ~spec ~field d in
   let tel =
-    Shard.device_telemetry
-      { config with Telemetry.tel_top_k = max 1 config.Telemetry.tel_top_k }
-      d ~latencies
+    Shard.device_telemetry ~top_k:1 d
       ~flight:(Some (Gecko_obs.Flight.to_json flight))
       agg
   in

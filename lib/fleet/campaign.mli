@@ -108,7 +108,7 @@ type result = {
   stepped_instructions : int;
       (** Instructions the host actually interpreted: each shared prefix
           reference once, plus every device's tail after its fork (feeds
-          the bench harness's fleet [sim_instr_per_sec]). *)
+          [gecko fleet]'s sim instr/s). *)
   telemetry : Telemetry.t option;
       (** Campaign-wide telemetry, merged in shard-id order; present
           when the campaign ran with telemetry. *)
@@ -133,14 +133,17 @@ val run :
     [telemetry] arms the observability layer: every device carries a
     {!Gecko_obs.Flight} recorder, every shard folds a {!Telemetry.t},
     and — when [tel_path] is set — the campaign streams
-    [gecko.fleet-telemetry/1] JSONL: a header record, one record per
-    completed shard ([{"shard"; "resumed"; "devices"; "telemetry";
-    "cumulative"}], resumed shards first), a [{"final": ...}] record
-    with the shard-id-order merge, and a last [{"nondeterministic":
-    {"wall_seconds"; "devices_per_sec"; "jobs"}}] record quarantining
-    every wall-clock-derived field.  All other records are sim-derived
-    and byte-identical at any pool width.  [tel_progress] additionally
-    writes a live progress line (devices/s, ETA, anomaly count) to
+    [gecko.fleet-telemetry/2] JSONL: a header record (its [config] holds
+    [top_k]), one record per completed shard ([{"shard"; "resumed";
+    "agg"; "telemetry"; "cumulative"}], resumed shards first; [agg] is
+    the shard's {!Agg.to_json}, [cumulative] the running one), a
+    [{"final"; "total"}] record with the shard-id-order merges of the
+    telemetry and of the aggregates ([total] equals the report's), and a
+    last [{"nondeterministic": {"wall_seconds"; "devices_per_sec";
+    "jobs"}}] record quarantining every wall-clock-derived field.  All
+    other records are sim-derived and byte-identical at any pool width.
+    [tel_progress] additionally writes a live progress line (devices/s,
+    ETA, the running corruption and checkpoint-failure counts) to
     stderr. *)
 
 val prefix_share : result -> float
@@ -168,15 +171,14 @@ type replay = {
   rp_outcome : Gecko_machine.Machine.outcome;
   rp_agg : Agg.t;
   rp_telemetry : Telemetry.t;
-      (** Single-device telemetry with [tel_top_k >= 1], so an anomalous
-          device always yields its outlier record (flight dump
-          included). *)
+      (** Single-device telemetry with top-K 1, so an anomalous device
+          always yields its outlier record (flight dump included). *)
   rp_flight : Gecko_obs.Flight.t;
   rp_trace : Gecko_obs.Trace.t;
   rp_metrics : Gecko_obs.Metrics.registry;
 }
 
-val replay : ?config:Telemetry.config -> device_id:int -> Spec.t -> replay
+val replay : device_id:int -> Spec.t -> replay
 (** Raises [Invalid_argument] if [device_id] is outside the spec's
     device range. *)
 

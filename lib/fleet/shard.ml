@@ -28,14 +28,15 @@ let board = function
   | Spec.Attack_rig -> attack_rig_board
   | Spec.Bench -> bench_board
 
-let device_telemetry (c : Telemetry.config) (d : device) ~latencies ~flight agg
-    =
-  Telemetry.of_device ~weights:c.Telemetry.tel_weights
-    ~top_k:c.Telemetry.tel_top_k ~id:d.id ~seed:d.seed ~workload:d.workload
+let device_telemetry ~top_k (d : device) ~flight agg =
+  Telemetry.of_device ~top_k ~id:d.id ~seed:d.seed ~workload:d.workload
     ~scheme:(Spec.scheme_slug d.scheme) ~board:(Spec.board_slug d.board)
-    ~x:d.x ~y:d.y ~latencies ~flight agg
+    ~x:d.x ~y:d.y ~flight agg
 
 let schedule_of field (d : device) = Field.schedule_at field ~x:d.x ~y:d.y
+
+(* A fresh flight recorder when telemetry is armed. *)
+let recorder armed = if armed then Some (Gecko_obs.Flight.create ()) else None
 
 (* The run of [scheme]/[workload] on a [kind] board from power-on.
    Devices and prefix references differ only in [schedule], [seed] and
@@ -89,7 +90,7 @@ type slot = {
 }
 
 type prefix = {
-  px_flight : int option;  (* recorder capacity the references carry *)
+  px_flight : bool;  (* the references carry flight recorders *)
   px_seeded : (Gecko_core.Scheme.t * string * Spec.board_kind, bool) Hashtbl.t;
       (* whether the seed joins the key: the image reads input *)
   px_slots : (key * float option, slot) Hashtbl.t;
@@ -108,12 +109,9 @@ let device_key px (d : device) =
    its devices need and dropped after the last one — kept whole only
    when some device has no window. *)
 let build_key ~spec ~flight (((scheme, workload, board, seed) as k : key), ts) =
-  let flight =
-    Option.map (fun capacity -> Gecko_obs.Flight.create ~capacity ()) flight
-  in
   let h =
-    power_on ?flight ~spec ~schedule:Schedule.empty ~seed scheme workload
-      board
+    power_on ?flight:(recorder flight) ~spec ~schedule:Schedule.empty ~seed
+      scheme workload board
   in
   let finished = List.mem None ts in
   let rec forks = function
@@ -138,10 +136,7 @@ let build_key ~spec ~flight (((scheme, workload, board, seed) as k : key), ts) =
   (forks @ final, M.Step.instructions h)
 
 let prefix ?telemetry ~spec ~field devices =
-  let flight =
-    Option.map (fun (c : Telemetry.config) -> c.Telemetry.tel_flight_capacity)
-      telemetry
-  in
+  let flight = Option.is_some telemetry in
   let seeded = Hashtbl.create 16 in
   let users = Hashtbl.create 64 and points = Hashtbl.create 16 in
   List.iter
@@ -232,8 +227,7 @@ let finish ~schedule h =
     Agg.of_device ~schedule ~energy_drained_j:(gauge "energy.drained_j")
       ~energy_sourced_j:(gauge "energy.sourced_j") o
   in
-  let latencies = Agg.detection_latencies ~schedule o in
-  (o, agg, reg, latencies)
+  (o, agg, reg)
 
 (* The campaign run and [replay]'s full-forensics re-run differ only in
    the pure observers ([trace], [flight]), so a device produces
@@ -246,29 +240,26 @@ let run_device_full ?trace ?flight ~spec ~field (d : device) =
 
 let start ?telemetry ?prefix ~spec ~field (d : device) =
   let schedule = schedule_of field d in
-  let flight =
-    Option.map (fun (c : Telemetry.config) -> c.Telemetry.tel_flight_capacity)
-      telemetry
-  in
+  let flight = Option.is_some telemetry in
   match Option.bind prefix (fun px -> prefix_start px ~flight d schedule) with
   | Some h -> h
   | None ->
-      power_on
-        ?flight:
-          (Option.map (fun capacity -> Gecko_obs.Flight.create ~capacity ())
-             flight)
-        ~spec ~schedule ~seed:d.seed d.scheme d.workload d.board
+      power_on ?flight:(recorder flight) ~spec ~schedule ~seed:d.seed
+        d.scheme d.workload d.board
 
 let run_device ?telemetry ?prefix ~spec ~field (d : device) =
   let h = start ?telemetry ?prefix ~spec ~field d in
-  let _, agg, reg, latencies = finish ~schedule:(schedule_of field d) h in
+  let _, agg, reg = finish ~schedule:(schedule_of field d) h in
   match telemetry with
   | None -> (agg, reg, None)
-  | Some c ->
+  | Some (c : Telemetry.config) ->
       (* The dump rides along only if the device scores as an outlier;
          [Telemetry.of_device] drops it otherwise. *)
       let dump = Option.map Gecko_obs.Flight.to_json (M.Step.flight h) in
-      (agg, reg, Some (device_telemetry c d ~latencies ~flight:dump agg))
+      ( agg,
+        reg,
+        Some (device_telemetry ~top_k:c.Telemetry.tel_top_k d ~flight:dump agg)
+      )
 
 (* --- shard results ----------------------------------------------------- *)
 

@@ -24,12 +24,7 @@ val board : Spec.board_kind -> Gecko_machine.Board.t
     precondition of exact prefix sharing (see {!prefix}). *)
 
 val device_telemetry :
-  Telemetry.config ->
-  device ->
-  latencies:float list ->
-  flight:Gecko_obs.Json.t option ->
-  Agg.t ->
-  Telemetry.t
+  top_k:int -> device -> flight:Gecko_obs.Json.t option -> Agg.t -> Telemetry.t
 
 val run_device_full :
   ?trace:Gecko_obs.Trace.t ->
@@ -37,12 +32,9 @@ val run_device_full :
   spec:Spec.t ->
   field:Field.t ->
   device ->
-  Gecko_machine.Machine.outcome
-  * Agg.t
-  * Gecko_obs.Metrics.registry
-  * float list
+  Gecko_machine.Machine.outcome * Agg.t * Gecko_obs.Metrics.registry
 (** Run one device from power-on with optional observers (replay's entry
-    point): outcome, aggregate, metrics registry, detection latencies. *)
+    point): outcome, aggregate, metrics registry. *)
 
 (** {2 Shared prefixes}
 
@@ -69,8 +61,8 @@ val prefix :
     kept, so it is O(keys x (field_steps + 1)) whatever the device
     count — fork points are first-window starts, multiples of
     [duration / field_steps].  References carry a metrics registry and,
-    under [telemetry], a flight recorder of its capacity, like the
-    devices forking them.  Keys build in parallel on
+    under [telemetry], a flight recorder, like the devices forking
+    them.  Keys build in parallel on
     {!Gecko_harness.Workbench.pmap}.  Afterwards the table is only read,
     so shards on several domains may share it, and each fork point is
     dropped by the last of these devices to fork it. *)
@@ -93,9 +85,9 @@ val start :
   device ->
   Gecko_machine.Machine.Step.handle
 (** The device's start handle: a fork of its [prefix] entry, carrying its
-    schedule, when the table holds one built with the same [telemetry]
-    recorder capacity; else power-on, with a fresh flight recorder under
-    [telemetry].  Either way the handle has a metrics registry. *)
+    schedule, when the table holds one and was built with [telemetry]
+    armed as it is here; else power-on, with a fresh flight recorder
+    under [telemetry].  Either way the handle has a metrics registry. *)
 
 val run_device :
   ?telemetry:Telemetry.config ->

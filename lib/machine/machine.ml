@@ -449,19 +449,27 @@ let nvm_extra st ~reads ~writes =
 
 (* --- observability ---------------------------------------------------- *)
 
-let trace_ids = function
-  | Ev_boot _ -> ("boot", "power")
-  | Ev_restore_jit -> ("restore_jit", "checkpoint")
-  | Ev_rollback _ -> ("rollback", "recovery")
-  | Ev_fresh_start -> ("fresh_start", "recovery")
-  | Ev_backup_signal true -> ("backup_signal_early", "monitor")
-  | Ev_backup_signal false -> ("backup_signal", "monitor")
-  | Ev_checkpoint -> ("checkpoint", "checkpoint")
-  | Ev_checkpoint_failed -> ("checkpoint_failed", "checkpoint")
-  | Ev_brownout -> ("brownout", "power")
-  | Ev_detection -> ("detection", "defense")
-  | Ev_reenable -> ("reenable", "defense")
-  | Ev_completion -> ("completion", "app")
+let event_name = function
+  | Ev_boot _ -> "boot"
+  | Ev_restore_jit -> "restore_jit"
+  | Ev_rollback _ -> "rollback"
+  | Ev_fresh_start -> "fresh_start"
+  | Ev_backup_signal true -> "backup_signal_early"
+  | Ev_backup_signal false -> "backup_signal"
+  | Ev_checkpoint -> "checkpoint"
+  | Ev_checkpoint_failed -> "checkpoint_failed"
+  | Ev_brownout -> "brownout"
+  | Ev_detection -> "detection"
+  | Ev_reenable -> "reenable"
+  | Ev_completion -> "completion"
+
+let trace_category = function
+  | Ev_boot _ | Ev_brownout -> "power"
+  | Ev_restore_jit | Ev_checkpoint | Ev_checkpoint_failed -> "checkpoint"
+  | Ev_rollback _ | Ev_fresh_start -> "recovery"
+  | Ev_backup_signal _ -> "monitor"
+  | Ev_detection | Ev_reenable -> "defense"
+  | Ev_completion -> "app"
 
 let sample_voltage st =
   match st.trace with
@@ -497,8 +505,8 @@ let record st kind =
   if st.tracing then begin
     (match st.trace with
     | Some tr ->
-        let name, cat = trace_ids kind in
-        Gecko_obs.Trace.instant tr ~cat ~ts:st.ph.time name
+        Gecko_obs.Trace.instant tr ~cat:(trace_category kind) ~ts:st.ph.time
+          (event_name kind)
     | None -> ());
     sample_voltage st
   end;

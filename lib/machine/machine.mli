@@ -39,6 +39,10 @@ type event_kind =
 
 type event = { ev_time : float; ev_kind : event_kind }
 
+val event_name : event_kind -> string
+(** The event's name in exported traces and fault-injection site
+    kinds (["boot"], ["backup_signal_early"], ["checkpoint"], …). *)
+
 val pp_event : Format.formatter -> event -> unit
 
 (** Fault-injection sites: the instants at which a run consults the

@@ -107,7 +107,7 @@ let check_telemetry path =
         | Error m -> fail "%s: invalid header JSON: %s" path m
       in
       (match Json.to_string_opt (need path h "schema") with
-      | Some "gecko.fleet-telemetry/1" -> ()
+      | Some "gecko.fleet-telemetry/2" -> ()
       | _ -> fail "%s: bad stream schema tag" path);
       ignore (need path h "spec");
       ignore (need path h "config");
@@ -130,7 +130,7 @@ let check_telemetry path =
       List.iter
         (fun j ->
           match Json.member "shard" j with
-          | Some _ -> ignore (need path j "cumulative")
+          | Some _ -> ignore (need path (need path j "cumulative") "devices")
           | None -> ())
         records
 

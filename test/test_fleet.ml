@@ -147,48 +147,7 @@ let prop_metrics_quantile_monotone =
           mono qs)
         [ 0; 1; 2 ])
 
-(* --- telemetry sketch and monoid laws -------------------------------- *)
-
 module Telemetry = Fleet.Telemetry
-
-let latency_list =
-  (* Non-negative dyadic seconds (multiples of 1/1024) spanning many
-     sketch buckets: the sketch's [sum] is float addition, exact only on
-     dyadic inputs — same caveat as the Acc properties above. *)
-  QCheck.make
-    ~print:(fun l -> String.concat ";" (List.map string_of_float l))
-    QCheck.Gen.(
-      list_size (int_bound 24)
-        (map (fun k -> float_of_int k /. 1024.) (int_range 0 100000)))
-
-let sketch_of_list xs = List.fold_left Telemetry.Sketch.add Telemetry.Sketch.empty xs
-
-let prop_sketch_merge_is_concat =
-  QCheck.Test.make ~count:100
-    ~name:"Sketch: merge of splits equals fold of whole; JSON exact"
-    (QCheck.pair latency_list latency_list) (fun (xs, ys) ->
-      let m = Telemetry.Sketch.merge (sketch_of_list xs) (sketch_of_list ys) in
-      let whole = sketch_of_list (xs @ ys) in
-      Json.to_string (Telemetry.Sketch.to_json m)
-      = Json.to_string (Telemetry.Sketch.to_json whole)
-      && Json.to_string
-           (Telemetry.Sketch.to_json
-              (Telemetry.Sketch.of_json (Telemetry.Sketch.to_json m)))
-         = Json.to_string (Telemetry.Sketch.to_json m))
-
-let prop_sketch_quantile_monotone =
-  QCheck.Test.make ~count:100 ~name:"Sketch: quantile is monotone in q"
-    latency_list (fun xs ->
-      let s = sketch_of_list xs in
-      let qs =
-        List.map (Telemetry.Sketch.quantile s)
-          [ 0.0; 0.25; 0.5; 0.75; 0.9; 0.99; 1.0 ]
-      in
-      let rec mono = function
-        | a :: (b :: _ as rest) -> a <= b && mono rest
-        | _ -> true
-      in
-      mono qs)
 
 (* --- fleet campaign -------------------------------------------------- *)
 
@@ -289,6 +248,18 @@ let test_telemetry_jobs_byte_equality () =
         "jobs=1 and jobs=4 telemetry streams are byte-identical" serial
         parallel)
 
+(* A device's outlier record in [t], in the persisted form — exactly
+   what the stream carries. *)
+let outlier_record (t : Telemetry.t) id =
+  match
+    List.find_opt (fun o -> o.Telemetry.o_device = id) t.Telemetry.outliers
+  with
+  | Some o ->
+      Json.to_string
+        (Telemetry.to_json
+           { (Telemetry.empty ~top_k:1) with Telemetry.outliers = [ o ] })
+  | None -> Alcotest.fail (Printf.sprintf "no outlier record for device %d" id)
+
 let test_replay_matches_campaign () =
   let r =
     Fleet.Campaign.run ~telemetry:Telemetry.default_config small_spec
@@ -301,26 +272,11 @@ let test_replay_matches_campaign () =
   match tel.Telemetry.outliers with
   | [] -> Alcotest.fail "campaign surfaced no outliers to drill into"
   | top :: _ ->
-      let rp =
-        Fleet.Campaign.replay ~device_id:top.Telemetry.o_device small_spec
-      in
-      let record t =
-        (* Compare through the persisted outlier form — exactly what the
-           stream carries. *)
-        match
-          List.find_opt
-            (fun o -> o.Telemetry.o_device = top.Telemetry.o_device)
-            t.Telemetry.outliers
-        with
-        | Some o ->
-            Json.to_string
-              (Telemetry.to_json
-                 { (Telemetry.empty ~top_k:1) with Telemetry.outliers = [ o ] })
-        | None -> Alcotest.fail "replay lost the outlier record"
-      in
+      let id = top.Telemetry.o_device in
+      let rp = Fleet.Campaign.replay ~device_id:id small_spec in
       Alcotest.(check string)
-        "replayed outlier record equals the campaign's" (record tel)
-        (record rp.Fleet.Campaign.rp_telemetry);
+        "replayed outlier record equals the campaign's" (outlier_record tel id)
+        (outlier_record rp.Fleet.Campaign.rp_telemetry id);
       Alcotest.(check bool) "flight dump is non-empty" true
         (Gecko_obs.Flight.length rp.Fleet.Campaign.rp_flight > 0);
       Alcotest.(check int)
@@ -331,6 +287,55 @@ let test_replay_matches_campaign () =
       let repro = Fleet.Campaign.shrink_repro rp in
       Alcotest.(check bool) "shrink repro is non-trivial" true
         (Gecko_faultinject.Shrink.size repro > 0)
+
+(* The stream's [final] record carries the campaign total next to the
+   outliers: the shard-id-order aggregate merge, the report's [total]. *)
+let test_stream_final_total () =
+  let tmp = Filename.temp_file "gecko_tel" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
+    (fun () ->
+      let r =
+        Fleet.Campaign.run
+          ~telemetry:
+            { Telemetry.default_config with Telemetry.tel_path = Some tmp }
+          small_spec
+      in
+      let report =
+        match r.Fleet.Campaign.report with
+        | Some rep -> Fleet.Report.to_json rep
+        | None -> Alcotest.fail "campaign did not complete"
+      in
+      let final =
+        In_channel.with_open_bin tmp In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.find_map (fun l ->
+               match Json.parse l with
+               | Ok j when Json.member "final" j <> None -> Some j
+               | Ok _ | Error _ -> None)
+        |> function
+        | Some j -> j
+        | None -> Alcotest.fail "stream has no final record"
+      in
+      let member k j =
+        match Json.member k j with
+        | Some v -> v
+        | None -> Alcotest.fail ("missing " ^ k)
+      in
+      Alcotest.(check string)
+        "the final record's total equals the report's"
+        (Json.to_string (member "total" report))
+        (Json.to_string (member "total" final));
+      let recorded = Telemetry.of_json (member "final" final) in
+      match recorded.Telemetry.outliers with
+      | [] -> Alcotest.fail "the final record holds no outliers"
+      | top :: _ ->
+          let id = top.Telemetry.o_device in
+          let rp = Fleet.Campaign.replay ~device_id:id small_spec in
+          Alcotest.(check string)
+            "replay reproduces the stream's top outlier record"
+            (outlier_record recorded id)
+            (outlier_record rp.Fleet.Campaign.rp_telemetry id))
 
 let test_snapshot_roundtrip () =
   let spec =
@@ -619,8 +624,6 @@ let () =
             prop_metrics_associative;
             prop_metrics_persist_roundtrip;
             prop_metrics_quantile_monotone;
-            prop_sketch_merge_is_concat;
-            prop_sketch_quantile_monotone;
           ] );
       ( "campaign",
         [
@@ -630,6 +633,8 @@ let () =
             test_telemetry_jobs_byte_equality;
           Alcotest.test_case "replay matches campaign outlier" `Slow
             test_replay_matches_campaign;
+          Alcotest.test_case "stream final carries the report total" `Slow
+            test_stream_final_total;
           Alcotest.test_case "resume equals uninterrupted" `Slow
             test_resume_equals_uninterrupted;
           Alcotest.test_case "snapshot round-trip" `Quick test_snapshot_roundtrip;
