@@ -40,6 +40,13 @@ let find_workload name =
       Printf.eprintf "unknown workload %s; see `gecko list`\n" name;
       exit 1
 
+(* A program the machine cannot run (control left the code, an NVM
+   access out of range) is the input's fault, reported like a bad
+   .gasm. *)
+let fail_program cmd msg =
+  Printf.eprintf "gecko %s: %s\n" cmd msg;
+  exit 1
+
 (* --- list ------------------------------------------------------------ *)
 
 let list_cmd =
@@ -233,9 +240,10 @@ let run_cmd =
       value & flag
       & info [ "no-fast" ]
           ~doc:
-            "Disable the pre-decoded block dispatcher and interpret every \
-             instruction on the checked path.  Outcomes are identical \
-             either way; this exists for debugging and A/B timing.")
+            "Disable whole-block dispatch: step one decoded instruction \
+             per turn with every per-instruction check.  Outcomes are \
+             identical either way; this exists for debugging and A/B \
+             timing.")
   in
   let run name scheme seconds attack_mhz attack_at outages events trace_out
       metrics_out timeline no_fast =
@@ -275,20 +283,22 @@ let run_cmd =
       if metrics_out <> None then Some (Gecko.Obs.Metrics.create ()) else None
     in
     let o =
-      M.run ~board ~image ~meta
-        {
-          M.default_options with
-          schedule;
-          limit = M.Sim_time seconds;
-          restart_on_halt = true;
-          record_events = events <> None;
-          max_sim_time = seconds +. 1.;
-          trace = tracer;
-          metrics = registry;
-          timeline_bucket =
-            (if timeline then Some (seconds /. 60.) else None);
-          fast = not no_fast;
-        }
+      try
+        M.run ~board ~image ~meta
+          {
+            M.default_options with
+            schedule;
+            limit = M.Sim_time seconds;
+            restart_on_halt = true;
+            record_events = events <> None;
+            max_sim_time = seconds +. 1.;
+            trace = tracer;
+            metrics = registry;
+            timeline_bucket =
+              (if timeline then Some (seconds /. 60.) else None);
+            fast = not no_fast;
+          }
+      with Invalid_argument msg -> fail_program "run" msg
     in
     (match events with
     | Some n ->
@@ -447,14 +457,14 @@ let fuzz_cmd =
       }
     in
     let fuzz_board = explore_board in
-    let explore =
-      FI.Explore.explore ~jobs ~budget ~pairs ~seed ~board:explore_board
-        ~image ~meta ()
-    in
-    let fuzz =
-      FI.Fuzz.fuzz ~jobs
-        ~budget:(max 8 (budget / 4))
-        ~seed ~board:fuzz_board ~image ~meta ()
+    let explore, fuzz =
+      try
+        ( FI.Explore.explore ~jobs ~budget ~pairs ~seed ~board:explore_board
+            ~image ~meta (),
+          FI.Fuzz.fuzz ~jobs
+            ~budget:(max 8 (budget / 4))
+            ~seed ~board:fuzz_board ~image ~meta () )
+      with Invalid_argument msg -> fail_program "fuzz" msg
     in
     (* Shrink a handful of counterexamples into replayable repro triples.
        The repro program is the already-compiled one, so shrinking

@@ -1,16 +1,16 @@
-(* Pre-decoded instruction stream for the interpreter fast path.
+(* Pre-decoded instruction stream: the only instruction form the
+   machine executes.
 
    A one-time pass lowers [Link.image] into a flat array of micro-ops
-   with every per-instruction decision the hot loop used to make
-   resolved ahead of time:
+   with every per-instruction decision resolved ahead of time:
 
    - operands are plain ints (register indices, absolute NVM addresses,
      branch-target slots) — no [Link.resolve], no [Reg.to_int], no
      [Cost.instr_cycles] match at run time;
    - per-slot [dt] (wall advance) and [en] (capacitor drain, including
-     NVM access energy) are precomputed with the *same float expressions*
-     the interpreter evaluates, so a decoded run is bit-identical to an
-     undecoded one;
+     NVM access energy) are precomputed here: this is the machine's one
+     cost table, charged by the block dispatcher and the per-instruction
+     checked step alike;
    - straight-line runs between control-flow split points are grouped
      into basic blocks, with per-slot *suffix* energy/time totals so the
      machine can prove, in O(1) at any entry point (jump target, JIT
@@ -24,8 +24,9 @@
 
    Boundary commits and Halt have data-dependent cost (progress flag,
    restart) and power/mode side effects, so they are "solo" slots: their
-   suffix totals are infinite, which forces the machine back onto the
-   fully-checked single-step path for exactly that instruction.
+   suffix totals are infinite, which keeps them out of blocks.  The
+   machine runs them through their own bodies on the checked step (a
+   steady-state commit through an O(1) guard first).
 
    The decode depends on the *device* timing/energy constants (cycle
    time, energy per cycle, NVM access energies) but not on the
@@ -71,8 +72,10 @@ type t = {
 
 let solo = function M_boundary _ | M_halt -> true | _ -> false
 
-(* Per-instruction cost triple (cycles, NVM reads, NVM writes) — must
-   agree with what [Machine.exec_op]/[Machine.step_instr] charge. *)
+(* Per-instruction cost triple (cycles, NVM reads, NVM writes): the
+   machine's whole cost model apart from the runtime's own work
+   (checkpoint ISR, rollback, restore, the once-per-power-cycle progress
+   flag), which [Machine] charges outside any slot. *)
 let costs = function
   | Link.Op i ->
       let c = Cost.instr_cycles i in
@@ -154,8 +157,9 @@ let decode ~device (image : Link.image) =
   for i = 0 to n - 1 do
     let c, r, w = costs image.Link.code.(i) in
     cyc.(i) <- c;
-    (* Exactly the expressions [Machine.spend]/[Machine.nvm_extra]
-       evaluate, so precomputation cannot change a single bit. *)
+    (* [Machine.spend]/[Machine.nvm_extra]'s expressions, which are also
+       the frozen reference interpreter's: its energy books must match
+       the machine's bit for bit. *)
     dt.(i) <- float_of_int c *. cycle_time;
     en.(i) <-
       (float_of_int c *. epc)

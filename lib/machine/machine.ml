@@ -374,8 +374,8 @@ let refresh_attack st =
 (* One physics step, and the only copy of the capacitor/harvester float
    sequence: drain [e] joules, source the harvester current (plus any
    attack-harvested power) over [dt] seconds at the drained voltage, and
-   advance the clock by [dt].  The checked path ([spend]), the block
-   dispatcher ([spend_fast]), sleep and reboot all run it.  Every
+   advance the clock by [dt].  Every instruction ([spend_fast]), the
+   runtime's own work ([spend]), sleep and reboot all run it.  Every
    expression is capacitor.ml's [drain] then [source_current] of
    harvester.ml's [current], operation for operation, so the voltage
    trajectory is bit-identical to the frozen reference's.  It is inlined
@@ -434,10 +434,10 @@ let account_app_seconds st s =
       st.tl_app.(i) <- st.tl_app.(i) +. s
   end
 
-(* The checked path's physics step: [cycles] of core time and energy
-   plus [extra] joules (NVM traffic), through the shared kernel.  Every
-   per-instruction step outside fast blocks comes here: injected fetch
-   sites, the JIT-checkpoint ISR, rollback and recovery. *)
+(* The runtime's physics step: [cycles] of core time and energy plus
+   [extra] joules (NVM traffic), through the shared kernel.  The work
+   that is no decoded slot comes here: the JIT-checkpoint ISR, rollback,
+   recovery slices, JIT restore, the progress flag and a restart. *)
 let spend st cycles ~extra =
   physics st
     (float_of_int cycles *. cycle_time st)
@@ -900,233 +900,65 @@ let complete st =
       st.hit_limit <- true
     end
 
-let exec_op st i =
-  let c = Cost.instr_cycles i in
-  let r = Reg.to_int in
-  (match i with
-  | Instr.Li (d, v) ->
-      spend st c ~extra:0.;
-      st.regs.(r d) <- v
-  | Instr.Mov (d, s) ->
-      spend st c ~extra:0.;
-      st.regs.(r d) <- st.regs.(r s)
-  | Instr.Bin (op, d, a, b) ->
-      spend st c ~extra:0.;
-      let bv =
-        match b with Instr.Oreg x -> st.regs.(r x) | Instr.Oimm v -> v
-      in
-      st.regs.(r d) <- Instr.eval_binop op st.regs.(r a) bv
-  | Instr.Ld (d, m) ->
-      spend st c ~extra:(nvm_extra st ~reads:1 ~writes:0);
-      st.regs.(r d) <- Nvm.read st.nvm (Link.resolve st.image m st.regs)
-  | Instr.St (m, s) ->
-      let addr = Link.resolve st.image m st.regs in
-      spend st c ~extra:(nvm_extra st ~reads:0 ~writes:1);
-      Nvm.write st.nvm addr st.regs.(r s)
-  | Instr.In (d, port) ->
-      spend st c ~extra:0.;
-      st.regs.(r d) <- io_in_value st port
-  | Instr.Out (port, s) ->
-      spend st c ~extra:0.;
-      st.io_out_count <- st.io_out_count + 1;
-      if st.opts.record_io then
-        if monitor_is_gecko st then
-          (* Staged, not logged: the record becomes persistent only at
-             the region commit point. *)
-          st.io_staged <- (port, st.regs.(r s)) :: st.io_staged
-        else st.io_log <- (port, st.regs.(r s)) :: st.io_log
-  | Instr.Nop -> spend st c ~extra:0.
-  | Instr.Ckpt (src, colour) ->
-      st.ckpt_stores <- st.ckpt_stores + 1;
-      let addr = gecko_cell st src colour in
-      spend st c ~extra:(nvm_extra st ~reads:0 ~writes:1);
-      Nvm.write st.nvm addr st.regs.(r src)
-  | Instr.CkptDyn src ->
-      st.ckpt_stores <- st.ckpt_stores + 1;
-      spend st c ~extra:(nvm_extra st ~reads:1 ~writes:1);
-      let parity = Nvm.read st.nvm (sys_cell st Link.Cells.sys_parity) in
-      Nvm.write st.nvm (ratchet_cell st (1 - parity) src) st.regs.(r src)
-  | Instr.LdSlot (d, src, colour) ->
-      spend st c ~extra:(nvm_extra st ~reads:1 ~writes:0);
-      st.regs.(r d) <- Nvm.read st.nvm (gecko_cell st (Reg.of_int src) colour)
-  | Instr.Boundary id ->
-      st.boundary_commits <- st.boundary_commits + 1;
-      spend st c ~extra:(nvm_extra st ~reads:0 ~writes:1);
-      Nvm.write st.nvm (sys_cell st Link.Cells.sys_boundary) (id + 1);
-      flight_note st ~arg:id "boundary";
-      if not st.progress_written then begin
-        (* Once per power cycle: the detection flag. *)
-        spend st Cost.nvm_write_cycles ~extra:(nvm_extra st ~reads:0 ~writes:1);
-        Nvm.write st.nvm (sys_cell st Link.Cells.sys_progress) 1;
-        st.progress_written <- true
-      end;
-      (match st.meta.Meta.scheme with
-      | Scheme.Ratchet ->
-          let parity = Nvm.read st.nvm (sys_cell st Link.Cells.sys_parity) in
-          Nvm.write st.nvm (sys_cell st Link.Cells.sys_parity) (1 - parity)
-      | Scheme.Gecko | Scheme.Gecko_noprune ->
-          (* Region commit: atomically append the staged io_log records.
-             Both lists are newest-first, so prepending the stage keeps
-             the log in emission order. *)
-          if st.io_staged <> [] then begin
-            flight_note st ~arg:(List.length st.io_staged) "io_commit";
-            st.io_log <- st.io_staged @ st.io_log;
-            st.io_staged <- []
-          end;
-          let mode' = Policy.on_region_commit st.mode in
-          if st.mode = Policy.Probe && mode' = Policy.Jit_on then begin
-            st.reenables <- st.reenables + 1;
-            record st Ev_reenable
-          end;
-          if mode' <> st.mode then set_mode st mode'
-      | Scheme.Nvp -> ()));
-  (* Progress accounting. *)
-  match i with
-  | Instr.Ckpt _ | Instr.CkptDyn _ | Instr.LdSlot _ | Instr.Boundary _ ->
-      st.instrumentation_cycles <- st.instrumentation_cycles + c
-  | _ ->
-      st.app_cycles <- st.app_cycles + c;
-      account_app_seconds st (float_of_int c *. cycle_time st)
+(* --- decoded instruction semantics ------------------------------------ *)
 
-let step_instr st =
-  (* A forced failure at the fetch boundary: the instruction never
-     executes — exactly a power failure between two instructions. *)
-  if consult st S_instr then begin
-    force_power_failure st;
-    brownout st
-  end
-  else begin
-  refresh_attack st;
-  st.instrs <- st.instrs + 1;
-  (match st.image.Link.code.(st.pc) with
-  | Link.Op i ->
-      st.pc <- st.pc + 1;
-      exec_op st i
-  | Link.Ljmp t ->
-      spend st 1 ~extra:0.;
-      st.app_cycles <- st.app_cycles + 1;
-      account_app_seconds st (cycle_time st);
-      st.pc <- t
-  | Link.Lbr (cond, reg, t, e) ->
-      spend st 1 ~extra:0.;
-      st.app_cycles <- st.app_cycles + 1;
-      account_app_seconds st (cycle_time st);
-      st.pc <- (if Instr.eval_cond cond st.regs.(Reg.to_int reg) then t else e)
-  | Link.Lcall (target, ret) ->
-      let c = Cost.term_cycles (Instr.Call ("", "")) in
-      spend st c ~extra:(nvm_extra st ~reads:0 ~writes:1);
-      st.app_cycles <- st.app_cycles + c;
-      account_app_seconds st (float_of_int c *. cycle_time st);
-      let sp = st.regs.(Reg.to_int Reg.sp) in
-      Nvm.write st.nvm (st.image.Link.stack_base + sp) ret;
-      st.regs.(Reg.to_int Reg.sp) <- sp - 1;
-      st.pc <- target
-  | Link.Lret ->
-      let c = Cost.term_cycles Instr.Ret in
-      spend st c ~extra:(nvm_extra st ~reads:1 ~writes:0);
-      st.app_cycles <- st.app_cycles + c;
-      account_app_seconds st (float_of_int c *. cycle_time st);
-      let sp = st.regs.(Reg.to_int Reg.sp) + 1 in
-      st.regs.(Reg.to_int Reg.sp) <- sp;
-      st.pc <- Nvm.read st.nvm (st.image.Link.stack_base + sp)
-  | Link.Lhalt ->
-      spend st 1 ~extra:0.;
-      complete st);
-  if st.tracing && st.ph.time >= st.ph.next_vsample then begin
-    sample_voltage st;
-    st.ph.next_vsample <- st.ph.time +. vsample_period
-  end;
-  if st.powered && not st.stop then begin
-    if Capacitor.voltage st.cap <= st.k_v_off then brownout st
-    else if st.ph.time >= st.ph.next_obs then begin
-      (* Between ADC sampling ticks every observe call returns [None]
-         without touching monitor state, so the calls are skipped
-         wholesale; the comparator kind is latency-sensitive and keeps
-         per-instruction observation ([next_obs] = -inf). *)
-      (match
-         Monitor.observe st.monitor ~time:st.ph.time
-           ~v_true:(Capacitor.voltage st.cap) ~disturbance:st.ph.cur_amp
-       with
-      | Some Monitor.Backup -> handle_backup st
-      | Some Monitor.Wake | None -> ());
-      refresh_obs st
-    end
-  end
-  end
-
-(* --- pre-decoded block dispatcher ------------------------------------ *)
-
-(* One instruction on the fast path: the shared [physics] kernel (inlined
+(* One decoded slot's physics: the shared [physics] kernel (inlined
    here, so the dispatcher pays no call for it) plus the counters.  [c]
    is the instruction's application-cycle count, 0 for
    compiler-inserted instrumentation (whose cycles the caller books
-   under [instrumentation_cycles]); folding the accounting in here
-   keeps the dispatcher at one call per instruction, which without
-   flambda is a measurable share of the loop. *)
+   under [instrumentation_cycles]) and for [Halt] (which books none);
+   folding the accounting in here keeps the dispatcher at one call per
+   instruction, which without flambda is a measurable share of the
+   loop. *)
 let spend_fast st dt e c =
   st.instrs <- st.instrs + 1;
   physics st dt e;
   st.app_cycles <- st.app_cycles + c;
   if st.k_tl_on && c > 0 then account_app_seconds st dt
 
-(* Region commits are the one per-instruction-path op the block
-   dispatcher cannot batch (solo slot, data-dependent cost) yet by far
-   the most frequent slow step: every region boundary of a healthy run
-   lands here.  In the steady state — progress flag already written,
-   nothing staged for commit, policy mode unchanged by the commit — a
-   boundary's cost is exactly its decoded [dt]/[en] (the commit write
-   is already in the decoder's NVM-write count), so the same O(1)
-   guard used for blocks proves the hoisted checks are no-ops and the
-   commit semantics run verbatim.  Any other situation (first boundary
-   of a power cycle, staged io_log records, Probe re-enable, rollback
-   modes) falls back to the fully-checked path untouched. *)
-let try_fast_solo st pc id =
-  st.progress_written
-  && (match st.meta.Meta.scheme with
-     | Scheme.Nvp | Scheme.Ratchet -> true
-     | Scheme.Gecko | Scheme.Gecko_noprune ->
-         (match st.io_staged with [] -> true | _ :: _ -> false)
-         && Policy.on_region_commit st.mode = st.mode)
-  &&
+(* A region commit, the one body behind both the checked step and
+   [try_fast_solo]: the boundary-id write at the slot's decoded cost,
+   the detection flag once per power cycle, then the scheme's commit —
+   Ratchet flips its register-buffer parity, GECKO appends the staged
+   io_log records atomically and steps the policy (Probe re-enables JIT
+   here). *)
+let commit_boundary st pc id =
   let d = st.dec in
-  let dt = Array.unsafe_get d.Decode.dt pc in
-  let en = Array.unsafe_get d.Decode.en pc in
-  let ph = st.ph in
-  let t_end = ((ph.time +. dt) *. 1.000000000001) +. 1e-18 in
-  if t_end >= st.k_time_limit || t_end >= ph.next_change then false
-  else
-    let e_need = (en *. 1.000001) +. 1e-18 in
-    let e_rem = Capacitor.energy st.cap -. e_need in
-    if e_rem <= (st.k_e_off *. 1.000001) +. 1e-18 then false
-    else
-      let mon_ok =
-        t_end < ph.next_obs
-        || ph.next_obs = neg_infinity
-           && Monitor.quiescent st.monitor
-                ~v_min:
-                  (sqrt (2. *. e_rem /. Capacitor.capacitance st.cap)
-                  *. 0.999999)
-                ~disturbance:ph.cur_amp
-      in
-      if not mon_ok then false
-      else begin
-        st.boundary_commits <- st.boundary_commits + 1;
-        spend_fast st dt en 0;
-        Nvm.write st.nvm (sys_cell st Link.Cells.sys_boundary) (id + 1);
-        flight_note st ~arg:id "boundary";
-        (match st.meta.Meta.scheme with
-        | Scheme.Ratchet ->
-            let parity = Nvm.read st.nvm (sys_cell st Link.Cells.sys_parity) in
-            Nvm.write st.nvm (sys_cell st Link.Cells.sys_parity) (1 - parity)
-        | Scheme.Nvp | Scheme.Gecko | Scheme.Gecko_noprune -> ());
-        st.instrumentation_cycles <-
-          st.instrumentation_cycles + Array.unsafe_get d.Decode.cyc pc;
-        st.pc <- pc + 1;
-        true
-      end
+  st.pc <- pc + 1;
+  st.boundary_commits <- st.boundary_commits + 1;
+  spend_fast st (Array.unsafe_get d.Decode.dt pc) (Array.unsafe_get d.Decode.en pc) 0;
+  Nvm.write st.nvm (sys_cell st Link.Cells.sys_boundary) (id + 1);
+  flight_note st ~arg:id "boundary";
+  if not st.progress_written then begin
+    spend st Cost.nvm_write_cycles ~extra:(nvm_extra st ~reads:0 ~writes:1);
+    Nvm.write st.nvm (sys_cell st Link.Cells.sys_progress) 1;
+    st.progress_written <- true
+  end;
+  (match st.meta.Meta.scheme with
+  | Scheme.Ratchet ->
+      let parity = Nvm.read st.nvm (sys_cell st Link.Cells.sys_parity) in
+      Nvm.write st.nvm (sys_cell st Link.Cells.sys_parity) (1 - parity)
+  | Scheme.Gecko | Scheme.Gecko_noprune ->
+      (* Both lists are newest-first, so prepending the stage keeps the
+         log in emission order. *)
+      if st.io_staged <> [] then begin
+        flight_note st ~arg:(List.length st.io_staged) "io_commit";
+        st.io_log <- st.io_staged @ st.io_log;
+        st.io_staged <- []
+      end;
+      let mode' = Policy.on_region_commit st.mode in
+      if st.mode = Policy.Probe && mode' = Policy.Jit_on then begin
+        st.reenables <- st.reenables + 1;
+        record st Ev_reenable
+      end;
+      if mode' <> st.mode then set_mode st mode'
+  | Scheme.Nvp -> ());
+  st.instrumentation_cycles <-
+    st.instrumentation_cycles + Array.unsafe_get d.Decode.cyc pc
 
-(* Run the decoded slots [pc, endp) with the per-instruction checks
-   hoisted out (the block guard proved them all no-ops).  Register
+(* Run the decoded slots [pc, endp) with no per-instruction check
+   between them: the block guard proved them all no-ops, or the range is
+   the one slot the checked step wraps its checks around.  Register
    indices come from the decoder, which only emits indices below
    [Reg.count], so unchecked array access is safe.  The loop is a local
    tail-recursive function: without flambda a [ref] loop counter lives
@@ -1258,6 +1090,101 @@ let exec_block st pc endp =
         st.pc <- s
   in
   go pc
+
+(* One instruction with every per-instruction check around it: the
+   injector's fetch site, the attack cursor, voltage sampling, brownout
+   and the monitor.  The instruction itself is its decoded slot — a
+   region commit or [Halt] through its solo body, any other slot through
+   [exec_block] over exactly that slot — so this path and the block
+   dispatcher share one instruction semantics and one cost table.  [pc]
+   can come from NVM (a [ret], a JIT restore), so the slot read is
+   bounds-checked. *)
+let step_instr st =
+  (* A forced failure at the fetch boundary: the instruction never
+     executes — exactly a power failure between two instructions. *)
+  if consult st S_instr then begin
+    force_power_failure st;
+    brownout st
+  end
+  else begin
+  refresh_attack st;
+  let d = st.dec in
+  let pc = st.pc in
+  if pc < 0 || pc >= d.Decode.n_ops then
+    invalid_arg
+      (Printf.sprintf "Machine: pc %d outside the code [0, %d)" pc d.Decode.n_ops);
+  (match Array.unsafe_get d.Decode.ops pc with
+  | Decode.M_boundary id -> commit_boundary st pc id
+  | Decode.M_halt ->
+      spend_fast st (Array.unsafe_get d.Decode.dt pc)
+        (Array.unsafe_get d.Decode.en pc) 0;
+      complete st
+  | _ -> exec_block st pc (pc + 1));
+  if st.tracing && st.ph.time >= st.ph.next_vsample then begin
+    sample_voltage st;
+    st.ph.next_vsample <- st.ph.time +. vsample_period
+  end;
+  if st.powered && not st.stop then begin
+    if Capacitor.voltage st.cap <= st.k_v_off then brownout st
+    else if st.ph.time >= st.ph.next_obs then begin
+      (* Between ADC sampling ticks every observe call returns [None]
+         without touching monitor state, so the calls are skipped
+         wholesale; the comparator kind is latency-sensitive and keeps
+         per-instruction observation ([next_obs] = -inf). *)
+      (match
+         Monitor.observe st.monitor ~time:st.ph.time
+           ~v_true:(Capacitor.voltage st.cap) ~disturbance:st.ph.cur_amp
+       with
+      | Some Monitor.Backup -> handle_backup st
+      | Some Monitor.Wake | None -> ());
+      refresh_obs st
+    end
+  end
+  end
+
+(* --- block dispatch guards -------------------------------------------- *)
+
+(* Region commits are the one solo slot the dispatcher batches: every
+   region boundary of a healthy run lands here.  In the steady state —
+   progress flag already written, nothing staged for commit, policy
+   mode unchanged by the commit — a boundary's cost is exactly its
+   decoded [dt]/[en], so the same O(1) guard used for blocks proves the
+   hoisted checks are no-ops and [commit_boundary] runs without them.
+   Any other situation (first boundary of a power cycle, staged io_log
+   records, Probe re-enable, rollback modes) takes the checked step. *)
+let try_fast_solo st pc id =
+  st.progress_written
+  && (match st.meta.Meta.scheme with
+     | Scheme.Nvp | Scheme.Ratchet -> true
+     | Scheme.Gecko | Scheme.Gecko_noprune ->
+         (match st.io_staged with [] -> true | _ :: _ -> false)
+         && Policy.on_region_commit st.mode = st.mode)
+  &&
+  let d = st.dec in
+  let dt = Array.unsafe_get d.Decode.dt pc in
+  let en = Array.unsafe_get d.Decode.en pc in
+  let ph = st.ph in
+  let t_end = ((ph.time +. dt) *. 1.000000000001) +. 1e-18 in
+  if t_end >= st.k_time_limit || t_end >= ph.next_change then false
+  else
+    let e_need = (en *. 1.000001) +. 1e-18 in
+    let e_rem = Capacitor.energy st.cap -. e_need in
+    if e_rem <= (st.k_e_off *. 1.000001) +. 1e-18 then false
+    else
+      let mon_ok =
+        t_end < ph.next_obs
+        || ph.next_obs = neg_infinity
+           && Monitor.quiescent st.monitor
+                ~v_min:
+                  (sqrt (2. *. e_rem /. Capacitor.capacitance st.cap)
+                  *. 0.999999)
+                ~disturbance:ph.cur_amp
+      in
+      if not mon_ok then false
+      else begin
+        commit_boundary st pc id;
+        true
+      end
 
 (* Block-entry guard: prove that from [pc] to its block end none of the
    per-instruction checks — time limit, attack-window edge, brownout,

@@ -95,11 +95,12 @@ type options = {
           semantically identical.  [None] (the default) or a disabled
           recorder keeps the plain path. *)
   fast : bool;
-      (** [true] (the default) dispatches through the pre-decoded block
-          stream whenever the block guard holds; [false] forces the
-          per-instruction checked path everywhere.  Outcomes are
-          identical either way — the switch exists for differential
-          tests and debugging. *)
+      (** [true] (the default) runs whole pre-decoded blocks whenever
+          the block guard holds; [false] steps one decoded slot per
+          turn with every per-instruction check (injector site, attack
+          cursor, brownout, monitor) around it.  Both run the same
+          decoded slots, so outcomes are identical either way — the
+          switch exists to test the block guards and for debugging. *)
   decoded : Decode.t option;
       (** A cached {!Decode.decode} of the run's image (see the
           Workbench decode cache).  [None] (the default) decodes at
@@ -216,7 +217,10 @@ module Step : sig
 
   val step : handle -> bool
   (** Advance one step on the per-instruction checked path; [false] once
-      the run has stopped (limit reached or completed). *)
+      the run has stopped (limit reached or completed).  Raises
+      [Invalid_argument] if control has left the code (a [ret] popped a
+      data word, say): ["Machine: pc <n> outside the code [0, <n_ops>)"].
+      {!step_block} and {!run} raise the same. *)
 
   val step_block : handle -> bool
   (** Advance one main-loop turn of {!run}: a whole pre-decoded block

@@ -1,9 +1,9 @@
 (* Properties of the pre-decode pass (Decode) and differentials of the
-   decoded fast path against both the frozen reference interpreter and
-   the machine's own checked path.
+   machine, on its block dispatcher and on its per-slot checked step,
+   against both the frozen reference interpreter and each other.
 
    This executable flips [GECKO_CHECKED] on before anything touches NVM,
-   so every run here exercises the fast dispatcher with per-access NVM
+   so every run here exercises both dispatch modes with per-access NVM
    range validation enabled — the configuration the plain test
    executables never see (their NVMs take the unchecked default). *)
 
@@ -289,18 +289,29 @@ let test_machine_nvm_checked () =
         true
         (String.starts_with ~prefix:"Nvm: address" msg)
 
-(* The decoded fast path must match the frozen reference with NVM range
-   checking live — same EMI schedule, crash-prone board — in outcome and
-   in the final NVM data segment. *)
-let prop_checked_matches_reference =
-  QCheck.Test.make ~count:16
-    ~name:"fast path matches the reference under GECKO_CHECKED" seed_gen
-    (fun seed ->
-      let scheme = scheme_of seed in
-      let image, meta = compile scheme seed in
-      let board = crashy_board () in
+(* One run of the frozen reference against two of the machine on the
+   same board and options: block dispatch on ([fast]) and every slot
+   through the per-instruction checked step ([fast = false]).  Each must
+   match the reference in outcome, final NVM data segment and energy
+   books. *)
+let both_paths_match_reference ~board ~seed ~image ~meta =
+  let rmetrics = Gecko_obs.Metrics.create () in
+  let r, rnvm =
+    Ref_machine.run_with_nvm ~board ~image ~meta
+      {
+        Ref_machine.default_options with
+        Ref_machine.limit = Ref_machine.Sim_time 0.15;
+        max_sim_time = 0.2;
+        seed;
+        restart_on_halt = true;
+        record_io = true;
+        record_events = true;
+        metrics = Some rmetrics;
+      }
+  in
+  List.for_all
+    (fun fast ->
       let metrics = Gecko_obs.Metrics.create () in
-      let rmetrics = Gecko_obs.Metrics.create () in
       let o, nvm =
         M.Machine.run_with_nvm ~board ~image ~meta
           {
@@ -311,35 +322,32 @@ let prop_checked_matches_reference =
             restart_on_halt = true;
             record_io = true;
             record_events = true;
+            fast;
             metrics = Some metrics;
-          }
-      in
-      let r, rnvm =
-        Ref_machine.run_with_nvm ~board ~image ~meta
-          {
-            Ref_machine.default_options with
-            Ref_machine.limit = Ref_machine.Sim_time 0.15;
-            max_sim_time = 0.2;
-            seed;
-            restart_on_halt = true;
-            record_io = true;
-            record_events = true;
-            metrics = Some rmetrics;
           }
       in
       norm o = norm_ref r && nvm = rnvm
       && energy_bits metrics = energy_bits rmetrics)
+    [ true; false ]
+
+(* Both dispatch modes must match the frozen reference with NVM range
+   checking live — same EMI schedule, crash-prone board. *)
+let prop_checked_matches_reference =
+  QCheck.Test.make ~count:16
+    ~name:"fast path matches the reference under GECKO_CHECKED"
+    seed_gen (fun seed ->
+      let image, meta = compile (scheme_of seed) seed in
+      both_paths_match_reference ~board:(crashy_board ()) ~seed ~image ~meta)
 
 (* Genuine mid-run power failures: the supply is gated by a square wave,
    so the capacitor collapses and recovers repeatedly.  Rollback and
-   replay through the decoded dispatcher must retrace the reference
-   exactly, including the final NVM data segment. *)
+   replay, through decoded blocks or slot by slot, must retrace the
+   reference exactly. *)
 let prop_outage_matches_reference =
   QCheck.Test.make ~count:12
-    ~name:"fast path matches the reference across power failures" seed_gen
-    (fun seed ->
-      let scheme = scheme_of seed in
-      let image, meta = compile scheme seed in
+    ~name:"fast path matches the reference across power failures"
+    seed_gen (fun seed ->
+      let image, meta = compile (scheme_of seed) seed in
       let board =
         {
           (crashy_board ()) with
@@ -348,36 +356,7 @@ let prop_outage_matches_reference =
               (H.thevenin ~v_source:3.3 ~r_source:1500.);
         }
       in
-      let metrics = Gecko_obs.Metrics.create () in
-      let rmetrics = Gecko_obs.Metrics.create () in
-      let o, nvm =
-        M.Machine.run_with_nvm ~board ~image ~meta
-          {
-            M.Machine.default_options with
-            limit = M.Machine.Sim_time 0.15;
-            max_sim_time = 0.2;
-            seed;
-            restart_on_halt = true;
-            record_io = true;
-            record_events = true;
-            metrics = Some metrics;
-          }
-      in
-      let r, rnvm =
-        Ref_machine.run_with_nvm ~board ~image ~meta
-          {
-            Ref_machine.default_options with
-            Ref_machine.limit = Ref_machine.Sim_time 0.15;
-            max_sim_time = 0.2;
-            seed;
-            restart_on_halt = true;
-            record_io = true;
-            record_events = true;
-            metrics = Some rmetrics;
-          }
-      in
-      norm o = norm_ref r && nvm = rnvm
-      && energy_bits metrics = energy_bits rmetrics)
+      both_paths_match_reference ~board ~seed ~image ~meta)
 
 (* An injected power failure mid-run (the n-th instruction-fetch site),
    identically on the fast and the checked interpreter: the decoded

@@ -23,6 +23,34 @@ let test_fig11_ordering () =
     true
     (gecko < noprune && noprune < ratchet)
 
+(* Fig. 13: GECKO detects every attack scenario and no false one,
+   out-runs Ratchet in all six, and keeps its unattacked throughput
+   while under attack. *)
+let test_fig13_detection () =
+  let a = E.fig13_attack_scenarios E.Quick in
+  let m sc key = metric a (sc ^ "." ^ key) in
+  let base = m "a" "gecko.throughput" in
+  Alcotest.(check (float 0.)) "a: no false detection" 0.
+    (m "a" "gecko.detections");
+  List.iter
+    (fun sc ->
+      let gecko = m sc "gecko.throughput" in
+      let ratchet = m sc "ratchet.throughput" in
+      if sc <> "a" then
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: gecko detects (%g)" sc
+             (m sc "gecko.detections"))
+          true
+          (m sc "gecko.detections" >= 1.);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: gecko %g > ratchet %g" sc gecko ratchet)
+        true (gecko > ratchet);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: gecko %g within 0.05 of a's %g" sc gecko base)
+        true
+        (Float.abs (gecko -. base) <= 0.05))
+    [ "a"; "b"; "c"; "d"; "e"; "f" ]
+
 (* Fig. 14: under RF energy harvesting GECKO costs less than Ratchet. *)
 let test_fig14_ordering () =
   let a = E.fig14_harvesting_overhead E.Quick in
@@ -56,6 +84,8 @@ let () =
         [
           Alcotest.test_case "fig11 gecko < noprune < ratchet" `Quick
             test_fig11_ordering;
+          Alcotest.test_case "fig13 gecko detects and holds throughput" `Quick
+            test_fig13_detection;
           Alcotest.test_case "fig14 gecko < ratchet" `Quick
             test_fig14_ordering;
           Alcotest.test_case "fig15 gecko/nvp within 1e-3 of 1" `Quick

@@ -269,6 +269,43 @@ let test_sim_time_cap () =
   Alcotest.(check bool) "cap reached" true (o.M.Machine.sim_time >= 0.2);
   Alcotest.(check bool) "limit not hit" false o.M.Machine.hit_limit
 
+(* A [ret] that pops a data word as its return address sends control
+   outside the code; the machine must say so on both dispatch modes. *)
+let bad_return_program () =
+  let b = B.program "badret" in
+  let buf = B.space b "buf" ~words:4 () in
+  B.func b "main";
+  B.block b "entry";
+  B.li b Reg.r1 500;
+  B.st b (B.at buf 0) Reg.r1;
+  B.li b Reg.sp (-5);
+  B.ret b;
+  B.finish b
+
+let test_pc_outside_code () =
+  List.iter
+    (fun scheme ->
+      let p, meta = Core.Pipeline.compile scheme (bad_return_program ()) in
+      let image = Link.link p in
+      let expected =
+        Printf.sprintf "Machine: pc 500 outside the code [0, %d)"
+          (Array.length image.Link.code)
+      in
+      List.iter
+        (fun fast ->
+          let label =
+            Printf.sprintf "%s fast=%b" (Core.Scheme.to_string scheme) fast
+          in
+          match
+            M.Machine.run ~board:(M.Board.default ()) ~image ~meta
+              { M.Machine.default_options with fast }
+          with
+          | _ -> Alcotest.failf "%s: control left the code silently" label
+          | exception Invalid_argument msg ->
+              Alcotest.(check string) label expected msg)
+        [ true; false ])
+    [ Core.Scheme.Nvp; Core.Scheme.Gecko ]
+
 let () =
   Alcotest.run "machine-smoke"
     [
@@ -282,5 +319,6 @@ let () =
           Alcotest.test_case "events match counters" `Quick
             test_events_match_counters;
           Alcotest.test_case "sim-time cap" `Quick test_sim_time_cap;
+          Alcotest.test_case "pc outside the code" `Quick test_pc_outside_code;
         ] );
     ]
