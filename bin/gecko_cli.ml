@@ -158,7 +158,18 @@ let compile_cmd =
           ];
         let count name = Mx.counter_value (Mx.counter reg name) in
         let rounds = count "pipeline.coloring.rounds" in
-        if rounds > 0 then Printf.printf "  colouring rounds: %d\n" rounds;
+        if rounds > 0 then begin
+          Printf.printf "  colouring rounds: %d\n" rounds;
+          Printf.printf "  reaching-defs fixpoints: %d\n"
+            (count "pipeline.reaching.computes");
+          Printf.printf "  slices computed: %d, slice-memo hits: %d\n"
+            (count "pipeline.prune.sliced")
+            (count "pipeline.prune.slice_memo_hits")
+        end;
+        let searches = count "pipeline.war.searches" in
+        if searches > 0 then
+          Printf.printf "  WAR hazard searches: %d (%d loads walked)\n" searches
+            (count "pipeline.war.loads_walked");
         let keeps = count "pipeline.slot_force_keeps" in
         if keeps > 0 then Printf.printf "  slot force-keeps: %d\n" keeps
     | None -> ());

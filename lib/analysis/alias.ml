@@ -86,7 +86,9 @@ type hazard = {
 }
 
 (* Program-wide forward-walk context: block bodies per function, plus the
-   call graph links needed to continue a walk through calls and returns. *)
+   call graph links needed to continue a walk through calls and returns.
+   A body is a snapshot: a caller that inserts into a block re-reads it
+   with [refresh_block]. *)
 type walker = {
   wfuncs : Cfg.func array;
   wgraphs : Fgraph.t array;
@@ -174,39 +176,52 @@ let war_stores w (m : Instr.mref) fi blk idx ~f =
   in
   scan fi blk idx
 
+let refresh_block w ~func ~blk =
+  w.wbodies.(func).(blk) <-
+    Array.of_list w.wgraphs.(func).Fgraph.blocks.(blk).Cfg.instrs
+
+(* Every hazard of every load at or after [from] = (function, block,
+   index), in program order; [walked] counts the loads whose forward
+   walk ran (those without a WARAW exemption). *)
+let iter_hazards w ~walked (ffi, fbi, fidx) ~f =
+  for fi = ffi to Array.length w.wbodies - 1 do
+    let fname = w.wfuncs.(fi).Cfg.fname in
+    let bodies = w.wbodies.(fi) in
+    for bi = (if fi = ffi then fbi else 0) to Array.length bodies - 1 do
+      let body = bodies.(bi) in
+      for idx = (if fi = ffi && bi = fbi then fidx else 0) to Array.length body - 1 do
+        match Instr.mem_read body.(idx) with
+        | Some m -> (
+            match last_write_before body idx m with
+            | Write _ -> () (* WARAW-exempt: re-execution rewrites first *)
+            | Clobbered _ | No_write ->
+                incr walked;
+                war_stores w m fi bi (idx + 1) ~f:(fun sfi sblk sidx sw ->
+                    f
+                      {
+                        hz_func = fname;
+                        hz_load = (bi, idx);
+                        hz_store_func = w.wfuncs.(sfi).Cfg.fname;
+                        hz_store = (sblk, sidx);
+                        hz_ref = m;
+                        hz_dynamic = is_dynamic m || is_dynamic sw;
+                      }))
+        | None -> ()
+      done
+    done
+  done
+
 let war_hazards (p : Cfg.program) =
-  let w = walker p in
   let out = ref [] in
-  Array.iteri
-    (fun fi (bodies : Instr.t array array) ->
-      let fname = w.wfuncs.(fi).Cfg.fname in
-      Array.iteri
-        (fun bi body ->
-          Array.iteri
-            (fun idx instr ->
-              match Instr.mem_read instr with
-              | Some m -> (
-                  match last_write_before body idx m with
-                  | Write _ ->
-                      () (* WARAW-exempt: re-execution rewrites first *)
-                  | Clobbered _ | No_write ->
-                      war_stores w m fi bi (idx + 1)
-                        ~f:(fun sfi sblk sidx sw ->
-                          out :=
-                            {
-                              hz_func = fname;
-                              hz_load = (bi, idx);
-                              hz_store_func = w.wfuncs.(sfi).Cfg.fname;
-                              hz_store = (sblk, sidx);
-                              hz_ref = m;
-                              hz_dynamic = is_dynamic m || is_dynamic sw;
-                            }
-                            :: !out))
-              | None -> ())
-            body)
-        bodies)
-    w.wbodies;
+  iter_hazards (walker p) ~walked:(ref 0) (0, 0, 0) ~f:(fun h -> out := h :: !out);
   List.rev !out
+
+exception Found of hazard
+
+let first_hazard ?(walked = ref 0) w ~from =
+  match iter_hazards w ~walked from ~f:(fun h -> raise (Found h)) with
+  | () -> None
+  | exception Found h -> Some h
 
 let pp_hazard fmt h =
   let lb, li = h.hz_load in

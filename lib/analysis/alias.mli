@@ -70,6 +70,32 @@ val war_hazards : Cfg.program -> hazard list
     The walk follows calls and returns and uses the clobber-aware WARAW
     exemption. *)
 
+(** {2 Resumable search}
+
+    Region formation cuts one hazard at a time.  A cut only truncates
+    forward walks, so a load that was hazard-free stays so, apart from
+    loads of the cut's own block, whose WARAW exemption the new
+    boundary can break ({!last_write_before} scans back only to the
+    nearest boundary).  The search therefore resumes rather than
+    restarting. *)
+
+type walker
+(** The forward-walk context of one program: a snapshot of every block
+    body plus the call and return links. *)
+
+val walker : Cfg.program -> walker
+
+val refresh_block : walker -> func:int -> blk:int -> unit
+(** Re-read the body of block [blk] of function [func] (an index into
+    [p.funcs]) after the caller inserted into it. *)
+
+val first_hazard : ?walked:int ref -> walker -> from:int * int * int -> hazard option
+(** The first hazard, in {!war_hazards} order, whose load is at or after
+    [from] = (function index, block, instruction index) in program
+    order.  When every earlier load is hazard-free this is exactly the
+    head of {!war_hazards}.  [walked] is incremented once per load whose
+    forward walk ran. *)
+
 val pp_hazard : Format.formatter -> hazard -> unit
 
 val waraw_protected_intervals : Cfg.func -> (int * int * int) list

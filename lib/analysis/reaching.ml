@@ -121,6 +121,22 @@ let compute ?(call_defs = fun _ -> all_regs) (g : Fgraph.t) =
     block_defs;
   }
 
+(* A boundary defines nothing, so the block-entry sets keep their bits
+   and the global ids keep their (block, index) order: only the points
+   move. *)
+let shift t ~blk ~idx =
+  Array.iteri
+    (fun id d ->
+      match d with
+      | Site p when p.Fgraph.blk = blk && p.Fgraph.idx >= idx ->
+          t.defs.(id) <- Site { p with Fgraph.idx = p.Fgraph.idx + 1 }
+      | Site _ | Entry -> ())
+    t.defs;
+  t.block_defs.(blk) <-
+    Array.map
+      (fun ((i, regs, id) as e) -> if i >= idx then (i + 1, regs, id) else e)
+      t.block_defs.(blk)
+
 (* Global id of the last definition of [r] strictly before [p] inside
    its block, or -1 when the block-entry reaching set applies. *)
 let local_def t r (p : Fgraph.point) =

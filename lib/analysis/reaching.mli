@@ -20,6 +20,14 @@ val compute : ?call_defs:(string -> Reg.Set.t) -> Fgraph.t -> t
     terminator position, so it can never be re-executed by a slice).
     Defaults to "all registers", the sound fallback. *)
 
+val shift : t -> blk:int -> idx:int -> unit
+(** An instruction that defines no register (a [Boundary]) was inserted
+    at index [idx] of block [blk]: move every definition site at or
+    after it, the call-clobber definition at the terminator included,
+    one index on, in place.  Afterwards [t] answers every query exactly
+    as a fresh {!compute} of the changed function would; the
+    block-entry reaching sets do not change. *)
+
 val reaching_at : t -> Reg.t -> Fgraph.point -> def list
 (** All definitions of the register that may reach the program point
     (the point denotes "immediately before the instruction at idx"). *)

@@ -13,13 +13,15 @@ type facts = {
   clobbers : A.Clobbers.t Lazy.t;
   doms : A.Dom.t Lazy.t array;
   block_reach : A.Blockreach.t Lazy.t array;
+  reaching : A.Reaching.t Lazy.t array;
+  memos : memos;
 }
+
+and memos = { reach_memo : (int, Bytes.t) Hashtbl.t; max_blocks : int }
 
 type index = {
   by_id : (int, site) Hashtbl.t;
   defsites : A.Fgraph.point list array array Lazy.t;
-  reach_memo : (int, Bytes.t) Hashtbl.t;
-  max_blocks : int;
 }
 
 type t = {
@@ -40,12 +42,36 @@ let facts (p : Cfg.program) =
          (fun (f : Cfg.func) -> A.Ipliveness.graph live ~fname:f.Cfg.fname)
          p.Cfg.funcs)
   in
+  let clobbers = lazy (A.Clobbers.compute p) in
   {
     live;
-    clobbers = lazy (A.Clobbers.compute p);
+    clobbers;
     doms = Array.map (fun g -> lazy (A.Dom.compute g)) graphs;
     block_reach = Array.map (fun g -> lazy (A.Blockreach.compute g)) graphs;
+    (* Call sites define the callee's clobber set, so no value is
+       assumed preserved across a call that may overwrite it. *)
+    reaching =
+      Array.map
+        (fun g ->
+          lazy
+            (A.Reaching.compute
+               ~call_defs:(A.Clobbers.of_function (Lazy.force clobbers))
+               g))
+        graphs;
+    memos =
+      {
+        reach_memo = Hashtbl.create 64;
+        max_blocks =
+          Array.fold_left (fun m g -> max m (A.Fgraph.n_blocks g)) 0 graphs;
+      };
   }
+
+let boundary_inserted facts ~func (pt : A.Fgraph.point) =
+  if Lazy.is_val facts.reaching.(func) then
+    A.Reaching.shift (Lazy.force facts.reaching.(func)) ~blk:pt.A.Fgraph.blk
+      ~idx:pt.A.Fgraph.idx
+
+let release facts = Hashtbl.reset facts.memos.reach_memo
 
 (* Per function, per register: every definition point, with a call
    terminator standing for a definition of the callee's clobber set. *)
@@ -120,14 +146,7 @@ let compute ?facts:given ?hazards (p : Cfg.program) =
     sites;
     hazards;
     facts;
-    index =
-      {
-        by_id;
-        defsites;
-        reach_memo = Hashtbl.create 64;
-        max_blocks =
-          Array.fold_left (fun m g -> max m (A.Fgraph.n_blocks g)) 0 graphs;
-      };
+    index = { by_id; defsites };
   }
 
 let site_opt t id = Hashtbl.find_opt t.index.by_id id
@@ -138,10 +157,10 @@ let site t id =
 let defsites t fi r = (Lazy.force t.index.defsites).(fi).(Reg.to_int r)
 
 let reaches_avoiding t fi ~avoid ~from dst =
-  let n = t.index.max_blocks in
+  let n = t.facts.memos.max_blocks in
   let key = (((fi * n) + avoid) * n) + from in
   let seen =
-    match Hashtbl.find_opt t.index.reach_memo key with
+    match Hashtbl.find_opt t.facts.memos.reach_memo key with
     | Some seen -> seen
     | None ->
         let g = t.graphs.(fi) in
@@ -153,7 +172,7 @@ let reaches_avoiding t fi ~avoid ~from dst =
           end
         in
         List.iter go g.A.Fgraph.succ.(from);
-        Hashtbl.replace t.index.reach_memo key seen;
+        Hashtbl.replace t.facts.memos.reach_memo key seen;
         seen
   in
   Bytes.get seen dst <> '\000'

@@ -17,15 +17,29 @@ type facts = {
   clobbers : A.Clobbers.t Lazy.t;
   doms : A.Dom.t Lazy.t array;  (** per function, indexed like {!funcs} *)
   block_reach : A.Blockreach.t Lazy.t array;
+  reaching : A.Reaching.t Lazy.t array;
+      (** Reaching definitions per function, a call defining the
+          callee's clobber set.  Not block-level: a boundary insertion
+          moves definition points, and {!boundary_inserted} shifts them
+          in place. *)
+  memos : memos;
 }
-(** Block-level facts of a program.  Inserting a [Boundary] (which
-    neither uses nor defines a register) changes none of them, so the
-    colouring loop computes them once and passes them to every round's
-    {!compute}. *)
+(** What a repair boundary cannot change.  Inserting a [Boundary]
+    (which neither uses nor defines a register) changes no block-level
+    fact, shifts the reaching definitions' points consistently, and
+    keeps every {!reaches_avoiding} answer, so the colouring loop
+    computes these once and passes them to every round's {!compute}.
+
+    The facts describe the program they were computed on plus every
+    boundary reported through {!boundary_inserted}; any other change
+    (such as emitting checkpoint stores) needs fresh facts. *)
+
+and memos
+(** The {!reaches_avoiding} memo: block-level, so it outlives a
+    colouring round; {!release} drops it. *)
 
 type index
-(** Per-round lookup tables and memos behind {!site} and
-    {!reaches_avoiding}. *)
+(** Per-round lookup tables behind {!site} and {!defsites}. *)
 
 type t = {
   prog : Cfg.program;
@@ -41,6 +55,15 @@ type t = {
 }
 
 val facts : Cfg.program -> facts
+
+val boundary_inserted : facts -> func:int -> A.Fgraph.point -> unit
+(** A [Boundary] was inserted at the point of function [func]: shift the
+    position-bearing facts (the reaching definitions, where already
+    computed). *)
+
+val release : facts -> unit
+(** Drop the memo tables.  The facts stay valid; a later query
+    recomputes what it needs. *)
 
 val compute :
   ?facts:facts -> ?hazards:A.Alias.hazard list -> Cfg.program -> t
@@ -62,7 +85,7 @@ val reaches_avoiding : t -> int -> avoid:int -> from:int -> int -> bool
 (** [reaches_avoiding t fi ~avoid ~from dst]: some path of function [fi]
     leaves block [from] through a successor edge and arrives at block
     [dst] without passing through block [avoid] on the way (arriving at
-    [avoid] itself counts).  Memoised per [(fi, avoid, from)] for the
-    lifetime of [t]. *)
+    [avoid] itself counts).  Memoised per [(fi, avoid, from)] in
+    [t.facts], so the memo serves every round that shares the facts. *)
 
 val total_candidates : t -> int

@@ -165,17 +165,19 @@ let try_color (cands : Candidates.t) (decisions : Prune.result) =
    insertion lengthens exactly the cycle edges leaving it. *)
 let insert_repair ~next_id (cands : Candidates.t) bid =
   let s = Candidates.site cands bid in
-  let g = cands.Candidates.graphs.(s.Candidates.s_func) in
-  let blk = g.A.Fgraph.blocks.(s.Candidates.s_point.A.Fgraph.blk) in
+  let fi = s.Candidates.s_func in
+  let pt = s.Candidates.s_point in
+  let at = { pt with A.Fgraph.idx = pt.A.Fgraph.idx + 1 } in
+  let blk = cands.Candidates.graphs.(fi).A.Fgraph.blocks.(at.A.Fgraph.blk) in
   let id = !next_id in
   incr next_id;
-  let pos = s.Candidates.s_point.A.Fgraph.idx + 1 in
   let rec go i = function
-    | rest when i = pos -> Instr.Boundary id :: rest
+    | rest when i = at.A.Fgraph.idx -> Instr.Boundary id :: rest
     | [] -> [ Instr.Boundary id ]
     | x :: rest -> x :: go (i + 1) rest
   in
-  blk.Cfg.instrs <- go 0 blk.Cfg.instrs
+  blk.Cfg.instrs <- go 0 blk.Cfg.instrs;
+  Candidates.boundary_inserted cands.Candidates.facts ~func:fi at
 
 (* Pick the cycle node to repair after.  The insertion point just after a
    boundary X reroutes exactly the spans leaving X, so the chosen node
@@ -236,18 +238,21 @@ type outcome = {
   state : state;
 }
 
-let assign ?resume ~next_id ~analyze (p : Cfg.program) =
+let assign ?resume ?metrics ~next_id ~analyze (p : Cfg.program) =
   (* A repair boundary neither uses nor defines a register, so liveness,
-     clobbers, dominators and block reachability hold for every round.
-     It also sits directly after an existing boundary, so it can only cut
-     WAR paths: an empty hazard set stays empty, while a non-empty one
-     (whose positions shift) is recomputed. *)
+     clobbers, dominators and block reachability hold for every round,
+     and the reaching definitions only shift ([insert_repair] moves them
+     along).  It also sits directly after an existing boundary, so it
+     can only cut WAR paths: an empty hazard set stays empty, while a
+     non-empty one (whose positions shift) is recomputed.  The phase-1
+     slice memo rests on the same invariants. *)
   let repairs, repair_at =
     match resume with
     | Some s -> (s.repairs, s.repair_at)
     | None -> (Hashtbl.create 8, Hashtbl.create 8)
   in
   let facts = Candidates.facts p in
+  let memo = Prune.memo () in
   let rec loop round hazards =
     if round > 256 then failwith "Coloring.assign: did not converge";
     (* Decisions are recomputed after every insertion.  A repair boundary
@@ -264,7 +269,7 @@ let assign ?resume ~next_id ~analyze (p : Cfg.program) =
       | Some regs -> regs
       | None -> Reg.Set.empty
     in
-    let decisions = analyze ~force_keep p cands in
+    let decisions = analyze ~force_keep ~memo p cands in
     match try_color cands decisions with
     | Colored colors ->
         {
@@ -306,4 +311,17 @@ let assign ?resume ~next_id ~analyze (p : Cfg.program) =
         loop (round + 1)
           (match hazards with [] -> [] | _ :: _ -> A.Alias.war_hazards p)
   in
-  loop 0 (A.Alias.war_hazards p)
+  let out = loop 0 (A.Alias.war_hazards p) in
+  Candidates.release facts;
+  Option.iter
+    (fun reg ->
+      let add name n = Gecko_obs.Metrics.incr ~by:n (Gecko_obs.Metrics.counter reg name) in
+      let sliced, hits = Prune.memo_counts memo in
+      add "pipeline.reaching.computes"
+        (Array.fold_left
+           (fun n l -> if Lazy.is_val l then n + 1 else n)
+           0 facts.Candidates.reaching);
+      add "pipeline.prune.sliced" sliced;
+      add "pipeline.prune.slice_memo_hits" hits)
+    metrics;
+  out

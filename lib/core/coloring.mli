@@ -44,9 +44,11 @@ type outcome = {
 
 val assign :
   ?resume:state ->
+  ?metrics:Gecko_obs.Metrics.registry ->
   next_id:int ref ->
   analyze:
     (force_keep:(int -> Reg.Set.t) ->
+    memo:Prune.memo ->
     Cfg.program ->
     Candidates.t ->
     Prune.result) ->
@@ -56,9 +58,22 @@ val assign :
     re-run after every insertion, receiving the repair boundaries'
     forced-keep sets, so repair stores are first-class during pruning —
     in particular the reuse pass sees them as unprunable owned stores
-    rather than discovering them after the fact.  Facts a repair cannot
-    change (liveness, clobbers, dominators, block reachability, an empty
-    hazard set) are computed once per call.
+    rather than discovering them after the fact.
+
+    Each round re-derives only what a repair can change.  Once per call:
+    liveness, clobbers, dominators, block reachability, an empty hazard
+    set, the reaching definitions of each function (shifted in place by
+    every repair, {!Candidates.boundary_inserted}) and the
+    {!Candidates.reaches_avoiding} memo, all in one
+    {!Candidates.facts}.  [memo] (one per call, handed to every round's
+    [analyze]) keeps each site's phase-1 slice decisions.  Per round:
+    the candidate sites, phase 2 of pruning and the colouring itself.
+    The memos are dropped when the call returns.
+
+    [metrics] counts reaching-definition fixpoints computed
+    ([pipeline.reaching.computes]), registers sliced
+    ([pipeline.prune.sliced]) and sites served by the slice memo
+    ([pipeline.prune.slice_memo_hits]).
 
     [resume] continues from the [state] of an earlier call on the same
     program, whose repair boundaries are still in place and whose

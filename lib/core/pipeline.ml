@@ -30,7 +30,8 @@ let pass ?obs ?metrics p name f =
     | None -> f ()
     | Some tr -> Gecko_obs.Trace.span tr ~cat:"compiler" name f
   in
-  let t0 = Sys.time () in
+  (* No observer, no clock read. *)
+  let t0 = match metrics with None -> 0. | Some _ -> Sys.time () in
   let r = run () in
   (match metrics with
   | None -> ()
@@ -73,26 +74,29 @@ let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
   | Scheme.Nvp -> (p, Meta.empty Scheme.Nvp)
   | Scheme.Ratchet | Scheme.Gecko_noprune | Scheme.Gecko ->
       let next_id = ref 0 in
-      pass "regions" (fun () -> ignore (Regions.form ~next_id p));
+      pass "regions" (fun () -> ignore (Regions.form ?metrics ~next_id p));
       let overhead = ckpt_overhead_estimate scheme in
       pass "split" (fun () ->
           ignore
             (Split.by_wcet ~next_id ~budget:budget_cycles
                ~ckpt_overhead:overhead p));
-      pass "regions2" (fun () -> ignore (Regions.form ~next_id p));
-      let meta =
+      pass "regions2" (fun () -> ignore (Regions.form ?metrics ~next_id p));
+      (* [scan] is the settle loop's last window-clobber scan (it found no
+         clobbers), which the [slots] gate reads instead of scanning the
+         same program again. *)
+      let meta, scan =
         match scheme with
-        | Scheme.Ratchet -> pass "emit" (fun () -> Emit.ratchet p)
+        | Scheme.Ratchet -> (pass "emit" (fun () -> Emit.ratchet p), None)
         | Scheme.Gecko | Scheme.Gecko_noprune ->
             let analyze =
               match scheme with
               | Scheme.Gecko ->
-                  fun ~force_keep p cands ->
-                    Prune.analyze_with ~force_keep ~slices:prune_slices
+                  fun ~force_keep ~memo p cands ->
+                    Prune.analyze_with ~force_keep ~memo ~slices:prune_slices
                       ~reuse:prune_reuse p cands
               | Scheme.Gecko_noprune | Scheme.Ratchet | Scheme.Nvp ->
-                  fun ~force_keep _p cands ->
-                    ignore force_keep;
+                  fun ~force_keep ~memo _p cands ->
+                    ignore (force_keep, memo);
                     Prune.keep_all cands
             in
             (* Static slot safety.  Reuse is optimistic: nothing in
@@ -106,16 +110,16 @@ let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
             let forced_at bid =
               Option.value ~default:Reg.Set.empty (Hashtbl.find_opt forced bid)
             in
-            let analyze ~force_keep p cands =
+            let analyze ~force_keep ~memo p cands =
               analyze
                 ~force_keep:(fun bid ->
                   Reg.Set.union (forced_at bid) (force_keep bid))
-                p cands
+                ~memo p cands
             in
             let rec settle attempt resume =
               let col =
                 pass "coloring" (fun () ->
-                    Coloring.assign ?resume ~next_id ~analyze p)
+                    Coloring.assign ?resume ?metrics ~next_id ~analyze p)
               in
               Option.iter
                 (fun reg ->
@@ -128,8 +132,9 @@ let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
                     Emit.gecko scheme p col.Coloring.cands
                       col.Coloring.decisions col.Coloring.colors)
               in
-              match pass "clobbers" (fun () -> Verify.slot_clobbers p meta) with
-              | [] -> meta
+              let scan = pass "clobbers" (fun () -> Verify.scan p meta) in
+              match Verify.slot_clobbers scan with
+              | [] -> (meta, Some scan)
               | clobbers ->
                   let fresh =
                     List.filter
@@ -158,11 +163,11 @@ let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
       in
       pass "verify" (fun () ->
           fail_on_errors "idempotence" (Verify.idempotence p);
-          (match scheme with
-          | Scheme.Gecko | Scheme.Gecko_noprune ->
+          (match scan with
+          | Some scan ->
               fail_on_errors "coloring" (Verify.coloring p meta);
-              fail_on_errors "slots" (Verify.slots p meta)
-          | Scheme.Ratchet | Scheme.Nvp -> ());
+              fail_on_errors "slots" (Verify.slots scan)
+          | None -> ());
           fail_on_errors "io_commit" (Verify.io_commit p);
           fail_on_errors "wcet" (Verify.wcet ~budget:budget_cycles p));
       (p, meta)

@@ -170,7 +170,22 @@ let try_slice cands fi dom reaching pb live pruned pinned r =
         Some (List.rev ctx.emitted)
       with Unsliceable -> None)
 
-let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ~slices ~reuse (p : Cfg.program) (cands : Candidates.t) =
+(* Phase-1 decisions per (site id, forced-keep mask).  Every input of
+   [try_slice] survives a boundary insertion: reaching definitions,
+   [dominates_point], [defsites] and [no_def_between] shift consistently
+   with the points, and [location_read_only] and [s_live] do not move;
+   [pruned] and [pinned] are local to one site. *)
+type memo = {
+  phase1 : (int * int, (Reg.t * decision) list) Hashtbl.t;
+  mutable sliced : int;
+  mutable hits : int;
+}
+
+let memo () = { phase1 = Hashtbl.create 32; sliced = 0; hits = 0 }
+let memo_counts m = (m.sliced, m.hits)
+
+let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?memo ~slices ~reuse
+    (p : Cfg.program) (cands : Candidates.t) =
   let result : result = Hashtbl.create 32 in
   (* Never prune across an unresolved dynamic hazard: if region formation
      left a may-alias WAR in some function (possible only when a caller
@@ -187,44 +202,60 @@ let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ~slices ~reuse (p : Cfg.
   let site_hazardous (s : Candidates.site) =
     Hashtbl.mem hazardous cands.Candidates.funcs.(s.Candidates.s_func).Cfg.fname
   in
-  (* Per-function analyses, shared across the function's boundaries.  Call
-     sites act as definition points for the callee's clobber set, so no
-     value is assumed preserved across a call that may overwrite it.
-     Reaching definitions shift with every inserted boundary and are
-     computed per call; dominators are block-level facts. *)
-  let call_defs =
-    A.Clobbers.of_function (Lazy.force cands.Candidates.facts.Candidates.clobbers)
-  in
-  let reaching =
-    Array.map
-      (fun g -> lazy (A.Reaching.compute ~call_defs g))
-      cands.Candidates.graphs
-  in
+  (* Per-function analyses, shared across the function's boundaries and
+     across the colouring rounds that share [cands.facts]. *)
+  let reaching fi = Lazy.force cands.Candidates.facts.Candidates.reaching.(fi) in
   let dom fi = Lazy.force cands.Candidates.facts.Candidates.doms.(fi) in
-  (* Phase 1: slice-based pruning. *)
+  (* Phase 1: slice-based pruning.  Without a residual hazard, a site's
+     slice decisions depend only on its own inputs (see {!memo}), so a
+     memo serves them again in later rounds. *)
+  let cache =
+    match memo with
+    | Some m when slices && Lazy.force cands.Candidates.hazards = [] -> Some m
+    | Some _ | None -> None
+  in
+  let phase1 (s : Candidates.site) forced =
+    let fi = s.Candidates.s_func in
+    let pruned = Hashtbl.create 8 in
+    let pinned = Hashtbl.create 8 in
+    List.map
+      (fun r ->
+        if
+          (not slices) || site_hazardous s || Reg.Set.mem r forced
+          || Hashtbl.mem pinned (Reg.to_int r)
+        then (r, Keep)
+        else begin
+          Option.iter (fun m -> m.sliced <- m.sliced + 1) memo;
+          match
+            try_slice cands fi (dom fi) (reaching fi) s.Candidates.s_point
+              s.Candidates.s_live pruned pinned r
+          with
+          | Some slice ->
+              Hashtbl.replace pruned (Reg.to_int r) ();
+              (r, Prune slice)
+          | None -> (r, Keep)
+        end)
+      (Reg.Set.elements s.Candidates.s_live)
+  in
   List.iter
     (fun (s : Candidates.site) ->
-      let fi = s.Candidates.s_func in
-      let pruned = Hashtbl.create 8 in
-      let pinned = Hashtbl.create 8 in
       let forced = force_keep s.Candidates.s_id in
       let decisions =
-        List.map
-          (fun r ->
-            if
-              (not slices) || site_hazardous s || Reg.Set.mem r forced
-              || Hashtbl.mem pinned (Reg.to_int r)
-            then (r, Keep)
-            else
-              match
-                try_slice cands fi (dom fi) (Lazy.force reaching.(fi))
-                  s.Candidates.s_point s.Candidates.s_live pruned pinned r
-              with
-              | Some slice ->
-                  Hashtbl.replace pruned (Reg.to_int r) ();
-                  (r, Prune slice)
-              | None -> (r, Keep))
-          (Reg.Set.elements s.Candidates.s_live)
+        match cache with
+        | None -> phase1 s forced
+        | Some m -> (
+            let key =
+              ( s.Candidates.s_id,
+                Reg.Set.fold (fun r k -> k lor (1 lsl Reg.to_int r)) forced 0 )
+            in
+            match Hashtbl.find_opt m.phase1 key with
+            | Some ds ->
+                m.hits <- m.hits + 1;
+                ds
+            | None ->
+                let ds = phase1 s forced in
+                Hashtbl.replace m.phase1 key ds;
+                ds)
       in
       Hashtbl.replace result s.Candidates.s_id decisions)
     cands.Candidates.sites;

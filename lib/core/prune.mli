@@ -44,8 +44,25 @@ type result = (int, (Reg.t * decision) list) Hashtbl.t
 
 val max_slice_nodes : int
 
+type memo
+(** Phase-1 (slice) decisions per (boundary id, forced-keep set), with
+    tallies.  A site's slice decisions depend only on inputs that a
+    boundary insertion leaves alone or shifts consistently (reaching
+    definitions, dominance between points, definition sites, read-only
+    locations, the site's live-ins), so one memo serves every colouring
+    round of one {!Coloring.assign} call.  It must not outlive the
+    [Candidates.facts] it was filled under. *)
+
+val memo : unit -> memo
+
+val memo_counts : memo -> int * int
+(** [(sliced, hits)]: registers sliced by {!analyze_with} calls given
+    this memo (one recovery-slice attempt each), and sites whose
+    phase-1 decisions came from the memo instead. *)
+
 val analyze_with :
   ?force_keep:(int -> Reg.Set.t) ->
+  ?memo:memo ->
   slices:bool ->
   reuse:bool ->
   Cfg.program ->
@@ -67,6 +84,11 @@ val analyze_with :
     pipeline checks that after emission ({!Verify.slot_clobbers}) and
     force-keeps each clobbered reuse, so the restore reads a slot of its
     own.
+
+    [memo] serves and records phase-1 decisions; it is consulted only
+    when [slices] is on and no residual hazard is left.  Phase 2 (reuse)
+    and the stability pass always run afresh: a new repair site changes
+    which sites dominate which.
 
     Residual dynamic hazards are quarantined: every candidate in a
     function that still has a may-alias WAR is kept. *)

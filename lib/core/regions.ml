@@ -74,9 +74,15 @@ let structural_pass next_id (p : Cfg.program) =
   !inserted
 
 (* Anti-dependence cuts: the may-alias WAR/WARAW hazard set lives in the
-   analysis layer ({!A.Alias.war_hazards}); region formation resolves each
-   hazard by inserting a boundary immediately before the offending store,
-   so a rollback can never land between the load and the store. *)
+   analysis layer ({!A.Alias.first_hazard}); region formation resolves
+   each hazard by inserting a boundary immediately before the offending
+   store, so a rollback can never land between the load and the store.
+
+   One cut at a time, always the first hazard in program order.  A cut
+   only truncates forward walks, so every load before the cut hazard's
+   load stays hazard-free and the next search resumes there -- or at the
+   start of the cut's block, if that comes first: a load after the new
+   boundary in that block can lose its WARAW exemption. *)
 
 let insert_in_block (b : Cfg.block) idx instr =
   let rec go i = function
@@ -86,27 +92,47 @@ let insert_in_block (b : Cfg.block) idx instr =
   in
   b.Cfg.instrs <- go 0 b.Cfg.instrs
 
-let func_by_name (p : Cfg.program) name =
-  List.find (fun (f : Cfg.func) -> f.Cfg.fname = name) p.Cfg.funcs
+let war_fixpoint ?metrics next_id (p : Cfg.program) =
+  let w = A.Alias.walker p in
+  let blocks =
+    Array.of_list (List.map (fun (f : Cfg.func) -> Array.of_list f.Cfg.blocks) p.Cfg.funcs)
+  in
+  let index = Hashtbl.create 8 in
+  List.iteri
+    (fun fi (f : Cfg.func) ->
+      if not (Hashtbl.mem index f.Cfg.fname) then Hashtbl.add index f.Cfg.fname fi)
+    p.Cfg.funcs;
+  let searches = ref 0 and walked = ref 0 in
+  let rec go from cuts =
+    incr searches;
+    match A.Alias.first_hazard ~walked w ~from with
+    | None -> cuts
+    | Some hz ->
+        let sfi = Hashtbl.find index hz.A.Alias.hz_store_func in
+        let sblk, sidx = hz.A.Alias.hz_store in
+        insert_in_block blocks.(sfi).(sblk) sidx (fresh next_id);
+        A.Alias.refresh_block w ~func:sfi ~blk:sblk;
+        let lblk, lidx = hz.A.Alias.hz_load in
+        let load = (Hashtbl.find index hz.A.Alias.hz_func, lblk, lidx) in
+        go (min load (sfi, sblk, 0)) (cuts + 1)
+  in
+  let cuts = go (0, 0, 0) 0 in
+  Option.iter
+    (fun reg ->
+      let add name n = Gecko_obs.Metrics.incr ~by:n (Gecko_obs.Metrics.counter reg name) in
+      add "pipeline.war.searches" !searches;
+      add "pipeline.war.loads_walked" !walked)
+    metrics;
+  cuts
 
-let rec war_fixpoint next_id (p : Cfg.program) acc =
-  match A.Alias.war_hazards p with
-  | [] -> acc
-  | hz :: _ ->
-      let f = func_by_name p hz.A.Alias.hz_store_func in
-      let sblk, sidx = hz.A.Alias.hz_store in
-      let blk = List.nth f.Cfg.blocks sblk in
-      insert_in_block blk sidx (fresh next_id);
-      war_fixpoint next_id p (acc + 1)
-
-let form ~next_id p =
+let form ?metrics ~next_id p =
   let a = structural_pass next_id p in
   (* The hazard set is cut to empty: regions stay idempotent by
      construction, so re-execution after a rollback is deterministic
      without any memory replay.  What the pipeline speculates on is
      downstream checkpoint slot reuse (settled at compile time; see
      {!Prune} and {!Pipeline}), not the anti-dependence discipline. *)
-  let b = war_fixpoint next_id p 0 in
+  let b = war_fixpoint ?metrics next_id p in
   a + b
 
 let violations (p : Cfg.program) =

@@ -22,8 +22,14 @@
 
 open Gecko_isa
 
-val form : next_id:int ref -> Cfg.program -> int
-(** Returns the number of boundaries inserted. *)
+val form :
+  ?metrics:Gecko_obs.Metrics.registry -> next_id:int ref -> Cfg.program -> int
+(** Returns the number of boundaries inserted.  The anti-dependence cuts
+    go in one at a time, each before the store of the first residual
+    hazard in program order; the hazard search resumes after each cut
+    ({!Gecko_analysis.Alias.first_hazard}) rather than restarting.
+    [metrics] counts the searches ([pipeline.war.searches]) and the
+    loads they walk ([pipeline.war.loads_walked]). *)
 
 val violations : Cfg.program -> string list
 (** Human-readable rendering of the residual may-alias WAR hazards

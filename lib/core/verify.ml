@@ -62,10 +62,12 @@ let coloring p (meta : Meta.t) =
    restore routed at a slot some later (e.g. repair) boundary
    overwrites.
 
-   The scan is shared: [slots] turns every clobber into an error, and
-   [slot_clobbers] names the clobbered reads, which is how the pipeline
-   decides which reuses to force-keep. *)
-let window_clobber_scan p (meta : Meta.t) =
+   One scan serves both readings: [slot_clobbers] names the clobbered
+   reads, which is how the pipeline decides which reuses to force-keep,
+   and [slots] turns every clobber into an error. *)
+type scan = { clobbers : ((int * Reg.t) * string) list; errs : string list }
+
+let scan p (meta : Meta.t) =
   let cands = Candidates.compute p in
   let w = Spans.make cands in
   let stable_at bid r =
@@ -161,15 +163,12 @@ let window_clobber_scan p (meta : Meta.t) =
                       reads
                 | _ -> ()))
     cands.Candidates.sites;
-  (List.rev !clobbers, List.rev !errs)
+  { clobbers = List.rev !clobbers; errs = List.rev !errs }
 
-let slot_clobbers p (meta : Meta.t) =
-  let clobbers, _ = window_clobber_scan p meta in
-  List.sort_uniq compare (List.map fst clobbers)
+let slot_clobbers sc = List.sort_uniq compare (List.map fst sc.clobbers)
 
-let slots p (meta : Meta.t) =
-  let clobbers, errs = window_clobber_scan p meta in
-  match errs @ List.map snd clobbers with [] -> Ok () | e -> Error e
+let slots sc =
+  match sc.errs @ List.map snd sc.clobbers with [] -> Ok () | e -> Error e
 
 (* Atomic io_log commit: the runtime stages [Out] records per region and
    persists them only at the region commit point, so every [Out] must be

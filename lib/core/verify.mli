@@ -20,15 +20,23 @@ val coloring : Cfg.program -> Meta.t -> (unit, string list) result
     between them defines the register, or both share a stability
     class. *)
 
-val slot_clobbers : Cfg.program -> Meta.t -> (int * Reg.t) list
-(** The clobbered slot reads of a program, sorted: [(b, r)] when some
-    checkpoint store overwrites, inside boundary [b]'s crash window and
-    without a value-equality or stability exemption, a slot of [r] that
-    [b]'s committed recovery state reads.  The pipeline force-keeps each
-    such read (a reused restore becomes an owned store) and colours
-    again until the list is empty. *)
+type scan
+(** One window-clobber scan of a program and its metadata, read by both
+    {!slot_clobbers} and {!slots}.  The pipeline's settle loop ends on a
+    scan with no clobbers and hands that same scan to its [slots] gate,
+    so the final program is not scanned twice. *)
 
-val slots : Cfg.program -> Meta.t -> (unit, string list) result
+val scan : Cfg.program -> Meta.t -> scan
+
+val slot_clobbers : scan -> (int * Reg.t) list
+(** The clobbered slot reads of the scanned program, sorted: [(b, r)]
+    when some checkpoint store overwrites, inside boundary [b]'s crash
+    window and without a value-equality or stability exemption, a slot
+    of [r] that [b]'s committed recovery state reads.  The pipeline
+    force-keeps each such read (a reused restore becomes an owned store)
+    and colours again until the list is empty. *)
+
+val slots : scan -> (unit, string list) result
 (** Window-clobber gate: no slot read by a boundary's committed recovery
     state (restores — owned or reused — and recovery-block slot loads) is
     overwritten by a checkpoint store inside that boundary's crash

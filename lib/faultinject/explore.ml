@@ -43,8 +43,14 @@ let golden ?(max_sim_time = 30.) ?decoded ~board ~image ~meta () =
     }
   in
   let o, nvm = M.run_with_nvm ~board ~image ~meta opts in
+  (* A program that cannot finish even on continuous power has no
+     reference run: the input's fault, not the explorer's. *)
   if o.M.completions < 1 then
-    failwith "faultinject: golden run did not complete";
+    invalid_arg
+      (Printf.sprintf
+         "faultinject: the golden run did not complete within %g s of \
+          simulated time on continuous power"
+         max_sim_time);
   (nvm, o.M.io_log)
 
 (* [needle] must appear within [hay] in order (gaps allowed): re-execution

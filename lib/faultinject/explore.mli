@@ -46,9 +46,10 @@ val golden :
   unit ->
   int array * (int * int) list
 (** Final data segment and [io_log] of one uninterrupted run on
-    continuous power (the oracle's reference).  Raises [Failure] if the
-    program cannot complete within [max_sim_time] (default 30 s) even on
-    continuous power.  [decoded] is passed on as the run's
+    continuous power (the oracle's reference).  Raises
+    [Invalid_argument], with a message naming the limit, if the program
+    cannot complete within [max_sim_time] (default 30 s) of simulated
+    time even on continuous power.  [decoded] is passed on as the run's
     {!M.options.decoded}. *)
 
 val oracle :

@@ -25,11 +25,10 @@ type site = {
 }
 
 let with_decode ~(board : Board.t) ~image opts =
+  let device = board.Board.device in
   match opts.M.decoded with
-  | Some d when d.Decode.image == image -> opts
-  | Some _ | None ->
-      let device = board.Board.device in
-      { opts with M.decoded = Some (Decode.decode ~device image) }
+  | Some d when Decode.fits d ~device image -> opts
+  | Some _ | None -> { opts with M.decoded = Some (Decode.decode ~device image) }
 
 let census ~board ~image ~meta opts =
   let sites = ref [] in

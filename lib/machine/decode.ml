@@ -31,7 +31,9 @@
    The decode depends on the *device* timing/energy constants (cycle
    time, energy per cycle, NVM access energies) but not on the
    capacitor, harvester or monitor — those stay runtime state — so one
-   decode is shared by every board built around the same device. *)
+   decode is shared by every board built around the same device.  It
+   records those constants, and [fits] holds a cached decode to them:
+   a run on a device with other constants decodes afresh. *)
 
 open Gecko_isa
 module Device = Gecko_devices.Device
@@ -58,8 +60,25 @@ type mop =
   | M_ret
   | M_halt  (* solo: completion/restart has data-dependent cost *)
 
+(* The device constants a decode's costs were computed from. *)
+type consts = {
+  cycle_time : float;
+  epc : float;  (* active energy per cycle *)
+  read_e : float;  (* per NVM word read *)
+  write_e : float;  (* per NVM word write *)
+}
+
+let consts_of device =
+  {
+    cycle_time = Device.cycle_time device;
+    epc = Device.energy_per_cycle device;
+    read_e = device.Device.core.Device.nvm_read_energy;
+    write_e = device.Device.core.Device.nvm_write_energy;
+  }
+
 type t = {
   image : Link.image;  (* provenance *)
+  consts : consts;  (* provenance: the device side *)
   ops : mop array;
   dt : float array;  (* wall advance of the slot's own instruction *)
   en : float array;  (* capacitor drain, incl. NVM access energy *)
@@ -96,11 +115,8 @@ let costs = function
 
 let decode ~device (image : Link.image) =
   let n = Array.length image.Link.code in
-  let cycle_time = Device.cycle_time device in
-  let epc = Device.energy_per_cycle device in
-  let core = device.Device.core in
-  let read_e = core.Device.nvm_read_energy in
-  let write_e = core.Device.nvm_write_energy in
+  let consts = consts_of device in
+  let { cycle_time; epc; read_e; write_e } = consts in
   let ri = Reg.to_int in
   let gecko_cell r colour =
     image.Link.gecko_base + Link.Cells.gecko_slot r colour
@@ -222,6 +238,7 @@ let decode ~device (image : Link.image) =
   done;
   {
     image;
+    consts;
     ops;
     dt;
     en;
@@ -231,6 +248,19 @@ let decode ~device (image : Link.image) =
     dt_sfx;
     n_ops = n;
   }
+
+(* [d] was decoded from [image] for a device with [device]'s timing and
+   energy constants: the only decode a run of that image on that device
+   may use.  Float constants compare by value, so two catalogue entries
+   with equal constants share a decode. *)
+let fits d ~device image =
+  d.image == image
+  &&
+  let c = consts_of device in
+  Float.equal d.consts.cycle_time c.cycle_time
+  && Float.equal d.consts.epc c.epc
+  && Float.equal d.consts.read_e c.read_e
+  && Float.equal d.consts.write_e c.write_e
 
 (* Share of slots holding a fused superinstruction: always [0.], since
    every slot lowers its own instruction.  Kept for the benchmark's

@@ -1403,7 +1403,7 @@ let make_state ~board ~image ~meta opts =
         };
       dec =
         (match opts.decoded with
-        | Some d when d.Decode.image == image -> d
+        | Some d when Decode.fits d ~device image -> d
         | Some _ | None -> Decode.decode ~device image);
       fast_enabled = opts.fast;
       rng_io = Gecko_util.Rng.create 0;

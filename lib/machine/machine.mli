@@ -105,8 +105,9 @@ type options = {
       (** A cached {!Decode.decode} of the run's image (see the
           Workbench decode cache).  [None] (the default) decodes at
           [run] time — O(code size), irrelevant for all but the
-          shortest runs.  A value decoded from a different image or
-          device is ignored. *)
+          shortest runs.  A value decoded from a different image, or
+          for a device with other timing or energy constants
+          ({!Decode.fits}), is ignored. *)
 }
 
 val default_options : options

@@ -178,6 +178,56 @@ let prop_distinct_slots =
          distinct allocations, whatever the offsets. *)
       if same_space then verdict = (i = j) else not verdict)
 
+(* A [Boundary] defines nothing, so inserting one only moves definition
+   points: a [Reaching.t] shifted in place must answer [reaching_at] and
+   [unique_at] at every point and register exactly as a fresh
+   computation over the changed function does, insertion after
+   insertion (call terminators included: generated programs with calls
+   define every register there). *)
+let prop_reaching_shift =
+  QCheck.Test.make ~count:150
+    ~name:"shifted reaching definitions equal a fresh computation"
+    QCheck.(make ~print:string_of_int Gen.(int_bound 99999))
+    (fun seed ->
+      let p = Gen_prog.generate_mixed seed in
+      let rng = Gecko_util.Rng.create seed in
+      List.for_all
+        (fun (f : Cfg.func) ->
+          let g = A.Fgraph.of_func f in
+          let shifted = A.Reaching.compute g in
+          let agrees () =
+            let fresh = A.Reaching.compute g in
+            Array.for_all Fun.id
+              (Array.mapi
+                 (fun blk (b : Cfg.block) ->
+                   List.for_all
+                     (fun idx ->
+                       let pt = { A.Fgraph.blk; idx } in
+                       List.for_all
+                         (fun r ->
+                           List.equal A.Reaching.def_equal
+                             (A.Reaching.reaching_at shifted r pt)
+                             (A.Reaching.reaching_at fresh r pt)
+                           && Option.equal A.Reaching.def_equal
+                                (A.Reaching.unique_at shifted r pt)
+                                (A.Reaching.unique_at fresh r pt))
+                         Reg.all)
+                     (List.init (List.length b.Cfg.instrs + 1) Fun.id))
+                 g.A.Fgraph.blocks)
+          in
+          List.for_all
+            (fun k ->
+              let blk = Gecko_util.Rng.int rng (A.Fgraph.n_blocks g) in
+              let b = g.A.Fgraph.blocks.(blk) in
+              let idx = Gecko_util.Rng.int rng (List.length b.Cfg.instrs + 1) in
+              b.Cfg.instrs <-
+                List.filteri (fun i _ -> i < idx) b.Cfg.instrs
+                @ (Instr.Boundary (1000 + k) :: List.filteri (fun i _ -> i >= idx) b.Cfg.instrs);
+              A.Reaching.shift shifted ~blk ~idx;
+              agrees ())
+            [ 0; 1; 2; 3 ])
+        p.Cfg.funcs)
+
 let () =
   Alcotest.run "analysis"
     [
@@ -201,6 +251,6 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_distinct_slots ]
+          [ prop_distinct_slots; prop_reaching_shift ]
       );
     ]

@@ -109,6 +109,36 @@ let test_waraw_exempt () =
   Alcotest.(check int) "single boundary" 1 (count_boundaries p);
   Alcotest.(check (list string)) "still idempotent" [] (Core.Regions.violations p)
 
+(* A cut can break a WARAW exemption earlier in program order than the
+   hazard it resolves.  Block [b] sits before [c] in the listing but
+   runs after it, with no loop header between them: [c]'s load of y[0]
+   reaches [b]'s store to y[0], and the cut before that store falls
+   between [b]'s store to x[0] and the load of x[0] it exempted.  That
+   load then anti-depends on the store after it and needs a second cut,
+   which only a search resuming at [b] (not at [c]'s load) finds. *)
+let test_cut_breaks_earlier_waraw () =
+  let b = B.program "waraw_cut" in
+  let x = B.space b "x" ~words:1 () in
+  let y = B.space b "y" ~words:1 () in
+  B.func b "main";
+  B.block b "e";
+  B.li b Reg.r1 7;
+  B.jmp b "c";
+  B.block b "b";
+  B.st b (B.at x 0) Reg.r1;
+  B.st b (B.at y 0) Reg.r1;
+  B.ld b Reg.r4 (B.at x 0);
+  B.add b Reg.r4 Reg.r4 (B.imm 1);
+  B.st b (B.at x 0) Reg.r4;
+  B.halt b;
+  B.block b "c";
+  B.ld b Reg.r5 (B.at y 0);
+  B.jmp b "b";
+  let p = B.finish b in
+  let next_id = ref 0 in
+  Alcotest.(check int) "entry boundary and two cuts" 3 (Core.Regions.form ~next_id p);
+  Alcotest.(check (list string)) "idempotent" [] (Core.Regions.violations p)
+
 (* A may-aliasing (dynamic) store does NOT exempt the pair. *)
 let test_may_alias_not_exempt () =
   let b = B.program "maywar" in
@@ -127,6 +157,72 @@ let test_may_alias_not_exempt () =
   ignore (Core.Regions.form ~next_id p);
   Alcotest.(check bool) "extra cut inserted" true (count_boundaries p >= 2);
   Alcotest.(check (list string)) "idempotent" [] (Core.Regions.violations p)
+
+(* The oracle of the resumable cut loop in [Regions.form]: cut before
+   the store of the head of the full hazard list, recompute the list,
+   repeat. *)
+let rec cut_from_scratch next_id (p : Cfg.program) =
+  match Gecko_analysis.Alias.war_hazards p with
+  | [] -> ()
+  | hz :: _ ->
+      let f =
+        List.find
+          (fun (f : Cfg.func) -> f.Cfg.fname = hz.Gecko_analysis.Alias.hz_store_func)
+          p.Cfg.funcs
+      in
+      let blk, idx = hz.Gecko_analysis.Alias.hz_store in
+      let b = List.nth f.Cfg.blocks blk in
+      b.Cfg.instrs <-
+        List.filteri (fun i _ -> i < idx) b.Cfg.instrs
+        @ (Instr.Boundary !next_id :: List.filteri (fun i _ -> i >= idx) b.Cfg.instrs);
+      incr next_id;
+      cut_from_scratch next_id p
+
+(* [Regions.form] on [p] against its structural boundaries followed by
+   the oracle.  Boundary ids count up in insertion order and the cuts
+   come last, so the two listings are equal exactly when both loops cut
+   at the same places in the same order. *)
+let same_cuts_as_oracle ~next_id (p : Cfg.program) =
+  let oracle = Core.Copy.program p in
+  let reg = Gecko_obs.Metrics.create () in
+  let first = !next_id in
+  let inserted = Core.Regions.form ~metrics:reg ~next_id p in
+  let cuts =
+    Gecko_obs.Metrics.counter_value (Gecko_obs.Metrics.counter reg "pipeline.war.searches")
+    - 1
+  in
+  let structural = ref first in
+  ignore (Core.Regions.form ~next_id:structural oracle);
+  (* Take the oracle copy back to its structural boundaries. *)
+  let last_structural = first + inserted - cuts in
+  List.iter
+    (fun (f : Cfg.func) ->
+      List.iter
+        (fun (b : Cfg.block) ->
+          b.Cfg.instrs <-
+            List.filter
+              (function Instr.Boundary id -> id < last_structural | _ -> true)
+              b.Cfg.instrs)
+        f.Cfg.blocks)
+    oracle.Cfg.funcs;
+  cut_from_scratch (ref last_structural) oracle;
+  Asm.to_string p = Asm.to_string oracle
+
+let prop_cuts_match_oracle =
+  QCheck.Test.make ~count:150
+    ~name:"resumable WAR cuts equal the from-scratch loop's"
+    QCheck.(make ~print:string_of_int Gen.(int_bound 99999))
+    (fun seed ->
+      let p = Gen_prog.generate_mixed seed in
+      let next_id = ref 0 in
+      same_cuts_as_oracle ~next_id p
+      &&
+      (* After a WCET split (which can break WARAW exemptions), the
+         second formation pass as well. *)
+      (ignore
+         (Core.Split.by_wcet ~next_id ~budget:300
+            ~ckpt_overhead:0 p);
+       same_cuts_as_oracle ~next_id p))
 
 (* I/O instructions are bracketed by boundaries. *)
 let test_io_bracketing () =
@@ -243,7 +339,7 @@ let number_boundaries p =
 let first_repair = 100
 
 let color ?(keeps = fun _ _ -> true) p =
-  let analyze ~force_keep _p (cands : Core.Candidates.t) =
+  let analyze ~force_keep ~memo:_ _p (cands : Core.Candidates.t) =
     let decisions = Hashtbl.create 8 in
     List.iter
       (fun (s : Core.Candidates.site) ->
@@ -424,7 +520,7 @@ let test_clobbered_reuse_force_kept () =
            Some (Reg.to_string x.Core.Meta.r_reg, x.Core.Meta.r_owned)
          else None)
        info.Core.Meta.restores);
-  match Core.Verify.slots p meta with
+  match Core.Verify.(slots (scan p meta)) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "slots: %s" (String.concat "; " e)
 
@@ -498,6 +594,117 @@ let test_listings () =
   in
   Alcotest.(check (list (triple string string string))) "digests" expected_listings actual
 
+(* The recovery metadata of the same compiles, pinned the same way: a
+   change that moves a restore's colour, ownership or stability class,
+   a recovery slice, or a statistic fails here even when the .gasm text
+   stays put. *)
+let expected_meta =
+  [
+    ("basicmath", "ratchet", "7a9c6de01ba799b6c382572cd10d9810");
+    ("basicmath", "gecko-noprune", "0ef2104f982cffe66a507a4dcfa6537f");
+    ("basicmath", "gecko", "9da69b8db714e9fb7a181830e32d7f48");
+    ("bitcnt", "ratchet", "deac04d20befcbed5151b89b5f28e7a4");
+    ("bitcnt", "gecko-noprune", "b0ecc7a12c56cb33f4e61f29f60bbe48");
+    ("bitcnt", "gecko", "2204d6aa5d83ed282b5b9bc25c61657f");
+    ("blink", "ratchet", "137bfdc65d147e09606ee45cbffb375c");
+    ("blink", "gecko-noprune", "eed7606016ba92d4901a3162ec9ea8e8");
+    ("blink", "gecko", "e4ef4458f5e6fe272d8ae7221197047c");
+    ("crc16", "ratchet", "deac04d20befcbed5151b89b5f28e7a4");
+    ("crc16", "gecko-noprune", "10708fecca511a2d5e18a6f886aea011");
+    ("crc16", "gecko", "fecdc663a78ee19f1893406e45e2ef3c");
+    ("crc32", "ratchet", "deac04d20befcbed5151b89b5f28e7a4");
+    ("crc32", "gecko-noprune", "8f131dc22296f399fee97fd59ca8220b");
+    ("crc32", "gecko", "5d6261a7b57b7212345a75b44b15c99c");
+    ("dhrystone", "ratchet", "f03a37f03d9bf95f0ff71e2f614b7a18");
+    ("dhrystone", "gecko-noprune", "e36cb3aa116bc31be1bb29be94c67881");
+    ("dhrystone", "gecko", "df6d86e85013c3888690fbfa6f4de385");
+    ("dijkstra", "ratchet", "379d8f7cc190241a1f94431ef4e0f26d");
+    ("dijkstra", "gecko-noprune", "022a5299c3fd28f90e8a06986835a526");
+    ("dijkstra", "gecko", "b956c53b7b3cd38e9e3ebfdc96a9091b");
+    ("fft", "ratchet", "82bfcaaa867420337c5f51075f91f566");
+    ("fft", "gecko-noprune", "410c124b99403aef55580b5966fecd1c");
+    ("fft", "gecko", "ebecacdabef4be702bc1df33dfebbb3c");
+    ("fir", "ratchet", "deac04d20befcbed5151b89b5f28e7a4");
+    ("fir", "gecko-noprune", "d150834eb9ef541490d6959681ba62ea");
+    ("fir", "gecko", "dd9f4c4e2ff8c48d012552aeabe755fd");
+    ("qsort", "ratchet", "7a9c6de01ba799b6c382572cd10d9810");
+    ("qsort", "gecko-noprune", "405e1f766afc4c2ab1ea45d1d66ea3b8");
+    ("qsort", "gecko", "20fa54301ebabdfdda4a27eb2dafd422");
+    ("stringsearch", "ratchet", "2f85995a4193a7bec19e402e546d26bb");
+    ("stringsearch", "gecko-noprune", "d8a6cff783e06b060ed7ef67d2d8942c");
+    ("stringsearch", "gecko", "d8a6cff783e06b060ed7ef67d2d8942c");
+  ]
+
+(* Every boundary's restores (register, colour, owned, stability class)
+   and recovery slices in boundary-id order, then the stats line. *)
+let meta_digest (meta : Core.Meta.t) =
+  let b = Buffer.create 1024 in
+  let ids =
+    List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) meta.Core.Meta.infos [])
+  in
+  List.iter
+    (fun id ->
+      let info = Hashtbl.find meta.Core.Meta.infos id in
+      Printf.bprintf b "b%d %s\n" id info.Core.Meta.b_func;
+      List.iter
+        (fun (r : Core.Meta.restore) ->
+          Printf.bprintf b " r %s c%d %b %s\n" (Reg.to_string r.Core.Meta.r_reg)
+            r.Core.Meta.r_color r.Core.Meta.r_owned
+            (match r.Core.Meta.r_stable with None -> "-" | Some k -> string_of_int k))
+        info.Core.Meta.restores;
+      List.iter
+        (fun (g : Core.Meta.recovery) ->
+          Printf.bprintf b " g %s: %s\n" (Reg.to_string g.Core.Meta.g_reg)
+            (String.concat "; " (List.map Instr.to_string g.Core.Meta.g_slice)))
+        info.Core.Meta.recoveries)
+    ids;
+  Printf.bprintf b "%s\n" (Format.asprintf "%a" Core.Meta.pp_stats meta.Core.Meta.stats);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_meta_digests () =
+  let actual =
+    List.concat_map
+      (fun name ->
+        let src = (Gecko_workloads.Workload.find name).Gecko_workloads.Workload.build () in
+        List.map
+          (fun (slug, scheme) ->
+            (name, slug, meta_digest (snd (Core.Pipeline.compile scheme src))))
+          builds)
+      Gecko_workloads.Workload.names
+  in
+  Alcotest.(check (list (triple string string string))) "digests" expected_meta actual
+
+(* How much each fix-up loop re-derives, pinned exactly for two
+   programs: WAR hazard searches and the loads they walk, reaching-
+   definition fixpoints, registers sliced and slice-memo hits.  A loop
+   that went back to re-analysing the whole program after every fix
+   moves these numbers (fft's 27 searches walk 687 loads here, and
+   1,458 when every search walks every load; its 4 colouring rounds
+   would compute a fixpoint each and hit no memo), so it fails here
+   and not only on a wall clock.  dhrystone's 12 fixpoints are its 4
+   functions in each of 3 colouring calls (two resumed after
+   force-keeps). *)
+let rederivations name =
+  let reg = Gecko_obs.Metrics.create () in
+  let src = (Gecko_workloads.Workload.find name).Gecko_workloads.Workload.build () in
+  ignore (Core.Pipeline.compile ~metrics:reg Core.Scheme.Gecko src);
+  List.map
+    (fun c -> Gecko_obs.Metrics.counter_value (Gecko_obs.Metrics.counter reg c))
+    [
+      "pipeline.war.searches";
+      "pipeline.war.loads_walked";
+      "pipeline.reaching.computes";
+      "pipeline.prune.sliced";
+      "pipeline.prune.slice_memo_hits";
+    ]
+
+let test_rederivations () =
+  let what = "searches, loads walked, fixpoints, sliced, memo hits" in
+  Alcotest.(check (list int)) ("fft: " ^ what) [ 27; 687; 1; 77; 90 ] (rederivations "fft");
+  Alcotest.(check (list int))
+    ("dhrystone: " ^ what)
+    [ 3; 33; 12; 146; 68 ] (rederivations "dhrystone")
+
 (* The colouring loop's round count (one per repair, plus one success
    per colour-emit-scan attempt) is deterministic, so it is pinned
    exactly.  dhrystone's force-keeps add two resumed attempts. *)
@@ -559,6 +766,9 @@ let () =
           Alcotest.test_case "WARAW exemption" `Quick test_waraw_exempt;
           Alcotest.test_case "may-alias not exempt" `Quick test_may_alias_not_exempt;
           Alcotest.test_case "I/O bracketing" `Quick test_io_bracketing;
+          Alcotest.test_case "cut breaks an earlier WARAW exemption" `Quick
+            test_cut_breaks_earlier_waraw;
+          QCheck_alcotest.to_alcotest prop_cuts_match_oracle;
         ] );
       ("wcet", [ Alcotest.test_case "splitting" `Quick test_wcet_split;
                  Alcotest.test_case "budget too small" `Quick test_budget_too_small ]);
@@ -588,5 +798,7 @@ let () =
           Alcotest.test_case "colouring rounds" `Quick test_coloring_rounds;
           Alcotest.test_case "instrumentation totals" `Quick
             test_instrumentation_totals;
+          Alcotest.test_case "meta digests" `Quick test_meta_digests;
+          Alcotest.test_case "re-derivation counters" `Quick test_rederivations;
         ] );
     ]

@@ -37,7 +37,7 @@ let seed_gen = QCheck.make ~print:string_of_int (QCheck.Gen.int_bound 99999)
 let dec_eq (a : D.t) (b : D.t) =
   a.D.ops = b.D.ops && a.D.dt = b.D.dt && a.D.en = b.D.en && a.D.cyc = b.D.cyc
   && a.D.blk_end = b.D.blk_end && a.D.e_sfx = b.D.e_sfx
-  && a.D.dt_sfx = b.D.dt_sfx && a.D.n_ops = b.D.n_ops
+  && a.D.dt_sfx = b.D.dt_sfx && a.D.n_ops = b.D.n_ops && a.D.consts = b.D.consts
 
 let decode_of_seed seed =
   let image, _meta = compile (scheme_of seed) seed in
@@ -452,6 +452,43 @@ let prop_observers_do_not_perturb =
       in
       norm plain = norm observed)
 
+(* A decode made for one device carries that device's cycle time and
+   energies, so a run on a device with other constants must not use it:
+   the outcome, NVM and energy books equal those of a run that decodes
+   for itself ([decoded = None]), on either dispatch mode.  The MSP432P
+   clocks at 16 MHz, the MSP430FR2311 at 8 MHz. *)
+let test_decode_for_other_device_ignored () =
+  let p, meta =
+    Core.Pipeline.compile Core.Scheme.Gecko
+      ((Gecko_workloads.Workload.find "crc16").Gecko_workloads.Workload.build ())
+  in
+  let image = Link.link p in
+  let stale = D.decode ~device:Gecko_devices.Catalog.msp430fr2311 image in
+  let board = M.Board.default ~device:Gecko_devices.Catalog.msp432p () in
+  Alcotest.(check bool) "the stale decode does not fit" false
+    (D.fits stale ~device:board.M.Board.device image);
+  List.iter
+    (fun fast ->
+      let run decoded =
+        let metrics = Gecko_obs.Metrics.create () in
+        let o, nvm =
+          M.Machine.run_with_nvm ~board ~image ~meta
+            {
+              M.Machine.default_options with
+              limit = M.Machine.Sim_time 0.05;
+              fast;
+              decoded;
+              metrics = Some metrics;
+            }
+        in
+        (norm o, nvm, energy_bits metrics)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "fast=%b: same run as decoded = None" fast)
+        true
+        (run (Some stale) = run None))
+    [ true; false ]
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "decoder"
@@ -467,6 +504,8 @@ let () =
         @ [
             Alcotest.test_case "workbench keys on the listing" `Quick
               test_workbench_keys_on_listing;
+            Alcotest.test_case "a decode for another device is ignored" `Quick
+              test_decode_for_other_device_ignored;
           ] );
       ( "differential-checked",
         Alcotest.test_case "machine NVM is range-checked" `Quick

@@ -576,6 +576,31 @@ let test_fork_copies_observers () =
       ("a flight recorder", { o with M.flight = Some (Gecko_obs.Flight.create ()) });
     ]
 
+(* A program that never halts has no golden run: [golden] rejects it as
+   invalid input (which `gecko fuzz` reports with exit 1) and says how
+   much simulated time it was given. *)
+let nohalt_gasm =
+  ".program nohalt\n.space buf 1\n.func main\nentry:\n  li r0, 0\n\
+   loop [8]:\n  st buf[0], r0\n  add r0, r0, 1\n  slt r3, r0, 0\n\
+  \  br.z r3, loop, fin\nfin:\n  halt\n"
+
+let test_golden_never_halts () =
+  let prog =
+    match Asm.parse nohalt_gasm with Ok p -> p | Error e -> Alcotest.fail e
+  in
+  let p, meta = Core.Pipeline.compile Core.Scheme.Gecko prog in
+  match
+    FI.Explore.golden ~max_sim_time:0.002 ~board:(fi_board ())
+      ~image:(Link.link p) ~meta ()
+  with
+  | _ -> Alcotest.fail "golden completed a program that never halts"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string)
+        "message"
+        "faultinject: the golden run did not complete within 0.002 s of \
+         simulated time on continuous power"
+        msg
+
 let () =
   Alcotest.run "faultinject"
     [
@@ -599,6 +624,8 @@ let () =
           Alcotest.test_case "census is deterministic" `Quick
             test_census_deterministic;
           Alcotest.test_case "k=2 pairs explored" `Quick test_pairs_explored;
+          Alcotest.test_case "golden run never completes" `Quick
+            test_golden_never_halts;
         ] );
       ( "prefix-sharing",
         [

@@ -315,7 +315,7 @@ let slot_safety_case seed =
   ( Gecko_obs.Metrics.counter_value
       (Gecko_obs.Metrics.counter metrics "pipeline.slot_force_keeps")
     > 0,
-    Core.Verify.slot_clobbers p meta = [],
+    Core.Verify.(slot_clobbers (scan p meta)) = [],
     List.for_all (fun (_, nvm) -> nvm = golden) replays )
 
 let prop_static_slot_safety =

@@ -282,7 +282,7 @@ let test_coloring_flags_live_header () =
 
 let test_slots_ok_after_pipeline () =
   let p, meta = compile ~budget_cycles:80 Core.Scheme.Gecko in
-  check_ok "slots on compiled program" (Core.Verify.slots p meta)
+  check_ok "slots on compiled program" (Core.Verify.(slots (scan p meta)))
 
 let test_slots_flags_collapsed_colors () =
   (* Collapsing every colour to 0 makes each restore read a slot that the
@@ -291,7 +291,7 @@ let test_slots_flags_collapsed_colors () =
      colouring metadata. *)
   let p, meta = compile ~budget_cycles:80 Core.Scheme.Gecko in
   let p', meta' = sabotage_colors p meta in
-  check_err "slots with every colour forced to 0" (Core.Verify.slots p' meta')
+  check_err "slots with every colour forced to 0" (Core.Verify.(slots (scan p' meta')))
 
 (* Boundary 0 stores r0 in colour 0; two paths lead to boundary 1, which
    stores r0 in the same colour.  [redefine] makes one of them increment
@@ -321,24 +321,24 @@ let window_image ~redefine =
 let test_slots_flags_redefining_path () =
   let p, meta = window_image ~redefine:true in
   check_err "store reached along a path that redefines r0"
-    (Core.Verify.slots p meta);
+    (Core.Verify.(slots (scan p meta)));
   Alcotest.(check (list (pair int string)))
     "the clobbered read" [ (0, "r0") ]
     (List.map
        (fun (b, r) -> (b, Reg.to_string r))
-       (Core.Verify.slot_clobbers p meta))
+       (Core.Verify.(slot_clobbers (scan p meta))))
 
 (* The gate exempts no marked store: naming the clobbering [Ckpt] in
    [Meta.guards] does not make the clobber acceptable. *)
 let test_slots_ignores_guard_marks () =
   let p, meta = window_image ~redefine:true in
   check_err "clobber at a store marked as guarded"
-    (Core.Verify.slots p { meta with Core.Meta.guards = [ ("main", "join", 0) ] })
+    (Core.Verify.(slots (scan p { meta with Core.Meta.guards = [ ("main", "join", 0) ] })))
 
 let test_slots_accepts_identical_word () =
   let p, meta = window_image ~redefine:false in
   check_ok "store reached only along paths that keep r0"
-    (Core.Verify.slots p meta)
+    (Core.Verify.(slots (scan p meta)))
 
 (* --- io_commit (atomic io_log) ---------------------------------------- *)
 
