@@ -152,10 +152,7 @@ let compile_cmd =
             if Mx.hist_count h > 0 then
               Printf.printf "  %-20s %8.3f ms  %10.0f\n" pass
                 (1e3 *. Mx.hist_sum h) (Mx.gauge_value g))
-          [
-            "copy"; "regions"; "split"; "regions2"; "coloring"; "emit";
-            "clobbers"; "verify";
-          ];
+          Compiler.Pipeline.passes;
         let count name = Mx.counter_value (Mx.counter reg name) in
         let rounds = count "pipeline.coloring.rounds" in
         if rounds > 0 then begin
@@ -1039,11 +1036,7 @@ let replay_cmd =
 (* --- experiment ------------------------------------------------------- *)
 
 let experiment_cmd =
-  let names =
-    [ "fig4"; "fig5"; "fig7"; "fig8"; "fig9"; "table1"; "table2"; "fig11";
-      "fig12"; "fig13"; "fig14"; "fig15"; "table3"; "ablation";
-      "budget-sweep"; "detection-latency" ]
-  in
+  let names = List.map fst Gecko.Experiments.artifacts in
   let which =
     let doc =
       Printf.sprintf "Artifact to regenerate: %s, or 'all'."

@@ -10,15 +10,6 @@ let may_alias (a : Instr.mref) (b : Instr.mref) =
 let is_dynamic (m : Instr.mref) =
   match m.Instr.disp with Instr.Dreg _ -> true | Instr.Dconst _ -> false
 
-let space_written p (s : Instr.space) =
-  let found = ref false in
-  Cfg.iter_instrs p (fun i ->
-      match Instr.mem_write i with
-      | Some m when m.Instr.space.Instr.space_id = s.Instr.space_id ->
-          found := true
-      | Some _ | None -> ());
-  !found
-
 let location_read_only p (m : Instr.mref) =
   let clobbered = ref false in
   Cfg.iter_instrs p (fun i ->

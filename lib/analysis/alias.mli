@@ -16,9 +16,6 @@ val is_dynamic : Instr.mref -> bool
 (** The displacement is a register — the address is only known at run
     time, so every store through it may alias the whole space. *)
 
-val space_written : Cfg.program -> Instr.space -> bool
-(** Does any store in the program target the space? *)
-
 val location_read_only : Cfg.program -> Instr.mref -> bool
 (** No store in the program can write this location: for a constant
     displacement, no aliasing store exists; for a dynamic displacement the

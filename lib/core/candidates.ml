@@ -29,7 +29,6 @@ type t = {
   funcs : Cfg.func array;
   graphs : A.Fgraph.t array;
   sites : site list;
-  hazards : A.Alias.hazard list Lazy.t;
   facts : facts;
   index : index;
 }
@@ -94,7 +93,7 @@ let defsites_of call_defs (g : A.Fgraph.t) =
     g.A.Fgraph.blocks;
   ds
 
-let compute ?facts:given ?hazards (p : Cfg.program) =
+let compute ?facts:given (p : Cfg.program) =
   let facts = match given with Some f -> f | None -> facts p in
   let funcs = Array.of_list p.Cfg.funcs in
   let graphs = Array.map A.Fgraph.of_func funcs in
@@ -124,30 +123,12 @@ let compute ?facts:given ?hazards (p : Cfg.program) =
   let sites = List.rev !sites in
   let by_id = Hashtbl.create 64 in
   List.iter (fun s -> Hashtbl.replace by_id s.s_id s) sites;
-  (* Residual may-alias WAR hazards travel with the candidate set so
-     downstream passes (pruning, verification) can refuse to optimize
-     across a hazard region formation failed to cut.  Empty on any
-     correctly formed program.  Always the sound syntactic verdicts,
-     the set [Speculative] region formation cuts. *)
-  let hazards =
-    match hazards with
-    | Some hs -> Lazy.from_val hs
-    | None -> lazy (A.Alias.war_hazards p)
-  in
   let defsites =
     lazy
       (let call_defs = A.Clobbers.of_function (Lazy.force facts.clobbers) in
        Array.map (defsites_of call_defs) graphs)
   in
-  {
-    prog = p;
-    funcs;
-    graphs;
-    sites;
-    hazards;
-    facts;
-    index = { by_id; defsites };
-  }
+  { prog = p; funcs; graphs; sites; facts; index = { by_id; defsites } }
 
 let site_opt t id = Hashtbl.find_opt t.index.by_id id
 
@@ -176,6 +157,3 @@ let reaches_avoiding t fi ~avoid ~from dst =
         seen
   in
   Bytes.get seen dst <> '\000'
-
-let total_candidates t =
-  List.fold_left (fun acc s -> acc + Reg.Set.cardinal s.s_live) 0 t.sites

@@ -46,10 +46,6 @@ type t = {
   funcs : Cfg.func array;
   graphs : A.Fgraph.t array;
   sites : site list;
-  hazards : A.Alias.hazard list Lazy.t;
-      (** Residual may-alias WAR hazards (empty once region formation has
-          run): pruning keeps every candidate in a function that still
-          carries one, and verification rejects the program. *)
   facts : facts;
   index : index;
 }
@@ -65,11 +61,9 @@ val release : facts -> unit
 (** Drop the memo tables.  The facts stay valid; a later query
     recomputes what it needs. *)
 
-val compute :
-  ?facts:facts -> ?hazards:A.Alias.hazard list -> Cfg.program -> t
-(** Boundary sites with their live-ins, plus the sound syntactic hazard
-    set of {!Gecko_analysis.Alias.war_hazards} in {!field-hazards}.
-    [facts] and [hazards] default to a fresh analysis of the program. *)
+val compute : ?facts:facts -> Cfg.program -> t
+(** Boundary sites with their live-ins.  [facts] defaults to a fresh
+    analysis of the program. *)
 
 val site : t -> int -> site
 (** Lookup by boundary id; raises [Not_found]. *)
@@ -87,5 +81,3 @@ val reaches_avoiding : t -> int -> avoid:int -> from:int -> int -> bool
     [dst] without passing through block [avoid] on the way (arriving at
     [avoid] itself counts).  Memoised per [(fi, avoid, from)] in
     [t.facts], so the memo serves every round that shares the facts. *)
-
-val total_candidates : t -> int

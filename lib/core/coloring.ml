@@ -242,10 +242,7 @@ let assign ?resume ?metrics ~next_id ~analyze (p : Cfg.program) =
   (* A repair boundary neither uses nor defines a register, so liveness,
      clobbers, dominators and block reachability hold for every round,
      and the reaching definitions only shift ([insert_repair] moves them
-     along).  It also sits directly after an existing boundary, so it
-     can only cut WAR paths: an empty hazard set stays empty, while a
-     non-empty one (whose positions shift) is recomputed.  The phase-1
-     slice memo rests on the same invariants. *)
+     along).  The phase-1 slice memo rests on the same invariants. *)
   let repairs, repair_at =
     match resume with
     | Some s -> (s.repairs, s.repair_at)
@@ -253,7 +250,7 @@ let assign ?resume ?metrics ~next_id ~analyze (p : Cfg.program) =
   in
   let facts = Candidates.facts p in
   let memo = Prune.memo () in
-  let rec loop round hazards =
+  let rec loop round =
     if round > 256 then failwith "Coloring.assign: did not converge";
     (* Decisions are recomputed after every insertion.  A repair boundary
        force-keeps exactly the problematic register (the paper's
@@ -263,7 +260,7 @@ let assign ?resume ?metrics ~next_id ~analyze (p : Cfg.program) =
        them away (reverting the alternation) nor route another site's
        restore at a slot the repair's own store would clobber inside that
        site's crash window; its other live-ins are treated normally. *)
-    let cands = Candidates.compute ~facts ~hazards p in
+    let cands = Candidates.compute ~facts p in
     let force_keep bid =
       match Hashtbl.find_opt repairs bid with
       | Some regs -> regs
@@ -309,9 +306,8 @@ let assign ?resume ?metrics ~next_id ~analyze (p : Cfg.program) =
           insert_repair ~next_id cands node
         end;
         loop (round + 1)
-          (match hazards with [] -> [] | _ :: _ -> A.Alias.war_hazards p)
   in
-  let out = loop 0 (A.Alias.war_hazards p) in
+  let out = loop 0 in
   Candidates.release facts;
   Option.iter
     (fun reg ->

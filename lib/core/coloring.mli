@@ -61,9 +61,9 @@ val assign :
     rather than discovering them after the fact.
 
     Each round re-derives only what a repair can change.  Once per call:
-    liveness, clobbers, dominators, block reachability, an empty hazard
-    set, the reaching definitions of each function (shifted in place by
-    every repair, {!Candidates.boundary_inserted}) and the
+    liveness, clobbers, dominators, block reachability, the reaching
+    definitions of each function (shifted in place by every repair,
+    {!Candidates.boundary_inserted}) and the
     {!Candidates.reaches_avoiding} memo, all in one
     {!Candidates.facts}.  [memo] (one per call, handed to every round's
     [analyze]) keeps each site's phase-1 slice decisions.  Per round:

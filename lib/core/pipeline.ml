@@ -3,6 +3,8 @@ module A = Gecko_analysis
 
 let default_budget = 4000
 
+let passes = [ "copy"; "regions"; "split"; "coloring"; "emit"; "clobbers"; "verify" ]
+
 (* Upper bound on per-boundary checkpoint cost, used when sizing regions
    before the stores exist. *)
 let ckpt_overhead_estimate = function
@@ -78,9 +80,8 @@ let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
       let overhead = ckpt_overhead_estimate scheme in
       pass "split" (fun () ->
           ignore
-            (Split.by_wcet ~next_id ~budget:budget_cycles
+            (Regions.split ?metrics ~next_id ~budget:budget_cycles
                ~ckpt_overhead:overhead p));
-      pass "regions2" (fun () -> ignore (Regions.form ?metrics ~next_id p));
       (* [scan] is the settle loop's last window-clobber scan (it found no
          clobbers), which the [slots] gate reads instead of scanning the
          same program again. *)

@@ -2,15 +2,16 @@
     plus pruning, colouring and emission.
 
     {ol
-    {- idempotent region formation;}
+    {- idempotent region formation ({!Regions.form});}
     {- WCET analysis of every region span;}
     {- splitting of regions that cannot finish within one charge cycle
-       (looping back to the WCET analysis);}
-    {- a second region-formation pass (splits may have broken a WARAW
-       exemption);}
+       (looping back to the WCET analysis, then re-cutting any WAR
+       hazard a split exposed: {!Regions.split});}
     {- checkpoint insertion: candidates (live-ins) → pruning → slot
        colouring (with repair boundaries) → emission of checkpoint
-       stores and recovery metadata.}}
+       stores and recovery metadata;}
+    {- verification: [Verify.idempotence] fails the compile on any WAR
+       hazard region formation left, with the other gates.}}
 
     The input program is deep-copied: one built workload can be compiled
     under every scheme. *)
@@ -20,6 +21,13 @@ open Gecko_isa
 val default_budget : int
 (** Default charge-cycle budget in cycles (overridden by experiment
     configurations derived from board parameters). *)
+
+val passes : string list
+(** The pass names, in the order they first run: ["copy"], ["regions"],
+    ["split"], ["coloring"], ["emit"], ["clobbers"], ["verify"].  A
+    [Gecko] compile runs them all (colouring, emission and the clobber
+    scan once per settle attempt); [Ratchet] skips colouring and the
+    scan, [Nvp] runs only ["copy"]. *)
 
 val compile :
   ?budget_cycles:int ->
@@ -37,14 +45,14 @@ val compile :
     a compiler bug, not a user error.
 
     Regions are idempotent by construction: every interprocedural
-    syntactic may-alias WAR hazard is cut at region formation, pruning
-    quarantines functions with residual hazards, and checkpoint pruning
-    reuses slots optimistically.  After emission the window-clobber scan
-    ({!Verify.slot_clobbers}) names every reused slot some store
-    overwrites inside the reuser's crash window; each such reuse is
-    force-kept through [Prune.analyze_with ~force_keep] and colouring
-    resumes, until the scan is empty (bounded; raises [Failure] past the
-    bound).  The [slots] gate reads that last, clobber-free scan
+    syntactic may-alias WAR hazard is cut at region formation (the
+    [idempotence] gate fails the compile on any left), and checkpoint
+    pruning reuses slots optimistically.  After emission the
+    window-clobber scan ({!Verify.slot_clobbers}) names every reused
+    slot some store overwrites inside the reuser's crash window; each
+    such reuse is force-kept through [Prune.analyze_with ~force_keep]
+    and colouring resumes, until the scan is empty (bounded; raises
+    [Failure] past the bound).  The [slots] gate reads that last, clobber-free scan
     ({!Verify.slots}, its errors included) rather than scanning
     the same program again; it and the independent [Verify.io_commit]
     gate run on the result, so no image needs a runtime guard.
@@ -55,7 +63,8 @@ val compile :
     [obs] turns on the compiler profiler: every pass is recorded as a
     host-clock span (category ["compiler"]) with an [ir_instrs] counter
     sample after it.  [metrics] additionally collects per-pass wall-time
-    histograms ([pipeline.<pass>.seconds]), IR-size gauges
+    histograms ([pipeline.<pass>.seconds], one per {!passes} entry that
+    runs), IR-size gauges
     ([pipeline.<pass>.ir_instrs]), the [pipeline.coloring.rounds]
     counter (colouring attempts, one per repair boundary plus one
     success per colour-emit-scan attempt), the
@@ -63,7 +72,7 @@ val compile :
     owned stores) and the re-derivation counters of the two fix-up
     loops: WAR hazard searches and the loads they walk
     ([pipeline.war.searches], [pipeline.war.loads_walked], see
-    {!Regions.form}), reaching-definition fixpoints, registers sliced
+    {!Regions.form} and {!Regions.split}), reaching-definition fixpoints, registers sliced
     and slice-memo hits ([pipeline.reaching.computes],
     [pipeline.prune.sliced], [pipeline.prune.slice_memo_hits], see
     {!Coloring.assign}).  All counters are deterministic.  Without

@@ -187,33 +187,14 @@ let memo_counts m = (m.sliced, m.hits)
 let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?memo ~slices ~reuse
     (p : Cfg.program) (cands : Candidates.t) =
   let result : result = Hashtbl.create 32 in
-  (* Never prune across an unresolved dynamic hazard: if region formation
-     left a may-alias WAR in some function (possible only when a caller
-     bypasses {!Regions.form}), every candidate in the functions involved
-     is kept verbatim — re-execution there is not idempotent, so neither
-     slices (whose loads could observe clobbered locations) nor reuse can
-     be justified. *)
-  let hazardous = Hashtbl.create 4 in
-  List.iter
-    (fun (h : A.Alias.hazard) ->
-      Hashtbl.replace hazardous h.A.Alias.hz_func ();
-      Hashtbl.replace hazardous h.A.Alias.hz_store_func ())
-    (Lazy.force cands.Candidates.hazards);
-  let site_hazardous (s : Candidates.site) =
-    Hashtbl.mem hazardous cands.Candidates.funcs.(s.Candidates.s_func).Cfg.fname
-  in
   (* Per-function analyses, shared across the function's boundaries and
      across the colouring rounds that share [cands.facts]. *)
   let reaching fi = Lazy.force cands.Candidates.facts.Candidates.reaching.(fi) in
   let dom fi = Lazy.force cands.Candidates.facts.Candidates.doms.(fi) in
-  (* Phase 1: slice-based pruning.  Without a residual hazard, a site's
-     slice decisions depend only on its own inputs (see {!memo}), so a
-     memo serves them again in later rounds. *)
-  let cache =
-    match memo with
-    | Some m when slices && Lazy.force cands.Candidates.hazards = [] -> Some m
-    | Some _ | None -> None
-  in
+  (* Phase 1: slice-based pruning.  A site's slice decisions depend only
+     on its own inputs (see {!memo}), so a memo serves them again in
+     later rounds. *)
+  let cache = if slices then memo else None in
   let phase1 (s : Candidates.site) forced =
     let fi = s.Candidates.s_func in
     let pruned = Hashtbl.create 8 in
@@ -221,7 +202,7 @@ let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?memo ~slices ~reuse
     List.map
       (fun r ->
         if
-          (not slices) || site_hazardous s || Reg.Set.mem r forced
+          (not slices) || Reg.Set.mem r forced
           || Hashtbl.mem pinned (Reg.to_int r)
         then (r, Keep)
         else begin
@@ -330,13 +311,10 @@ let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?memo ~slices ~reuse
           (fun (s : Candidates.site) ->
             List.iter
               (fun r ->
-                let blocked =
-                  (* A repair (force_keep) is absolute in both modes:
-                     colouring requested this store, so reuse must never
-                     take it back. *)
-                  Reg.Set.mem r (force_keep s.Candidates.s_id)
-                  || site_hazardous s
-                in
+                (* A repair (force_keep) is absolute: colouring
+                   requested this store, so reuse must never take it
+                   back. *)
+                let blocked = Reg.Set.mem r (force_keep s.Candidates.s_id) in
                 match decision_for s.Candidates.s_id r with
                 | Some Keep when not blocked ->
                     (* Nearest dominating site with r live and a usable

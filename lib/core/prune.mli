@@ -86,12 +86,11 @@ val analyze_with :
     own.
 
     [memo] serves and records phase-1 decisions; it is consulted only
-    when [slices] is on and no residual hazard is left.  Phase 2 (reuse)
-    and the stability pass always run afresh: a new repair site changes
-    which sites dominate which.
+    when [slices] is on.  Phase 2 (reuse) and the stability pass always
+    run afresh: a new repair site changes which sites dominate which.
 
-    Residual dynamic hazards are quarantined: every candidate in a
-    function that still has a may-alias WAR is kept. *)
+    The program must be hazard-free ({!Regions.form}): a slice's loads
+    and a reused slot are sound only if re-execution is idempotent. *)
 
 val keep_all : Candidates.t -> result
 (** The no-pruning configuration: every candidate kept. *)

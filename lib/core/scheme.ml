@@ -9,7 +9,3 @@ let to_string = function
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let all = [ Nvp; Ratchet; Gecko_noprune; Gecko ]
-
-let uses_boundaries = function
-  | Nvp -> false
-  | Ratchet | Gecko_noprune | Gecko -> true

@@ -11,6 +11,3 @@ type t =
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 val all : t list
-
-val uses_boundaries : t -> bool
-(** Whether the compiler inserts regions/checkpoints at all. *)

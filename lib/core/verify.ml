@@ -207,7 +207,7 @@ let io_commit (p : Cfg.program) =
   match !errs with [] -> Ok () | e -> Error (List.rev e)
 
 let wcet ~budget p =
-  let over = Split.max_span p in
+  let over = Regions.max_span p in
   if over <= budget then Ok ()
   else
     Error

@@ -6,7 +6,6 @@ let make ~freq_mhz ~power_dbm =
 
 let freq_mhz t = t.freq_hz /. 1e6
 let power_watts t = 10. ** (t.power_dbm /. 10.) /. 1000.
-let dbm_of_watts w = 10. *. log10 (w *. 1000.)
 
 let pp ppf t =
   Format.fprintf ppf "%.1f MHz @ %.1f dBm" (freq_mhz t) t.power_dbm

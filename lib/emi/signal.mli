@@ -10,6 +10,4 @@ val freq_mhz : t -> float
 val power_watts : t -> float
 (** dBm → watts. *)
 
-val dbm_of_watts : float -> float
-
 val pp : Format.formatter -> t -> unit

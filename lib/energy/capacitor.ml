@@ -19,9 +19,6 @@ let voltage t = t.voltage
 let v_max t = t.v_max
 let energy t = 0.5 *. t.capacitance *. t.voltage *. t.voltage
 
-let energy_between t ~v_hi ~v_lo =
-  0.5 *. t.capacitance *. ((v_hi *. v_hi) -. (v_lo *. v_lo))
-
 let set_voltage t v =
   if v < 0. || v > t.v_max then invalid_arg "Capacitor.set_voltage: out of range";
   t.voltage <- v

@@ -32,10 +32,6 @@ val v_max : t -> float
 val energy : t -> float
 (** Stored energy in joules. *)
 
-val energy_between : t -> v_hi:float -> v_lo:float -> float
-(** Energy released when discharging from [v_hi] to [v_lo]:
-    ½·C·(v_hi² − v_lo²). *)
-
 val set_voltage : t -> float -> unit
 
 val drain : t -> float -> float

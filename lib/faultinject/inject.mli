@@ -95,7 +95,7 @@ val snapshots :
     steps the census spans: O(√steps) forks in memory and fewer than
     ⌈√steps⌉ prefix steps re-run per replay.  Raises [Invalid_argument]
     if [opts] carries a metrics registry or a flight recorder (every
-    replay would record into a discarded copy) or an enabled trace (see
+    replay would record into a discarded copy) or a trace (see
     {!M.Step.fork}). *)
 
 val replay : snapshots -> fires:int list -> M.outcome * int array

@@ -134,19 +134,6 @@ let decoded_workload scheme name ~board =
   let prog, listing = workload_entry name in
   decoded_listing listing scheme prog ~board
 
-let record_cache_metrics reg =
-  let hits, misses = cache_counts () in
-  let module Mx = Gecko_obs.Metrics in
-  let set name v =
-    let c = Mx.counter reg name in
-    Mx.incr ~by:(v - Mx.counter_value c) c
-  in
-  set "workbench.compile_cache_hits" hits;
-  set "workbench.compile_cache_misses" misses;
-  let dhits, dmisses = decode_counts () in
-  set "workbench.decode_cache_hits" dhits;
-  set "workbench.decode_cache_misses" dmisses
-
 (* --- experiment pool -------------------------------------------------- *)
 
 (* The pool and its setting are only touched from the coordinating

@@ -53,13 +53,6 @@ val decoded_workload :
     image/meta/decoded lookup, every layer memoized (the listing too, so
     a lookup serialises nothing). *)
 
-val record_cache_metrics : Gecko_obs.Metrics.registry -> unit
-(** Publish {!cache_counts} and {!decode_counts} as the
-    [workbench.compile_cache_hits] / [workbench.compile_cache_misses] /
-    [workbench.decode_cache_hits] / [workbench.decode_cache_misses]
-    counters of a metrics registry (setting them to the current totals,
-    idempotently). *)
-
 val jobs : unit -> int
 (** Effective parallelism of the experiment pool: the value given to
     {!set_jobs}, else [GECKO_JOBS], else the runtime's recommended

@@ -38,21 +38,6 @@ let successors = function
   | Instr.Call (_, ret) -> [ ret ]
   | Instr.Ret | Instr.Halt -> []
 
-let predecessors f =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun b -> Hashtbl.replace tbl b.label []) f.blocks;
-  List.iter
-    (fun b ->
-      List.iter
-        (fun s ->
-          let old = try Hashtbl.find tbl s with Not_found -> [] in
-          Hashtbl.replace tbl s (b.label :: old))
-        (successors b.term))
-    f.blocks;
-  tbl
-
-let iter_blocks f g = List.iter g f.blocks
-
 let iter_instrs p g =
   List.iter (fun f -> List.iter (fun b -> List.iter g b.instrs) f.blocks) p.funcs
 

@@ -36,10 +36,6 @@ val successors : Instr.terminator -> string list
 (** Intra-procedural successors: a [Call] flows to its return block, [Ret]
     and [Halt] have none. *)
 
-val predecessors : func -> (string, string list) Hashtbl.t
-(** Map from block label to predecessor labels. *)
-
-val iter_blocks : func -> (block -> unit) -> unit
 val iter_instrs : program -> (Instr.t -> unit) -> unit
 
 val instr_count : program -> int

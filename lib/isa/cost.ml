@@ -31,6 +31,5 @@ let term_cycles = function
   | Instr.Ret -> 1 + nvm_read_cycles
   | Instr.Halt -> 1
 
-let jit_checkpoint_words = 18
 let jit_isr_overhead_cycles = 24
 let rollback_overhead_cycles = 130

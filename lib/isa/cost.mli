@@ -7,10 +7,6 @@
 val instr_cycles : Instr.t -> int
 val term_cycles : Instr.terminator -> int
 
-val jit_checkpoint_words : int
-(** Words written by the JIT (CTPL-style) checkpoint ISR: 16 registers,
-    PC, ACK. *)
-
 val jit_isr_overhead_cycles : int
 (** ISR entry/exit and peripheral-state bookkeeping. *)
 

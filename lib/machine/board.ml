@@ -37,9 +37,6 @@ let attack_rig ?device ?(monitor_choice = Device.Use_adc) () =
 let usable_energy t =
   0.5 *. t.capacitance *. ((t.v_on *. t.v_on) -. (t.v_backup *. t.v_backup))
 
-let reserve_energy t =
-  0.5 *. t.capacitance *. ((t.v_backup *. t.v_backup) -. (t.v_off *. t.v_off))
-
 let with_capacitance t c =
   if c <= 0. then invalid_arg "Board.with_capacitance";
   let e = usable_energy t in

@@ -34,10 +34,6 @@ val usable_energy : t -> float
 (** Joules between [v_on] and [v_backup] — the guaranteed execution
     budget of one charge cycle. *)
 
-val reserve_energy : t -> float
-(** Joules between [v_backup] and [v_off] — what the JIT checkpoint ISR
-    can rely on. *)
-
 val budget_cycles : t -> int
 (** Conservative cycle budget per charge cycle for the WCET splitter
     (worst-case energy per cycle, 50% safety margin). *)

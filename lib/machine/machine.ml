@@ -262,12 +262,12 @@ type state = {
   tl_app : float array;
   tl_comp : int array;
   tl_bucket : float;
-  (* observability; [tracing] caches [trace <> None && enabled] so the
-     per-instruction cost of a disabled recorder is one branch *)
+  (* observability; [tracing] caches [trace <> None] so the
+     per-instruction cost of an untraced run is one branch *)
   tracing : bool;
   trace : Gecko_obs.Trace.t option;
-  (* [flight] is [None] unless an enabled recorder was supplied, so a
-     fleet device without one pays a single branch per recorded event *)
+  (* a fleet device without a flight recorder ([None]) pays a single
+     branch per recorded event *)
   flight : Gecko_obs.Flight.t option;
   hist_ckpt : Gecko_obs.Metrics.histogram option;
   hist_rollback : Gecko_obs.Metrics.histogram option;
@@ -1453,18 +1453,9 @@ let make_state ~board ~image ~meta opts =
       tl_app = Array.make (max n_buckets 1) 0.;
       tl_comp = Array.make (max n_buckets 1) 0;
       tl_bucket;
-      tracing =
-        (match opts.trace with
-        | Some tr -> Gecko_obs.Trace.enabled tr
-        | None -> false);
-      trace =
-        (match opts.trace with
-        | Some tr when Gecko_obs.Trace.enabled tr -> Some tr
-        | Some _ | None -> None);
-      flight =
-        (match opts.flight with
-        | Some fl when Gecko_obs.Flight.enabled fl -> Some fl
-        | Some _ | None -> None);
+      tracing = Option.is_some opts.trace;
+      trace = opts.trace;
+      flight = opts.flight;
       hist_ckpt =
         Option.map
           (fun reg -> Gecko_obs.Metrics.histogram reg "machine.jit_checkpoint_isr_s")
@@ -1649,7 +1640,7 @@ let data_snapshot st =
    makes the next step enter the windows from the first. *)
 let fork ?schedule st =
   if Option.is_some st.trace then
-    invalid_arg "Machine.Step.fork: the handle carries an enabled trace";
+    invalid_arg "Machine.Step.fork: the handle carries a trace";
   let opts, windows, ph =
     match schedule with
     | None -> (st.opts, st.windows, { st.ph with time = st.ph.time })

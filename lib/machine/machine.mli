@@ -77,8 +77,8 @@ type options = {
           every runtime event, complete spans for power-on periods,
           checkpoint ISRs and rollbacks, the raw monitor event stream
           (category [monitor]) and a periodic [cap_voltage] counter
-          track.  [None] (the default) or a disabled recorder keeps the
-          simulation loop on its plain path. *)
+          track.  [None] (the default) keeps the simulation loop on its
+          plain path. *)
   metrics : Gecko_obs.Metrics.registry option;
       (** Metrics sink: end-of-run counters/gauges ([machine.*],
           [monitor.*], [energy.*]) and latency histograms
@@ -92,8 +92,8 @@ type options = {
           [boundary] (arg = boundary id), [io_commit] (arg = records
           committed) and [attack_window] (arg = window index) markers.
           Pure observation: runs with and without a recorder are
-          semantically identical.  [None] (the default) or a disabled
-          recorder keeps the plain path. *)
+          semantically identical.  [None] (the default) keeps the plain
+          path. *)
   fast : bool;
       (** [true] (the default) runs whole pre-decoded blocks whenever
           the block guard holds; [false] steps one decoded slot per
@@ -248,7 +248,7 @@ module Step : sig
       {!metrics}, {!flight}), so the copy records on from the template's
       observations and the template is only read — several domains may
       fork one template at once.  The copy has no injector.  Raises
-      [Invalid_argument] if the handle carries an enabled trace: a trace
+      [Invalid_argument] if the handle carries a trace: a trace
       cannot be split, and would hold the common prefix once per fork.
 
       [~schedule] installs an attack schedule on the copy.  The handle

@@ -1,9 +1,4 @@
-type t = {
-  data : int array;
-  checked : bool;
-  mutable reads : int;
-  mutable writes : int;
-}
+type t = { data : int array; checked : bool }
 
 (* Explicit range validation (with a helpful message) is a debug mode:
    in normal operation every address comes from the linker or from
@@ -23,7 +18,7 @@ let env_checked () =
 let create ?checked ~words () =
   if words <= 0 then invalid_arg "Nvm.create: words must be positive";
   let checked = match checked with Some c -> c | None -> env_checked () in
-  { data = Array.make words 0; checked; reads = 0; writes = 0 }
+  { data = Array.make words 0; checked }
 
 let copy t = { t with data = Array.copy t.data }
 
@@ -37,20 +32,11 @@ let check t addr =
 
 let read t addr =
   if t.checked then check t addr;
-  t.reads <- t.reads + 1;
   t.data.(addr)
 
 let write t addr v =
   if t.checked then check t addr;
-  t.writes <- t.writes + 1;
   t.data.(addr) <- v
-
-let reads t = t.reads
-let writes t = t.writes
-
-let reset_stats t =
-  t.reads <- 0;
-  t.writes <- 0
 
 let load_program t (img : Gecko_isa.Link.image) =
   Array.fill t.data 0 (Array.length t.data) 0;

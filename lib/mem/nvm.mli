@@ -2,8 +2,8 @@
 
     Word-addressed, byte-granularity is not modelled.  FRAM on MSP430-class
     parts has symmetric read/write latency and effectively unlimited
-    endurance, so the model tracks access counts (for energy accounting by
-    the machine) but no wear.
+    endurance, so the model keeps no wear state, and no access counts
+    either.
 
     Contents survive power failure by construction: the machine never
     clears an [Nvm.t] across simulated outages. *)
@@ -20,8 +20,7 @@ val create : ?checked:bool -> words:int -> unit -> t
     runtime's own [Invalid_argument "index out of bounds"]. *)
 
 val copy : t -> t
-(** An independent memory with the same contents, mode and access
-    counts. *)
+(** An independent memory with the same contents and mode. *)
 
 val words : t -> int
 
@@ -32,20 +31,12 @@ val read : t -> int -> int
 
 val write : t -> int -> int -> unit
 
-val reads : t -> int
-(** Cumulative read count. *)
-
-val writes : t -> int
-(** Cumulative write count. *)
-
-val reset_stats : t -> unit
-
 val load_program : t -> Gecko_isa.Link.image -> unit
 (** Install the initial data-segment contents of an image (space initial
     values; everything else zeroed). *)
 
 val snapshot : t -> int array
-(** Copy of the full contents (does not count as reads). *)
+(** Copy of the full contents. *)
 
 val restore : t -> int array -> unit
 

@@ -5,7 +5,6 @@ type entry = { e_t : float; e_ev : string; e_arg : int; e_v : float }
    copy (one per forked run) is four array blits.  [entries]/[to_json]
    copy out into the immutable [entry] form. *)
 type t = {
-  mutable enabled : bool;
   ts : float array;
   evs : string array;
   args : int array;
@@ -20,7 +19,6 @@ let default_capacity = 64
 let create ?(capacity = default_capacity) () =
   let capacity = max 1 capacity in
   {
-    enabled = true;
     ts = Array.make capacity 0.;
     evs = Array.make capacity "";
     args = Array.make capacity 0;
@@ -39,13 +37,6 @@ let copy t =
     vs = Array.copy t.vs;
   }
 
-let disabled () =
-  let t = create ~capacity:1 () in
-  t.enabled <- false;
-  t
-
-let enabled t = t.enabled
-let set_enabled t e = t.enabled <- e
 let capacity t = Array.length t.ts
 let length t = t.len
 let dropped t = t.dropped
@@ -56,26 +47,24 @@ let clear t =
   t.dropped <- 0
 
 let record t ~t_sim ~arg ~v ev =
-  if t.enabled then begin
-    let cap = Array.length t.ts in
-    let i =
-      if t.len < cap then begin
-        let i = (t.head + t.len) mod cap in
-        t.len <- t.len + 1;
-        i
-      end
-      else begin
-        let i = t.head in
-        t.head <- (t.head + 1) mod cap;
-        t.dropped <- t.dropped + 1;
-        i
-      end
-    in
-    t.ts.(i) <- t_sim;
-    t.evs.(i) <- ev;
-    t.args.(i) <- arg;
-    t.vs.(i) <- v
-  end
+  let cap = Array.length t.ts in
+  let i =
+    if t.len < cap then begin
+      let i = (t.head + t.len) mod cap in
+      t.len <- t.len + 1;
+      i
+    end
+    else begin
+      let i = t.head in
+      t.head <- (t.head + 1) mod cap;
+      t.dropped <- t.dropped + 1;
+      i
+    end
+  in
+  t.ts.(i) <- t_sim;
+  t.evs.(i) <- ev;
+  t.args.(i) <- arg;
+  t.vs.(i) <- v
 
 let entries t =
   let cap = Array.length t.ts in

@@ -10,7 +10,7 @@
 
     Recording is allocation-free: the ring is preallocated at creation
     and entries are overwritten in place (event names are static
-    strings).  A disabled recorder rejects entries with one branch.
+    strings).  A device without a recorder holds [None].
 
     All fields are simulated-time quantities — a dump is byte-identical
     across hosts, pool widths and wall-clock conditions. *)
@@ -29,18 +29,12 @@ val default_capacity : int
     small enough for a million devices to carry one each. *)
 
 val create : ?capacity:int -> unit -> t
-(** A fresh enabled recorder holding the last [capacity] events
+(** A fresh recorder holding the last [capacity] events
     (default {!default_capacity}, clamped to at least 1). *)
 
 val copy : t -> t
 (** An independent copy of the ring and its counters: recording into
     either recorder leaves the other untouched.  Reads [t] only. *)
-
-val disabled : unit -> t
-(** A permanently cheap no-op recorder (can be re-enabled). *)
-
-val enabled : t -> bool
-val set_enabled : t -> bool -> unit
 
 val record : t -> t_sim:float -> arg:int -> v:float -> string -> unit
 (** Append an event; once full, the oldest is overwritten.  [ev] should

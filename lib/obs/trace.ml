@@ -12,7 +12,6 @@ type entry = {
 let dummy = { name = ""; cat = ""; ts = 0.; host = 0.; tid = 0; ph = Instant }
 
 type t = {
-  mutable enabled : bool;
   capacity : int;
   mutable buf : entry array;  (* grows geometrically up to capacity *)
   mutable head : int;  (* index of the oldest entry once wrapped *)
@@ -25,7 +24,6 @@ let default_capacity = 262_144
 
 let create ?(capacity = default_capacity) () =
   {
-    enabled = true;
     capacity = max 1 capacity;
     buf = Array.make (min 1024 (max 1 capacity)) dummy;
     head = 0;
@@ -34,13 +32,6 @@ let create ?(capacity = default_capacity) () =
     epoch = Unix.gettimeofday ();
   }
 
-let disabled () =
-  let t = create ~capacity:default_capacity () in
-  t.enabled <- false;
-  t
-
-let enabled t = t.enabled
-let set_enabled t e = t.enabled <- e
 let elapsed t = Unix.gettimeofday () -. t.epoch
 let length t = t.len
 let dropped t = t.dropped
@@ -60,46 +51,39 @@ let grow t =
   end
 
 let push t e =
-  if t.enabled then begin
-    let cap = Array.length t.buf in
-    if t.len = cap && cap < t.capacity then grow t;
-    let cap = Array.length t.buf in
-    if t.len < cap then begin
-      t.buf.((t.head + t.len) mod cap) <- e;
-      t.len <- t.len + 1
-    end
-    else begin
-      (* Full at capacity: overwrite the oldest. *)
-      t.buf.(t.head) <- e;
-      t.head <- (t.head + 1) mod cap;
-      t.dropped <- t.dropped + 1
-    end
+  let cap = Array.length t.buf in
+  if t.len = cap && cap < t.capacity then grow t;
+  let cap = Array.length t.buf in
+  if t.len < cap then begin
+    t.buf.((t.head + t.len) mod cap) <- e;
+    t.len <- t.len + 1
+  end
+  else begin
+    (* Full at capacity: overwrite the oldest. *)
+    t.buf.(t.head) <- e;
+    t.head <- (t.head + 1) mod cap;
+    t.dropped <- t.dropped + 1
   end
 
 let instant t ?(cat = "") ?(tid = 0) ~ts name =
-  if t.enabled then push t { name; cat; ts; host = elapsed t; tid; ph = Instant }
+  push t { name; cat; ts; host = elapsed t; tid; ph = Instant }
 
 let complete t ?(cat = "") ?(tid = 0) ~ts ~dur name =
-  if t.enabled then
-    push t { name; cat; ts; host = elapsed t; tid; ph = Complete dur }
+  push t { name; cat; ts; host = elapsed t; tid; ph = Complete dur }
 
 let counter t ?(cat = "") ?(tid = 0) ~ts name v =
-  if t.enabled then
-    push t { name; cat; ts; host = elapsed t; tid; ph = Counter v }
+  push t { name; cat; ts; host = elapsed t; tid; ph = Counter v }
 
 let span t ?cat ?tid name f =
-  if not t.enabled then f ()
-  else begin
-    let t0 = elapsed t in
-    let finish () = complete t ?cat ?tid ~ts:t0 ~dur:(elapsed t -. t0) name in
-    match f () with
-    | v ->
-        finish ();
-        v
-    | exception e ->
-        finish ();
-        raise e
-  end
+  let t0 = elapsed t in
+  let finish () = complete t ?cat ?tid ~ts:t0 ~dur:(elapsed t -. t0) name in
+  match f () with
+  | v ->
+      finish ();
+      v
+  | exception e ->
+      finish ();
+      raise e
 
 let entries t =
   let cap = Array.length t.buf in

@@ -7,9 +7,8 @@
     time.  Entries live in a bounded ring buffer: recording is O(1),
     allocation-free once the buffer has grown to steady state, and when
     the buffer is full the oldest entries are overwritten (the drop
-    count is kept).  A disabled recorder ({!set_enabled}[ t false] or
-    {!disabled}) rejects entries with a single branch — safe to leave
-    wired into hot paths.
+    count is kept).  A recorder always records: callers that trace
+    nothing hold no recorder ([None]) rather than a disabled one.
 
     Exporters produce the Chrome trace-event JSON array format (load
     the file in Perfetto / [chrome://tracing]) and JSONL. *)
@@ -31,14 +30,8 @@ type entry = {
 type t
 
 val create : ?capacity:int -> unit -> t
-(** A fresh enabled recorder.  [capacity] (default 262144 entries)
+(** A fresh recorder.  [capacity] (default 262144 entries)
     bounds memory; past it the oldest entries are dropped. *)
-
-val disabled : unit -> t
-(** A permanently cheap no-op recorder (can be re-enabled). *)
-
-val enabled : t -> bool
-val set_enabled : t -> bool -> unit
 
 val elapsed : t -> float
 (** Host wall-clock seconds since [create] — the profiling clock. *)

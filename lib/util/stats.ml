@@ -41,8 +41,6 @@ let percentile p xs =
 
 let median xs = percentile 50. xs
 
-let normalize_to base xs = List.map (fun x -> x /. base) xs
-
 let clamp ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
 
 type summary = {
@@ -63,10 +61,6 @@ let summarize xs =
     max = maximum xs;
     median = median xs;
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.4g sd=%.4g min=%.4g med=%.4g max=%.4g" s.n
-    s.mean s.stddev s.min s.median s.max
 
 (* --- mergeable streaming accumulator ---------------------------------- *)
 

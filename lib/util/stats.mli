@@ -29,9 +29,6 @@ val percentile : float -> float list -> float
 val median : float list -> float
 (** [percentile 50.]; 0. on the empty list. *)
 
-val normalize_to : float -> float list -> float list
-(** [normalize_to base xs] divides every element by [base]. *)
-
 val clamp : lo:float -> hi:float -> float -> float
 
 type summary = {
@@ -44,8 +41,6 @@ type summary = {
 }
 
 val summarize : float list -> summary
-
-val pp_summary : Format.formatter -> summary -> unit
 
 (** Mergeable streaming summary: a commutative monoid over constant-space
     accumulators, so shards of a fleet campaign can aggregate locally and

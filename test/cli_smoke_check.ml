@@ -1,6 +1,7 @@
 (* Validator for the CLI smoke artifacts produced by the dune rules in
    this directory: the trace, metrics and fuzz-report JSON files written
-   by `gecko run`/`gecko fuzz` must parse and carry the expected keys.
+   by `gecko run`/`gecko fuzz` must parse and carry the expected keys,
+   and `gecko compile --profile` must print one row per compiler pass.
    Exits non-zero (failing the @runtest alias) on any violation. *)
 
 module Json = Gecko_obs.Json
@@ -143,10 +144,32 @@ let check_flight path =
   | [] -> fail "%s: flight dump is empty" path
   | e :: _ -> List.iter (fun k -> ignore (need path e k)) [ "t"; "ev"; "v" ]
 
+(* The rows under the profile's header, up to the first line that is not
+   a "name  <ms> ms  <IR instrs>" row: a GECKO compile runs every pass. *)
+let check_profile path =
+  let lines = String.split_on_char '\n' (read_file path) in
+  let rec after_header = function
+    | l :: rest when String.trim l |> String.starts_with ~prefix:"pass " -> rest
+    | _ :: rest -> after_header rest
+    | [] -> fail "%s: no pass table" path
+  in
+  let rec rows = function
+    | l :: rest -> (
+        match String.split_on_char ' ' l |> List.filter (( <> ) "") with
+        | [ name; _; "ms"; _ ] -> name :: rows rest
+        | _ -> [])
+    | [] -> []
+  in
+  let got = rows (after_header lines) in
+  let want = Gecko_core.Pipeline.passes in
+  if got <> want then
+    fail "%s: pass rows [%s], expected Pipeline.passes [%s]" path
+      (String.concat "; " got) (String.concat "; " want)
+
 let () =
   match Array.to_list Sys.argv with
   | [ _; trace; metrics; fuzz; runlog; fleet; heartbeat; telemetry; flight;
-      replaylog ] ->
+      replaylog; profile ] ->
       check_trace trace;
       check_metrics metrics;
       check_fuzz fuzz;
@@ -156,8 +179,9 @@ let () =
       check_telemetry telemetry;
       check_flight flight;
       check_run_log replaylog;
+      check_profile profile;
       print_endline "cli smoke artifacts ok"
   | _ ->
       fail
         "usage: cli_smoke_check TRACE METRICS FUZZ RUNLOG FLEET HEARTBEAT \
-         TELEMETRY FLIGHT REPLAYLOG"
+         TELEMETRY FLIGHT REPLAYLOG PROFILE"

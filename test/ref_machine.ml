@@ -178,8 +178,8 @@ type state = {
   tl_app : float array;
   tl_comp : int array;
   tl_bucket : float;
-  (* observability; [tracing] caches [trace <> None && enabled] so the
-     per-instruction cost of a disabled recorder is one branch *)
+  (* observability; [tracing] caches [trace <> None] so the
+     per-instruction cost of an untraced run is one branch *)
   tracing : bool;
   trace : Gecko_obs.Trace.t option;
   mutable next_vsample : float;
@@ -909,14 +909,8 @@ let make_state ~board ~image ~meta opts =
       tl_app = Array.make (max n_buckets 1) 0.;
       tl_comp = Array.make (max n_buckets 1) 0;
       tl_bucket;
-      tracing =
-        (match opts.trace with
-        | Some tr -> Gecko_obs.Trace.enabled tr
-        | None -> false);
-      trace =
-        (match opts.trace with
-        | Some tr when Gecko_obs.Trace.enabled tr -> Some tr
-        | Some _ | None -> None);
+      tracing = Option.is_some opts.trace;
+      trace = opts.trace;
       next_vsample = 0.;
       hist_ckpt =
         Option.map

@@ -510,8 +510,8 @@ let test_template_survives_forks () =
 
 (* A fork copies the metrics registry and the flight recorder: the copy
    records on from the template's observations, and the template's own
-   observers stay exactly as they were however far the copy runs.  An
-   enabled trace cannot be split and is still refused. *)
+   observers stay exactly as they were however far the copy runs.  A
+   trace cannot be split and is still refused. *)
 let test_fork_copies_observers () =
   let image, meta = compile Core.Scheme.Gecko "crc16" in
   let board = fi_board () in
@@ -557,9 +557,7 @@ let test_fork_copies_observers () =
     | exception Invalid_argument _ -> true
   in
   Alcotest.(check bool) "plain handle forks" false (refused o);
-  Alcotest.(check bool) "disabled trace forks" false
-    (refused { o with M.trace = Some (Gecko_obs.Trace.disabled ()) });
-  Alcotest.(check bool) "enabled trace refused" true
+  Alcotest.(check bool) "trace refused" true
     (refused { o with M.trace = Some (Gecko_obs.Trace.create ()) });
   (* The explorer still refuses every observer: its replays fork, and a
      caller's registry or recorder would see only the uninjected pass. *)
@@ -571,7 +569,7 @@ let test_fork_copies_observers () =
       | _ -> Alcotest.failf "explore accepted %s" what
       | exception Invalid_argument _ -> ())
     [
-      ("an enabled trace", { o with M.trace = Some (Gecko_obs.Trace.create ()) });
+      ("a trace", { o with M.trace = Some (Gecko_obs.Trace.create ()) });
       ("a metrics registry", { o with M.metrics = Some (Gecko_obs.Metrics.create ()) });
       ("a flight recorder", { o with M.flight = Some (Gecko_obs.Flight.create ()) });
     ]

@@ -82,18 +82,6 @@ let test_trace_ring_wrap () =
     [ "e13"; "e14"; "e15"; "e16"; "e17"; "e18"; "e19"; "e20" ]
     names
 
-let test_trace_disabled () =
-  let t = Trace.disabled () in
-  Alcotest.(check bool) "disabled" false (Trace.enabled t);
-  Trace.instant t ~ts:1.0 "ignored";
-  Trace.counter t ~ts:1.0 "ignored" 1.;
-  let v = Trace.span t "ignored" (fun () -> 41 + 1) in
-  Alcotest.(check int) "span still runs f" 42 v;
-  Alcotest.(check int) "nothing recorded" 0 (Trace.length t);
-  Trace.set_enabled t true;
-  Trace.instant t ~ts:1.0 "seen";
-  Alcotest.(check int) "re-enabled records" 1 (Trace.length t)
-
 let test_trace_span () =
   let t = Trace.create () in
   let v = Trace.span t ~cat:"compiler" "work" (fun () -> 7) in
@@ -305,14 +293,6 @@ let test_flight_capacity_one () =
       Alcotest.check feq "its timestamp" 1.5 e.Flight.e_t
   | _ -> Alcotest.fail "expected exactly one entry")
 
-let test_flight_disabled () =
-  let fl = Flight.disabled () in
-  Flight.record fl ~t_sim:0.0 ~arg:0 ~v:3.3 "boot";
-  Alcotest.(check int) "disabled records nothing" 0 (Flight.length fl);
-  Flight.set_enabled fl true;
-  Flight.record fl ~t_sim:1.0 ~arg:0 ~v:3.3 "boot";
-  Alcotest.(check int) "re-enabled records" 1 (Flight.length fl)
-
 (* ------------------------------------------------------------------ *)
 (* Prometheus exposition                                               *)
 (* ------------------------------------------------------------------ *)
@@ -368,7 +348,6 @@ let () =
         [
           Alcotest.test_case "recorder" `Quick test_trace_recorder;
           Alcotest.test_case "ring wrap" `Quick test_trace_ring_wrap;
-          Alcotest.test_case "disabled" `Quick test_trace_disabled;
           Alcotest.test_case "span" `Quick test_trace_span;
           Alcotest.test_case "chrome export" `Quick test_trace_chrome_export;
           Alcotest.test_case "jsonl export" `Quick test_trace_jsonl_export;
@@ -377,7 +356,6 @@ let () =
         [
           Alcotest.test_case "ring wrap" `Quick test_flight_ring_wrap;
           Alcotest.test_case "capacity one" `Quick test_flight_capacity_one;
-          Alcotest.test_case "disabled" `Quick test_flight_disabled;
         ] );
       ( "metrics",
         [

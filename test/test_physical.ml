@@ -119,7 +119,6 @@ let test_nvm () =
   let n = Nvm.create ~words:8 () in
   Nvm.write n 3 42;
   Alcotest.(check int) "read back" 42 (Nvm.read n 3);
-  Alcotest.(check int) "stats" 1 (Nvm.writes n);
   let s = Nvm.snapshot n in
   Nvm.write n 3 7;
   Alcotest.(check (list (triple int int int))) "diff" [ (3, 42, 7) ]
