@@ -89,9 +89,18 @@ let write_trace path tracer =
     (let d = Gecko.Obs.Trace.dropped tracer in
      if d > 0 then Printf.sprintf " (%d oldest dropped)" d else "")
 
+(* The one metrics writer, for [run] and [replay] alike: the extension
+   picks the format. *)
+let metrics_doc =
+  "Dump run metrics (counters, gauges, latency histograms) as JSON; a \
+   .csv extension selects CSV and a .prom extension Prometheus text \
+   exposition."
+
 let write_metrics path registry =
   let contents =
     if Filename.check_suffix path ".csv" then Gecko.Obs.Metrics.to_csv registry
+    else if Filename.check_suffix path ".prom" then
+      Gecko.Obs.Metrics.to_prometheus registry
     else Gecko.Obs.Json.to_string (Gecko.Obs.Metrics.to_json registry)
   in
   write_file path contents;
@@ -230,10 +239,7 @@ let run_cmd =
     Arg.(
       value
       & opt (some string) None
-      & info [ "metrics" ] ~docv:"FILE"
-          ~doc:
-            "Dump run metrics (counters, gauges, latency histograms) as \
-             JSON (.csv for CSV).")
+      & info [ "metrics" ] ~docv:"FILE" ~doc:metrics_doc)
   in
   let timeline =
     Arg.(
@@ -851,9 +857,7 @@ let replay_cmd =
     Arg.(
       value
       & opt (some string) None
-      & info [ "metrics" ] ~docv:"FILE"
-          ~doc:"Dump run metrics as JSON (.csv for CSV, .prom for \
-                Prometheus text exposition).")
+      & info [ "metrics" ] ~docv:"FILE" ~doc:metrics_doc)
   in
   let events =
     Arg.(
@@ -968,13 +972,7 @@ let replay_cmd =
     | Some path -> write_trace path rp.F.Campaign.rp_trace
     | None -> ());
     (match metrics_out with
-    | Some path ->
-        if Filename.check_suffix path ".prom" then begin
-          write_file path
-            (Gecko.Obs.Metrics.to_prometheus rp.F.Campaign.rp_metrics);
-          Printf.printf "metrics -> %s\n" path
-        end
-        else write_metrics path rp.F.Campaign.rp_metrics
+    | Some path -> write_metrics path rp.F.Campaign.rp_metrics
     | None -> ());
     (* Verify the replayed contribution against the campaign's recorded
        outlier record, when we have one. *)

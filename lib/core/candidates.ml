@@ -12,7 +12,6 @@ type facts = {
   live : A.Ipliveness.t;
   clobbers : A.Clobbers.t Lazy.t;
   doms : A.Dom.t Lazy.t array;
-  block_reach : A.Blockreach.t Lazy.t array;
   reaching : A.Reaching.t Lazy.t array;
   memos : memos;
 }
@@ -46,7 +45,6 @@ let facts (p : Cfg.program) =
     live;
     clobbers;
     doms = Array.map (fun g -> lazy (A.Dom.compute g)) graphs;
-    block_reach = Array.map (fun g -> lazy (A.Blockreach.compute g)) graphs;
     (* Call sites define the callee's clobber set, so no value is
        assumed preserved across a call that may overwrite it. *)
     reaching =

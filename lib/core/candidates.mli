@@ -16,7 +16,6 @@ type facts = {
   live : A.Ipliveness.t;
   clobbers : A.Clobbers.t Lazy.t;
   doms : A.Dom.t Lazy.t array;  (** per function, indexed like {!funcs} *)
-  block_reach : A.Blockreach.t Lazy.t array;
   reaching : A.Reaching.t Lazy.t array;
       (** Reaching definitions per function, a call defining the
           callee's clobber set.  Not block-level: a boundary insertion

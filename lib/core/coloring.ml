@@ -17,14 +17,6 @@ type attempt =
   | Conflict of Reg.t * int list * (int * int) list
       (** register, odd cycle, that register's directed edges *)
 
-let decision_of (decisions : Prune.result) bid r =
-  match Hashtbl.find_opt decisions bid with
-  | None -> None
-  | Some ds ->
-      List.find_map
-        (fun (x, d) -> if Reg.equal x r then Some d else None)
-        ds
-
 (* Registers a boundary stores, under the decisions. *)
 let stores_of (decisions : Prune.result) =
   let tbl = Hashtbl.create 64 in
@@ -34,22 +26,11 @@ let stores_of (decisions : Prune.result) =
         (List.fold_left
            (fun acc (r, d) ->
              match d with
-             | Prune.Keep | Prune.Keep_stable _ -> Reg.Set.add r acc
+             | Prune.Keep -> Reg.Set.add r acc
              | Prune.Reuse _ | Prune.Prune _ -> acc)
            Reg.Set.empty ds))
     decisions;
   fun bid -> Option.value ~default:Reg.Set.empty (Hashtbl.find_opt tbl bid)
-
-(* Stores that provably write the same word may share a colour: a
-   partial overwrite leaves the value unchanged.  Two cases: same
-   stability class (globally crossing-invariant values), or no path of
-   the span between the two stores defines the register. *)
-let exempt_edge decisions r (a, b, redefined) =
-  (not redefined)
-  ||
-  match (decision_of decisions a r, decision_of decisions b r) with
-  | Some (Prune.Keep_stable ca), Some (Prune.Keep_stable cb) -> ca = cb
-  | _ -> false
 
 (* Recover the odd cycle from the BFS parent map when edge (u, v) closes
    it: tree path u -> lca plus reversed tree path v -> lca. *)
@@ -95,10 +76,13 @@ let try_color (cands : Candidates.t) (decisions : Prune.result) =
        (fun r ->
          let ri = Reg.to_int r in
          let stops bid = Reg.Set.mem r (stores bid) in
+         (* Stores that provably write the same word may share a
+            colour: a partial overwrite leaves the value unchanged.  So
+            an edge counts only when some path of its span redefines
+            the register. *)
          let redges =
            List.filter_map
-             (fun ((a, b, _) as e) ->
-               if exempt_edge decisions r e then None else Some (a, b))
+             (fun (a, b, redefined) -> if redefined then Some (a, b) else None)
              edges.(ri)
          in
          begin
@@ -240,7 +224,7 @@ type outcome = {
 
 let assign ?resume ?metrics ~next_id ~analyze (p : Cfg.program) =
   (* A repair boundary neither uses nor defines a register, so liveness,
-     clobbers, dominators and block reachability hold for every round,
+     clobbers and dominators hold for every round,
      and the reaching definitions only shift ([insert_repair] moves them
      along).  The phase-1 slice memo rests on the same invariants. *)
   let repairs, repair_at =
@@ -266,7 +250,7 @@ let assign ?resume ?metrics ~next_id ~analyze (p : Cfg.program) =
       | Some regs -> regs
       | None -> Reg.Set.empty
     in
-    let decisions = analyze ~force_keep ~memo p cands in
+    let decisions = analyze ~force_keep ~memo cands in
     match try_color cands decisions with
     | Colored colors ->
         {

@@ -9,8 +9,7 @@
     where [r] is dead.  Edges cross functions via calls and returns.
 
     Two adjacent stores may share a colour when they write the same
-    word: no path of the span between them defines [r], or both belong
-    to one stability class ([Prune.Keep_stable]).
+    word: no path of the span between them defines [r].
 
     An odd cycle (the paper's "join point" conflict) is repaired by
     inserting a fresh boundary immediately after a cycle node that is
@@ -49,7 +48,6 @@ val assign :
   analyze:
     (force_keep:(int -> Reg.Set.t) ->
     memo:Prune.memo ->
-    Cfg.program ->
     Candidates.t ->
     Prune.result) ->
   Cfg.program ->
@@ -61,11 +59,10 @@ val assign :
     rather than discovering them after the fact.
 
     Each round re-derives only what a repair can change.  Once per call:
-    liveness, clobbers, dominators, block reachability, the reaching
-    definitions of each function (shifted in place by every repair,
+    liveness, clobbers, dominators, the reaching definitions of each
+    function (shifted in place by every repair,
     {!Candidates.boundary_inserted}) and the
-    {!Candidates.reaches_avoiding} memo, all in one
-    {!Candidates.facts}.  [memo] (one per call, handed to every round's
+    {!Candidates.reaches_avoiding} memo, all in one {!Candidates.facts}.  [memo] (one per call, handed to every round's
     [analyze]) keeps each site's phase-1 slice decisions.  Per round:
     the candidate sites, phase 2 of pruning and the colouring itself.
     The memos are dropped when the call returns.

@@ -31,7 +31,7 @@ let gecko scheme (p : Cfg.program) (cands : Candidates.t)
     | Some ds -> (
         match List.find_opt (fun (x, _) -> Reg.equal x r) ds with
         | Some (_, Prune.Reuse owner) -> Coloring.color colors owner r
-        | Some (_, (Prune.Keep | Prune.Keep_stable _ | Prune.Prune _))
+        | Some (_, (Prune.Keep | Prune.Prune _))
         | None ->
             Coloring.color colors bid r)
   in
@@ -52,16 +52,12 @@ let gecko scheme (p : Cfg.program) (cands : Candidates.t)
           (fun (rs, gs) (r, d) ->
             incr candidates;
             match d with
-            | Prune.Keep | Prune.Keep_stable _ ->
+            | Prune.Keep ->
                 incr kept;
                 ( {
                     Meta.r_reg = r;
                     r_color = Coloring.color colors bid r;
                     r_owned = true;
-                    r_stable =
-                      (match d with
-                      | Prune.Keep_stable c -> Some c
-                      | Prune.Keep | Prune.Reuse _ | Prune.Prune _ -> None);
                   }
                   :: rs,
                   gs )
@@ -71,7 +67,6 @@ let gecko scheme (p : Cfg.program) (cands : Candidates.t)
                     Meta.r_reg = r;
                     r_color = Coloring.color colors owner r;
                     r_owned = false;
-                    r_stable = None;
                   }
                   :: rs,
                   gs )

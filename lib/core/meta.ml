@@ -1,11 +1,6 @@
 open Gecko_isa
 
-type restore = {
-  r_reg : Reg.t;
-  r_color : int;
-  r_owned : bool;
-  r_stable : int option;
-}
+type restore = { r_reg : Reg.t; r_color : int; r_owned : bool }
 type recovery = { g_reg : Reg.t; g_slice : Instr.t list }
 
 type binfo = {

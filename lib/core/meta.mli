@@ -15,9 +15,6 @@ type restore = {
       (** True when this boundary emits the store itself; false when the
           restore references a dominating boundary's still-valid slot
           (redundant-checkpoint elimination). *)
-  r_stable : int option;
-      (** Stability class for stores whose value is identical at every
-          crossing; same-class stores may legally share a slot colour. *)
 }
 
 type recovery = { g_reg : Reg.t; g_slice : Instr.t list }

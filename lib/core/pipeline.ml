@@ -89,16 +89,11 @@ let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
         match scheme with
         | Scheme.Ratchet -> (pass "emit" (fun () -> Emit.ratchet p), None)
         | Scheme.Gecko | Scheme.Gecko_noprune ->
-            let analyze =
+            (* GECKO w/o pruning is GECKO with both mechanisms off. *)
+            let slices, reuse =
               match scheme with
-              | Scheme.Gecko ->
-                  fun ~force_keep ~memo p cands ->
-                    Prune.analyze_with ~force_keep ~memo ~slices:prune_slices
-                      ~reuse:prune_reuse p cands
-              | Scheme.Gecko_noprune | Scheme.Ratchet | Scheme.Nvp ->
-                  fun ~force_keep ~memo _p cands ->
-                    ignore (force_keep, memo);
-                    Prune.keep_all cands
+              | Scheme.Gecko -> (prune_slices, prune_reuse)
+              | Scheme.Gecko_noprune | Scheme.Ratchet | Scheme.Nvp -> (false, false)
             in
             (* Static slot safety.  Reuse is optimistic: nothing in
                pruning proves that a reused owner's slot survives the
@@ -111,11 +106,11 @@ let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
             let forced_at bid =
               Option.value ~default:Reg.Set.empty (Hashtbl.find_opt forced bid)
             in
-            let analyze ~force_keep ~memo p cands =
-              analyze
+            let analyze ~force_keep ~memo cands =
+              Prune.analyze_with
                 ~force_keep:(fun bid ->
                   Reg.Set.union (forced_at bid) (force_keep bid))
-                ~memo p cands
+                ~memo ~slices ~reuse cands
             in
             let rec settle attempt resume =
               let col =

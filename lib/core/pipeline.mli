@@ -41,8 +41,11 @@ val compile :
   Cfg.program * Meta.t
 (** [prune_slices]/[prune_reuse] (both default [true]) independently
     disable the two checkpoint-pruning mechanisms of the [Gecko] scheme —
-    the ablation study.  Raises [Failure] if a verification pass fails —
-    a compiler bug, not a user error.
+    the ablation study.  [Gecko_noprune] is the same pipeline with both
+    off ([Prune.analyze_with ~slices:false ~reuse:false]): every
+    live-in is kept, and colouring, emission and every gate run as for
+    [Gecko].  Raises [Failure] if a verification pass fails — a
+    compiler bug, not a user error.
 
     Regions are idempotent by construction: every interprocedural
     syntactic may-alias WAR hazard is cut at region formation (the

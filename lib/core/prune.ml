@@ -3,12 +3,11 @@ module A = Gecko_analysis
 
 type node = Nslot of Reg.t | Ninstr of Instr.t
 
-type decision = Keep | Keep_stable of int | Reuse of int | Prune of node list
+type decision = Keep | Reuse of int | Prune of node list
 
 type result = (int, (Reg.t * decision) list) Hashtbl.t
 
 let max_slice_nodes = 16
-let max_depth = 24
 
 exception Unsliceable
 
@@ -76,8 +75,7 @@ let value_preserved ctx q p =
   A.Reaching.same_unique_def ctx.reaching q p ctx.pb
   || no_def_between ctx.cands ctx.fi q p ctx.pb
 
-let rec slice_def ctx depth q (d : A.Reaching.def) =
-  if depth > max_depth then raise Unsliceable;
+let rec slice_def ctx (d : A.Reaching.def) =
   match d with
   | A.Reaching.Entry -> raise Unsliceable
   | A.Reaching.Site dp ->
@@ -100,27 +98,26 @@ let rec slice_def ctx depth q (d : A.Reaching.def) =
         in
         (match instr with
         | Instr.Li _ -> ()
-        | Instr.Mov (_, s) -> need ctx (depth + 1) s dp
+        | Instr.Mov (_, s) -> need ctx s dp
         | Instr.Bin (_, _, a, Instr.Oreg b) ->
-            need ctx (depth + 1) a dp;
-            need ctx (depth + 1) b dp
-        | Instr.Bin (_, _, a, Instr.Oimm _) -> need ctx (depth + 1) a dp
+            need ctx a dp;
+            need ctx b dp
+        | Instr.Bin (_, _, a, Instr.Oimm _) -> need ctx a dp
         | Instr.Ld (_, m) ->
             if not (A.Alias.location_read_only ctx.cands.Candidates.prog m) then
               raise Unsliceable;
             (match m.Instr.disp with
-            | Instr.Dreg i -> need ctx (depth + 1) i dp
+            | Instr.Dreg i -> need ctx i dp
             | Instr.Dconst _ -> ())
         | Instr.In _ | Instr.Out _ | Instr.St _ | Instr.Nop | Instr.Ckpt _
         | Instr.CkptDyn _ | Instr.LdSlot _ | Instr.Boundary _ ->
             raise Unsliceable);
-        ignore q;
         Hashtbl.replace ctx.seen_sites key true;
         emit ctx (Ninstr instr)
       end
 
 (* Obtain [q]'s value-at-[p] (proven equal to its value-at-boundary). *)
-and need ctx depth q p =
+and need ctx q p =
   (* Even a slot read requires value preservation between [p] and the
      boundary: the slot holds the value-at-boundary. *)
   if not (value_preserved ctx q p) then raise Unsliceable;
@@ -137,7 +134,7 @@ and need ctx depth q p =
   end
   else
     match A.Reaching.unique_at ctx.reaching q ctx.pb with
-    | Some d -> slice_def ctx depth q d
+    | Some d -> slice_def ctx d
     | None -> raise Unsliceable
 
 let try_slice cands fi dom reaching pb live pruned pinned r =
@@ -163,7 +160,7 @@ let try_slice cands fi dom reaching pb live pruned pinned r =
   | None | Some A.Reaching.Entry -> None
   | Some (A.Reaching.Site _ as d) -> (
       try
-        slice_def ctx 0 r d;
+        slice_def ctx d;
         (* Commit the slot references: those registers must stay
            checkpointed at this boundary. *)
         Hashtbl.iter (fun q () -> Hashtbl.replace pinned q ()) ctx.seen_slots;
@@ -185,7 +182,7 @@ let memo () = { phase1 = Hashtbl.create 32; sliced = 0; hits = 0 }
 let memo_counts m = (m.sliced, m.hits)
 
 let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?memo ~slices ~reuse
-    (p : Cfg.program) (cands : Candidates.t) =
+    (cands : Candidates.t) =
   let result : result = Hashtbl.create 32 in
   (* Per-function analyses, shared across the function's boundaries and
      across the colouring rounds that share [cands.facts]. *)
@@ -251,191 +248,106 @@ let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?memo ~slices ~reuse
      is not checked here: the pipeline's window-clobber scan
      ({!Verify.slot_clobbers}) force-keeps every reuse it does not.
 
-     A second pass marks the remaining owned stores whose value is
-     identical at every crossing ([Keep_stable]): no definition of the
-     register is reachable from the store and the function is never
-     called.  Same-class stable stores may share a slot colour. *)
-  let decision_for bid r =
-    match Hashtbl.find_opt result bid with
-    | None -> None
-    | Some ds ->
-        List.find_map
-          (fun (x, d) -> if Reg.equal x r then Some d else None)
-          ds
-  in
-  let set_decision bid r d =
-    let ds = Hashtbl.find result bid in
-    Hashtbl.replace result bid
-      (List.map (fun (x, old) -> if Reg.equal x r then (x, d) else (x, old)) ds)
-  in
-  let callable = Hashtbl.create 8 in
-  List.iter
-    (fun (f : Cfg.func) ->
-      List.iter
-        (fun (b : Cfg.block) ->
-          match b.Cfg.term with
-          | Instr.Call (callee, _) -> Hashtbl.replace callable callee ()
-          | Instr.Jmp _ | Instr.Br _ | Instr.Ret | Instr.Halt -> ())
-        f.Cfg.blocks)
-    p.Cfg.funcs;
-  (* Per-function sites, and for each site the other sites of its
-     function that dominate it (in the same order). *)
-  let sites_of_func = Array.make (Array.length cands.Candidates.funcs) [] in
-  List.iter
-    (fun (s : Candidates.site) ->
-      sites_of_func.(s.Candidates.s_func) <-
-        s :: sites_of_func.(s.Candidates.s_func))
-    cands.Candidates.sites;
-  let dominators = Hashtbl.create 32 in
-  Array.iteri
-    (fun fi sites ->
-      List.iter
-        (fun (s : Candidates.site) ->
-          Hashtbl.replace dominators s.Candidates.s_id
-            (List.filter
-               (fun (o : Candidates.site) ->
-                 o.Candidates.s_id <> s.Candidates.s_id
-                 && A.Dom.dominates_point (dom fi) o.Candidates.s_point
-                      s.Candidates.s_point)
-               sites))
-        sites)
-    sites_of_func;
-  let changed = ref reuse in
-  let rounds = ref 0 in
-  while !changed && !rounds < 8 do
-    incr rounds;
-    changed := false;
-    Array.iteri
-      (fun fi sites ->
-        List.iter
-          (fun (s : Candidates.site) ->
-            List.iter
-              (fun r ->
-                (* A repair (force_keep) is absolute: colouring
-                   requested this store, so reuse must never take it
-                   back. *)
-                let blocked = Reg.Set.mem r (force_keep s.Candidates.s_id) in
-                match decision_for s.Candidates.s_id r with
-                | Some Keep when not blocked ->
-                    (* Nearest dominating site with r live and a usable
-                       restore. *)
-                    let doms =
-                      List.filter
-                        (fun (o : Candidates.site) ->
-                          Reg.Set.mem r o.Candidates.s_live)
-                        (Hashtbl.find dominators s.Candidates.s_id)
-                    in
-                    (* Nearest = dominated by all the others. *)
-                    let nearest =
-                      List.fold_left
-                        (fun best (o : Candidates.site) ->
-                          match best with
-                          | None -> Some o
-                          | Some b ->
-                              if
-                                A.Dom.dominates_point (dom fi)
-                                  b.Candidates.s_point o.Candidates.s_point
-                              then Some o
-                              else best)
-                        None doms
-                    in
-                    (match nearest with
-                    | None -> ()
-                    | Some o -> (
-                        let target =
-                          match decision_for o.Candidates.s_id r with
-                          | Some Keep | Some (Keep_stable _) ->
-                              Some o.Candidates.s_id
-                          | Some (Reuse t) -> Some t
-                          | Some (Prune _) | None -> None
-                        in
-                        match target with
-                        | Some t
-                          when no_def_between cands fi r
-                                 o.Candidates.s_point s.Candidates.s_point ->
-                            set_decision s.Candidates.s_id r (Reuse t);
-                            changed := true
-                        | Some _ | None -> ()))
-                | Some Keep | Some (Keep_stable _) | Some (Reuse _)
-                | Some (Prune _) | None ->
-                    ())
-              (Reg.Set.elements s.Candidates.s_live))
-          sites)
-      sites_of_func
-  done;
-  (* Normalize reuse chains: owners decided in a later round may have
-     become reusers themselves; restores must reference the root owned
-     store. *)
-  List.iter
-    (fun (s : Candidates.site) ->
-      List.iter
-        (fun r ->
-          match decision_for s.Candidates.s_id r with
-          | Some (Reuse t) ->
-              let rec root t seen =
-                if List.mem t seen then t
-                else
-                  match decision_for t r with
-                  | Some (Reuse t') -> root t' (t :: seen)
-                  | Some Keep | Some (Keep_stable _) | Some (Prune _) | None
-                    ->
-                      t
-              in
-              let t' = root t [] in
-              if t' <> t then set_decision s.Candidates.s_id r (Reuse t')
-          | Some Keep | Some (Keep_stable _) | Some (Prune _) | None -> ())
-        (Reg.Set.elements s.Candidates.s_live))
-    cands.Candidates.sites;
-  (* Stability pass. *)
-  Array.iteri
-    (fun fi sites ->
-      let fname = cands.Candidates.funcs.(fi).Cfg.fname in
-      if not (Hashtbl.mem callable fname) then
-        let reach =
-          Lazy.force cands.Candidates.facts.Candidates.block_reach.(fi)
+     One pass decides every reuse.  Whether [s] reuses depends on its
+     nearest dominating site [o] and on [no_def_between], both fixed,
+     and on [o]'s decision being [Keep] or [Reuse].  The pass only turns
+     a [Keep] into a [Reuse], which is still a target, so a second pass
+     could change nothing; the chain normalisation below re-roots every
+     reuse at its owned store. *)
+  if reuse then begin
+    let decision_for bid r =
+      match Hashtbl.find_opt result bid with
+      | None -> None
+      | Some ds ->
+          List.find_map
+            (fun (x, d) -> if Reg.equal x r then Some d else None)
+            ds
+    in
+    let set_decision bid r d =
+      let ds = Hashtbl.find result bid in
+      Hashtbl.replace result bid
+        (List.map (fun (x, old) -> if Reg.equal x r then (x, d) else (x, old)) ds)
+    in
+    let sites_of_func = Array.make (Array.length cands.Candidates.funcs) [] in
+    List.iter
+      (fun (s : Candidates.site) ->
+        sites_of_func.(s.Candidates.s_func) <-
+          s :: sites_of_func.(s.Candidates.s_func))
+      cands.Candidates.sites;
+    List.iter
+      (fun (s : Candidates.site) ->
+        let fi = s.Candidates.s_func in
+        (* The other sites of [s]'s function that dominate it. *)
+        let dominators =
+          List.filter
+            (fun (o : Candidates.site) ->
+              o.Candidates.s_id <> s.Candidates.s_id
+              && A.Dom.dominates_point (dom fi) o.Candidates.s_point
+                   s.Candidates.s_point)
+            sites_of_func.(fi)
         in
         List.iter
-          (fun (s : Candidates.site) ->
-            List.iter
-              (fun r ->
-                match decision_for s.Candidates.s_id r with
-                (* Forced keeps (repair boundaries) stay plain [Keep]:
-                   their whole point is a fresh store whose colour
-                   alternation the colouring pass relies on. *)
-                | Some Keep when not (Reg.Set.mem r (force_keep s.Candidates.s_id)) ->
-                    let sp = s.Candidates.s_point in
-                    let stable =
-                      List.for_all
-                        (fun (dq : A.Fgraph.point) ->
-                          let self_cycle =
-                            A.Blockreach.reaches reach sp.A.Fgraph.blk
-                              sp.A.Fgraph.blk
-                          in
-                          if dq.A.Fgraph.blk = sp.A.Fgraph.blk then
-                            not (dq.A.Fgraph.idx > sp.A.Fgraph.idx || self_cycle)
-                          else
-                            not
-                              (A.Blockreach.reaches reach sp.A.Fgraph.blk
-                                 dq.A.Fgraph.blk))
-                        (Candidates.defsites cands fi r)
+          (fun r ->
+            (* A repair (force_keep) is absolute: colouring requested this
+               store, so reuse must never take it back. *)
+            let blocked = Reg.Set.mem r (force_keep s.Candidates.s_id) in
+            match decision_for s.Candidates.s_id r with
+            | Some Keep when not blocked -> (
+                (* Nearest dominating site with r live and a usable
+                   restore: the one dominated by all the others. *)
+                let nearest =
+                  List.fold_left
+                    (fun best (o : Candidates.site) ->
+                      if not (Reg.Set.mem r o.Candidates.s_live) then best
+                      else
+                        match best with
+                        | None -> Some o
+                        | Some b ->
+                            if
+                              A.Dom.dominates_point (dom fi) b.Candidates.s_point
+                                o.Candidates.s_point
+                            then Some o
+                            else best)
+                    None dominators
+                in
+                match nearest with
+                | None -> ()
+                | Some o -> (
+                    let target =
+                      match decision_for o.Candidates.s_id r with
+                      | Some Keep -> Some o.Candidates.s_id
+                      | Some (Reuse t) -> Some t
+                      | Some (Prune _) | None -> None
                     in
-                    if stable then
-                      set_decision s.Candidates.s_id r
-                        (Keep_stable
-                           ((Reg.to_int r * 1_000_000) + s.Candidates.s_id))
-                | Some Keep | Some (Keep_stable _) | Some (Reuse _)
-                | Some (Prune _) | None ->
-                    ())
-              (Reg.Set.elements s.Candidates.s_live))
-          sites)
-    sites_of_func;
-  result
-
-let keep_all (cands : Candidates.t) =
-  let result : result = Hashtbl.create 32 in
-  List.iter
-    (fun (s : Candidates.site) ->
-      Hashtbl.replace result s.Candidates.s_id
-        (List.map (fun r -> (r, Keep)) (Reg.Set.elements s.Candidates.s_live)))
-    cands.Candidates.sites;
+                    match target with
+                    | Some t
+                      when no_def_between cands fi r o.Candidates.s_point
+                             s.Candidates.s_point ->
+                        set_decision s.Candidates.s_id r (Reuse t)
+                    | Some _ | None -> ()))
+            | Some Keep | Some (Reuse _) | Some (Prune _) | None -> ())
+          (Reg.Set.elements s.Candidates.s_live))
+      cands.Candidates.sites;
+    (* Normalize reuse chains: an owner decided later in the pass may
+       have become a reuser itself; restores must reference the root
+       owned store. *)
+    List.iter
+      (fun (s : Candidates.site) ->
+        List.iter
+          (fun r ->
+            match decision_for s.Candidates.s_id r with
+            | Some (Reuse t) ->
+                let rec root t seen =
+                  if List.mem t seen then t
+                  else
+                    match decision_for t r with
+                    | Some (Reuse t') -> root t' (t :: seen)
+                    | Some Keep | Some (Prune _) | None -> t
+                in
+                let t' = root t [] in
+                if t' <> t then set_decision s.Candidates.s_id r (Reuse t')
+            | Some Keep | Some (Prune _) | None -> ())
+          (Reg.Set.elements s.Candidates.s_live))
+      cands.Candidates.sites
+  end;
   result

@@ -25,12 +25,9 @@ type node =
 
 type decision =
   | Keep
-  | Keep_stable of int
-      (** A kept store whose value is identical at every crossing (its
-          unique definition cannot re-execute between crossings, and the
-          function is never called re-entrantly).  Stores of the same
-          stability class may share a slot colour: overwriting with an
-          identical word is harmless. *)
+      (** The boundary emits the register's checkpoint store.  Which of
+          its stores may share a slot colour is the colouring pass's
+          decision alone ({!Spans.edges}). *)
   | Reuse of int
       (** Redundant-checkpoint elimination: the register's value is
           provably unchanged since a dominating boundary that still
@@ -65,12 +62,12 @@ val analyze_with :
   ?memo:memo ->
   slices:bool ->
   reuse:bool ->
-  Cfg.program ->
   Candidates.t ->
   result
-(** Pruning entry point; [slices] and [reuse] enable the recovery-block
-    slicing and the redundant-checkpoint reuse independently (the
-    ablation study disables one or the other).
+(** The one pruning entry point; [slices] and [reuse] enable the
+    recovery-block slicing and the redundant-checkpoint reuse
+    independently (the ablation study disables one or the other, and
+    GECKO w/o pruning is both off: every candidate [Keep]).
 
     [force_keep] (default: none) maps a boundary id to registers that
     must stay plain [Keep].  The colouring pass passes its repair
@@ -86,11 +83,8 @@ val analyze_with :
     own.
 
     [memo] serves and records phase-1 decisions; it is consulted only
-    when [slices] is on.  Phase 2 (reuse) and the stability pass always
-    run afresh: a new repair site changes which sites dominate which.
+    when [slices] is on.  Phase 2 (reuse) always runs afresh, in one
+    pass: a new repair site changes which sites dominate which.
 
     The program must be hazard-free ({!Regions.form}): a slice's loads
     and a reused slot are sound only if re-execution is idempotent. *)
-
-val keep_all : Candidates.t -> result
-(** The no-pruning configuration: every candidate kept. *)

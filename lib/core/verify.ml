@@ -8,7 +8,7 @@ let idempotence p =
   match Regions.violations p with [] -> Ok () | errs -> Error errs
 
 (* Registers whose checkpoint store a boundary emits, with the colour
-   and stability class of each. *)
+   of each. *)
 let owned_restores (meta : Meta.t) bid =
   match Meta.boundary_info meta bid with
   | None -> []
@@ -19,8 +19,7 @@ let coloring p (meta : Meta.t) =
   let owned bid r =
     List.find_map
       (fun (x : Meta.restore) ->
-        if Reg.equal x.Meta.r_reg r then Some (x.Meta.r_color, x.Meta.r_stable)
-        else None)
+        if Reg.equal x.Meta.r_reg r then Some x.Meta.r_color else None)
       (owned_restores meta bid)
   in
   let stores bid =
@@ -34,9 +33,7 @@ let coloring p (meta : Meta.t) =
       List.iter
         (fun (b1, b2, redefined) ->
           match (owned b1 r, owned b2 r) with
-          | Some (_, Some s1), Some (_, Some s2) when s1 = s2 ->
-              () (* same stability class: identical values, exempt *)
-          | Some (c1, _), Some (c2, _) when c1 = c2 && redefined ->
+          | Some c1, Some c2 when c1 = c2 && redefined ->
               errs :=
                 Printf.sprintf
                   "stores %d -> %d both checkpoint %s into colour %d" b1 b2
@@ -55,12 +52,11 @@ let coloring p (meta : Meta.t) =
    colour) pair clobbers the slot a crash-time rollback to [s] would
    load, unless the overwrite provably stores the identical word: it is
    reached only along window paths that do not redefine the register
-   (every read slot holds the register's value at [s]), or writer and
-   read share a stability class.  This re-derives the protection
-   property directly from the emitted instruction stream, independent of
-   how pruning/colouring reasoned — it is the gate that catches a reused
-   restore routed at a slot some later (e.g. repair) boundary
-   overwrites.
+   (every read slot holds the register's value at [s]).  This re-derives
+   the protection property directly from the emitted instruction stream,
+   independent of how pruning/colouring reasoned — it is the gate that
+   catches a reused restore routed at a slot some later (e.g. repair)
+   boundary overwrites.
 
    One scan serves both readings: [slot_clobbers] names the clobbered
    reads, which is how the pipeline decides which reuses to force-keep,
@@ -70,38 +66,16 @@ type scan = { clobbers : ((int * Reg.t) * string) list; errs : string list }
 let scan p (meta : Meta.t) =
   let cands = Candidates.compute p in
   let w = Spans.make cands in
-  let stable_at bid r =
-    match Meta.boundary_info meta bid with
-    | None -> None
-    | Some info ->
-        Option.join
-          (List.find_map
-             (fun (x : Meta.restore) ->
-               if Reg.equal x.Meta.r_reg r then Some x.Meta.r_stable
-               else None)
-             info.Meta.restores)
-  in
   (* Slot reads of the recovery state committed at a boundary:
-     (register, colour, stability class of the value read). *)
+     (register, colour). *)
   let reads_of (info : Meta.binfo) =
-    let base =
-      List.map
-        (fun (x : Meta.restore) ->
-          (x.Meta.r_reg, x.Meta.r_color, x.Meta.r_stable))
-        info.Meta.restores
-    in
-    let slice_reads =
-      List.concat_map
+    List.map (fun (x : Meta.restore) -> (x.Meta.r_reg, x.Meta.r_color)) info.Meta.restores
+    @ List.concat_map
         (fun (g : Meta.recovery) ->
           List.filter_map
-            (function
-              | Instr.LdSlot (q, _, c) ->
-                  Some (q, c, stable_at info.Meta.b_id q)
-              | _ -> None)
+            (function Instr.LdSlot (q, _, c) -> Some (q, c) | _ -> None)
             g.Meta.g_slice)
         info.Meta.recoveries
-    in
-    base @ slice_reads
   in
   let owner_boundary fi blk idx =
     let b = cands.Candidates.graphs.(fi).A.Fgraph.blocks.(blk) in
@@ -123,7 +97,7 @@ let scan p (meta : Meta.t) =
       | None -> ()
       | Some info ->
           let reads = reads_of info in
-          let regs = Reg.Set.of_list (List.map (fun (r, _, _) -> r) reads) in
+          let regs = Reg.Set.of_list (List.map fst reads) in
           if reads <> [] then
             Spans.iter_window w s regs ~f:(fun fi blk idx instr ~redefined ->
                 match instr with
@@ -132,7 +106,7 @@ let scan p (meta : Meta.t) =
                    of [wr] holds. *)
                 | Instr.Ckpt (wr, wc) when Reg.Set.mem wr redefined ->
                     List.iter
-                      (fun (r, c, stable_r) ->
+                      (fun (r, c) ->
                         if Reg.equal wr r && wc = c then
                           match owner_boundary fi blk idx with
                           | None ->
@@ -144,22 +118,14 @@ let scan p (meta : Meta.t) =
                                   cands.Candidates.funcs.(fi).Cfg.fname
                                 :: !errs
                           | Some n ->
-                              let exempt =
-                                match (stable_r, stable_at n r) with
-                                | Some a, Some b -> a = b
-                                | _ -> false
-                              in
-                              if not exempt then
-                                clobbers :=
-                                  ( (s.Candidates.s_id, r),
-                                    Printf.sprintf
-                                      "restore of %s at boundary %d reads \
-                                       slot colour %d, overwritten inside \
-                                       its crash window by boundary %d's \
-                                       store"
-                                      (Reg.to_string r) s.Candidates.s_id c n
-                                  )
-                                  :: !clobbers)
+                              clobbers :=
+                                ( (s.Candidates.s_id, r),
+                                  Printf.sprintf
+                                    "restore of %s at boundary %d reads slot \
+                                     colour %d, overwritten inside its crash \
+                                     window by boundary %d's store"
+                                    (Reg.to_string r) s.Candidates.s_id c n )
+                                :: !clobbers)
                       reads
                 | _ -> ()))
     cands.Candidates.sites;

@@ -17,8 +17,7 @@ val coloring : Cfg.program -> Meta.t -> (unit, string list) result
 (** No two span-adjacent boundaries ({!Spans.edges} over the owned
     stores) checkpoint the same register into the same slot colour,
     unless the two stores write the same word: no path of the span
-    between them defines the register, or both share a stability
-    class. *)
+    between them defines the register. *)
 
 type scan
 (** One window-clobber scan of a program and its metadata, read by both
@@ -31,8 +30,8 @@ val scan : Cfg.program -> Meta.t -> scan
 val slot_clobbers : scan -> (int * Reg.t) list
 (** The clobbered slot reads of the scanned program, sorted: [(b, r)]
     when some checkpoint store overwrites, inside boundary [b]'s crash
-    window and without a value-equality or stability exemption, a slot
-    of [r] that [b]'s committed recovery state reads.  The pipeline
+    window and without a value-equality exemption, a slot of [r] that
+    [b]'s committed recovery state reads.  The pipeline
     force-keeps each such read (a reused restore becomes an owned store)
     and colours again until the list is empty. *)
 
@@ -41,11 +40,10 @@ val slots : scan -> (unit, string list) result
     state (restores — owned or reused — and recovery-block slot loads) is
     overwritten by a checkpoint store inside that boundary's crash
     window, unless the overwrite provably stores the identical word
-    (every window path reaching it leaves the register unchanged, or
-    writer and read share a stability class).  Derived directly from the
-    emitted instruction stream; in particular it rejects a reused
-    restore whose owner's slot a later (e.g. repair) boundary
-    clobbers. *)
+    (every window path reaching it leaves the register unchanged).
+    Derived directly from the emitted instruction stream; in particular
+    it rejects a reused restore whose owner's slot a later (e.g. repair)
+    boundary clobbers. *)
 
 val io_commit : Cfg.program -> (unit, string list) result
 (** Atomic io_log commit: every [Out] is followed in its block (modulo

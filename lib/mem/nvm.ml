@@ -1,57 +1,49 @@
-type t = { data : int array; checked : bool }
+type t = int array
 
-(* Explicit range validation (with a helpful message) is a debug mode:
-   in normal operation every address comes from the linker or from
-   masked dynamic indices, and the per-access cost matters because the
-   simulator touches NVM on the instruction hot path.  Unchecked mode
-   still cannot corrupt memory — OCaml's own array bounds check remains
-   and raises a plain [Invalid_argument] instead.  The environment is
-   read per memory, not cached: a shared lazy value forced from two
-   domains at once raises [CamlinternalLazy.Undefined], and a value read
-   at start-up would miss a [GECKO_CHECKED] the program sets itself
-   before creating its first memory. *)
-let env_checked () =
-  match Sys.getenv_opt "GECKO_CHECKED" with
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | Some _ | None -> false
-
-let create ?checked ~words () =
+let create ~words () =
   if words <= 0 then invalid_arg "Nvm.create: words must be positive";
-  let checked = match checked with Some c -> c | None -> env_checked () in
-  { data = Array.make words 0; checked }
+  Array.make words 0
 
-let copy t = { t with data = Array.copy t.data }
+let copy = Array.copy
 
-let words t = Array.length t.data
+let words = Array.length
 
-let checked t = t.checked
+(* Every access is range-checked with a descriptive message.  The check
+   is inlined into each access and the raise stays out of line, so an
+   in-range access costs two comparisons and no extra call: the
+   simulator touches NVM on the instruction hot path.  The [t]
+   annotations matter: on an unannotated ['a array] the access would
+   test for a float array, and the store would go through the write
+   barrier. *)
+let[@inline never] out_of_range (t : t) addr =
+  invalid_arg
+    (Printf.sprintf "Nvm: address %d out of range [0,%d)" addr (Array.length t))
 
-let check t addr =
-  if addr < 0 || addr >= Array.length t.data then
-    invalid_arg (Printf.sprintf "Nvm: address %d out of range [0,%d)" addr (Array.length t.data))
+let[@inline] check (t : t) addr =
+  if addr < 0 || addr >= Array.length t then out_of_range t addr
 
-let read t addr =
-  if t.checked then check t addr;
-  t.data.(addr)
+let[@inline] read (t : t) addr =
+  check t addr;
+  Array.unsafe_get t addr
 
-let write t addr v =
-  if t.checked then check t addr;
-  t.data.(addr) <- v
+let[@inline] write (t : t) addr v =
+  check t addr;
+  Array.unsafe_set t addr v
 
 let load_program t (img : Gecko_isa.Link.image) =
-  Array.fill t.data 0 (Array.length t.data) 0;
+  Array.fill t 0 (Array.length t) 0;
   List.iter
     (fun (space_id, init) ->
       let base = img.Gecko_isa.Link.space_base.(space_id) in
-      Array.iteri (fun i v -> t.data.(base + i) <- v) init)
+      Array.iteri (fun i v -> t.(base + i) <- v) init)
     img.Gecko_isa.Link.prog.Gecko_isa.Cfg.init_data
 
-let snapshot t = Array.copy t.data
+let snapshot = Array.copy
 
 let restore t snap =
-  if Array.length snap <> Array.length t.data then
+  if Array.length snap <> Array.length t then
     invalid_arg "Nvm.restore: size mismatch";
-  Array.blit snap 0 t.data 0 (Array.length snap)
+  Array.blit snap 0 t 0 (Array.length snap)
 
 let diff a b =
   let n = min (Array.length a) (Array.length b) in

@@ -10,24 +10,17 @@
 
 type t
 
-val create : ?checked:bool -> words:int -> unit -> t
-(** [checked] enables explicit address validation with a descriptive
-    error message.  It defaults to false — all addresses come from the
-    linker or from masked indices, and the validation sits on the
-    simulator's instruction hot path — unless the [GECKO_CHECKED]
-    environment variable is set to [1]/[true]/[yes]/[on].  Unchecked
-    access is still memory-safe: an out-of-range address raises the
-    runtime's own [Invalid_argument "index out of bounds"]. *)
+val create : words:int -> unit -> t
 
 val copy : t -> t
-(** An independent memory with the same contents and mode. *)
+(** An independent memory with the same contents. *)
 
 val words : t -> int
 
-val checked : t -> bool
-
 val read : t -> int -> int
-(** Raises [Invalid_argument] on an out-of-range address. *)
+(** Raises [Invalid_argument "Nvm: address <a> out of range [0,<n>)"] on
+    an out-of-range address, as does {!write}.  Every access is checked;
+    the check costs two comparisons and no extra call. *)
 
 val write : t -> int -> int -> unit
 

@@ -77,12 +77,39 @@ let helper rng b data table k =
   end;
   B.ret b
 
+(* A same-block store...load run closed by an [Out]: [st y; st x], a
+   long stretch of divisions, then [ld x; add; st x; ld y; out].  Every
+   point from just after [st y] to [ld y] lies in a WARAW-protected
+   interval, and the closing [Out]'s leading boundary ends the span, so
+   a WCET split at budget 300 finds no unprotected cut point.  It falls
+   back to a point that breaks [x]'s exemption, and the split's WAR
+   re-cut must then put a boundary before the second [st x].  An
+   opening [Out] starts the run's region. *)
+let split_run rng b data =
+  let x = Rng.int rng 16 in
+  let y = (x + 1 + Rng.int rng 15) mod 16 in
+  B.io_out b 1 (reg rng);
+  B.st b (B.at data y) (reg rng);
+  B.st b (B.at data x) (reg rng);
+  for _ = 1 to 40 + Rng.int rng 20 do
+    let op = if Rng.bool rng then Instr.Div else Instr.Rem in
+    B.bin b op (reg rng) (reg rng) (B.imm (1 + Rng.int rng 64))
+  done;
+  let t = reg rng in
+  B.ld b t (B.at data x);
+  B.add b t t (B.imm 1);
+  B.st b (B.at data x) t;
+  let u = reg rng in
+  B.ld b u (B.at data y);
+  B.io_out b 1 u
+
 (* [calls] (default [false]) adds 1-3 helper functions and phases that
    call them, some from inside a counted loop: the interprocedural shapes
    (callee entry checkpoints overwriting slots a caller's boundary
    restores) that make the speculative pipeline force-keep reused slots.
-   Without it the generator's output is unchanged. *)
-let generate ?(calls = false) seed =
+   [runs] (default [false]) ends [main] with a {!split_run}.  Without
+   either the generator's output is unchanged. *)
+let generate ?(calls = false) ?(runs = false) seed =
   let rng = Rng.create seed in
   let b = B.program (Printf.sprintf "rand_%d" seed) in
   let data =
@@ -152,6 +179,7 @@ let generate ?(calls = false) seed =
         straight rng b data table;
         call_some p
   done;
+  if runs then split_run rng b data;
   B.halt b;
   for k = 0 to helpers - 1 do
     helper rng b data table k

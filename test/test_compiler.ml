@@ -223,7 +223,11 @@ let prop_cuts_match_oracle =
     ~name:"resumable WAR cuts equal the from-scratch loop's"
     QCheck.(make ~print:string_of_int Gen.(int_bound 99999))
     (fun seed ->
-      let p = Gen_prog.generate_mixed seed in
+      (* Half the seeds end in a split run, whose WCET cut must fall
+         back to breaking a WARAW exemption. *)
+      let p =
+        Gen_prog.generate ~calls:(seed land 4 <> 0) ~runs:(seed land 8 <> 0) seed
+      in
       let next_id = ref 0 in
       same_cuts_as_oracle ~next_id ~run:form p
       (* After a WCET split (which can break WARAW exemptions), the
@@ -402,7 +406,7 @@ let number_boundaries p =
 let first_repair = 100
 
 let color ?(keeps = fun _ _ -> true) p =
-  let analyze ~force_keep ~memo:_ _p (cands : Core.Candidates.t) =
+  let analyze ~force_keep ~memo:_ (cands : Core.Candidates.t) =
     let decisions = Hashtbl.create 8 in
     List.iter
       (fun (s : Core.Candidates.site) ->
@@ -664,48 +668,47 @@ let test_listings () =
   Alcotest.(check (list (triple string string string))) "digests" expected_listings actual
 
 (* The recovery metadata of the same compiles, pinned the same way: a
-   change that moves a restore's colour, ownership or stability class,
-   a recovery slice, or a statistic fails here even when the .gasm text
-   stays put. *)
+   change that moves a restore's colour or ownership, a recovery slice,
+   or a statistic fails here even when the .gasm text stays put. *)
 let expected_meta =
   [
     ("basicmath", "ratchet", "7a9c6de01ba799b6c382572cd10d9810");
-    ("basicmath", "gecko-noprune", "0ef2104f982cffe66a507a4dcfa6537f");
-    ("basicmath", "gecko", "9da69b8db714e9fb7a181830e32d7f48");
+    ("basicmath", "gecko-noprune", "80c6699e01fd65f0629ae8a9994f5e54");
+    ("basicmath", "gecko", "89c97d758543ca97ab8ccaadc401d4dc");
     ("bitcnt", "ratchet", "deac04d20befcbed5151b89b5f28e7a4");
-    ("bitcnt", "gecko-noprune", "b0ecc7a12c56cb33f4e61f29f60bbe48");
-    ("bitcnt", "gecko", "2204d6aa5d83ed282b5b9bc25c61657f");
+    ("bitcnt", "gecko-noprune", "f750778030de3ce04109502524626e0d");
+    ("bitcnt", "gecko", "e277d3a3c52f3b6c92edeb76b5810cfe");
     ("blink", "ratchet", "137bfdc65d147e09606ee45cbffb375c");
-    ("blink", "gecko-noprune", "eed7606016ba92d4901a3162ec9ea8e8");
-    ("blink", "gecko", "e4ef4458f5e6fe272d8ae7221197047c");
+    ("blink", "gecko-noprune", "5a9b9fad93d645dd91814d1bad27da17");
+    ("blink", "gecko", "f76f1d2ef77626ca7f49c8da476b09dd");
     ("crc16", "ratchet", "deac04d20befcbed5151b89b5f28e7a4");
-    ("crc16", "gecko-noprune", "10708fecca511a2d5e18a6f886aea011");
-    ("crc16", "gecko", "fecdc663a78ee19f1893406e45e2ef3c");
+    ("crc16", "gecko-noprune", "5451bed63c01aadab96d26258aa76d49");
+    ("crc16", "gecko", "cb4505c4cd3a27afbf13aa07839d3c04");
     ("crc32", "ratchet", "deac04d20befcbed5151b89b5f28e7a4");
-    ("crc32", "gecko-noprune", "8f131dc22296f399fee97fd59ca8220b");
-    ("crc32", "gecko", "5d6261a7b57b7212345a75b44b15c99c");
+    ("crc32", "gecko-noprune", "b1f4e136b032997d7409ea18a8ea1dae");
+    ("crc32", "gecko", "d966f06e9cd4eff3cdaa3a584cb4aa97");
     ("dhrystone", "ratchet", "f03a37f03d9bf95f0ff71e2f614b7a18");
-    ("dhrystone", "gecko-noprune", "e36cb3aa116bc31be1bb29be94c67881");
-    ("dhrystone", "gecko", "df6d86e85013c3888690fbfa6f4de385");
+    ("dhrystone", "gecko-noprune", "a255fc045ba0102a866e49b926451f0c");
+    ("dhrystone", "gecko", "b36a29e88c8c2b7b92b4f715655409de");
     ("dijkstra", "ratchet", "379d8f7cc190241a1f94431ef4e0f26d");
-    ("dijkstra", "gecko-noprune", "022a5299c3fd28f90e8a06986835a526");
-    ("dijkstra", "gecko", "b956c53b7b3cd38e9e3ebfdc96a9091b");
+    ("dijkstra", "gecko-noprune", "ae2a09147827874129b54e6f533ca636");
+    ("dijkstra", "gecko", "0bbe23bea17eefd688bf6b041b609727");
     ("fft", "ratchet", "82bfcaaa867420337c5f51075f91f566");
-    ("fft", "gecko-noprune", "410c124b99403aef55580b5966fecd1c");
-    ("fft", "gecko", "ebecacdabef4be702bc1df33dfebbb3c");
+    ("fft", "gecko-noprune", "381102424cff5f28da9b536d9c99355b");
+    ("fft", "gecko", "b19d4649cafdc8ad1b69d6a18cad0699");
     ("fir", "ratchet", "deac04d20befcbed5151b89b5f28e7a4");
-    ("fir", "gecko-noprune", "d150834eb9ef541490d6959681ba62ea");
-    ("fir", "gecko", "dd9f4c4e2ff8c48d012552aeabe755fd");
+    ("fir", "gecko-noprune", "7424cf92e1c5275378e234a8bc9e6ccd");
+    ("fir", "gecko", "5db0c30726ab3b118f15791ef35ea9d5");
     ("qsort", "ratchet", "7a9c6de01ba799b6c382572cd10d9810");
-    ("qsort", "gecko-noprune", "405e1f766afc4c2ab1ea45d1d66ea3b8");
-    ("qsort", "gecko", "20fa54301ebabdfdda4a27eb2dafd422");
+    ("qsort", "gecko-noprune", "1ccabdd06a158995e17ff5226cf2cfbd");
+    ("qsort", "gecko", "39e79e2915d7af50bd7061c4a11fbae7");
     ("stringsearch", "ratchet", "2f85995a4193a7bec19e402e546d26bb");
-    ("stringsearch", "gecko-noprune", "d8a6cff783e06b060ed7ef67d2d8942c");
-    ("stringsearch", "gecko", "d8a6cff783e06b060ed7ef67d2d8942c");
+    ("stringsearch", "gecko-noprune", "993440781cfdc1c58ec9c653725006eb");
+    ("stringsearch", "gecko", "993440781cfdc1c58ec9c653725006eb");
   ]
 
-(* Every boundary's restores (register, colour, owned, stability class)
-   and recovery slices in boundary-id order, then the stats line. *)
+(* Every boundary's restores (register, colour, owned) and recovery
+   slices in boundary-id order, then the stats line. *)
 let meta_digest (meta : Core.Meta.t) =
   let b = Buffer.create 1024 in
   let ids =
@@ -717,9 +720,8 @@ let meta_digest (meta : Core.Meta.t) =
       Printf.bprintf b "b%d %s\n" id info.Core.Meta.b_func;
       List.iter
         (fun (r : Core.Meta.restore) ->
-          Printf.bprintf b " r %s c%d %b %s\n" (Reg.to_string r.Core.Meta.r_reg)
-            r.Core.Meta.r_color r.Core.Meta.r_owned
-            (match r.Core.Meta.r_stable with None -> "-" | Some k -> string_of_int k))
+          Printf.bprintf b " r %s c%d %b\n" (Reg.to_string r.Core.Meta.r_reg)
+            r.Core.Meta.r_color r.Core.Meta.r_owned)
         info.Core.Meta.restores;
       List.iter
         (fun (g : Core.Meta.recovery) ->

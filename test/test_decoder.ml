@@ -1,13 +1,6 @@
 (* Properties of the pre-decode pass (Decode) and differentials of the
    machine, on its block dispatcher and on its per-slot checked step,
-   against both the frozen reference interpreter and each other.
-
-   This executable flips [GECKO_CHECKED] on before anything touches NVM,
-   so every run here exercises both dispatch modes with per-access NVM
-   range validation enabled — the configuration the plain test
-   executables never see (their NVMs take the unchecked default). *)
-
-let () = Unix.putenv "GECKO_CHECKED" "1"
+   against both the frozen reference interpreter and each other. *)
 
 open Gecko_isa
 module Core = Gecko_core
@@ -186,7 +179,7 @@ let test_workbench_keys_on_listing () =
         (dec_eq dec (D.decode ~device:board.M.Board.device fresh)))
     [ ("generate 4", plain); ("generate_mixed 4", mixed) ]
 
-(* --- differentials under GECKO_CHECKED ------------------------------- *)
+(* --- differentials ---------------------------------------------------- *)
 
 (* Outage-prone board as in test_props: tiny storage, weak harvester. *)
 let crashy_board () =
@@ -262,33 +255,6 @@ let energy_bits reg =
         (Gecko_obs.Metrics.gauge_value (Gecko_obs.Metrics.gauge reg name)))
     [ "energy.drained_j"; "energy.sourced_j"; "machine.cap_voltage_final_v" ]
 
-(* The groups below test checked mode only if the machine's memories
-   really are checked: a dynamic load past the end of NVM must fail with
-   [Nvm]'s own range message, not the runtime's bounds check. *)
-let test_machine_nvm_checked () =
-  let module B = Builder in
-  let b = B.program "overrun" in
-  let buf = B.space b "buf" ~words:4 () in
-  B.func b "main";
-  B.block b "entry";
-  B.li b Reg.r1 1_000_000;
-  B.ld b Reg.r2 (B.idx buf Reg.r1);
-  B.halt b;
-  let p, meta = Core.Pipeline.compile Core.Scheme.Nvp (B.finish b) in
-  let image = Link.link p in
-  Alcotest.(check bool) "a fresh NVM is checked" true
-    (Gecko_mem.Nvm.checked (Gecko_mem.Nvm.create ~words:1 ()));
-  match
-    M.Machine.run ~board:(M.Board.default ()) ~image ~meta
-      M.Machine.default_options
-  with
-  | _ -> Alcotest.fail "an out-of-range load ran"
-  | exception Invalid_argument msg ->
-      Alcotest.(check bool)
-        (Printf.sprintf "range message (got %S)" msg)
-        true
-        (String.starts_with ~prefix:"Nvm: address" msg)
-
 (* One run of the frozen reference against two of the machine on the
    same board and options: block dispatch on ([fast]) and every slot
    through the per-instruction checked step ([fast = false]).  Each must
@@ -330,11 +296,11 @@ let both_paths_match_reference ~board ~seed ~image ~meta =
       && energy_bits metrics = energy_bits rmetrics)
     [ true; false ]
 
-(* Both dispatch modes must match the frozen reference with NVM range
-   checking live — same EMI schedule, crash-prone board. *)
+(* Both dispatch modes must match the frozen reference — same EMI
+   schedule, crash-prone board. *)
 let prop_checked_matches_reference =
   QCheck.Test.make ~count:16
-    ~name:"fast path matches the reference under GECKO_CHECKED"
+    ~name:"fast path matches the reference"
     seed_gen (fun seed ->
       let image, meta = compile (scheme_of seed) seed in
       both_paths_match_reference ~board:(crashy_board ()) ~seed ~image ~meta)
@@ -508,9 +474,7 @@ let () =
               test_decode_for_other_device_ignored;
           ] );
       ( "differential-checked",
-        Alcotest.test_case "machine NVM is range-checked" `Quick
-          test_machine_nvm_checked
-        :: q
+        q
           [
             prop_checked_matches_reference;
             prop_outage_matches_reference;

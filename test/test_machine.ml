@@ -306,6 +306,32 @@ let test_pc_outside_code () =
         [ true; false ])
     [ Core.Scheme.Nvp; Core.Scheme.Gecko ]
 
+(* A dynamic load past the end of NVM must fail with [Nvm]'s own range
+   message, not the runtime's bounds check, on both dispatch modes. *)
+let test_nvm_range_checked () =
+  let b = B.program "overrun" in
+  let buf = B.space b "buf" ~words:4 () in
+  B.func b "main";
+  B.block b "entry";
+  B.li b Reg.r1 1_000_000;
+  B.ld b Reg.r2 (B.idx buf Reg.r1);
+  B.halt b;
+  let p, meta = Core.Pipeline.compile Core.Scheme.Nvp (B.finish b) in
+  let image = Link.link p in
+  List.iter
+    (fun fast ->
+      match
+        M.Machine.run ~board:(M.Board.default ()) ~image ~meta
+          { M.Machine.default_options with fast }
+      with
+      | _ -> Alcotest.failf "fast=%b: an out-of-range load ran" fast
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "fast=%b: range message (got %S)" fast msg)
+            true
+            (String.starts_with ~prefix:"Nvm: address" msg))
+    [ true; false ]
+
 let () =
   Alcotest.run "machine-smoke"
     [
@@ -320,5 +346,6 @@ let () =
             test_events_match_counters;
           Alcotest.test_case "sim-time cap" `Quick test_sim_time_cap;
           Alcotest.test_case "pc outside the code" `Quick test_pc_outside_code;
+          Alcotest.test_case "NVM is range-checked" `Quick test_nvm_range_checked;
         ] );
     ]

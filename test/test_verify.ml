@@ -214,12 +214,7 @@ let restores_meta bs =
           restores =
             List.map
               (fun (r, c, owned) ->
-                {
-                  Core.Meta.r_reg = r;
-                  r_color = c;
-                  r_owned = owned;
-                  r_stable = None;
-                })
+                { Core.Meta.r_reg = r; r_color = c; r_owned = owned })
               rs;
           recoveries = [];
         })
