@@ -47,6 +47,22 @@ let fail_program cmd msg =
   Printf.eprintf "gecko %s: %s\n" cmd msg;
   exit 1
 
+(* The [--jobs] option of [fuzz], [fleet] and [experiment]: the size of
+   the process's worker pool, set once the arguments parse
+   ([Workbench.set_jobs]; unset keeps [GECKO_JOBS] or the runtime's
+   recommended domain count). *)
+let jobs_term ~doc =
+  let set = function
+    | Some n when n < 1 ->
+        Printf.eprintf "--jobs must be >= 1 (got %d)\n" n;
+        exit 1
+    | Some n -> Gecko.Workbench.set_jobs n
+    | None -> ()
+  in
+  Term.(
+    const set
+    $ Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc))
+
 (* --- list ------------------------------------------------------------ *)
 
 let list_cmd =
@@ -424,13 +440,10 @@ let fuzz_cmd =
           ~doc:"Additional double-failure (k=2) replays at random site pairs.")
   in
   let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Replay pool size.  Defaults to $(b,GECKO_JOBS) or the \
-             runtime's recommended domain count; 1 runs fully serial.")
+    jobs_term
+      ~doc:
+        "Replay pool size.  Defaults to $(b,GECKO_JOBS) or the runtime's \
+         recommended domain count; 1 runs fully serial."
   in
   let out =
     Arg.(
@@ -439,19 +452,12 @@ let fuzz_cmd =
       & info [ "o"; "out" ] ~docv:"FILE"
           ~doc:"Write the JSON report here (default: stdout).")
   in
-  let run name scheme budget seed pairs jobs out =
+  let run name scheme budget seed pairs () out =
     if budget < 1 then begin
       Printf.eprintf "--budget must be >= 1 (got %d)\n" budget;
       exit 1
     end;
-    let jobs =
-      match jobs with
-      | Some n when n >= 1 -> n
-      | Some n ->
-          Printf.eprintf "--jobs must be >= 1 (got %d)\n" n;
-          exit 1
-      | None -> Gecko.Util.Pool.default_jobs ()
-    in
+    let jobs = Gecko.Workbench.jobs () in
     let p, meta = Compiler.Pipeline.compile scheme (find_workload name) in
     let image = Gecko.Isa.Link.link p in
     (* Exploration and fuzzing both want natural checkpoint/rollback
@@ -459,7 +465,7 @@ let fuzz_cmd =
        through a weak supply: the capacitor browns out every few hundred
        instructions, which makes every protocol path (backup signal, JIT
        checkpoint ISR, restore/rollback) part of the census. *)
-    let explore_board =
+    let board =
       {
         (Gecko.Board.default
            ~harvester:
@@ -470,14 +476,12 @@ let fuzz_cmd =
         v_backup = 2.8;
       }
     in
-    let fuzz_board = explore_board in
     let explore, fuzz =
       try
-        ( FI.Explore.explore ~jobs ~budget ~pairs ~seed ~board:explore_board
-            ~image ~meta (),
+        ( FI.Explore.explore ~jobs ~budget ~pairs ~seed ~board ~image ~meta (),
           FI.Fuzz.fuzz ~jobs
             ~budget:(max 8 (budget / 4))
-            ~seed ~board:fuzz_board ~image ~meta () )
+            ~seed ~board ~image ~meta () )
       with Invalid_argument msg -> fail_program "fuzz" msg
     in
     (* Shrink a handful of counterexamples into replayable repro triples.
@@ -497,7 +501,7 @@ let fuzz_cmd =
     let repros =
       List.map
         (fun (f : FI.Explore.failure) ->
-          FI.Shrink.shrink ~check:(shrink_check explore_board)
+          FI.Shrink.shrink ~check:(shrink_check board)
             {
               FI.Shrink.r_prog = p;
               r_schedule = Gecko.Emi.Schedule.empty;
@@ -506,7 +510,7 @@ let fuzz_cmd =
         (cap 2 explore.FI.Explore.failures)
       @ List.map
           (fun (f : FI.Fuzz.failure) ->
-            FI.Shrink.shrink ~check:(shrink_check fuzz_board)
+            FI.Shrink.shrink ~check:(shrink_check board)
               {
                 FI.Shrink.r_prog = p;
                 r_schedule = f.FI.Fuzz.f_schedule;
@@ -572,14 +576,11 @@ let fleet_cmd =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"S" ~doc:"Campaign seed.")
   in
   let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"J"
-          ~doc:
-            "Shard pool size.  Defaults to $(b,GECKO_JOBS) or the runtime's \
-             recommended domain count; the merged report is byte-identical \
-             at any value.")
+    jobs_term
+      ~doc:
+        "Shard pool size.  Defaults to $(b,GECKO_JOBS) or the runtime's \
+         recommended domain count; the merged report is byte-identical at \
+         any value."
   in
   let duration =
     Arg.(
@@ -690,15 +691,9 @@ let fleet_cmd =
             "Force the live stderr progress line (default: on when \
              $(b,--telemetry) is set and stderr is a terminal).")
   in
-  let run devices attackers seed jobs duration area shard_size workloads
+  let run devices attackers seed () duration area shard_size workloads
       schemes power freq out snapshot resume max_shards telemetry_out top_k
       progress =
-    (match jobs with
-    | Some n when n >= 1 -> Gecko.Workbench.set_jobs n
-    | Some n ->
-        Printf.eprintf "--jobs must be >= 1 (got %d)\n" n;
-        exit 1
-    | None -> ());
     let fail_invalid msg =
       Printf.eprintf "gecko fleet: %s\n" msg;
       exit 1
@@ -1046,20 +1041,13 @@ let experiment_cmd =
     Arg.(value & flag & info [ "full" ] ~doc:"Use the full sweep grids (slow).")
   in
   let jobs =
-    let doc =
-      "Size of the experiment pool (independent simulations per sweep \
-       point).  Defaults to $(b,GECKO_JOBS) or the runtime's recommended \
-       domain count; 1 runs fully serial."
-    in
-    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+    jobs_term
+      ~doc:
+        "Size of the experiment pool (independent simulations per sweep \
+         point).  Defaults to $(b,GECKO_JOBS) or the runtime's recommended \
+         domain count; 1 runs fully serial."
   in
-  let run which full jobs =
-    (match jobs with
-    | Some n when n >= 1 -> Gecko.Workbench.set_jobs n
-    | Some n ->
-        Printf.eprintf "--jobs must be >= 1 (got %d)\n" n;
-        exit 1
-    | None -> ());
+  let run which full () =
     let fidelity =
       if full then Gecko.Experiments.Full else Gecko.Experiments.Quick
     in

@@ -136,11 +136,11 @@ let decoded_workload scheme name ~board =
 
 (* --- experiment pool -------------------------------------------------- *)
 
-(* The pool and its setting are only touched from the coordinating
-   domain (experiments hand closures to the pool; they never call
-   [pmap] from inside a task), so plain refs suffice. *)
+(* The setting is only touched from the coordinating domain
+   (experiments hand closures to the pool; they never call [pmap] from
+   inside a task), so a plain ref suffices.  The pool itself is the
+   process-wide one of that size ([Pool.shared]). *)
 let requested_jobs : int option ref = ref None
-let current_pool : Gecko_util.Pool.t option ref = ref None
 
 let jobs () =
   match !requested_jobs with
@@ -149,22 +149,10 @@ let jobs () =
 
 let set_jobs n =
   if n < 1 then invalid_arg "Workbench.set_jobs: jobs must be >= 1";
-  (match !current_pool with
-  | Some p when Gecko_util.Pool.jobs p <> n ->
-      Gecko_util.Pool.shutdown p;
-      current_pool := None
-  | Some _ | None -> ());
   requested_jobs := Some n
 
-let pool () =
-  match !current_pool with
-  | Some p -> p
-  | None ->
-      let p = Gecko_util.Pool.create ~jobs:(jobs ()) () in
-      current_pool := Some p;
-      p
-
-let pmap f xs = Gecko_util.Pool.map (pool ()) f xs
+let pmap f xs =
+  Gecko_util.Pool.map (Gecko_util.Pool.shared ~jobs:(jobs ())) f xs
 
 let run_nvp_progress ~board ~schedule ~duration =
   let image, meta = compiled Core.Scheme.Nvp (sense_app ()) in

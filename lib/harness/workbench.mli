@@ -60,11 +60,12 @@ val jobs : unit -> int
 
 val set_jobs : int -> unit
 (** Fix the experiment pool's size ([>= 1]; 1 means fully serial).
-    Replaces a live pool of a different size.  Call from the
-    coordinating domain only — never from inside a {!pmap} task. *)
+    Call from the coordinating domain only — never from inside a
+    {!pmap} task. *)
 
 val pmap : ('a -> 'b) -> 'a list -> 'b list
-(** Run one closure per sweep point on the shared experiment pool.
+(** Run one closure per sweep point on the process-wide pool of
+    {!jobs} workers ({!Gecko_util.Pool.shared}).
     Order-preserving and exception-propagating (see
     {!Gecko_util.Pool.map}).  Each closure must be self-contained: it
     may call {!compiled} but must not call {!pmap} itself.  With one

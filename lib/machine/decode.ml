@@ -23,10 +23,10 @@
      anywhere).
 
    Boundary commits and Halt have data-dependent cost (progress flag,
-   restart) and power/mode side effects, so they are "solo" slots: their
-   suffix totals are infinite, which keeps them out of blocks.  The
-   machine runs them through their own bodies on the checked step (a
-   steady-state commit through an O(1) guard first).
+   restart) and power/mode side effects, so they are "solo" slots, each
+   a block of its own.  The machine dispatches them by kind and runs
+   them through their own bodies on the checked step (a steady-state
+   commit through the block guard first).
 
    The decode depends on the *device* timing/energy constants (cycle
    time, energy per cycle, NVM access energies) but not on the
@@ -84,12 +84,10 @@ type t = {
   en : float array;  (* capacitor drain, incl. NVM access energy *)
   cyc : int array;  (* cycle count, for app/instrumentation accounting *)
   blk_end : int array;  (* slot -> exclusive end of its basic block *)
-  e_sfx : float array;  (* energy from slot to block end; inf on solo *)
+  e_sfx : float array;  (* energy from slot to block end *)
   dt_sfx : float array;  (* wall time from slot to block end *)
   n_ops : int;
 }
-
-let solo = function M_boundary _ | M_halt -> true | _ -> false
 
 (* Per-instruction cost triple (cycles, NVM reads, NVM writes): the
    machine's whole cost model apart from the runtime's own work
@@ -204,37 +202,28 @@ let decode ~device (image : Link.image) =
           mark target;
           mark ret;
           mark (i + 1)
-      | M_ret | M_halt -> mark (i + 1)
-      | M_boundary _ ->
+      | M_ret -> mark (i + 1)
+      | M_boundary _ | M_halt ->
           mark i;
           mark (i + 1)
       | _ -> ())
-    ops;
-  Array.iteri
-    (fun i op ->
-      if solo op then begin
-        mark i;
-        mark (i + 1)
-      end)
     ops;
   let blk_end = Array.make n 0 in
   for i = n - 1 downto 0 do
     blk_end.(i) <- (if start.(i + 1) then i + 1 else blk_end.(i + 1))
   done;
-  (* Suffix totals within each block; solo slots get [infinity] so the
-     machine's block guard always rejects them. *)
-  let e_sfx = Array.make n infinity in
-  let dt_sfx = Array.make n infinity in
+  (* Suffix totals within each block (a solo slot's block is itself). *)
+  let e_sfx = Array.make n 0. in
+  let dt_sfx = Array.make n 0. in
   for i = n - 1 downto 0 do
-    if not (solo ops.(i)) then
-      if blk_end.(i) = i + 1 then begin
-        e_sfx.(i) <- en.(i);
-        dt_sfx.(i) <- dt.(i)
-      end
-      else begin
-        e_sfx.(i) <- en.(i) +. e_sfx.(i + 1);
-        dt_sfx.(i) <- dt.(i) +. dt_sfx.(i + 1)
-      end
+    if blk_end.(i) = i + 1 then begin
+      e_sfx.(i) <- en.(i);
+      dt_sfx.(i) <- dt.(i)
+    end
+    else begin
+      e_sfx.(i) <- en.(i) +. e_sfx.(i + 1);
+      dt_sfx.(i) <- dt.(i) +. dt_sfx.(i + 1)
+    end
   done;
   {
     image;

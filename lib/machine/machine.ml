@@ -583,65 +583,60 @@ let jit_checkpoint_work st =
   st.jit_checkpoints <- st.jit_checkpoints + 1;
   flight_note st "checkpoint_begin";
   spend st Cost.jit_isr_overhead_cycles ~extra:0.;
-  (* One injection site per NVM word the ISR writes (SRAM sections first,
-     then registers/PC/ACK): a forced collapse before word [k] leaves a
-     checkpoint cut short at exactly that word. *)
+  (* One word writer for every NVM word the ISR writes, SRAM sections
+     first, then registers/PC/ACK: each word is an injection site (a
+     forced collapse before word [k] leaves a checkpoint cut short at
+     exactly that word), costs one NVM write (an SRAM word also reads
+     its source) and checks the supply before [store] commits it.  The
+     first word that browns out fails the checkpoint; the rest are
+     skipped. *)
   let kw = ref 0 in
-  let failed_sram = ref false in
-  (try
-     for _ = 1 to ctpl_sram_words do
-       if consult st (S_ckpt_word !kw) then force_power_failure st;
-       incr kw;
-       spend st Cost.nvm_write_cycles ~extra:(nvm_extra st ~reads:1 ~writes:1);
-       if Capacitor.voltage st.cap <= st.board.Board.v_off then begin
-         failed_sram := true;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  if !failed_sram then begin
+  let failed = ref false in
+  let word ~reads store =
+    if not !failed then begin
+      if consult st (S_ckpt_word !kw) then force_power_failure st;
+      incr kw;
+      spend st Cost.nvm_write_cycles ~extra:(nvm_extra st ~reads ~writes:1);
+      if Capacitor.voltage st.cap <= st.board.Board.v_off then failed := true
+      else store ()
+    end
+  in
+  let jit_word off v =
+    word ~reads:0 (fun () -> Nvm.write st.nvm (jit_cell st off) v)
+  in
+  for _ = 1 to ctpl_sram_words do
+    word ~reads:1 ignore
+  done;
+  Array.iteri (fun i v -> jit_word (Link.Cells.jit_regs + i) v) st.regs;
+  jit_word Link.Cells.jit_pc st.pc;
+  (* The ACK toggle is the last write — the checkpoint barrier. *)
+  if not !failed then
+    jit_word Link.Cells.jit_ack
+      (Nvm.read st.nvm (jit_cell st Link.Cells.jit_ack) lxor 1);
+  if !failed then begin
     st.jit_checkpoint_failures <- st.jit_checkpoint_failures + 1;
     record st Ev_checkpoint_failed;
     brownout st
   end
-  else
-  let failed = ref false in
-  let write_word off v =
-    if not !failed then begin
-      if consult st (S_ckpt_word !kw) then force_power_failure st;
-      incr kw;
-      spend st Cost.nvm_write_cycles ~extra:(nvm_extra st ~reads:0 ~writes:1);
-      if Capacitor.voltage st.cap <= st.board.Board.v_off then failed := true
-      else Nvm.write st.nvm (jit_cell st off) v
-    end
-  in
-  begin
-  Array.iteri (fun i v -> write_word (Link.Cells.jit_regs + i) v) st.regs;
-  write_word Link.Cells.jit_pc st.pc;
-  (* The ACK toggle is the last write — the checkpoint barrier. *)
-  if not !failed then begin
-    let ack = Nvm.read st.nvm (jit_cell st Link.Cells.jit_ack) in
-    write_word Link.Cells.jit_ack (ack lxor 1)
-  end;
-  (if !failed then begin
-     st.jit_checkpoint_failures <- st.jit_checkpoint_failures + 1;
-     record st Ev_checkpoint_failed;
-     brownout st
-   end
-   else begin
-     (* The stage is part of the checkpointed volatile state. *)
-     st.io_staged_ckpt <- st.io_staged;
-     record st Ev_checkpoint
-   end)
+  else begin
+    (* The stage is part of the checkpointed volatile state. *)
+    st.io_staged_ckpt <- st.io_staged;
+    record st Ev_checkpoint
   end
+
+(* The runtime's timed entry points: the trace span and the latency
+   histogram around [work]. *)
+let timed st hist ~cat name work =
+  let t0 = st.ph.time in
+  work st;
+  trace_span st ~t0 ~cat name;
+  hist_observe hist (st.ph.time -. t0)
 
 (* The JIT checkpoint ISR latency — from backup signal to the ACK write
    (or the brownout that killed it) — is the window the attacker races. *)
 let jit_checkpoint st =
-  let t0 = st.ph.time in
-  jit_checkpoint_work st;
-  trace_span st ~t0 ~cat:"checkpoint" "jit_checkpoint_isr";
-  hist_observe st.hist_ckpt (st.ph.time -. t0)
+  timed st st.hist_ckpt ~cat:"checkpoint" "jit_checkpoint_isr"
+    jit_checkpoint_work
 
 (* --- rollback recovery ----------------------------------------------- *)
 
@@ -678,76 +673,62 @@ let run_recovery_slice st (rec_ : Meta.recovery) =
     rec_.Meta.g_slice;
   st.regs.(Reg.to_int rec_.Meta.g_reg) <- scratch.(Reg.to_int rec_.Meta.g_reg)
 
-let gecko_rollback_work st =
-  (* Anything staged after the committed boundary is discarded: the
-     region that produced it re-executes from the restore point. *)
-  st.io_staged <- [];
-  let bid = Nvm.read st.nvm (sys_cell st Link.Cells.sys_boundary) - 1 in
-  if bid < 0 then begin
-    record st Ev_fresh_start;
-    fresh_start st
-  end
-  else begin
-    st.rollbacks <- st.rollbacks + 1;
-    record st (Ev_rollback bid);
-    spend st Cost.rollback_overhead_cycles ~extra:0.;
-    Array.fill st.regs 0 Reg.count 0;
-    let kr = ref 0 in
-    let rollback_site st =
-      if consult st (S_rollback_step !kr) then force_power_failure st;
-      incr kr
-    in
-    (match Meta.boundary_info st.meta bid with
-    | Some info ->
-        List.iter
-          (fun (r : Meta.restore) ->
-            rollback_site st;
-            spend st Cost.nvm_read_cycles
-              ~extra:(nvm_extra st ~reads:1 ~writes:0);
-            st.regs.(Reg.to_int r.Meta.r_reg) <-
-              Nvm.read st.nvm (gecko_cell st r.Meta.r_reg r.Meta.r_color))
-          info.Meta.restores;
-        List.iter
-          (fun rec_ ->
-            rollback_site st;
-            run_recovery_slice st rec_)
-          info.Meta.recoveries
-    | None -> ());
-    st.pc <- Hashtbl.find st.image.Link.boundary_index bid + 1
-  end
+(* GECKO restores the boundary's live registers from their coloured
+   slots, then recomputes the pruned ones through recovery slices. *)
+let gecko_restore st bid site =
+  spend st Cost.rollback_overhead_cycles ~extra:0.;
+  Array.fill st.regs 0 Reg.count 0;
+  match Meta.boundary_info st.meta bid with
+  | Some info ->
+      List.iter
+        (fun (r : Meta.restore) ->
+          site ();
+          spend st Cost.nvm_read_cycles ~extra:(nvm_extra st ~reads:1 ~writes:0);
+          st.regs.(Reg.to_int r.Meta.r_reg) <-
+            Nvm.read st.nvm (gecko_cell st r.Meta.r_reg r.Meta.r_color))
+        info.Meta.restores;
+      List.iter
+        (fun rec_ ->
+          site ();
+          run_recovery_slice st rec_)
+        info.Meta.recoveries
+  | None -> ()
 
-let gecko_rollback st =
-  let t0 = st.ph.time in
-  gecko_rollback_work st;
-  trace_span st ~t0 ~cat:"recovery" "rollback";
-  hist_observe st.hist_rollback (st.ph.time -. t0)
+(* Ratchet restores every register from the committed parity's buffer. *)
+let ratchet_restore st _bid site =
+  let parity = Nvm.read st.nvm (sys_cell st Link.Cells.sys_parity) in
+  List.iter
+    (fun r ->
+      site ();
+      spend st Cost.nvm_read_cycles ~extra:(nvm_extra st ~reads:1 ~writes:0);
+      st.regs.(Reg.to_int r) <- Nvm.read st.nvm (ratchet_cell st parity r))
+    Reg.all
 
-let ratchet_rollback_work st =
-  let bid = Nvm.read st.nvm (sys_cell st Link.Cells.sys_boundary) - 1 in
-  if bid < 0 then begin
-    record st Ev_fresh_start;
-    fresh_start st
-  end
-  else begin
-    st.rollbacks <- st.rollbacks + 1;
-    record st (Ev_rollback bid);
-    let parity = Nvm.read st.nvm (sys_cell st Link.Cells.sys_parity) in
-    let kr = ref 0 in
-    List.iter
-      (fun r ->
-        if consult st (S_rollback_step !kr) then force_power_failure st;
-        incr kr;
-        spend st Cost.nvm_read_cycles ~extra:(nvm_extra st ~reads:1 ~writes:0);
-        st.regs.(Reg.to_int r) <- Nvm.read st.nvm (ratchet_cell st parity r))
-      Reg.all;
-    st.pc <- Hashtbl.find st.image.Link.boundary_index bid + 1
-  end
-
-let ratchet_rollback st =
-  let t0 = st.ph.time in
-  ratchet_rollback_work st;
-  trace_span st ~t0 ~cat:"recovery" "rollback";
-  hist_observe st.hist_rollback (st.ph.time -. t0)
+(* Rollback to the last committed boundary, the one body behind both
+   schemes: read the boundary id, start afresh if none committed, else
+   let the scheme's [restore st bid site] rebuild the registers —
+   calling [site ()], the injection site [S_rollback_step k], before
+   each restore step — and resume after the boundary.  Anything staged
+   after the committed boundary is discarded first: the region that
+   produced it re-executes from the restore point (Ratchet never
+   stages). *)
+let rollback st restore =
+  timed st st.hist_rollback ~cat:"recovery" "rollback" (fun st ->
+      st.io_staged <- [];
+      let bid = Nvm.read st.nvm (sys_cell st Link.Cells.sys_boundary) - 1 in
+      if bid < 0 then begin
+        record st Ev_fresh_start;
+        fresh_start st
+      end
+      else begin
+        st.rollbacks <- st.rollbacks + 1;
+        record st (Ev_rollback bid);
+        let kr = ref 0 in
+        restore st bid (fun () ->
+            if consult st (S_rollback_step !kr) then force_power_failure st;
+            incr kr);
+        st.pc <- Hashtbl.find st.image.Link.boundary_index bid + 1
+      end)
 
 let restore_jit st =
   record st Ev_restore_jit;
@@ -789,7 +770,7 @@ let handle_backup st =
       | Policy.Rollback_inline ->
           (* The signal is untrusted: re-enter the interrupted region and
              keep executing with the attack surface closed. *)
-          gecko_rollback st)
+          rollback st gecko_restore)
 
 (* --- boot protocol ---------------------------------------------------- *)
 
@@ -810,7 +791,7 @@ let boot_protocol st =
         st.corruptions <- st.corruptions + 1;
         fresh_start st
       end
-  | Scheme.Ratchet -> ratchet_rollback st
+  | Scheme.Ratchet -> rollback st ratchet_restore
   | Scheme.Gecko | Scheme.Gecko_noprune ->
       let progress =
         Nvm.read st.nvm (sys_cell st Link.Cells.sys_progress) = 1
@@ -825,7 +806,7 @@ let boot_protocol st =
       set_mode st mode';
       (match action with
       | Policy.Resume_jit -> if jp >= 0 then restore_jit st else fresh_start st
-      | Policy.Rollback -> gecko_rollback st)
+      | Policy.Rollback -> rollback st gecko_restore)
 
 (* BOR behaviour: a boot attempt starts once the supply clears the
    power-on-reset threshold (a small margin above brownout); it may still
@@ -917,11 +898,11 @@ let spend_fast st dt e c =
   if st.k_tl_on && c > 0 then account_app_seconds st dt
 
 (* A region commit, the one body behind both the checked step and
-   [try_fast_solo]: the boundary-id write at the slot's decoded cost,
-   the detection flag once per power cycle, then the scheme's commit —
-   Ratchet flips its register-buffer parity, GECKO appends the staged
-   io_log records atomically and steps the policy (Probe re-enables JIT
-   here). *)
+   [step_block]'s steady commit: the boundary-id write at the slot's
+   decoded cost, the detection flag once per power cycle, then the
+   scheme's commit — Ratchet flips its register-buffer parity, GECKO
+   appends the staged io_log records atomically and steps the policy
+   (Probe re-enables JIT here). *)
 let commit_boundary st pc id =
   let d = st.dec in
   st.pc <- pc + 1;
@@ -1085,8 +1066,9 @@ let exec_block st pc endp =
         regs.(spi) <- sp;
         st.pc <- Nvm.read nvm (st.image.Link.stack_base + sp)
     | Decode.M_boundary _ | Decode.M_halt ->
-        (* Solo slots never pass the block guard; if control ever lands
-           here the slot is replayed on the checked path untouched. *)
+        (* Solo slots end every block and are dispatched by kind, so no
+           stretch holds one; if control ever lands here the slot is
+           replayed on the checked path untouched. *)
         st.pc <- s
   in
   go pc
@@ -1141,154 +1123,6 @@ let step_instr st =
     end
   end
   end
-
-(* --- block dispatch guards -------------------------------------------- *)
-
-(* Region commits are the one solo slot the dispatcher batches: every
-   region boundary of a healthy run lands here.  In the steady state —
-   progress flag already written, nothing staged for commit, policy
-   mode unchanged by the commit — a boundary's cost is exactly its
-   decoded [dt]/[en], so the same O(1) guard used for blocks proves the
-   hoisted checks are no-ops and [commit_boundary] runs without them.
-   Any other situation (first boundary of a power cycle, staged io_log
-   records, Probe re-enable, rollback modes) takes the checked step. *)
-let try_fast_solo st pc id =
-  st.progress_written
-  && (match st.meta.Meta.scheme with
-     | Scheme.Nvp | Scheme.Ratchet -> true
-     | Scheme.Gecko | Scheme.Gecko_noprune ->
-         (match st.io_staged with [] -> true | _ :: _ -> false)
-         && Policy.on_region_commit st.mode = st.mode)
-  &&
-  let d = st.dec in
-  let dt = Array.unsafe_get d.Decode.dt pc in
-  let en = Array.unsafe_get d.Decode.en pc in
-  let ph = st.ph in
-  let t_end = ((ph.time +. dt) *. 1.000000000001) +. 1e-18 in
-  if t_end >= st.k_time_limit || t_end >= ph.next_change then false
-  else
-    let e_need = (en *. 1.000001) +. 1e-18 in
-    let e_rem = Capacitor.energy st.cap -. e_need in
-    if e_rem <= (st.k_e_off *. 1.000001) +. 1e-18 then false
-    else
-      let mon_ok =
-        t_end < ph.next_obs
-        || ph.next_obs = neg_infinity
-           && Monitor.quiescent st.monitor
-                ~v_min:
-                  (sqrt (2. *. e_rem /. Capacitor.capacitance st.cap)
-                  *. 0.999999)
-                ~disturbance:ph.cur_amp
-      in
-      if not mon_ok then false
-      else begin
-        commit_boundary st pc id;
-        true
-      end
-
-(* Block-entry guard: prove that from [pc] to its block end none of the
-   per-instruction checks — time limit, attack-window edge, brownout,
-   monitor sample / comparator — can fire, then run the whole stretch
-   with those checks hoisted out.  The per-instruction physics are
-   untouched, so a fast block is bit-identical to the same slots stepped
-   one at a time; the only drift is the [Monitor.observations] count of
-   skipped no-op comparator observes, which nothing reads back.  The
-   suffix totals are one rounded sum while the loop accumulates step by
-   step, so every comparison carries a small conservative slack — a
-   spurious guard failure just falls back to the checked path. *)
-(* Full-block guard failed (a monitor sample, attack edge, limit or
-   low-energy point lands inside the block): batch the longest prefix
-   that provably finishes before the earliest such point instead of
-   surrendering the whole block to the single-step path.  The walk
-   goes slot by slot from [pc]; every slot retires one instruction, so
-   any cut is a point where control can stop.  Prefix totals are
-   differences of the decoder's suffix sums; the same relative margins
-   as the full guard absorb the extra rounding.  Comparator monitors
-   (next_obs = -inf) are handled by the full guard's quiescence proof
-   only — a failed proof means per-instruction observation really is
-   required. *)
-let try_fast_prefix st pc =
-  let d = st.dec in
-  let ph = st.ph in
-  if ph.next_obs = neg_infinity then false
-  else
-    let lim_t =
-      let l = if st.k_time_limit <= ph.next_change then st.k_time_limit
-              else ph.next_change in
-      if ph.next_obs <= l then ph.next_obs else l
-    in
-    let endp = Array.unsafe_get d.Decode.blk_end pc in
-    let dsfx0 = Array.unsafe_get d.Decode.dt_sfx pc in
-    let esfx0 = Array.unsafe_get d.Decode.e_sfx pc in
-    let e_cap = Capacitor.energy st.cap in
-    let e_floor = (st.k_e_off *. 1.000001) +. 1e-18 in
-    let m = ref pc in
-    let go_on = ref true in
-    while !go_on && !m < endp do
-      let nxt = !m + 1 in
-      let dt_pre =
-        dsfx0
-        -. (if nxt >= endp then 0. else Array.unsafe_get d.Decode.dt_sfx nxt)
-      in
-      let e_pre =
-        esfx0
-        -. (if nxt >= endp then 0. else Array.unsafe_get d.Decode.e_sfx nxt)
-      in
-      let t_end = ((ph.time +. dt_pre) *. 1.000000000001) +. 1e-18 in
-      let e_need = (e_pre *. 1.000001) +. 1e-18 in
-      if t_end < lim_t && e_cap -. e_need > e_floor then m := nxt
-      else go_on := false
-    done;
-    if !m > pc then begin
-      exec_block st pc !m;
-      true
-    end
-    else false
-
-let try_fast_block st =
-  let d = st.dec in
-  let pc = st.pc in
-  if pc < 0 || pc >= d.Decode.n_ops then false
-  else
-    let e_sfx = Array.unsafe_get d.Decode.e_sfx pc in
-    if e_sfx = infinity then
-      (* Solo slot: steady-state region commits still get the O(1)
-         guard treatment; everything else single-steps. *)
-      (match Array.unsafe_get d.Decode.ops pc with
-      | Decode.M_boundary id -> try_fast_solo st pc id
-      | _ -> false)
-    else
-      let ph = st.ph in
-      let t_end =
-        ((ph.time +. Array.unsafe_get d.Decode.dt_sfx pc) *. 1.000000000001)
-        +. 1e-18
-      in
-      if t_end >= st.k_time_limit || t_end >= ph.next_change then
-        try_fast_prefix st pc
-      else
-        let e_need = (e_sfx *. 1.000001) +. 1e-18 in
-        let e_rem = Capacitor.energy st.cap -. e_need in
-        if e_rem <= (st.k_e_off *. 1.000001) +. 1e-18 then
-          try_fast_prefix st pc
-        else if t_end < ph.next_obs then begin
-          exec_block st pc (Array.unsafe_get d.Decode.blk_end pc);
-          true
-        end
-        else if ph.next_obs = neg_infinity then begin
-          (* Comparator monitor: every in-block voltage stays above
-             [v_min]; ask the monitor whether all observes at or above
-             it are provably no-ops. *)
-          let v_min =
-            sqrt (2. *. e_rem /. Capacitor.capacitance st.cap) *. 0.999999
-          in
-          if Monitor.quiescent st.monitor ~v_min ~disturbance:ph.cur_amp
-          then begin
-            exec_block st pc (Array.unsafe_get d.Decode.blk_end pc);
-            true
-          end
-          else false
-        end
-        else try_fast_prefix st pc
 
 let step_sleep st =
   refresh_attack st;
@@ -1597,20 +1431,114 @@ let step_once st =
     not st.stop
   end
 
-(* One main-loop turn: whole decoded blocks whenever the guard holds;
-   otherwise (injector armed, tracing, low energy, pending
-   monitor/attack/limit event, solo slot, sleeping) one fully-checked
-   step.  [run_state] loops on it, and so does a [Step] client that has
-   removed its injector; [Step.step] is always one checked step, since
-   fault-injection sites are per instruction by definition. *)
+(* --- block dispatch ------------------------------------------------------ *)
+
+(* The block guard, and the one proof that running a stretch of decoded
+   slots with the per-instruction checks hoisted out changes nothing: a
+   stretch starting now that costs [dt] seconds and [e] joules ends
+   before the time limit, the next attack-window edge and the next ADC
+   sample, keeps the capacitor above the brown-out floor, and under a
+   comparator (whose [next_obs] is [neg_infinity]) is
+   [Monitor.quiescent] down to the stretch's lowest voltage.  The
+   per-instruction physics are untouched, so a proved stretch is
+   bit-identical to the same slots stepped one at a time.  The
+   stretch's totals are one rounded sum while the slots accumulate step
+   by step, so every comparison carries a small conservative slack; a
+   spurious failure just falls back to the checked path.  The stored
+   energy is [Capacitor.energy]'s expression, read flat as [physics]
+   reads the capacitor. *)
+let[@inline] clear st dt e =
+  let ph = st.ph in
+  let cap = st.cap in
+  let open Capacitor in
+  let t_end = ((ph.time +. dt) *. 1.000000000001) +. 1e-18 in
+  t_end < st.k_time_limit && t_end < ph.next_change
+  &&
+  let stored = 0.5 *. cap.capacitance *. cap.voltage *. cap.voltage in
+  let e_rem = stored -. ((e *. 1.000001) +. 1e-18) in
+  e_rem > (st.k_e_off *. 1.000001) +. 1e-18
+  && (t_end < ph.next_obs
+     || ph.next_obs = neg_infinity
+        && Monitor.quiescent st.monitor
+             ~v_min:(sqrt (2. *. e_rem /. cap.capacitance) *. 0.999999)
+             ~disturbance:ph.cur_amp)
+
+(* Where the unchecked stretch from [pc] ends: the block end when the
+   whole suffix is [clear]; otherwise (typically an ADC sample lands
+   mid-block) the end of the longest clear prefix, walked slot by slot.
+   Every slot retires one instruction, so any cut is a point where
+   control can stop; prefix totals are differences of the decoder's
+   suffix sums.  A comparator gets no prefix: once the whole suffix's
+   quiescence proof fails, per-instruction observation really is
+   required.  [pc] itself means no stretch. *)
+let[@inline] fast_end st pc =
+  let d = st.dec in
+  let endp = Array.unsafe_get d.Decode.blk_end pc in
+  let dt0 = Array.unsafe_get d.Decode.dt_sfx pc in
+  let e0 = Array.unsafe_get d.Decode.e_sfx pc in
+  if clear st dt0 e0 then endp
+  else if st.ph.next_obs = neg_infinity then pc
+  else begin
+    (* The prefix ending at [endp] is the whole suffix, which failed. *)
+    let m = ref pc in
+    while
+      !m + 1 < endp
+      && clear st
+           (dt0 -. Array.unsafe_get d.Decode.dt_sfx (!m + 1))
+           (e0 -. Array.unsafe_get d.Decode.e_sfx (!m + 1))
+    do
+      incr m
+    done;
+    !m
+  end
+
+(* Under a comparator the checked step observes after every slot; a
+   proved stretch of [n] slots skipped [n] observes that [clear] proved
+   no-ops, and counts them, so [monitor.observations] does not depend on
+   the dispatch mode. *)
+let[@inline] count_skipped st n =
+  if st.ph.next_obs = neg_infinity then Monitor.skip st.monitor n
+
+(* One main-loop turn.  With no injector or trace armed, a powered run
+   takes the longest stretch [fast_end] proves, or a region commit whose
+   decoded cost [clear] proves — a commit's cost is its decoded [dt]/[en]
+   once the power cycle's progress flag is written (staging, the policy
+   step and its mode write are free); anything else (sleeping, halt, a
+   first commit, a pending monitor/attack/limit event, low energy) is
+   one checked step.  [run_state] loops on it, and so does a [Step]
+   client that has removed its injector; [Step.step] is always one
+   checked step, since fault-injection sites are per instruction by
+   definition. *)
 let step_block st =
+  let d = st.dec in
+  let pc = st.pc in
   if
-    st.fast_enabled && st.powered && (not st.stop)
-    && (match st.injector with None -> true | Some _ -> false)
-    && (not st.tracing)
-    && try_fast_block st
-  then true
-  else step_once st
+    (not st.fast_enabled) || (not st.powered) || st.stop
+    || (match st.injector with None -> false | Some _ -> true)
+    || st.tracing || pc < 0 || pc >= d.Decode.n_ops
+  then step_once st
+  else
+    match Array.unsafe_get d.Decode.ops pc with
+    | Decode.M_boundary id ->
+        if
+          st.progress_written
+          && clear st (Array.unsafe_get d.Decode.dt pc)
+               (Array.unsafe_get d.Decode.en pc)
+        then begin
+          commit_boundary st pc id;
+          count_skipped st 1;
+          true
+        end
+        else step_once st
+    | Decode.M_halt -> step_once st
+    | _ ->
+        let endp = fast_end st pc in
+        if endp > pc then begin
+          exec_block st pc endp;
+          count_skipped st (endp - pc);
+          true
+        end
+        else step_once st
 
 let run_state st =
   while step_block st do

@@ -99,8 +99,10 @@ type options = {
           the block guard holds; [false] steps one decoded slot per
           turn with every per-instruction check (injector site, attack
           cursor, brownout, monitor) around it.  Both run the same
-          decoded slots, so outcomes are identical either way — the
-          switch exists to test the block guards and for debugging. *)
+          decoded slots, so outcomes and exported metrics are identical
+          either way (a comparator observe the guard proves a no-op is
+          counted, not made) — the switch exists to test the block
+          guard and for debugging. *)
   decoded : Decode.t option;
       (** A cached {!Decode.decode} of the run's image (see the
           Workbench decode cache).  [None] (the default) decodes at
@@ -256,9 +258,7 @@ module Step : sig
       no earlier than the horizon — the last {!advance_to} target while
       the clock has not moved since, else the current time — so every
       step run so far saw no attack.  The copy then continues exactly as
-      a power-on run with that schedule, up to [Monitor.observations] on
-      a comparator board (its count of skipped no-op observes depends on
-      block chunking; ADC counts do not).  Raises [Invalid_argument]
+      a power-on run with that schedule.  Raises [Invalid_argument]
       otherwise. *)
 
   val finished : handle -> bool

@@ -123,9 +123,9 @@ let next_sample_time t =
    pending condition onset, and the worst-case disturbed reading still
    above the backup threshold — each skipped observe would have taken
    the condition-false branch, which resets [cond_since] to the [None]
-   it already is.  Only the [observations] count differs, and nothing
-   reads it back.  The ADC kind is paced by [next_sample_time] instead
-   and always answers [false] here. *)
+   it already is; the caller counts the skipped calls with [skip].  The
+   ADC kind is paced by [next_sample_time] instead and always answers
+   [false] here. *)
 let quiescent t ~v_min ~disturbance =
   (not t.enabled)
   ||
@@ -134,6 +134,8 @@ let quiescent t ~v_min ~disturbance =
   | Comparator _ ->
       t.arm = Watch_backup && t.cond_since = None
       && v_min -. disturbance >= t.th.v_backup
+
+let skip t n = t.observations <- t.observations + n
 
 let observe t ~time ~v_true ~disturbance =
   t.observations <- t.observations + 1;

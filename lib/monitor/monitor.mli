@@ -71,7 +71,12 @@ val quiescent : t -> v_min:float -> disturbance:float -> bool
     act on, so a block dispatcher may skip the per-instruction calls
     wholesale.  Only meaningful for the comparator kind — the ADC kind
     is already paced by {!next_sample_time} and always answers [false]
-    here.  Skipped calls are not counted in {!observations}. *)
+    here.  A caller that skips the calls counts them with {!skip}. *)
+
+val skip : t -> int -> unit
+(** [skip t n] counts [n] {!observe} calls that {!quiescent} proved
+    no-ops and the caller skipped: only {!observations} moves, so the
+    count is the same whether the calls were made or skipped. *)
 
 val reset : t -> unit
 (** Forget pending condition timing (used at reboot). *)

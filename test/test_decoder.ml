@@ -380,6 +380,57 @@ let prop_injected_failure_fast_vs_checked =
       let o2, nvm2, e2 = run_with ~fast:false in
       norm o1 = norm o2 && nvm1 = nvm2 && e1 = e2)
 
+(* The first region commit of a power cycle also writes the progress
+   flag, a cost its decoded [dt]/[en] leave out, so block dispatch must
+   hand it to the checked step.  On a device whose ADC samples every few
+   cycles that flag write often straddles a sampling tick: batching the
+   commit would skip the sample the checked step takes after it, shift
+   every later tick and move the run.  A square-wave supply gives many
+   power cycles, hence many first commits. *)
+let prop_first_commit_fast_vs_checked =
+  QCheck.Test.make ~count:12
+    ~name:"first commits straddling ADC ticks: fast path equals checked path"
+    seed_gen (fun seed ->
+      let image, meta = compile (scheme_of seed) seed in
+      let board = crashy_board () in
+      let device = board.M.Board.device in
+      let sample_period =
+        float_of_int (2 + (seed mod 5)) *. Gecko_devices.Device.cycle_time device
+      in
+      let board =
+        {
+          board with
+          M.Board.device =
+            {
+              device with
+              Gecko_devices.Device.adc_kind =
+                Gecko_monitor.Monitor.Adc { sample_period };
+            };
+          harvester =
+            H.square_wave ~period:0.02 ~duty:0.55
+              (H.thevenin ~v_source:3.3 ~r_source:1500.);
+        }
+      in
+      let run ~fast =
+        let metrics = Gecko_obs.Metrics.create () in
+        let o, nvm =
+          M.Machine.run_with_nvm ~board ~image ~meta
+            {
+              M.Machine.default_options with
+              limit = M.Machine.Sim_time 0.1;
+              max_sim_time = 0.15;
+              seed;
+              restart_on_halt = true;
+              record_io = true;
+              record_events = true;
+              fast;
+              metrics = Some metrics;
+            }
+        in
+        (norm o, nvm, Gecko_obs.Metrics.to_persist metrics)
+      in
+      run ~fast:true = run ~fast:false)
+
 (* Pure observers (metrics registry, flight recorder) plus an armed but
    always-false injector must leave the fast path's outcome untouched. *)
 let prop_observers_do_not_perturb =
@@ -479,6 +530,7 @@ let () =
             prop_checked_matches_reference;
             prop_outage_matches_reference;
             prop_injected_failure_fast_vs_checked;
+            prop_first_commit_fast_vs_checked;
             prop_observers_do_not_perturb;
           ] );
     ]

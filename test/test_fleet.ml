@@ -536,10 +536,12 @@ let test_prefix_fork_reads_input () =
       flight = Some (Gecko_obs.Flight.create ());
     }
   in
-  let power_on seed = finish_handle (M.Step.start ~board ~image ~meta (opts seed schedule)) in
-  let forked seed =
+  let power_on ?(board = board) seed =
+    finish_handle (M.Step.start ~board ~image ~meta (opts seed schedule))
+  in
+  let forked ?(board = board) ?(horizon = t0) seed =
     let h = M.Step.start ~board ~image ~meta (opts seed Schedule.empty) in
-    M.Step.advance_to h t0;
+    M.Step.advance_to h horizon;
     finish_handle (M.Step.fork ~schedule h)
   in
   Alcotest.(check bool) "the image reads input" true
@@ -551,6 +553,18 @@ let test_prefix_fork_reads_input () =
     (forked 3 = a);
   Alcotest.(check bool) "fork with the schedule equals power-on (seed 4)" true
     (forked 4 = power_on 4);
+  (* A prefix advanced to a horizon before the window cuts a block there
+     that the power-on run does not cut.  Block dispatch counts the
+     comparator observes it skips, so the fork's metrics do not depend
+     on where the blocks were cut. *)
+  let comparator =
+    Gecko_machine.Board.attack_rig
+      ~monitor_choice:Gecko_devices.Device.Use_comparator ()
+  in
+  Alcotest.(check bool)
+    "fork at an earlier horizon equals power-on (comparator)" true
+    (forked ~board:comparator ~horizon:0.0025 3
+    = power_on ~board:comparator 3);
   let (o4, _, _) = power_on 4 in
   Alcotest.(check bool) "the seed changes the run, so it must key the prefix"
     true (o.M.io_log <> o4.M.io_log);
@@ -576,10 +590,9 @@ let test_prefix_fork_reads_input () =
     | () -> false
     | exception Invalid_argument _ -> true)
 
-(* The fork is exact only if block chunking cannot move an observable
-   count: ADC monitors observe at sample ticks whatever the chunking,
-   while a comparator's count of skipped no-op observes depends on it.
-   Both campaign boards must therefore carry ADC monitors. *)
+(* Both campaign boards sample with their ADC: the fleet models
+   ADC-monitored devices, and a change of monitor kind would move every
+   campaign figure. *)
 let test_campaign_boards_use_adc () =
   List.iter
     (fun kind ->

@@ -450,28 +450,43 @@ let prop_optimized_matches_reference =
          seeds: a pure observer must not perturb a single float of the
          outcome, and the reference knows nothing of it.  Both sides
          export into a metrics registry, whose energy gauges must agree
-         bit for bit.  A third of the seeds run the checked path only. *)
+         bit for bit.  A third of the seeds run the checked path only.
+         The odd seeds run a comparator board, where block dispatch
+         skips the observes it proves no-ops: the machine runs again in
+         the other dispatch mode, and the two registries must persist
+         identically, [monitor.observations] included. *)
       let observers = seed mod 2 = 1 in
-      let metrics = Gecko_obs.Metrics.create () in
+      let run_machine ~fast =
+        let metrics = Gecko_obs.Metrics.create () in
+        let o =
+          M.Machine.run ~board ~image ~meta
+            {
+              M.Machine.default_options with
+              schedule;
+              limit = M.Machine.Sim_time 0.2;
+              max_sim_time = 0.25;
+              seed;
+              restart_on_halt = true;
+              record_io = true;
+              record_events = true;
+              timeline_bucket = Some 0.01;
+              metrics = Some metrics;
+              flight =
+                (if observers then Some (Gecko_obs.Flight.create ~capacity:64 ())
+                 else None);
+              fast;
+            }
+        in
+        (o, metrics)
+      in
+      let fast = seed mod 3 <> 0 in
+      let o, metrics = run_machine ~fast in
       let rmetrics = Gecko_obs.Metrics.create () in
-      let o =
-        M.Machine.run ~board ~image ~meta
-          {
-            M.Machine.default_options with
-            schedule;
-            limit = M.Machine.Sim_time 0.2;
-            max_sim_time = 0.25;
-            seed;
-            restart_on_halt = true;
-            record_io = true;
-            record_events = true;
-            timeline_bucket = Some 0.01;
-            metrics = Some metrics;
-            flight =
-              (if observers then Some (Gecko_obs.Flight.create ~capacity:64 ())
-               else None);
-            fast = seed mod 3 <> 0;
-          }
+      let modes_agree =
+        seed mod 2 = 0
+        ||
+        let _, other = run_machine ~fast:(not fast) in
+        Gecko_obs.Metrics.(to_persist metrics = to_persist other)
       in
       let r =
         Ref_machine.run ~board ~image ~meta
@@ -488,7 +503,9 @@ let prop_optimized_matches_reference =
             metrics = Some rmetrics;
           }
       in
-      norm_m o = norm_r r && energy_bits metrics = energy_bits rmetrics)
+      norm_m o = norm_r r
+      && energy_bits metrics = energy_bits rmetrics
+      && modes_agree)
 
 (* The hoisted per-run IO RNG must reproduce the stream the reference
    obtains by allocating a fresh generator per [In]. *)
