@@ -46,6 +46,4 @@ let compute (g : Fgraph.t) (dom : Dom.t) =
   { loops; header_set }
 
 let headers t = Iset.elements t.header_set
-let is_header t b = Iset.mem b t.header_set
 let loops t = t.loops
-let containing t b = List.filter (fun l -> List.mem b l.body) t.loops

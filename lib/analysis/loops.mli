@@ -13,9 +13,4 @@ val compute : Fgraph.t -> Dom.t -> t
 
 val headers : t -> int list
 
-val is_header : t -> int -> bool
-
 val loops : t -> loop list
-
-val containing : t -> int -> loop list
-(** Loops whose body contains the given block. *)

@@ -69,8 +69,6 @@ let compute (g : Fgraph.t) =
     instrs;
   t
 
-let from_point t p = cycles t p
-
 let boundary_spans t =
   let acc = ref [] in
   Array.iteri

@@ -18,10 +18,6 @@ type t
 val compute : Fgraph.t -> t
 (** May raise {!Unbounded}. *)
 
-val from_point : t -> Fgraph.point -> int
-(** Worst-case cycles from the point (inclusive) up to and including the
-    next boundary commit (or program exit). *)
-
 val boundary_spans : t -> (int * Fgraph.point * int) list
 (** For each [Boundary id] instruction: [(id, its point, worst-case span
     of the region it opens)]. *)

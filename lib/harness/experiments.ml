@@ -41,13 +41,15 @@ let attack_board device monitor_choice =
 (* Forward-progress rate of the NVP sense app under [schedule],
    normalized to the attack-free run on the same board. *)
 let rate_with ~board ~baseline schedule duration =
-  let o = Workbench.run_nvp_progress ~board ~schedule ~duration in
+  let o =
+    Workbench.run_sense ~opts:{ M.default_options with schedule }
+      Core.Scheme.Nvp ~board ~duration
+  in
   if baseline <= 0. then 0.
   else Float.min 1.0 (M.forward_progress o /. baseline)
 
 let baseline_rate ~board duration =
-  M.forward_progress
-    (Workbench.run_nvp_progress ~board ~schedule:Schedule.empty ~duration)
+  M.forward_progress (Workbench.run_sense Core.Scheme.Nvp ~board ~duration)
 
 (* Every sweep point is an independent simulation: fan the frequency
    grid out over the experiment pool.  [pmap] preserves the input order
@@ -62,21 +64,28 @@ let sweep ~board ~make_attack ~fidelity =
       (f, rate_with ~board ~baseline (Schedule.always attack) duration))
     (sweep_freqs fidelity)
 
-(* Minimum rate over the sweep; near-ties resolve to the strongest
-   coupling (the resonance peak), matching how Table I reports the
-   attack frequency. *)
-let min_point ?profile points =
-  let gain f =
-    match profile with
-    | None -> 0.
-    | Some p -> Gecko_emi.Coupling.gain p ~freq_hz:(f *. 1e6)
-  in
+let min_point profile points =
+  let gain f = Coupling.gain profile ~freq_hz:(f *. 1e6) in
   List.fold_left
     (fun (bf, br) (f, r) ->
-      if r < br -. 1e-3 then (f, r)
-      else if Float.abs (r -. br) <= 1e-3 && gain f > gain bf then (f, br)
+      if r < br -. 1e-3 || (Float.abs (r -. br) <= 1e-3 && gain f > gain bf)
+      then (f, r)
       else (bf, br))
     (0., infinity) points
+
+let remote_signal ?(power_dbm = 20.) ?(distance_m = 0.1) f =
+  Attack.remote ~distance_m (Signal.make ~freq_mhz:f ~power_dbm)
+
+(* The remote sweep (20 dBm at 0.1 m) of one device's monitor, and its
+   minimum resolved toward that monitor's coupling resonance: the one
+   sweep behind Figs. 5 and 7 and Table I. *)
+let device_sweep fidelity device monitor =
+  let points =
+    sweep ~board:(attack_board device monitor) ~fidelity
+      ~make_attack:remote_signal
+  in
+  let fmin, rmin = min_point (Device.coupling device monitor) points in
+  (points, fmin, rmin)
 
 (* ------------------------------------------------------------------ *)
 (* Figures 4, 5, 7: frequency sweeps                                   *)
@@ -117,62 +126,42 @@ let fig4_dpi_sweep fidelity =
     devices;
   { text = Buffer.contents buf; metrics = [] }
 
-let remote_signal ?(power_dbm = 20.) ?(distance_m = 0.1) f =
-  Attack.remote ~distance_m (Signal.make ~freq_mhz:f ~power_dbm)
-
-let fig5_remote_adc_sweep fidelity =
+(* Figs. 5 and 7: one chart per device that has [monitor], with its
+   [key]-prefixed rmin and fmin_mhz metrics. *)
+let remote_sweep_figure monitor ~heading ~key ~title fidelity =
   let buf = Buffer.create 4096 in
-  let ms = ref [] in
-  Buffer.add_string buf
-    "Fig. 5 — Remote attack on ADC-based voltage monitors (all nine \
-     devices, 20 dBm at the reference distance)\n\n";
-  List.iter
-    (fun d ->
-      let board = attack_board d Device.Use_adc in
-      let points = sweep ~board ~fidelity ~make_attack:remote_signal in
-      let fmin, rmin = min_point ~profile:d.Device.adc_profile points in
-      let key = slug d.Device.model in
-      ms := (key ^ ".fmin_mhz", fmin) :: (key ^ ".rmin", rmin) :: !ms;
-      Buffer.add_string buf
-        (U.Chart.line_plot ~height:8 ~y_min:0. ~y_max:1.
-           ~title:
-             (Printf.sprintf "%s   (min R = %.2f%% at %.0f MHz)"
-                d.Device.model (100. *. rmin) fmin)
-           ~x_label:"MHz" ~y_label:"R"
-           [ { U.Chart.label = "remote"; points } ]);
-      Buffer.add_char buf '\n')
-    Catalog.all;
-  { text = Buffer.contents buf; metrics = List.rev !ms }
+  Buffer.add_string buf heading;
+  let metrics =
+    List.concat_map
+      (fun d ->
+        if monitor = Device.Use_comparator && not (Device.has_comparator d)
+        then []
+        else begin
+          let points, fmin, rmin = device_sweep fidelity d monitor in
+          Buffer.add_string buf
+            (U.Chart.line_plot ~height:8 ~y_min:0. ~y_max:1.
+               ~title:(title d.Device.model (100. *. rmin) fmin)
+               ~x_label:"MHz" ~y_label:"R"
+               [ { U.Chart.label = "remote"; points } ]);
+          Buffer.add_char buf '\n';
+          let key = slug d.Device.model ^ "." ^ key in
+          [ (key ^ "rmin", rmin); (key ^ "fmin_mhz", fmin) ]
+        end)
+      Catalog.all
+  in
+  { text = Buffer.contents buf; metrics }
 
-let fig7_remote_comparator_sweep fidelity =
-  let buf = Buffer.create 4096 in
-  let ms = ref [] in
-  Buffer.add_string buf
-    "Fig. 7 — Remote attack on comparator-based voltage monitors\n\n";
-  List.iter
-    (fun d ->
-      if Device.has_comparator d then begin
-        let board = attack_board d Device.Use_comparator in
-        let points = sweep ~board ~fidelity ~make_attack:remote_signal in
-        let fmin, rmin =
-          match d.Device.comp_profile with
-          | Some p -> min_point ~profile:p points
-          | None -> min_point points
-        in
-        let key = slug d.Device.model in
-        ms :=
-          (key ^ ".comp_fmin_mhz", fmin) :: (key ^ ".comp_rmin", rmin) :: !ms;
-        Buffer.add_string buf
-          (U.Chart.line_plot ~height:8 ~y_min:0. ~y_max:1.
-             ~title:
-               (Printf.sprintf "%s comparator   (min R = %.4f%% at %.0f MHz)"
-                  d.Device.model (100. *. rmin) fmin)
-             ~x_label:"MHz" ~y_label:"R"
-             [ { U.Chart.label = "remote"; points } ]);
-        Buffer.add_char buf '\n'
-      end)
-    Catalog.all;
-  { text = Buffer.contents buf; metrics = List.rev !ms }
+let fig5_remote_adc_sweep =
+  remote_sweep_figure Device.Use_adc ~key:""
+    ~heading:
+      "Fig. 5 — Remote attack on ADC-based voltage monitors (all nine \
+       devices, 20 dBm at the reference distance)\n\n"
+    ~title:(Printf.sprintf "%s   (min R = %.2f%% at %.0f MHz)")
+
+let fig7_remote_comparator_sweep =
+  remote_sweep_figure Device.Use_comparator ~key:"comp_"
+    ~heading:"Fig. 7 — Remote attack on comparator-based voltage monitors\n\n"
+    ~title:(Printf.sprintf "%s comparator   (min R = %.4f%% at %.0f MHz)")
 
 (* ------------------------------------------------------------------ *)
 (* Figure 8: power vs distance                                         *)
@@ -214,25 +203,22 @@ let fig8_distance fidelity =
          grid)
   in
   let ncols = List.length distances in
-  let dos_cells = ref 0 in
   List.iteri
     (fun pi p ->
-      let row =
-        List.mapi
-          (fun di _dist ->
-            let r = rates.((pi * ncols) + di) in
-            if r < 0.5 then incr dos_cells;
-            Printf.sprintf "%.0f%%%s" (100. *. r) (if r < 0.5 then " DoS" else ""))
-          distances
-      in
-      U.Table.add_row t (Printf.sprintf "%.0f dBm" p :: row))
+      U.Table.add_row t
+        (Printf.sprintf "%.0f dBm" p
+        :: List.init ncols (fun di ->
+               let r = rates.((pi * ncols) + di) in
+               Printf.sprintf "%.0f%%%s" (100. *. r)
+                 (if r < 0.5 then " DoS" else ""))))
     powers;
+  let dos = Array.fold_left (fun n r -> if r < 0.5 then n + 1 else n) 0 rates in
   {
     text = U.Table.render t;
     metrics =
       [
-        ("dos_cells", float_of_int !dos_cells);
-        ("cells", float_of_int (List.length distances * List.length powers));
+        ("dos_cells", float_of_int dos);
+        ("cells", float_of_int (Array.length rates));
       ];
   }
 
@@ -267,34 +253,23 @@ let fig9_realtime fidelity =
   let results =
     Workbench.pmap
       (fun (_name, choice) ->
-        let schedule = schedule_for choice in
         let board = attack_board Catalog.msp430fr5994 choice in
-        let image, meta =
-          Workbench.compiled Core.Scheme.Nvp (Workbench.sense_app ())
-        in
         let o =
-          M.run ~board ~image ~meta
-            {
-              M.default_options with
-              schedule;
-              limit = M.Sim_time total;
-              restart_on_halt = true;
-              timeline_bucket = Some (seg /. 4.);
-              max_sim_time = total +. 1.;
-            }
+          Workbench.run_sense Core.Scheme.Nvp ~board ~duration:total
+            ~opts:
+              {
+                M.default_options with
+                schedule = schedule_for choice;
+                timeline_bucket = Some (seg /. 4.);
+              }
         in
-        let base =
-          M.forward_progress
-            (Workbench.run_nvp_progress ~board ~schedule:Schedule.empty
-               ~duration:(seg *. 2.))
-        in
-        (o, base))
+        (o, baseline_rate ~board (seg *. 2.)))
       configs
   in
   List.iter2
     (fun (name, _choice) (o, base) ->
-      (match o.M.timeline with
-      | Some tl ->
+      Option.iter
+        (fun tl ->
           let pts =
             Array.to_list
               (Array.mapi
@@ -303,15 +278,13 @@ let fig9_realtime fidelity =
                    (float_of_int i *. tl.M.bucket, Float.min 1.0 r))
                  tl.M.app_seconds_per_bucket)
           in
-          let pts =
-            List.filter (fun (t, _) -> t < total) pts
-          in
+          let pts = List.filter (fun (t, _) -> t < total) pts in
           Buffer.add_string buf
             (U.Chart.line_plot ~height:8 ~y_min:0. ~y_max:1.
                ~title:(Printf.sprintf "(%s-based monitor)" name)
                ~x_label:"time (s)" ~y_label:"R"
-               [ { U.Chart.label = "forward progress"; points = pts } ])
-      | None -> ());
+               [ { U.Chart.label = "forward progress"; points = pts } ]))
+        o.M.timeline;
       Buffer.add_char buf '\n')
     configs results;
   { text = Buffer.contents buf; metrics = [] }
@@ -330,18 +303,13 @@ let checkpoint_failure_rate_at ~device freq duration =
   let board =
     { (attack_board device Device.Use_adc) with Board.harvester }
   in
-  let image, meta = Workbench.compiled Core.Scheme.Nvp (Workbench.sense_app ()) in
-  let o =
-    M.run ~board ~image ~meta
-      {
-        M.default_options with
-        schedule = Schedule.always (remote_signal freq);
-        limit = M.Sim_time duration;
-        restart_on_halt = true;
-        max_sim_time = duration +. 1.;
-      }
-  in
-  M.checkpoint_failure_rate o
+  M.checkpoint_failure_rate
+    (Workbench.run_sense Core.Scheme.Nvp ~board ~duration
+       ~opts:
+         {
+           M.default_options with
+           schedule = Schedule.always (remote_signal freq);
+         })
 
 let table1 fidelity =
   let duration = sweep_duration fidelity *. 10. in
@@ -354,32 +322,18 @@ let table1 fidelity =
           "ADC-Fmax / freq" ]
       ()
   in
-  let ms = ref [] in
-  (* The device loop stays serial — [sweep] already fans each frequency
-     grid out over the pool, and pool tasks must not nest.  The
-     checkpoint-failure runs depend on the per-device resonant
+  (* The device loop stays serial — [device_sweep] already fans each
+     frequency grid out over the pool, and pool tasks must not nest.
+     The checkpoint-failure runs depend on the per-device resonant
      frequency, so they form a second pooled stage. *)
   let per_device =
     List.map
       (fun d ->
-        let adc_points =
-          sweep ~board:(attack_board d Device.Use_adc) ~fidelity
-            ~make_attack:remote_signal
-        in
-        let fmin, rmin = min_point ~profile:d.Device.adc_profile adc_points in
+        let _, fmin, rmin = device_sweep fidelity d Device.Use_adc in
         let comp_cell =
-          if Device.has_comparator d then begin
-            let pts =
-              sweep ~board:(attack_board d Device.Use_comparator) ~fidelity
-                ~make_attack:remote_signal
-            in
-            let f, r =
-              match d.Device.comp_profile with
-              | Some p -> min_point ~profile:p pts
-              | None -> min_point pts
-            in
+          if Device.has_comparator d then
+            let _, f, r = device_sweep fidelity d Device.Use_comparator in
             Printf.sprintf "%.1e%% / %.0fMHz" (100. *. r) f
-          end
           else "N/A"
         in
         (d, fmin, rmin, comp_cell))
@@ -390,24 +344,24 @@ let table1 fidelity =
       (fun (d, fmin, _, _) -> checkpoint_failure_rate_at ~device:d fmin duration)
       per_device
   in
-  List.iter2
-    (fun (d, fmin, rmin, comp_cell) fail ->
-      let key = slug d.Device.model in
-      ms :=
-        (key ^ ".fmax", fail)
-        :: (key ^ ".fmin_mhz", fmin)
-        :: (key ^ ".rmin", rmin)
-        :: !ms;
-      U.Table.add_row t
-        [
-          d.Device.model;
-          (if Device.has_comparator d then "ADC & Comp." else "ADC");
-          Printf.sprintf "%.1f%% / %.0fMHz" (100. *. rmin) fmin;
-          comp_cell;
-          Printf.sprintf "%.0f%% / %.0fMHz" (100. *. fail) fmin;
-        ])
-    per_device fails;
-  { text = U.Table.render t; metrics = List.rev !ms }
+  let metrics =
+    List.concat
+      (List.map2
+         (fun (d, fmin, rmin, comp_cell) fail ->
+           U.Table.add_row t
+             [
+               d.Device.model;
+               (if Device.has_comparator d then "ADC & Comp." else "ADC");
+               Printf.sprintf "%.1f%% / %.0fMHz" (100. *. rmin) fmin;
+               comp_cell;
+               Printf.sprintf "%.0f%% / %.0fMHz" (100. *. fail) fmin;
+             ];
+           let key = slug d.Device.model in
+           [ (key ^ ".rmin", rmin); (key ^ ".fmin_mhz", fmin);
+             (key ^ ".fmax", fail) ])
+         per_device fails)
+  in
+  { text = U.Table.render t; metrics }
 
 let table2 () =
   let t =
@@ -435,59 +389,60 @@ let table2 () =
 (* Figures 11, 12, 14; Table III                                       *)
 (* ------------------------------------------------------------------ *)
 
-let workload_cycles scheme name ~board ~options =
-  let w = W.find name in
-  let image, meta = Workbench.compiled scheme (w.W.build ()) in
-  let o = M.run ~board ~image ~meta options in
-  (o, image, meta)
+(* [f] of every workload of the suite compiled by [compile], one pool
+   task per workload, in [W.names] order. *)
+let over_suite compile f =
+  Workbench.pmap (fun name -> f (compile ((W.find name).W.build ()))) W.names
+
+(* Each compiled workload linked and run on [board], with its program
+   and [Meta]. *)
+let suite_runs ?(options = M.default_options) ~board compile =
+  over_suite compile (fun (p, meta) ->
+      (M.run ~board ~image:(Gecko_isa.Link.link p) ~meta options, p, meta))
+
+let cycles (o : M.outcome) =
+  float_of_int (o.M.app_cycles + o.M.instrumentation_cycles)
+
+(* Each run's [measure] over that of the same workload's [nvp] run. *)
+let ratios ?(measure = cycles) ~nvp runs =
+  List.map2 (fun (b, _, _) (o, _, _) -> measure o /. measure b) nvp runs
+
+let total f runs =
+  List.fold_left (fun acc (_, p, meta) -> acc + f p meta) 0 runs
+
+(* One row per workload from one column of ratios per scheme. *)
+let by_workload columns =
+  List.mapi
+    (fun i name -> (name, List.map (fun c -> List.nth c i) columns))
+    W.names
 
 let fig11_overhead_no_outage _fidelity =
   let board = Board.default () in
-  (* One pool task per workload; each task runs its four scheme variants
-     back to back so the NVP baseline stays local to the closure. *)
-  let rows =
-    Workbench.pmap
-      (fun name ->
-        let cycles scheme =
-          let o, _, _ = workload_cycles scheme name ~board ~options:M.default_options in
-          float_of_int (o.M.app_cycles + o.M.instrumentation_cycles)
-        in
-        let nvp = cycles Core.Scheme.Nvp in
-        let vals =
-          List.map
-            (fun s -> cycles s /. nvp)
-            [ Core.Scheme.Ratchet; Core.Scheme.Gecko_noprune; Core.Scheme.Gecko ]
-        in
-        (name, vals))
-      W.names
+  let run scheme = suite_runs ~board (Core.Pipeline.compile scheme) in
+  let nvp = run Core.Scheme.Nvp in
+  let columns =
+    List.map
+      (fun s -> ratios ~nvp (run s))
+      [ Core.Scheme.Ratchet; Core.Scheme.Gecko_noprune; Core.Scheme.Gecko ]
   in
-  let avgs = List.map snd rows in
-  let geo i =
-    U.Stats.geomean (List.map (fun vs -> List.nth vs i) avgs)
-  in
-  let chart =
-    U.Chart.grouped_bars
-      ~title:
-        "Fig. 11 — Normalized execution time (no power outage; baseline = \
-         NVP = 1.0)"
-      ~group_labels:[ "Ratchet"; "GECKO w/o pruning"; "GECKO" ]
-      (rows @ [ ("geomean", [ geo 0; geo 1; geo 2 ]) ])
-  in
+  let geo = List.map U.Stats.geomean columns in
+  let pct i = 100. *. (List.nth geo i -. 1.) in
   {
     text =
-      chart
+      U.Chart.grouped_bars
+        ~title:
+          "Fig. 11 — Normalized execution time (no power outage; baseline = \
+           NVP = 1.0)"
+        ~group_labels:[ "Ratchet"; "GECKO w/o pruning"; "GECKO" ]
+        (by_workload columns @ [ ("geomean", geo) ])
       ^ Printf.sprintf
           "\nAverage overhead vs NVP: Ratchet %+.0f%%, GECKO w/o pruning \
            %+.0f%%, GECKO %+.0f%%\n"
-          (100. *. (geo 0 -. 1.))
-          (100. *. (geo 1 -. 1.))
-          (100. *. (geo 2 -. 1.));
+          (pct 0) (pct 1) (pct 2);
     metrics =
-      [
-        ("ratchet.geomean", geo 0);
-        ("gecko_noprune.geomean", geo 1);
-        ("gecko.geomean", geo 2);
-      ];
+      List.combine
+        [ "ratchet.geomean"; "gecko_noprune.geomean"; "gecko.geomean" ]
+        geo;
   }
 
 let fig12_checkpoint_reduction _fidelity =
@@ -499,48 +454,35 @@ let fig12_checkpoint_reduction _fidelity =
       ~header:[ "workload"; "candidates"; "emitted"; "removed"; "reduction" ]
       ()
   in
-  let stats =
-    Workbench.pmap
-      (fun name ->
-        let w = W.find name in
-        let _, meta = Workbench.compiled Core.Scheme.Gecko (w.W.build ()) in
-        meta.Core.Meta.stats)
-      W.names
+  let row name c k =
+    U.Table.add_row t
+      [
+        name;
+        string_of_int c;
+        string_of_int k;
+        string_of_int (c - k);
+        U.Table.cell_pct (float_of_int (c - k) /. float_of_int (max 1 c));
+      ]
   in
-  let tot_c = ref 0 and tot_k = ref 0 in
+  let stats =
+    over_suite (Core.Pipeline.compile Core.Scheme.Gecko) (fun (_, m) ->
+        m.Core.Meta.stats)
+  in
   List.iter2
-    (fun name s ->
-      tot_c := !tot_c + s.Core.Meta.candidates;
-      tot_k := !tot_k + s.Core.Meta.kept;
-      U.Table.add_row t
-        [
-          name;
-          string_of_int s.Core.Meta.candidates;
-          string_of_int s.Core.Meta.kept;
-          string_of_int (s.Core.Meta.candidates - s.Core.Meta.kept);
-          U.Table.cell_pct
-            (float_of_int (s.Core.Meta.candidates - s.Core.Meta.kept)
-            /. float_of_int (max 1 s.Core.Meta.candidates));
-        ])
+    (fun name s -> row name s.Core.Meta.candidates s.Core.Meta.kept)
     W.names stats;
+  let sum f = List.fold_left (fun acc s -> acc + f s) 0 stats in
+  let c = sum (fun s -> s.Core.Meta.candidates) in
+  let k = sum (fun s -> s.Core.Meta.kept) in
   U.Table.add_sep t;
-  U.Table.add_row t
-    [
-      "total";
-      string_of_int !tot_c;
-      string_of_int !tot_k;
-      string_of_int (!tot_c - !tot_k);
-      U.Table.cell_pct
-        (float_of_int (!tot_c - !tot_k) /. float_of_int (max 1 !tot_c));
-    ];
+  row "total" c k;
   {
     text = U.Table.render t;
     metrics =
       [
-        ("candidates", float_of_int !tot_c);
-        ("emitted", float_of_int !tot_k);
-        ( "reduction",
-          float_of_int (!tot_c - !tot_k) /. float_of_int (max 1 !tot_c) );
+        ("candidates", float_of_int c);
+        ("emitted", float_of_int k);
+        ("reduction", float_of_int (c - k) /. float_of_int (max 1 c));
       ];
   }
 
@@ -553,17 +495,12 @@ let table3_checkpoint_stores _fidelity =
       ()
   in
   let per_app =
-    Workbench.pmap
-      (fun name ->
-        let w = W.find name in
-        let p, meta = Core.Pipeline.compile Core.Scheme.Gecko (w.W.build ()) in
-        (Core.Pipeline.checkpoint_store_count p, meta.Core.Meta.stats))
-      W.names
+    over_suite (Core.Pipeline.compile Core.Scheme.Gecko) (fun (p, m) ->
+        (Core.Pipeline.checkpoint_store_count p, m.Core.Meta.stats))
   in
-  let counts = ref [] in
+  let avg = U.Stats.mean (List.map (fun (n, _) -> float_of_int n) per_app) in
   List.iter2
     (fun name (n, s) ->
-      counts := float_of_int n :: !counts;
       U.Table.add_row t
         [
           name;
@@ -577,12 +514,8 @@ let table3_checkpoint_stores _fidelity =
         ])
     W.names per_app;
   U.Table.add_sep t;
-  U.Table.add_row t
-    [ "avg"; Printf.sprintf "%.0f" (U.Stats.mean !counts); ""; "" ];
-  {
-    text = U.Table.render t;
-    metrics = [ ("avg_ckpt_stores", U.Stats.mean !counts) ];
-  }
+  U.Table.add_row t [ "avg"; Printf.sprintf "%.0f" avg; ""; "" ];
+  { text = U.Table.render t; metrics = [ ("avg_ckpt_stores", avg) ] }
 
 let fig14_harvesting_overhead fidelity =
   let completions = match fidelity with Quick -> 2 | Full -> 5 in
@@ -592,7 +525,7 @@ let fig14_harvesting_overhead fidelity =
   let board =
     { (Board.default ~harvester ()) with Board.capacitance = 47e-6 }
   in
-  let opts =
+  let options =
     {
       M.default_options with
       limit = M.Completions completions;
@@ -600,21 +533,16 @@ let fig14_harvesting_overhead fidelity =
       max_sim_time = 600.;
     }
   in
-  let rows =
-    Workbench.pmap
-      (fun name ->
-        let time scheme =
-          let o, _, _ = workload_cycles scheme name ~board ~options:opts in
-          o.M.sim_time
-        in
-        let nvp = time Core.Scheme.Nvp in
-        ( name,
-          List.map
-            (fun s -> time s /. nvp)
-            [ Core.Scheme.Ratchet; Core.Scheme.Gecko ] ))
-      W.names
+  let run scheme =
+    suite_runs ~options ~board (Core.Pipeline.compile scheme)
   in
-  let geo i = U.Stats.geomean (List.map (fun (_, vs) -> List.nth vs i) rows) in
+  let nvp = run Core.Scheme.Nvp in
+  let columns =
+    List.map
+      (fun s -> ratios ~measure:(fun o -> o.M.sim_time) ~nvp (run s))
+      [ Core.Scheme.Ratchet; Core.Scheme.Gecko ]
+  in
+  let geo = List.map U.Stats.geomean columns in
   {
     text =
       U.Chart.grouped_bars
@@ -622,8 +550,8 @@ let fig14_harvesting_overhead fidelity =
           "Fig. 14 — Normalized execution time in an RF energy-harvesting \
            environment (Powercast-style source; baseline = NVP)"
         ~group_labels:[ "Ratchet"; "GECKO" ]
-        (rows @ [ ("geomean", [ geo 0; geo 1 ]) ]);
-    metrics = [ ("ratchet.geomean", geo 0); ("gecko.geomean", geo 1) ];
+        (by_workload columns @ [ ("geomean", geo) ]);
+    metrics = List.combine [ "ratchet.geomean"; "gecko.geomean" ] geo;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -651,21 +579,13 @@ let fig13_attack_scenarios fidelity =
       Board.harvester }
   in
   let run scheme schedule =
-    let image, meta = Workbench.compiled scheme (Workbench.sense_app ()) in
-    let total = float_of_int total_minutes *. minute in
-    M.run ~board ~image ~meta
-      {
-        M.default_options with
-        schedule;
-        limit = M.Sim_time total;
-        restart_on_halt = true;
-        timeline_bucket = Some minute;
-        max_sim_time = total +. 1.;
-      }
+    Workbench.run_sense scheme ~board
+      ~duration:(float_of_int total_minutes *. minute)
+      ~opts:{ M.default_options with schedule; timeline_bucket = Some minute }
   in
-  let base_o = run Core.Scheme.Nvp Schedule.empty in
   let base_rate =
-    float_of_int base_o.M.completions /. float_of_int total_minutes
+    float_of_int (run Core.Scheme.Nvp Schedule.empty).M.completions
+    /. float_of_int total_minutes
   in
   let buf = Buffer.create 8192 in
   Buffer.add_string buf
@@ -674,7 +594,6 @@ let fig13_attack_scenarios fidelity =
         paper-minute = %.2f s sim; attack = 27 MHz remote; 0%% = denial of \
         service; baseline = NVP without attack)\n\n"
        minute);
-  let ms = ref [] in
   let schemes = [ Core.Scheme.Nvp; Core.Scheme.Ratchet; Core.Scheme.Gecko ] in
   let schedule_of minutes =
     Schedule.make
@@ -698,51 +617,56 @@ let fig13_attack_scenarios fidelity =
             scenarios))
   in
   let nschemes = List.length schemes in
-  List.iteri
-    (fun si (name, _minutes) ->
-      let scen = String.sub name 1 1 in
-      let series =
-        List.mapi
-          (fun ki scheme ->
-            let o = outs.((si * nschemes) + ki) in
-            let pts =
-              match o.M.timeline with
-              | Some tl ->
-                  List.init total_minutes (fun i ->
-                      ( float_of_int i,
-                        Float.min 1.2
-                          (float_of_int tl.M.completions_per_bucket.(i)
-                          /. Float.max base_rate 1e-9) ))
-              | None -> []
-            in
-            ( Core.Scheme.to_string scheme,
-              o,
-              { U.Chart.label = Core.Scheme.to_string scheme; points = pts } ))
-          [ Core.Scheme.Nvp; Core.Scheme.Ratchet; Core.Scheme.Gecko ]
-      in
-      Buffer.add_string buf
-        (U.Chart.line_plot ~height:9 ~y_min:0. ~y_max:1.2 ~title:name
-           ~x_label:"minute" ~y_label:"throughput"
-           (List.map (fun (_, _, s) -> s) series));
-      List.iter
-        (fun (nm, (o : M.outcome), _) ->
-          let throughput =
-            float_of_int o.M.completions
-            /. (base_rate *. float_of_int total_minutes)
-          in
-          let key = Printf.sprintf "%s.%s" scen (slug nm) in
-          ms :=
-            (key ^ ".detections", float_of_int o.M.detections)
-            :: (key ^ ".throughput", throughput)
-            :: !ms;
-          Buffer.add_string buf
-            (Printf.sprintf
-               "  %-18s total throughput %5.1f%%  detections=%d reenables=%d\n"
-               nm (100. *. throughput) o.M.detections o.M.reenables))
-        series;
-      Buffer.add_char buf '\n')
-    scenarios;
-  { text = Buffer.contents buf; metrics = List.rev !ms }
+  let curve (o : M.outcome) =
+    match o.M.timeline with
+    | Some tl ->
+        List.init total_minutes (fun i ->
+            ( float_of_int i,
+              Float.min 1.2
+                (float_of_int tl.M.completions_per_bucket.(i)
+                /. Float.max base_rate 1e-9) ))
+    | None -> []
+  in
+  let metrics =
+    List.concat
+      (List.mapi
+         (fun si (name, _minutes) ->
+           let runs =
+             List.mapi
+               (fun ki s ->
+                 (Core.Scheme.to_string s, outs.((si * nschemes) + ki)))
+               schemes
+           in
+           Buffer.add_string buf
+             (U.Chart.line_plot ~height:9 ~y_min:0. ~y_max:1.2 ~title:name
+                ~x_label:"minute" ~y_label:"throughput"
+                (List.map
+                   (fun (label, o) -> { U.Chart.label; points = curve o })
+                   runs));
+           let ms =
+             List.concat_map
+               (fun (nm, (o : M.outcome)) ->
+                 let throughput =
+                   float_of_int o.M.completions
+                   /. (base_rate *. float_of_int total_minutes)
+                 in
+                 Buffer.add_string buf
+                   (Printf.sprintf
+                      "  %-18s total throughput %5.1f%%  detections=%d \
+                       reenables=%d\n"
+                      nm (100. *. throughput) o.M.detections o.M.reenables);
+                 let key = Printf.sprintf "%s.%s" (String.sub name 1 1) (slug nm) in
+                 [
+                   (key ^ ".throughput", throughput);
+                   (key ^ ".detections", float_of_int o.M.detections);
+                 ])
+               runs
+           in
+           Buffer.add_char buf '\n';
+           ms)
+         scenarios)
+  in
+  { text = Buffer.contents buf; metrics }
 
 (* ------------------------------------------------------------------ *)
 (* Figure 15: capacitor sweep                                          *)
@@ -762,7 +686,6 @@ let fig15_capacitor_sweep fidelity =
       ~header:[ "capacitor"; "NVP (s)"; "GECKO (s)"; "GECKO/NVP" ]
       ()
   in
-  let ms = ref [] in
   (* Capacitor size x scheme, one pooled task per cell. *)
   let cells =
     List.concat_map
@@ -788,21 +711,21 @@ let fig15_capacitor_sweep fidelity =
            o.M.sim_time)
          cells)
   in
-  List.iteri
-    (fun ci c ->
-      let nvp = times.(2 * ci) and gecko = times.((2 * ci) + 1) in
-      ms :=
-        (Printf.sprintf "cap_%.0fmf.gecko_over_nvp" (c *. 1e3), gecko /. nvp)
-        :: !ms;
-      U.Table.add_row t
-        [
-          Printf.sprintf "%.0f mF" (c *. 1e3);
-          Printf.sprintf "%.2f" nvp;
-          Printf.sprintf "%.2f" gecko;
-          Printf.sprintf "%.2f" (gecko /. nvp);
-        ])
-    sizes;
-  { text = U.Table.render t; metrics = List.rev !ms }
+  let metrics =
+    List.mapi
+      (fun ci c ->
+        let nvp = times.(2 * ci) and gecko = times.((2 * ci) + 1) in
+        U.Table.add_row t
+          [
+            Printf.sprintf "%.0f mF" (c *. 1e3);
+            Printf.sprintf "%.2f" nvp;
+            Printf.sprintf "%.2f" gecko;
+            Printf.sprintf "%.2f" (gecko /. nvp);
+          ];
+        (Printf.sprintf "cap_%.0fmf.gecko_over_nvp" (c *. 1e3), gecko /. nvp))
+      sizes
+  in
+  { text = U.Table.render t; metrics }
 
 (* Ablation: the two pruning mechanisms contribute independently. *)
 let ablation _fidelity =
@@ -816,56 +739,31 @@ let ablation _fidelity =
         [ "configuration"; "overhead vs NVP"; "checkpoint stores (total)" ]
       ()
   in
-  let nvp_cycles =
-    Workbench.pmap
-      (fun wname ->
-        let w = W.find wname in
-        let image, meta = Workbench.compiled Core.Scheme.Nvp (w.W.build ()) in
-        let o = M.run ~board ~image ~meta M.default_options in
-        (wname, float_of_int (o.M.app_cycles + o.M.instrumentation_cycles)))
-      W.names
-  in
-  let ms = ref [] in
-  let row name ~slices ~reuse =
-    let per_wl =
-      Workbench.pmap
-        (fun (wname, nvp) ->
-          let w = W.find wname in
-          let p, meta =
-            Core.Pipeline.compile ~prune_slices:slices ~prune_reuse:reuse
-              Core.Scheme.Gecko (w.W.build ())
-          in
-          let image = Gecko_isa.Link.link p in
-          let o = M.run ~board ~image ~meta M.default_options in
-          let ov =
-            float_of_int (o.M.app_cycles + o.M.instrumentation_cycles) /. nvp
-          in
-          (ov, Core.Pipeline.checkpoint_store_count p))
-        nvp_cycles
+  let nvp = suite_runs ~board (Core.Pipeline.compile Core.Scheme.Nvp) in
+  let row (key, name, slices, reuse) =
+    let runs =
+      suite_runs ~board
+        (Core.Pipeline.compile ~prune_slices:slices ~prune_reuse:reuse
+           Core.Scheme.Gecko)
     in
-    let overheads = List.map fst per_wl in
-    let stores = List.fold_left (fun acc (_, s) -> acc + s) 0 per_wl in
-    let ov = U.Stats.geomean overheads -. 1. in
+    let ov = U.Stats.geomean (ratios ~nvp runs) -. 1. in
+    let stores =
+      total (fun p _ -> Core.Pipeline.checkpoint_store_count p) runs
+    in
     U.Table.add_row t
-      [
-        name;
-        Printf.sprintf "%+.1f%%" (100. *. ov);
-        string_of_int stores;
-      ];
-    ov
+      [ name; Printf.sprintf "%+.1f%%" (100. *. ov); string_of_int stores ];
+    (key ^ ".overhead", ov)
   in
-  let full = row "full GECKO (slices + reuse)" ~slices:true ~reuse:true in
-  let slices = row "slices only" ~slices:true ~reuse:false in
-  let reuse = row "reuse only" ~slices:false ~reuse:true in
-  let none = row "no pruning" ~slices:false ~reuse:false in
-  ms :=
-    [
-      ("full.overhead", full);
-      ("slices_only.overhead", slices);
-      ("reuse_only.overhead", reuse);
-      ("no_pruning.overhead", none);
-    ];
-  { text = U.Table.render t; metrics = !ms }
+  let metrics =
+    List.map row
+      [
+        ("full", "full GECKO (slices + reuse)", true, true);
+        ("slices_only", "slices only", true, false);
+        ("reuse_only", "reuse only", false, true);
+        ("no_pruning", "no pruning", false, false);
+      ]
+  in
+  { text = U.Table.render t; metrics }
 
 (* Region-budget sensitivity: the WCET splitter's charge-cycle budget is
    a design knob — smaller budgets mean more regions, more commits, more
@@ -880,50 +778,32 @@ let budget_sweep _fidelity =
       ~header:[ "budget (cycles)"; "overhead vs NVP"; "regions (total)" ]
       ()
   in
-  let ms = ref [] in
-  List.iter
-    (fun budget ->
-      let per_wl =
-        Workbench.pmap
-          (fun wname ->
-            let w = W.find wname in
-            let nvp_image, nvp_meta =
-              Workbench.compiled Core.Scheme.Nvp (w.W.build ())
-            in
-            let nvp_o = M.run ~board ~image:nvp_image ~meta:nvp_meta M.default_options in
-            let p, meta =
-              Core.Pipeline.compile ~budget_cycles:budget Core.Scheme.Gecko
-                (w.W.build ())
-            in
-            let o =
-              M.run ~board ~image:(Gecko_isa.Link.link p) ~meta M.default_options
-            in
-            let ov =
-              float_of_int (o.M.app_cycles + o.M.instrumentation_cycles)
-              /. float_of_int (nvp_o.M.app_cycles + nvp_o.M.instrumentation_cycles)
-            in
-            (ov, meta.Core.Meta.stats.Core.Meta.boundaries))
-          W.names
-      in
-      let overheads = List.map fst per_wl in
-      let regions = List.fold_left (fun acc (_, r) -> acc + r) 0 per_wl in
-      let ov = U.Stats.geomean overheads -. 1. in
-      ms := (Printf.sprintf "budget_%d.overhead" budget, ov) :: !ms;
-      U.Table.add_row t
-        [
-          string_of_int budget;
-          Printf.sprintf "%+.1f%%" (100. *. ov);
-          string_of_int regions;
-        ])
-    [ 80; 120; 250; 500; 2000 ];
-  { text = U.Table.render t; metrics = List.rev !ms }
+  let nvp = suite_runs ~board (Core.Pipeline.compile Core.Scheme.Nvp) in
+  let row budget =
+    let runs =
+      suite_runs ~board
+        (Core.Pipeline.compile ~budget_cycles:budget Core.Scheme.Gecko)
+    in
+    let ov = U.Stats.geomean (ratios ~nvp runs) -. 1. in
+    let regions =
+      total (fun _ m -> m.Core.Meta.stats.Core.Meta.boundaries) runs
+    in
+    U.Table.add_row t
+      [
+        string_of_int budget;
+        Printf.sprintf "%+.1f%%" (100. *. ov);
+        string_of_int regions;
+      ];
+    (Printf.sprintf "budget_%d.overhead" budget, ov)
+  in
+  let metrics = List.map row [ 80; 120; 250; 500; 2000 ] in
+  { text = U.Table.render t; metrics }
 
 (* Detection latency: how quickly GECKO notices an attack that begins
    mid-run. *)
 let detection_latency fidelity =
   let onset = 0.2 in
   let duration = match fidelity with Quick -> 0.5 | Full -> 1.0 in
-  let image, meta = Workbench.compiled Core.Scheme.Gecko (Workbench.sense_app ()) in
   let t =
     U.Table.create
       ~title:
@@ -932,54 +812,54 @@ let detection_latency fidelity =
       ~header:[ "monitor"; "attack"; "latency" ]
       ()
   in
-  let ms = ref [] in
   let configs =
     [ ("ADC", Device.Use_adc, 27.); ("comparator", Device.Use_comparator, 5.) ]
   in
   let outs =
     Workbench.pmap
       (fun (_label, choice, freq) ->
-        let board = attack_board Catalog.msp430fr5994 choice in
-        M.run ~board ~image ~meta
-          {
-            M.default_options with
-            schedule =
-              Schedule.make
-                [
-                  Schedule.window ~t_start:onset ~t_end:duration
-                    (remote_signal freq);
-                ];
-            limit = M.Sim_time duration;
-            restart_on_halt = true;
-            record_events = true;
-            max_sim_time = duration +. 1.;
-          })
+        Workbench.run_sense Core.Scheme.Gecko
+          ~board:(attack_board Catalog.msp430fr5994 choice)
+          ~duration
+          ~opts:
+            {
+              M.default_options with
+              schedule =
+                Schedule.make
+                  [
+                    Schedule.window ~t_start:onset ~t_end:duration
+                      (remote_signal freq);
+                  ];
+              record_events = true;
+            })
       configs
   in
-  List.iter2
-    (fun (label, _choice, freq) o ->
-      let latency =
-        List.find_map
-          (fun (e : M.event) ->
-            match e.M.ev_kind with
-            | M.Ev_detection when e.M.ev_time >= onset ->
-                Some (e.M.ev_time -. onset)
-            | _ -> None)
-          o.M.events
-      in
-      (match latency with
-      | Some l -> ms := (slug label ^ ".latency_s", l) :: !ms
-      | None -> ());
-      U.Table.add_row t
-        [
-          label;
-          Printf.sprintf "%.0f MHz" freq;
-          (match latency with
-          | Some l -> Printf.sprintf "%.2f ms" (l *. 1e3)
-          | None -> "not detected");
-        ])
-    configs outs;
-  { text = U.Table.render t; metrics = List.rev !ms }
+  let metrics =
+    List.concat
+      (List.map2
+         (fun (label, _choice, freq) o ->
+           let latency =
+             List.find_map
+               (fun (e : M.event) ->
+                 match e.M.ev_kind with
+                 | M.Ev_detection when e.M.ev_time >= onset ->
+                     Some (e.M.ev_time -. onset)
+                 | _ -> None)
+               o.M.events
+           in
+           U.Table.add_row t
+             [
+               label;
+               Printf.sprintf "%.0f MHz" freq;
+               (match latency with
+               | Some l -> Printf.sprintf "%.2f ms" (l *. 1e3)
+               | None -> "not detected");
+             ];
+           Option.to_list
+             (Option.map (fun l -> (slug label ^ ".latency_s", l)) latency))
+         configs outs)
+  in
+  { text = U.Table.render t; metrics }
 
 let artifacts =
   [
@@ -1000,9 +880,3 @@ let artifacts =
     ("budget-sweep", budget_sweep);
     ("detection-latency", detection_latency);
   ]
-
-let all_artifacts fidelity =
-  List.map (fun (name, f) -> (name, f fidelity)) artifacts
-
-let all fidelity =
-  List.map (fun (name, a) -> (name, a.text)) (all_artifacts fidelity)

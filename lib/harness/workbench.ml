@@ -32,101 +32,88 @@ let sense_app () =
   B.halt b;
   B.finish b
 
-(* The memo table is shared by the worker domains of the experiment
+(* The memo tables are shared by the worker domains of the experiment
    pool — and, since the fleet simulator shards also compile through
    here, by every fleet campaign shard — so every lookup and insert
-   holds [cache_mutex].  Compilation itself also runs under the lock: it
-   is cheap next to simulation, it is deterministic, and holding the
-   lock keeps two workers from compiling the same program twice (the
-   loser of the race counts a hit, so miss totals equal the number of
-   distinct keys regardless of pool size).
+   holds [cache_mutex], one lock for all three tables: they are touched
+   at run setup, never in the hot loop.  The computation also runs under
+   the lock: it is cheap next to simulation, it is deterministic, and
+   holding the lock keeps two workers from computing the same entry
+   twice (the loser of the race counts a hit, so miss totals equal the
+   number of distinct keys regardless of pool size).
 
-   Both caches key a program on its [Asm.to_string] listing, which
-   carries everything the pipeline reads: two different programs that
-   share a name are two entries. *)
-let cache : (string * Core.Scheme.t, Link.image * Core.Meta.t) Hashtbl.t =
-  Hashtbl.create 16
+   The compile and decode caches key a program on its [Asm.to_string]
+   listing, which carries everything the pipeline reads: two different
+   programs that share a name are two entries. *)
+type ('k, 'v) table = {
+  entries : ('k, 'v) Hashtbl.t;
+  mutable hits : int;
+  mutable misses : int;
+}
 
 let cache_mutex = Mutex.create ()
-let cache_hits = ref 0
-let cache_misses = ref 0
+let table () = { entries = Hashtbl.create 16; hits = 0; misses = 0 }
 
-let compiled_listing listing scheme (prog : Cfg.program) =
-  let key = (listing, scheme) in
+let memo t key compute =
   Mutex.protect cache_mutex (fun () ->
-      match Hashtbl.find_opt cache key with
+      match Hashtbl.find_opt t.entries key with
       | Some v ->
-          incr cache_hits;
+          t.hits <- t.hits + 1;
           v
       | None ->
-          incr cache_misses;
-          let p, meta = Core.Pipeline.compile scheme prog in
-          let v = (Link.link p, meta) in
-          Hashtbl.replace cache key v;
+          t.misses <- t.misses + 1;
+          let v = compute () in
+          Hashtbl.replace t.entries key v;
           v)
 
+let counts t = Mutex.protect cache_mutex (fun () -> (t.hits, t.misses))
+
+let compile_cache : (string * Core.Scheme.t, Link.image * Core.Meta.t) table =
+  table ()
+
+let compiled_listing listing scheme (prog : Cfg.program) =
+  memo compile_cache (listing, scheme) (fun () ->
+      let p, meta = Core.Pipeline.compile scheme prog in
+      (Link.link p, meta))
+
 let compiled scheme prog = compiled_listing (Asm.to_string prog) scheme prog
+let cache_counts () = counts compile_cache
 
-let cache_counts () =
-  Mutex.protect cache_mutex (fun () -> (!cache_hits, !cache_misses))
-
-(* Decoded-stream cache, beside the compile cache.  [Decode.decode] is
-   O(code size) and depends only on the image and the device's
-   timing/energy constants, so it is keyed by (listing, scheme, device
-   model); the machine validates provenance by physical equality on the
-   image, which is stable here because [compiled] memoizes the link.
-   Shares [cache_mutex]: both caches are touched at run setup, never in
-   the hot loop. *)
+(* [Decode.decode] is O(code size) and depends only on the image and the
+   device's timing/energy constants, so it is keyed by (listing, scheme,
+   device model); the machine validates provenance by physical equality
+   on the image, which is stable here because [compiled] memoizes the
+   link. *)
 let decode_cache :
-    (string * Core.Scheme.t * string, Gecko_machine.Decode.t) Hashtbl.t =
-  Hashtbl.create 16
-
-let decode_hits = ref 0
-let decode_misses = ref 0
+    (string * Core.Scheme.t * string, Gecko_machine.Decode.t) table =
+  table ()
 
 let decoded_listing listing scheme prog ~(board : Board.t) =
   let image, meta = compiled_listing listing scheme prog in
   let device = board.Board.device in
   let key = (listing, scheme, device.Gecko_devices.Device.model) in
   let dec =
-    Mutex.protect cache_mutex (fun () ->
-        match Hashtbl.find_opt decode_cache key with
-        | Some d ->
-            incr decode_hits;
-            d
-        | None ->
-            incr decode_misses;
-            let d = Gecko_machine.Decode.decode ~device image in
-            Hashtbl.replace decode_cache key d;
-            d)
+    memo decode_cache key (fun () -> Gecko_machine.Decode.decode ~device image)
   in
   (image, meta, dec)
 
 let decoded scheme prog ~board =
   decoded_listing (Asm.to_string prog) scheme prog ~board
 
-let decode_counts () =
-  Mutex.protect cache_mutex (fun () -> (!decode_hits, !decode_misses))
+let decode_counts () = counts decode_cache
 
 (* Workload CFG builds are deterministic and keyed by catalogue name, so
    a fleet shard that elaborates thousands of devices re-runs each
    builder once per process instead of once per device.  The entry
    carries the program's listing too, so a device's compile and decode
-   lookups serialise nothing.  Shares [cache_mutex] with the
-   compile/decode caches for the same reason they do: touched at run
-   setup only. *)
-let workload_cache : (string, Cfg.program * string) Hashtbl.t =
-  Hashtbl.create 16
+   lookups serialise nothing. *)
+let workload_cache : (string, Cfg.program * string) table = table ()
 
 let workload_entry name =
-  Mutex.protect cache_mutex (fun () ->
-      match Hashtbl.find_opt workload_cache name with
-      | Some e -> e
-      | None ->
-          let p = (Gecko_workloads.Workload.find name).Gecko_workloads.Workload.build () in
-          let e = (p, Asm.to_string p) in
-          Hashtbl.replace workload_cache name e;
-          e)
+  memo workload_cache name (fun () ->
+      let w = Gecko_workloads.Workload.find name in
+      let p = w.Gecko_workloads.Workload.build () in
+      (p, Asm.to_string p))
 
 let workload_program name = fst (workload_entry name)
 
@@ -154,24 +141,23 @@ let set_jobs n =
 let pmap f xs =
   Gecko_util.Pool.map (Gecko_util.Pool.shared ~jobs:(jobs ())) f xs
 
-let run_nvp_progress ~board ~schedule ~duration =
-  let image, meta = compiled Core.Scheme.Nvp (sense_app ()) in
+let run_sense ?(opts = M.default_options) scheme ~board ~duration =
+  let image, meta = compiled scheme (sense_app ()) in
   M.run ~board ~image ~meta
     {
-      M.default_options with
-      schedule;
+      opts with
       limit = M.Sim_time duration;
       restart_on_halt = true;
       max_sim_time = duration +. 1.;
     }
 
 let progress_rate ~board ~attack ~duration =
-  let schedule =
-    match attack with Some a -> Schedule.always a | None -> Schedule.empty
+  let progress schedule =
+    M.forward_progress
+      (run_sense ~opts:{ M.default_options with schedule } Core.Scheme.Nvp
+         ~board ~duration)
   in
-  let o = run_nvp_progress ~board ~schedule ~duration in
-  let r = M.forward_progress o in
-  let baseline =
-    M.forward_progress (run_nvp_progress ~board ~schedule:Schedule.empty ~duration)
-  in
+  let schedule = Option.fold ~none:Schedule.empty ~some:Schedule.always attack in
+  let r = progress schedule in
+  let baseline = progress Schedule.empty in
   if baseline <= 0. then 0. else min 1.0 (r /. baseline)

@@ -1,6 +1,7 @@
 (** Shared pieces of the experiment harness: the victim application used
-    in the attack studies, compile/link caching, and common run
-    helpers. *)
+    in the attack studies, compile/link, decode and workload-build
+    caching (three memo tables behind one lock), the experiment pool,
+    and the sense-app run. *)
 
 open Gecko_isa
 open Gecko_emi
@@ -72,13 +73,19 @@ val pmap : ('a -> 'b) -> 'a list -> 'b list
     job this is exactly [List.map], so experiment output is identical
     at every pool size. *)
 
-val run_nvp_progress :
+val run_sense :
+  ?opts:Gecko_machine.Machine.options ->
+  Gecko_core.Scheme.t ->
   board:Gecko_machine.Board.t ->
-  schedule:Schedule.t ->
   duration:float ->
   Gecko_machine.Machine.outcome
-(** Run the sense app under NVP for [duration] seconds of simulated time
-    and report the outcome (forward-progress studies). *)
+(** Run the sense app, compiled under the scheme, for [duration]
+    seconds of simulated time, restarting it whenever it halts.  [opts]
+    (default {!Gecko_machine.Machine.default_options}) supplies the
+    attack schedule, timeline buckets and event recording; its [limit],
+    [restart_on_halt] and [max_sim_time] are overridden.  Every
+    forward-progress and attack-recovery study runs the app through
+    here. *)
 
 val progress_rate :
   board:Gecko_machine.Board.t -> attack:Attack.t option -> duration:float -> float

@@ -4,6 +4,8 @@
    regenerated table. *)
 
 module E = Gecko_harness.Experiments
+module Device = Gecko_devices.Device
+module Coupling = Gecko_emi.Coupling
 
 let metric (a : E.artifact) key =
   match List.assoc_opt key a.E.metrics with
@@ -77,6 +79,60 @@ let test_fig15_parity () =
         (Float.abs (v -. 1.) <= 1e-3))
     ratios
 
+(* The per-device metric key: the model name, lower-cased, with every
+   character outside [a-z0-9.] replaced by '_'. *)
+let slug model =
+  String.map
+    (function
+      | 'A' .. 'Z' as c -> Char.lowercase_ascii c
+      | ('a' .. 'z' | '0' .. '9' | '.') as c -> c
+      | _ -> '_')
+    model
+
+(* Figs. 5 and 7, Table I: every swept monitor's attack frequency is
+   its coupling resonance, within 1 MHz. *)
+let check_resonances (a : E.artifact) monitor key =
+  List.iter
+    (fun d ->
+      if monitor = Device.Use_adc || Device.has_comparator d then begin
+        let peak = Coupling.peak_frequency_mhz (Device.coupling d monitor) in
+        let f = metric a (slug d.Device.model ^ "." ^ key) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s = %g within 1 MHz of the %g MHz resonance"
+             d.Device.model key f peak)
+          true
+          (Float.abs (f -. peak) <= 1.)
+      end)
+    Gecko_devices.Catalog.all
+
+let test_fig5_resonance () =
+  check_resonances (E.fig5_remote_adc_sweep E.Quick) Device.Use_adc "fmin_mhz"
+
+let test_fig7_resonance () =
+  check_resonances
+    (E.fig7_remote_comparator_sweep E.Quick)
+    Device.Use_comparator "comp_fmin_mhz"
+
+let test_table1_resonance () =
+  check_resonances (E.table1 E.Quick) Device.Use_adc "fmin_mhz"
+
+(* A near-tie goes to the stronger coupling, and the reported R is the
+   one measured there. *)
+let test_min_point_near_tie () =
+  let profile =
+    Coupling.profile
+      [ Coupling.peak ~f0_mhz:27. ~half_width_mhz:1. ~gain:1. ]
+  in
+  let f, r = E.min_point profile [ (10., 0.0105); (27., 0.0100) ] in
+  Alcotest.(check (pair (float 0.) (float 0.))) "27 MHz, its own R"
+    (27., 0.0100) (f, r);
+  let f, r = E.min_point profile [ (27., 0.0100); (10., 0.0105) ] in
+  Alcotest.(check (pair (float 0.) (float 0.))) "order does not matter"
+    (27., 0.0100) (f, r);
+  let f, r = E.min_point profile [ (27., 0.5); (10., 0.0105) ] in
+  Alcotest.(check (pair (float 0.) (float 0.))) "a clear minimum wins"
+    (10., 0.0105) (f, r)
+
 let () =
   Alcotest.run "experiments"
     [
@@ -90,5 +146,16 @@ let () =
             test_fig14_ordering;
           Alcotest.test_case "fig15 gecko/nvp within 1e-3 of 1" `Quick
             test_fig15_parity;
+          Alcotest.test_case "fig5 fmin at each ADC resonance" `Quick
+            test_fig5_resonance;
+          Alcotest.test_case "fig7 fmin at each comparator resonance" `Quick
+            test_fig7_resonance;
+          Alcotest.test_case "table1 fmin at each ADC resonance" `Quick
+            test_table1_resonance;
+        ] );
+      ( "min-point",
+        [
+          Alcotest.test_case "near-tie keeps its own R" `Quick
+            test_min_point_near_tie;
         ] );
     ]
