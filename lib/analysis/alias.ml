@@ -22,8 +22,17 @@ let location_read_only p (m : Instr.mref) =
 
 type write_before =
   | Write of int
+      (* Body index of a store that provably writes the referenced
+         location, with no interfering store in between: re-executing
+         the block prefix rewrites the location before it is re-read. *)
   | Clobbered of int
+      (* Body index of an intervening store that may alias the location
+         but cannot be proven to: its content at the query point is
+         unknown, so this is exactly [No_write], never a fallback to an
+         earlier (stale) write. *)
   | No_write
+      (* A region boundary (or the block start) came first: no write
+         before the point can be relied upon across rollback. *)
 
 (* Provably-same-location test within one straight-line body: same space
    and either equal constant displacements, or the same index register
@@ -43,6 +52,9 @@ let must_alias_in_block (body : Instr.t array) j idx (w : Instr.mref)
           !unchanged)
   | Instr.Dconst _, Instr.Dreg _ | Instr.Dreg _, Instr.Dconst _ -> false
 
+(* Scan backward from [idx] in a straight-line body for the most recent
+   store to the referenced location, stopping at the first may-aliasing
+   one. *)
 let last_write_before (body : Instr.t array) idx (m : Instr.mref) =
   let result = ref No_write in
   (try
@@ -86,6 +98,9 @@ type walker = {
   wbodies : Instr.t array array array;
   wfunc_index : (string, int) Hashtbl.t;
   wret_points : (string, (int * int) list) Hashtbl.t;
+  wbase : int array;  (* flat index of each function's block 0 *)
+  wseen : int array;  (* per flat block: the last walk that entered it *)
+  mutable wwalk : int;
 }
 
 let walker (p : Cfg.program) =
@@ -118,7 +133,23 @@ let walker (p : Cfg.program) =
           | Instr.Jmp _ | Instr.Br _ | Instr.Ret | Instr.Halt -> ())
         g.Fgraph.blocks)
     wgraphs;
-  { wfuncs; wgraphs; wbodies; wfunc_index; wret_points }
+  let wbase = Array.make (Array.length wbodies) 0 in
+  let n = ref 0 in
+  Array.iteri
+    (fun fi bodies ->
+      wbase.(fi) <- !n;
+      n := !n + Array.length bodies)
+    wbodies;
+  {
+    wfuncs;
+    wgraphs;
+    wbodies;
+    wfunc_index;
+    wret_points;
+    wbase;
+    wseen = Array.make !n 0;
+    wwalk = 0;
+  }
 
 (* Every store that may alias [m], reachable from (fi, blk, idx) without
    crossing a boundary.  Each path stops at its first such store (a cut
@@ -127,7 +158,8 @@ let walker (p : Cfg.program) =
    into every caller's return block (context-insensitive, hence
    conservative). *)
 let war_stores w (m : Instr.mref) fi blk idx ~f =
-  let visited = Hashtbl.create 16 in
+  w.wwalk <- w.wwalk + 1;
+  let walk = w.wwalk in
   let rec scan fi blk idx =
     let body = w.wbodies.(fi).(blk) in
     let n = Array.length body in
@@ -160,8 +192,9 @@ let war_stores w (m : Instr.mref) fi blk idx ~f =
             (fun (caller, ret_blk) -> enter caller ret_blk)
             (try Hashtbl.find w.wret_points fname with Not_found -> [])
   and enter fi blk =
-    if not (Hashtbl.mem visited (fi, blk)) then begin
-      Hashtbl.replace visited (fi, blk) ();
+    let k = w.wbase.(fi) + blk in
+    if w.wseen.(k) <> walk then begin
+      w.wseen.(k) <- walk;
       scan fi blk 0
     end
   in

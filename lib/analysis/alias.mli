@@ -12,41 +12,10 @@ open Gecko_isa
 
 val may_alias : Instr.mref -> Instr.mref -> bool
 
-val is_dynamic : Instr.mref -> bool
-(** The displacement is a register — the address is only known at run
-    time, so every store through it may alias the whole space. *)
-
 val location_read_only : Cfg.program -> Instr.mref -> bool
 (** No store in the program can write this location: for a constant
     displacement, no aliasing store exists; for a dynamic displacement the
     whole space must be store-free.  Recovery-block loads require this. *)
-
-(** {1 Last write before a point} *)
-
-type write_before =
-  | Write of int
-      (** Body index of a store that provably writes the referenced
-          location, with no interfering store in between: re-executing
-          the block prefix rewrites the location before it is re-read. *)
-  | Clobbered of int
-      (** Body index of an intervening store that {e may} alias the
-          location but cannot be proven to: the location's content at the
-          query point is unknown.  Callers must treat this exactly like
-          [No_write] — never fall back to an earlier (stale) write. *)
-  | No_write
-      (** A region boundary (or the block start) was reached first: no
-          write before the point can be relied upon across rollback. *)
-
-val last_write_before : Instr.t array -> int -> Instr.mref -> write_before
-(** Scan backward from [idx] in a straight-line body for the most recent
-    store to the referenced location.  Reports [Clobbered] as soon as any
-    may-aliasing store intervenes. *)
-
-val must_alias_in_block :
-  Instr.t array -> int -> int -> Instr.mref -> Instr.mref -> bool
-(** [must_alias_in_block body j idx w m]: the store reference [w] at [j]
-    provably addresses the same word as [m] at [idx] (equal constant
-    displacements, or the same index register unmodified in between). *)
 
 (** {1 May-alias WAR hazards} *)
 
@@ -72,9 +41,9 @@ val war_hazards : Cfg.program -> hazard list
     Region formation cuts one hazard at a time.  A cut only truncates
     forward walks, so a load that was hazard-free stays so, apart from
     loads of the cut's own block, whose WARAW exemption the new
-    boundary can break ({!last_write_before} scans back only to the
-    nearest boundary).  The search therefore resumes rather than
-    restarting. *)
+    boundary can break (the exemption's backward scan for the last
+    write stops at the nearest boundary).  The search therefore resumes
+    rather than restarting. *)
 
 type walker
 (** The forward-walk context of one program: a snapshot of every block

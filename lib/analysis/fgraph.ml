@@ -48,18 +48,6 @@ let rpo t =
   if n > 0 then dfs 0;
   Array.of_list !post
 
-let reachable t =
-  let n = n_blocks t in
-  let seen = Array.make n false in
-  let rec dfs i =
-    if not seen.(i) then begin
-      seen.(i) <- true;
-      List.iter dfs t.succ.(i)
-    end
-  in
-  if n > 0 then dfs 0;
-  seen
-
 type point = { blk : int; idx : int }
 
 let point_compare a b =

@@ -25,8 +25,6 @@ val block_id : t -> string -> int
 val rpo : t -> int array
 (** Reverse postorder over blocks reachable from the entry. *)
 
-val reachable : t -> bool array
-
 (** A program point: instruction [idx] within block [blk] ([idx] may equal
     the instruction count, denoting the terminator position). *)
 type point = { blk : int; idx : int }

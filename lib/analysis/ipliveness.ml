@@ -1,9 +1,21 @@
 open Gecko_isa
 
+(* Per function, indexed by block: each block's instructions folded into
+   one summary ([gen], the registers they read before any of them
+   writes; [kill], the registers they write), the block-level fixpoint,
+   and a live-before table per block, built on first query from the
+   instruction list it is keyed on.  A pass that inserts into a block
+   (colouring's repair boundaries) replaces the list, so the next query
+   rebuilds that block's table; a [Boundary] uses and defines nothing,
+   so the summaries and the fixpoint stay exact. *)
 type finfo = {
   g : Fgraph.t;
-  mutable live_in : Reg.Set.t array;
-  mutable live_out : Reg.Set.t array;
+  gen : Reg.Set.t array;
+  kill : Reg.Set.t array;
+  live_in : Reg.Set.t array;
+  live_out : Reg.Set.t array;
+  keys : Instr.t list array;
+  before : Reg.Set.t array array;  (* [[||]] until built *)
 }
 
 type t = {
@@ -23,13 +35,6 @@ let term_uses t ~fname term =
   | Instr.Ret -> Reg.Set.add Reg.sp (lookup t.ret_uses fname)
   | Instr.Jmp _ | Instr.Br _ | Instr.Halt -> Instr.term_uses term
 
-let block_transfer t ~fname (b : Cfg.block) out =
-  let after_term = Reg.Set.union out (term_uses t ~fname b.Cfg.term) in
-  List.fold_right
-    (fun i live ->
-      Reg.Set.union (Instr.uses i) (Reg.Set.diff live (Instr.defs i)))
-    b.Cfg.instrs after_term
-
 (* One round of per-function dataflow; returns whether anything changed. *)
 let flow_function t fname (fi : finfo) =
   let n = Fgraph.n_blocks fi.g in
@@ -44,7 +49,10 @@ let flow_function t fname (fi : finfo) =
             (fun acc s -> Reg.Set.union acc fi.live_in.(s))
             Reg.Set.empty fi.g.Fgraph.succ.(b)
         in
-        let inn = block_transfer t ~fname fi.g.Fgraph.blocks.(b) out in
+        let after_term =
+          Reg.Set.union out (term_uses t ~fname fi.g.Fgraph.blocks.(b).Cfg.term)
+        in
+        let inn = Reg.Set.union fi.gen.(b) (Reg.Set.diff after_term fi.kill.(b)) in
         if not (Reg.Set.equal out fi.live_out.(b)) then begin
           fi.live_out.(b) <- out;
           inner := true;
@@ -73,11 +81,23 @@ let compute (p : Cfg.program) =
     (fun (f : Cfg.func) ->
       let g = Fgraph.of_func f in
       let n = Fgraph.n_blocks g in
+      let summary (b : Cfg.block) =
+        List.fold_right
+          (fun i (gen, kill) ->
+            let d = Instr.defs i in
+            (Reg.Set.union (Instr.uses i) (Reg.Set.diff gen d), Reg.Set.union d kill))
+          b.Cfg.instrs (Reg.Set.empty, Reg.Set.empty)
+      in
+      let sums = Array.map summary g.Fgraph.blocks in
       Hashtbl.replace t.infos f.Cfg.fname
         {
           g;
+          gen = Array.map fst sums;
+          kill = Array.map snd sums;
           live_in = Array.make n Reg.Set.empty;
           live_out = Array.make n Reg.Set.empty;
+          keys = Array.make n [];
+          before = Array.make n [||];
         })
     p.Cfg.funcs;
   let stable = ref false in
@@ -127,23 +147,27 @@ let find t fname =
 
 let live_at t ~fname (p : Fgraph.point) =
   let fi = find t fname in
-  let b = fi.g.Fgraph.blocks.(p.Fgraph.blk) in
-  let after_term =
-    Reg.Set.union fi.live_out.(p.Fgraph.blk) (term_uses t ~fname b.Cfg.term)
+  let blk = p.Fgraph.blk in
+  let b = fi.g.Fgraph.blocks.(blk) in
+  let instrs = b.Cfg.instrs in
+  let table = fi.before.(blk) in
+  let table =
+    if Array.length table > 0 && fi.keys.(blk) == instrs then table
+    else begin
+      let body = Array.of_list instrs in
+      let n = Array.length body in
+      let table =
+        Array.make (n + 1) (Reg.Set.union fi.live_out.(blk) (term_uses t ~fname b.Cfg.term))
+      in
+      for j = n - 1 downto 0 do
+        let i = body.(j) in
+        table.(j) <- Reg.Set.union (Instr.uses i) (Reg.Set.diff table.(j + 1) (Instr.defs i))
+      done;
+      fi.keys.(blk) <- instrs;
+      fi.before.(blk) <- table;
+      table
+    end
   in
-  let nb = List.length b.Cfg.instrs in
-  let rec walk i live rev_instrs =
-    if i < p.Fgraph.idx then live
-    else
-      match rev_instrs with
-      | [] -> live
-      | instr :: rest ->
-          let live' =
-            Reg.Set.union (Instr.uses instr)
-              (Reg.Set.diff live (Instr.defs instr))
-          in
-          walk (i - 1) live' rest
-  in
-  walk (nb - 1) after_term (List.rev b.Cfg.instrs)
+  table.(p.Fgraph.idx)
 
 let graph t ~fname = (find t fname).g

@@ -9,7 +9,11 @@
     - calls kill nothing (sound over-approximation of liveness).
 
     This determines the checkpoint candidate sets at call-related region
-    boundaries — far smaller than the all-registers fallback. *)
+    boundaries — far smaller than the all-registers fallback.
+
+    Each block's instructions are folded once into a summary (the
+    registers read before any write, and the registers written), so an
+    iteration of the fixpoint costs one set operation per block. *)
 
 open Gecko_isa
 
@@ -18,6 +22,12 @@ type t
 val compute : Cfg.program -> t
 
 val live_at : t -> fname:string -> Fgraph.point -> Reg.Set.t
-(** Registers live immediately before the instruction at the point. *)
+(** Registers live immediately before the instruction at the point
+    (the terminator position included).  Answered from a per-block
+    table built at the block's first query and keyed on its
+    instruction list, so the answers follow a pass that inserts
+    instructions which use and define no register (colouring's repair
+    [Boundary]s) between queries; any other change needs a fresh
+    {!compute}. *)
 
 val graph : t -> fname:string -> Fgraph.t

@@ -2,57 +2,57 @@ open Gecko_isa
 
 exception Unbounded of string
 
-type t = {
-  g : Fgraph.t;
-  instrs : Instr.t array array;
-  memo : (int * int, int) Hashtbl.t;
-  state : (int * int, bool) Hashtbl.t; (* true = in progress *)
-}
+(* [memo.(blk).(idx)]: the worst-case cycles from the point to the end of
+   its span, [unknown] before the traversal reaches it and [in_progress]
+   while it is on the traversal's stack.  One slot per instruction plus
+   the terminator position. *)
+type t = { g : Fgraph.t; instrs : Instr.t array array; memo : int array array }
+
+let unknown = -1
+let in_progress = -2
 
 let rec cycles t (p : Fgraph.point) =
-  let key = (p.Fgraph.blk, p.Fgraph.idx) in
-  match Hashtbl.find_opt t.memo key with
-  | Some c -> c
-  | None ->
-      if Hashtbl.find_opt t.state key = Some true then
-        raise
-          (Unbounded
-             (Format.asprintf "boundary-free cycle through %a"
-                (Fgraph.pp_point t.g) p));
-      Hashtbl.replace t.state key true;
-      let body = t.instrs.(p.Fgraph.blk) in
-      let c =
-        if p.Fgraph.idx < Array.length body then
-          match body.(p.Fgraph.idx) with
-          | Instr.Boundary _ as b ->
-              (* The commit closes the span; its own cost is charged here. *)
-              Cost.instr_cycles b
-          | i ->
-              Cost.instr_cycles i
-              + cycles t { p with Fgraph.idx = p.Fgraph.idx + 1 }
-        else
-          let term = t.g.Fgraph.blocks.(p.Fgraph.blk).Cfg.term in
-          let base = Cost.term_cycles term in
-          match term with
-          | Instr.Call _ | Instr.Ret | Instr.Halt ->
-              (* Callee entries and return blocks open with their own
-                 boundaries, so the span ends at the control transfer. *)
-              base
-          | Instr.Jmp _ | Instr.Br _ ->
-              base
-              + List.fold_left
-                  (fun acc s -> max acc (cycles t { Fgraph.blk = s; idx = 0 }))
-                  0 t.g.Fgraph.succ.(p.Fgraph.blk)
-      in
-      Hashtbl.replace t.state key false;
-      Hashtbl.replace t.memo key c;
-      c
+  let row = t.memo.(p.Fgraph.blk) in
+  let c = row.(p.Fgraph.idx) in
+  if c >= 0 then c
+  else begin
+    if c = in_progress then
+      raise
+        (Unbounded
+           (Format.asprintf "boundary-free cycle through %a" (Fgraph.pp_point t.g) p));
+    row.(p.Fgraph.idx) <- in_progress;
+    let body = t.instrs.(p.Fgraph.blk) in
+    let c =
+      if p.Fgraph.idx < Array.length body then
+        match body.(p.Fgraph.idx) with
+        | Instr.Boundary _ as b ->
+            (* The commit closes the span; its own cost is charged here. *)
+            Cost.instr_cycles b
+        | i -> Cost.instr_cycles i + cycles t { p with Fgraph.idx = p.Fgraph.idx + 1 }
+      else
+        let term = t.g.Fgraph.blocks.(p.Fgraph.blk).Cfg.term in
+        let base = Cost.term_cycles term in
+        match term with
+        | Instr.Call _ | Instr.Ret | Instr.Halt ->
+            (* Callee entries and return blocks open with their own
+               boundaries, so the span ends at the control transfer. *)
+            base
+        | Instr.Jmp _ | Instr.Br _ ->
+            base
+            + List.fold_left
+                (fun acc s -> max acc (cycles t { Fgraph.blk = s; idx = 0 }))
+                0 t.g.Fgraph.succ.(p.Fgraph.blk)
+    in
+    row.(p.Fgraph.idx) <- c;
+    c
+  end
 
 let compute (g : Fgraph.t) =
   let instrs =
     Array.map (fun (b : Cfg.block) -> Array.of_list b.Cfg.instrs) g.Fgraph.blocks
   in
-  let t = { g; instrs; memo = Hashtbl.create 256; state = Hashtbl.create 256 } in
+  let memo = Array.map (fun body -> Array.make (Array.length body + 1) unknown) instrs in
+  let t = { g; instrs; memo } in
   (* Force evaluation from the entry and from behind every boundary so
      Unbounded surfaces at compute time. *)
   if Fgraph.n_blocks g > 0 then
@@ -68,7 +68,6 @@ let compute (g : Fgraph.t) =
         body)
     instrs;
   t
-
 let boundary_spans t =
   let acc = ref [] in
   Array.iteri

@@ -9,14 +9,21 @@
 
     The compiler compares each span against the cycles a fully charged
     capacitor can sustain (the "minimum time bound of the power-on
-    period", Section VI-B) and splits oversized regions. *)
+    period", Section VI-B) and splits oversized regions.
+
+    {!compute} walks the span graph depth first and memoises every
+    point in one array per block (a slot per instruction and one for
+    the terminator), so each point is evaluated once; {!Unbounded}
+    names the first point the walk meets again while it is still on
+    the walk's stack. *)
 
 exception Unbounded of string
 
 type t
 
 val compute : Fgraph.t -> t
-(** May raise {!Unbounded}. *)
+(** May raise {!Unbounded}.  The result is a snapshot of the block
+    bodies: a later insertion needs a fresh [compute]. *)
 
 val boundary_spans : t -> (int * Fgraph.point * int) list
 (** For each [Boundary id] instruction: [(id, its point, worst-case span

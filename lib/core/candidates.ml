@@ -10,13 +10,17 @@ type site = {
 
 type facts = {
   live : A.Ipliveness.t;
+  graphs : A.Fgraph.t array;
   clobbers : A.Clobbers.t Lazy.t;
   doms : A.Dom.t Lazy.t array;
   reaching : A.Reaching.t Lazy.t array;
   memos : memos;
 }
 
-and memos = { reach_memo : (int, Bytes.t) Hashtbl.t; max_blocks : int }
+(* [reach.(fi).(avoid * n + from)], [n] the function's block count: the
+   blocks reached from [from] avoiding [avoid]; a function's row is
+   [[||]] and an entry {!Bytes.empty} until first asked for. *)
+and memos = { reach : Bytes.t array array }
 
 type index = {
   by_id : (int, site) Hashtbl.t;
@@ -43,6 +47,7 @@ let facts (p : Cfg.program) =
   let clobbers = lazy (A.Clobbers.compute p) in
   {
     live;
+    graphs;
     clobbers;
     doms = Array.map (fun g -> lazy (A.Dom.compute g)) graphs;
     (* Call sites define the callee's clobber set, so no value is
@@ -55,12 +60,7 @@ let facts (p : Cfg.program) =
                ~call_defs:(A.Clobbers.of_function (Lazy.force clobbers))
                g))
         graphs;
-    memos =
-      {
-        reach_memo = Hashtbl.create 64;
-        max_blocks =
-          Array.fold_left (fun m g -> max m (A.Fgraph.n_blocks g)) 0 graphs;
-      };
+    memos = { reach = Array.make (Array.length graphs) [||] };
   }
 
 let boundary_inserted facts ~func (pt : A.Fgraph.point) =
@@ -68,7 +68,7 @@ let boundary_inserted facts ~func (pt : A.Fgraph.point) =
     A.Reaching.shift (Lazy.force facts.reaching.(func)) ~blk:pt.A.Fgraph.blk
       ~idx:pt.A.Fgraph.idx
 
-let release facts = Hashtbl.reset facts.memos.reach_memo
+let release facts = Array.fill facts.memos.reach 0 (Array.length facts.memos.reach) [||]
 
 (* Per function, per register: every definition point, with a call
    terminator standing for a definition of the callee's clobber set. *)
@@ -94,7 +94,7 @@ let defsites_of call_defs (g : A.Fgraph.t) =
 let compute ?facts:given (p : Cfg.program) =
   let facts = match given with Some f -> f | None -> facts p in
   let funcs = Array.of_list p.Cfg.funcs in
-  let graphs = Array.map A.Fgraph.of_func funcs in
+  let graphs = facts.graphs in
   let sites = ref [] in
   Array.iteri
     (fun fi g ->
@@ -128,30 +128,30 @@ let compute ?facts:given (p : Cfg.program) =
   in
   { prog = p; funcs; graphs; sites; facts; index = { by_id; defsites } }
 
-let site_opt t id = Hashtbl.find_opt t.index.by_id id
-
-let site t id =
-  match site_opt t id with Some s -> s | None -> raise Not_found
+let site t id = Hashtbl.find t.index.by_id id
 
 let defsites t fi r = (Lazy.force t.index.defsites).(fi).(Reg.to_int r)
 
 let reaches_avoiding t fi ~avoid ~from dst =
-  let n = t.facts.memos.max_blocks in
-  let key = (((fi * n) + avoid) * n) + from in
+  let g = t.graphs.(fi) in
+  let n = A.Fgraph.n_blocks g in
+  let memo = t.facts.memos.reach in
+  if Array.length memo.(fi) = 0 then memo.(fi) <- Array.make (n * n) Bytes.empty;
+  let key = (avoid * n) + from in
+  let seen = memo.(fi).(key) in
   let seen =
-    match Hashtbl.find_opt t.facts.memos.reach_memo key with
-    | Some seen -> seen
-    | None ->
-        let g = t.graphs.(fi) in
-        let seen = Bytes.make (A.Fgraph.n_blocks g) '\000' in
-        let rec go b =
-          if Bytes.get seen b = '\000' then begin
-            Bytes.set seen b '\001';
-            if b <> avoid then List.iter go g.A.Fgraph.succ.(b)
-          end
-        in
-        List.iter go g.A.Fgraph.succ.(from);
-        Hashtbl.replace t.facts.memos.reach_memo key seen;
-        seen
+    if Bytes.length seen > 0 then seen
+    else begin
+      let seen = Bytes.make n '\000' in
+      let rec go b =
+        if Bytes.get seen b = '\000' then begin
+          Bytes.set seen b '\001';
+          if b <> avoid then List.iter go g.A.Fgraph.succ.(b)
+        end
+      in
+      List.iter go g.A.Fgraph.succ.(from);
+      memo.(fi).(key) <- seen;
+      seen
+    end
   in
   Bytes.get seen dst <> '\000'

@@ -14,6 +14,9 @@ type site = {
 
 type facts = {
   live : A.Ipliveness.t;
+  graphs : A.Fgraph.t array;
+      (** per function, indexed like {!funcs}: {!Ipliveness}'s graphs,
+          over the program's own block records *)
   clobbers : A.Clobbers.t Lazy.t;
   doms : A.Dom.t Lazy.t array;  (** per function, indexed like {!funcs} *)
   reaching : A.Reaching.t Lazy.t array;
@@ -66,8 +69,6 @@ val compute : ?facts:facts -> Cfg.program -> t
 
 val site : t -> int -> site
 (** Lookup by boundary id; raises [Not_found]. *)
-
-val site_opt : t -> int -> site option
 
 val defsites : t -> int -> Reg.t -> A.Fgraph.point list
 (** [defsites t fi r]: every definition point of [r] in function [fi],

@@ -255,35 +255,44 @@ let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?memo ~slices ~reuse
      could change nothing; the chain normalisation below re-roots every
      reuse at its owned store. *)
   if reuse then begin
-    let decision_for bid r =
-      match Hashtbl.find_opt result bid with
-      | None -> None
-      | Some ds ->
-          List.find_map
-            (fun (x, d) -> if Reg.equal x r then Some d else None)
-            ds
+    (* The pass reads and writes decisions by (site, register): a dense
+       table over site positions, written back into [result] at the
+       end.  A register a site does not have live has no entry. *)
+    let sites = Array.of_list cands.Candidates.sites in
+    let pos = Hashtbl.create (Array.length sites) in
+    Array.iteri (fun i (s : Candidates.site) -> Hashtbl.replace pos s.Candidates.s_id i) sites;
+    let table =
+      Array.map
+        (fun (s : Candidates.site) ->
+          let row = Array.make Reg.count None in
+          List.iter
+            (fun (r, d) -> row.(Reg.to_int r) <- Some d)
+            (Hashtbl.find result s.Candidates.s_id);
+          row)
+        sites
     in
-    let set_decision bid r d =
-      let ds = Hashtbl.find result bid in
-      Hashtbl.replace result bid
-        (List.map (fun (x, old) -> if Reg.equal x r then (x, d) else (x, old)) ds)
+    let changed = Array.make (Array.length sites) false in
+    let decision_for i r = table.(i).(Reg.to_int r) in
+    let set_decision i r d =
+      table.(i).(Reg.to_int r) <- Some d;
+      changed.(i) <- true
     in
     let sites_of_func = Array.make (Array.length cands.Candidates.funcs) [] in
-    List.iter
-      (fun (s : Candidates.site) ->
-        sites_of_func.(s.Candidates.s_func) <-
-          s :: sites_of_func.(s.Candidates.s_func))
-      cands.Candidates.sites;
-    List.iter
-      (fun (s : Candidates.site) ->
+    Array.iteri
+      (fun i (s : Candidates.site) ->
+        sites_of_func.(s.Candidates.s_func) <- i :: sites_of_func.(s.Candidates.s_func))
+      sites;
+    Array.iteri
+      (fun si (s : Candidates.site) ->
         let fi = s.Candidates.s_func in
-        (* The other sites of [s]'s function that dominate it. *)
+        let dominates (a : Candidates.site) (b : Candidates.site) =
+          A.Dom.dominates_point (dom fi) a.Candidates.s_point b.Candidates.s_point
+        in
+        (* The other sites of [s]'s function that dominate it, latest
+           first. *)
         let dominators =
           List.filter
-            (fun (o : Candidates.site) ->
-              o.Candidates.s_id <> s.Candidates.s_id
-              && A.Dom.dominates_point (dom fi) o.Candidates.s_point
-                   s.Candidates.s_point)
+            (fun oi -> oi <> si && dominates sites.(oi) s)
             sites_of_func.(fi)
         in
         List.iter
@@ -291,30 +300,26 @@ let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?memo ~slices ~reuse
             (* A repair (force_keep) is absolute: colouring requested this
                store, so reuse must never take it back. *)
             let blocked = Reg.Set.mem r (force_keep s.Candidates.s_id) in
-            match decision_for s.Candidates.s_id r with
+            match decision_for si r with
             | Some Keep when not blocked -> (
                 (* Nearest dominating site with r live and a usable
                    restore: the one dominated by all the others. *)
                 let nearest =
                   List.fold_left
-                    (fun best (o : Candidates.site) ->
-                      if not (Reg.Set.mem r o.Candidates.s_live) then best
+                    (fun best oi ->
+                      if not (Reg.Set.mem r sites.(oi).Candidates.s_live) then best
                       else
                         match best with
-                        | None -> Some o
-                        | Some b ->
-                            if
-                              A.Dom.dominates_point (dom fi) b.Candidates.s_point
-                                o.Candidates.s_point
-                            then Some o
-                            else best)
+                        | None -> Some oi
+                        | Some bi -> if dominates sites.(bi) sites.(oi) then Some oi else best)
                     None dominators
                 in
                 match nearest with
                 | None -> ()
-                | Some o -> (
+                | Some oi -> (
+                    let o = sites.(oi) in
                     let target =
-                      match decision_for o.Candidates.s_id r with
+                      match decision_for oi r with
                       | Some Keep -> Some o.Candidates.s_id
                       | Some (Reuse t) -> Some t
                       | Some (Prune _) | None -> None
@@ -323,31 +328,39 @@ let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?memo ~slices ~reuse
                     | Some t
                       when no_def_between cands fi r o.Candidates.s_point
                              s.Candidates.s_point ->
-                        set_decision s.Candidates.s_id r (Reuse t)
+                        set_decision si r (Reuse t)
                     | Some _ | None -> ()))
             | Some Keep | Some (Reuse _) | Some (Prune _) | None -> ())
           (Reg.Set.elements s.Candidates.s_live))
-      cands.Candidates.sites;
+      sites;
     (* Normalize reuse chains: an owner decided later in the pass may
        have become a reuser itself; restores must reference the root
        owned store. *)
-    List.iter
-      (fun (s : Candidates.site) ->
+    Array.iteri
+      (fun si (s : Candidates.site) ->
         List.iter
           (fun r ->
-            match decision_for s.Candidates.s_id r with
+            match decision_for si r with
             | Some (Reuse t) ->
                 let rec root t seen =
                   if List.mem t seen then t
                   else
-                    match decision_for t r with
+                    match Option.bind (Hashtbl.find_opt pos t) (fun ti -> decision_for ti r) with
                     | Some (Reuse t') -> root t' (t :: seen)
                     | Some Keep | Some (Prune _) | None -> t
                 in
                 let t' = root t [] in
-                if t' <> t then set_decision s.Candidates.s_id r (Reuse t')
+                if t' <> t then set_decision si r (Reuse t')
             | Some Keep | Some (Prune _) | None -> ())
           (Reg.Set.elements s.Candidates.s_live))
-      cands.Candidates.sites
+      sites;
+    Array.iteri
+      (fun i (s : Candidates.site) ->
+        if changed.(i) then
+          Hashtbl.replace result s.Candidates.s_id
+            (List.map
+               (fun (r, _) -> (r, Option.get table.(i).(Reg.to_int r)))
+               (Hashtbl.find result s.Candidates.s_id)))
+      sites
   end;
   result

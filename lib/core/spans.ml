@@ -147,8 +147,17 @@ let edges w ~stores =
     cands.Candidates.sites;
   let stop id = snd (Hashtbl.find at id) in
   (* The edge lists come out in table order, which decides the order in
-     which colouring meets (and repairs) conflicts. *)
-  let tables = Array.init Reg.count (fun _ -> Hashtbl.create 64) in
+     which colouring meets (and repairs) conflicts.  A register's table
+     is made on its first edge, at the one size that order rests on. *)
+  let tables = Array.make Reg.count None in
+  let table ri =
+    match tables.(ri) with
+    | Some tbl -> tbl
+    | None ->
+        let tbl = Hashtbl.create 64 in
+        tables.(ri) <- Some tbl;
+        tbl
+  in
   List.iter
     (fun (s : Candidates.site) ->
       let src = fst (Hashtbl.find at s.Candidates.s_id) in
@@ -159,7 +168,7 @@ let edges w ~stores =
             | Instr.Boundary id ->
                 Reg.Set.iter
                   (fun r ->
-                    let tbl = tables.(Reg.to_int r) in
+                    let tbl = table (Reg.to_int r) in
                     let key = (s.Candidates.s_id, id) in
                     let redefined =
                       Reg.Set.mem r dirty
@@ -172,5 +181,7 @@ let edges w ~stores =
             | _ -> ()))
     cands.Candidates.sites;
   Array.map
-    (fun tbl -> Hashtbl.fold (fun (a, b) redef l -> (a, b, redef) :: l) tbl [])
+    (function
+      | None -> []
+      | Some tbl -> Hashtbl.fold (fun (a, b) redef l -> (a, b, redef) :: l) tbl [])
     tables

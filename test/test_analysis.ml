@@ -228,6 +228,218 @@ let prop_reaching_shift =
             [ 0; 1; 2; 3 ])
         p.Cfg.funcs)
 
+(* {1 WCET oracle}
+
+   A brute-force longest boundary-free path: every path is expanded
+   afresh, with no memo, from the per-instruction and per-terminator
+   costs.  A [Boundary] closes the span and is charged; a call, return
+   or halt ends it at the control transfer. *)
+let brute_span (f : Cfg.func) =
+  let blocks = Array.of_list f.Cfg.blocks in
+  let index l =
+    let rec go i = function
+      | [] -> invalid_arg l
+      | (b : Cfg.block) :: rest -> if b.Cfg.label = l then i else go (i + 1) rest
+    in
+    go 0 f.Cfg.blocks
+  in
+  let rec from ~depth blk idx =
+    if depth > 10_000 then failwith "brute_span: cycle";
+    let b = blocks.(blk) in
+    let rec instrs = function
+      | Instr.Boundary _ as x :: _ -> `Closed (Cost.instr_cycles x)
+      | x :: rest -> (
+          match instrs rest with
+          | `Closed c -> `Closed (c + Cost.instr_cycles x)
+          | `Open c -> `Open (c + Cost.instr_cycles x))
+      | [] -> `Open 0
+    in
+    match instrs (List.filteri (fun i _ -> i >= idx) b.Cfg.instrs) with
+    | `Closed c -> c
+    | `Open c -> (
+        let base = c + Cost.term_cycles b.Cfg.term in
+        match b.Cfg.term with
+        | Instr.Call _ | Instr.Ret | Instr.Halt -> base
+        | Instr.Jmp _ | Instr.Br _ ->
+            base
+            + List.fold_left
+                (fun acc l -> max acc (from ~depth:(depth + 1) (index l) 0))
+                0 (Cfg.successors b.Cfg.term))
+  in
+  from ~depth:0
+
+let prop_wcet_oracle =
+  QCheck.Test.make ~count:120
+    ~name:"WCET spans equal the brute-force longest boundary-free path"
+    QCheck.(make ~print:string_of_int Gen.(int_bound 99999))
+    (fun seed ->
+      let p =
+        if seed land 1 = 0 then Gen_prog.generate_mixed seed
+        else Gen_prog.generate ~calls:true ~runs:true seed
+      in
+      ignore (Gecko_core.Regions.form ~next_id:(ref 0) p);
+      List.for_all
+        (fun (f : Cfg.func) ->
+          let w = A.Wcet.compute (A.Fgraph.of_func f) in
+          let span = brute_span f in
+          let expected =
+            List.concat
+              (List.mapi
+                 (fun blk (b : Cfg.block) ->
+                   List.concat
+                     (List.mapi
+                        (fun idx i ->
+                          match i with
+                          | Instr.Boundary id ->
+                              [ (id, { A.Fgraph.blk; idx }, span blk (idx + 1)) ]
+                          | _ -> [])
+                        b.Cfg.instrs))
+                 f.Cfg.blocks)
+          in
+          A.Wcet.boundary_spans w = expected && A.Wcet.entry_span w = span 0 0)
+        p.Cfg.funcs)
+
+(* A loop with no boundary at its header, entered only after the entry
+   boundary: the span that boundary opens never closes, and [compute]
+   must say so, naming the first point of the cycle it meets. *)
+let test_wcet_unbounded_after_boundary () =
+  let b = B.program "spin" in
+  B.func b "main";
+  B.block b "entry";
+  B.li b Reg.r0 0;
+  B.jmp b "spin";
+  B.block b "spin";
+  B.add b Reg.r0 Reg.r0 (B.imm 1);
+  B.br b Instr.Nz Reg.r0 "spin" "exit_";
+  B.block b "exit_";
+  B.halt b;
+  let p = B.finish b in
+  let entry = Cfg.entry_block (Cfg.find_func p "main") in
+  entry.Cfg.instrs <- Instr.Boundary 0 :: entry.Cfg.instrs;
+  match A.Wcet.compute (graph_of p) with
+  | exception A.Wcet.Unbounded msg ->
+      Alcotest.(check string) "cycle point" "boundary-free cycle through spin+0" msg
+  | _ -> Alcotest.fail "expected Unbounded"
+
+(* {1 Liveness oracle}
+
+   A naive per-instruction backward fixpoint over the whole program,
+   with the call rules of {!Ipliveness}: a call uses the callee's
+   entry live-in and [sp], a return uses [sp] and what is live at every
+   return block of the function's call sites, and calls kill nothing. *)
+let naive_liveness (p : Cfg.program) =
+  let funcs = Array.of_list p.Cfg.funcs in
+  let blocks = Array.map (fun (f : Cfg.func) -> Array.of_list f.Cfg.blocks) funcs in
+  let fidx name =
+    let r = ref (-1) in
+    Array.iteri (fun i (f : Cfg.func) -> if f.Cfg.fname = name then r := i) funcs;
+    !r
+  in
+  let bidx fi l =
+    let r = ref (-1) in
+    Array.iteri (fun i (b : Cfg.block) -> if b.Cfg.label = l then r := i) blocks.(fi);
+    !r
+  in
+  let before =
+    Array.map
+      (Array.map (fun (b : Cfg.block) ->
+           Array.make (List.length b.Cfg.instrs + 1) Reg.Set.empty))
+      blocks
+  in
+  let entry fi = if fi < 0 then Reg.Set.empty else before.(fi).(0).(0) in
+  let ret_uses name =
+    let acc = ref Reg.Set.empty in
+    Array.iteri
+      (fun ci bs ->
+        Array.iter
+          (fun (b : Cfg.block) ->
+            match b.Cfg.term with
+            | Instr.Call (callee, ret) when callee = name ->
+                acc := Reg.Set.union !acc before.(ci).(bidx ci ret).(0)
+            | _ -> ())
+          bs)
+      blocks;
+    !acc
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Array.iteri
+      (fun fi bs ->
+        Array.iteri
+          (fun bi (b : Cfg.block) ->
+            let live = before.(fi).(bi) in
+            let n = List.length b.Cfg.instrs in
+            let out =
+              List.fold_left
+                (fun acc l -> Reg.Set.union acc before.(fi).(bidx fi l).(0))
+                Reg.Set.empty (Cfg.successors b.Cfg.term)
+            in
+            let tu =
+              match b.Cfg.term with
+              | Instr.Call (callee, _) -> Reg.Set.add Reg.sp (entry (fidx callee))
+              | Instr.Ret -> Reg.Set.add Reg.sp (ret_uses funcs.(fi).Cfg.fname)
+              | t -> Instr.term_uses t
+            in
+            let set i v =
+              if not (Reg.Set.equal v live.(i)) then begin
+                live.(i) <- v;
+                changed := true
+              end
+            in
+            set n (Reg.Set.union out tu);
+            List.iteri
+              (fun k i ->
+                let j = n - 1 - k in
+                set j (Reg.Set.union (Instr.uses i) (Reg.Set.diff live.(j + 1) (Instr.defs i))))
+              (List.rev b.Cfg.instrs))
+          bs)
+      blocks
+  done;
+  before
+
+let live_matches l (p : Cfg.program) =
+  let naive = naive_liveness p in
+  List.for_all Fun.id
+    (List.mapi
+       (fun fi (f : Cfg.func) ->
+         List.for_all Fun.id
+           (List.mapi
+              (fun blk (b : Cfg.block) ->
+                List.for_all
+                  (fun idx ->
+                    Reg.Set.equal
+                      (A.Ipliveness.live_at l ~fname:f.Cfg.fname { A.Fgraph.blk; idx })
+                      naive.(fi).(blk).(idx))
+                  (List.init (List.length b.Cfg.instrs + 1) Fun.id))
+              f.Cfg.blocks))
+       p.Cfg.funcs)
+
+(* Colouring inserts repair boundaries into a block's list between
+   queries of one [Ipliveness.t]; a boundary uses and defines nothing,
+   so every answer must follow the changed list. *)
+let prop_liveness_oracle =
+  QCheck.Test.make ~count:120
+    ~name:"live_at equals a naive fixpoint, before and after insertions"
+    QCheck.(make ~print:string_of_int Gen.(int_bound 99999))
+    (fun seed ->
+      let p = Gen_prog.generate ~calls:true ~runs:(seed land 1 = 0) seed in
+      let rng = Gecko_util.Rng.create seed in
+      let l = A.Ipliveness.compute p in
+      live_matches l p
+      && List.for_all
+           (fun k ->
+             let funcs = Array.of_list p.Cfg.funcs in
+             let f = funcs.(Gecko_util.Rng.int rng (Array.length funcs)) in
+             let bs = Array.of_list f.Cfg.blocks in
+             let b = bs.(Gecko_util.Rng.int rng (Array.length bs)) in
+             let idx = Gecko_util.Rng.int rng (List.length b.Cfg.instrs + 1) in
+             b.Cfg.instrs <-
+               List.filteri (fun i _ -> i < idx) b.Cfg.instrs
+               @ (Instr.Boundary (1000 + k) :: List.filteri (fun i _ -> i >= idx) b.Cfg.instrs);
+             live_matches l p)
+           [ 0; 1; 2; 3 ])
+
 let () =
   Alcotest.run "analysis"
     [
@@ -243,6 +455,8 @@ let () =
         [
           Alcotest.test_case "spans" `Quick test_wcet_spans;
           Alcotest.test_case "unbounded" `Quick test_wcet_unbounded;
+          Alcotest.test_case "unbounded after a boundary" `Quick
+            test_wcet_unbounded_after_boundary;
         ] );
       ( "interprocedural",
         [
@@ -251,6 +465,7 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_distinct_slots; prop_reaching_shift ]
+          [ prop_distinct_slots; prop_reaching_shift; prop_wcet_oracle;
+            prop_liveness_oracle ]
       );
     ]

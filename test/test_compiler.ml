@@ -745,6 +745,37 @@ let test_meta_digests () =
   in
   Alcotest.(check (list (triple string string string))) "digests" expected_meta actual
 
+(* Generated programs, pinned as one digest: the listing and [Meta]
+   digests of 100 [generate_mixed] seeds and 100 seeds with calls and a
+   split run, under every build at the default budget and at 300 (which
+   drives [Regions.split] along [Wcet.worst_successor]).  A compile that
+   fails contributes its exception instead.  The workload digests above
+   cover 11 programs; this covers the shapes they do not. *)
+let generated_digest () =
+  let b = Buffer.create 4096 in
+  let programs =
+    List.init 100 (fun s -> Gen_prog.generate_mixed s)
+    @ List.init 100 (fun s -> Gen_prog.generate ~calls:true ~runs:true s)
+  in
+  List.iter
+    (fun src ->
+      List.iter
+        (fun (slug, scheme) ->
+          List.iter
+            (fun budget_cycles ->
+              Printf.bprintf b "%s %s %d " src.Cfg.pname slug budget_cycles;
+              match Core.Pipeline.compile ~budget_cycles scheme src with
+              | (_, meta) as out ->
+                  Printf.bprintf b "%s %s\n" (listing_digest out) (meta_digest meta)
+              | exception e -> Printf.bprintf b "%s\n" (Printexc.to_string e))
+            [ Core.Pipeline.default_budget; 300 ])
+        builds)
+    programs;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_generated_digest () =
+  Alcotest.(check string) "digest" "75e9353397cace207e36b5da22646884" (generated_digest ())
+
 (* How much each fix-up loop re-derives, pinned exactly for two
    programs: WAR hazard searches and the loads they walk, reaching-
    definition fixpoints, registers sliced and slice-memo hits.  A loop
@@ -872,6 +903,7 @@ let () =
           Alcotest.test_case "instrumentation totals" `Quick
             test_instrumentation_totals;
           Alcotest.test_case "meta digests" `Quick test_meta_digests;
+          Alcotest.test_case "generated programs" `Quick test_generated_digest;
           Alcotest.test_case "re-derivation counters" `Quick test_rederivations;
         ] );
     ]
