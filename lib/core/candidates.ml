@@ -68,8 +68,6 @@ let boundary_inserted facts ~func (pt : A.Fgraph.point) =
     A.Reaching.shift (Lazy.force facts.reaching.(func)) ~blk:pt.A.Fgraph.blk
       ~idx:pt.A.Fgraph.idx
 
-let release facts = Array.fill facts.memos.reach 0 (Array.length facts.memos.reach) [||]
-
 (* Per function, per register: every definition point, with a call
    terminator standing for a definition of the callee's clobber set. *)
 let defsites_of call_defs (g : A.Fgraph.t) =

@@ -29,16 +29,18 @@ type facts = {
 (** What a repair boundary cannot change.  Inserting a [Boundary]
     (which neither uses nor defines a register) changes no block-level
     fact, shifts the reaching definitions' points consistently, and
-    keeps every {!reaches_avoiding} answer, so the colouring loop
-    computes these once and passes them to every round's {!compute}.
+    keeps every {!reaches_avoiding} answer, so [Pipeline.compile]
+    computes these once per compile and passes them to every colouring
+    round's {!compute}.
 
     The facts describe the program they were computed on plus every
-    boundary reported through {!boundary_inserted}; any other change
-    (such as emitting checkpoint stores) needs fresh facts. *)
+    boundary reported through {!boundary_inserted}.  Emitting checkpoint
+    stores needs fresh facts; putting the physically identical
+    instruction lists back afterwards makes these valid again. *)
 
 and memos
-(** The {!reaches_avoiding} memo: block-level, so it outlives a
-    colouring round; {!release} drops it. *)
+(** The {!reaches_avoiding} memo: block-level, so it lives as long as
+    the facts. *)
 
 type index
 (** Per-round lookup tables behind {!site} and {!defsites}. *)
@@ -58,10 +60,6 @@ val boundary_inserted : facts -> func:int -> A.Fgraph.point -> unit
 (** A [Boundary] was inserted at the point of function [func]: shift the
     position-bearing facts (the reaching definitions, where already
     computed). *)
-
-val release : facts -> unit
-(** Drop the memo tables.  The facts stay valid; a later query
-    recomputes what it needs. *)
 
 val compute : ?facts:facts -> Cfg.program -> t
 (** Boundary sites with their live-ins.  [facts] defaults to a fresh

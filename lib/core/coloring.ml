@@ -12,10 +12,10 @@ let color t bid r =
 (* 2-colouring                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type attempt =
-  | Colored of t
-  | Conflict of Reg.t * int list * (int * int) list
-      (** register, odd cycle, that register's directed edges *)
+(* A conflict: the register, its odd cycle and its directed edges. *)
+type conflict = Reg.t * int list * (int * int) list
+
+type attempt = Colored of t | Conflict of conflict
 
 (* Registers a boundary stores, under the decisions. *)
 let stores_of (decisions : Prune.result) =
@@ -207,101 +207,30 @@ let pick_repair_node ~avoid edges cycle =
       in
       (match best with Some x -> x | None -> first)
 
-(* What a colouring call leaves behind for the next one on the same
-   program: the repair boundaries, with the registers each force-keeps. *)
-type state = {
-  repairs : (int, Reg.Set.t) Hashtbl.t;
-  repair_at : (int, int) Hashtbl.t;
+(* The repair boundaries of one compile: the registers each force-keeps,
+   and the repair inserted after each repaired node. *)
+type repairs = {
+  forced : (int, Reg.Set.t) Hashtbl.t;
+  after : (int, int) Hashtbl.t;
 }
 
-type outcome = {
-  cands : Candidates.t;
-  decisions : Prune.result;
-  colors : t;
-  rounds : int;
-  state : state;
-}
+let repairs () = { forced = Hashtbl.create 8; after = Hashtbl.create 8 }
 
-let assign ?resume ?metrics ~next_id ~analyze (p : Cfg.program) =
-  (* A repair boundary neither uses nor defines a register, so liveness,
-     clobbers and dominators hold for every round,
-     and the reaching definitions only shift ([insert_repair] moves them
-     along).  The phase-1 slice memo rests on the same invariants. *)
-  let repairs, repair_at =
-    match resume with
-    | Some s -> (s.repairs, s.repair_at)
-    | None -> (Hashtbl.create 8, Hashtbl.create 8)
+let forced t bid =
+  Option.value ~default:Reg.Set.empty (Hashtbl.find_opt t.forced bid)
+
+let repair t ~next_id cands (reg, cycle, redges) =
+  let node =
+    pick_repair_node ~avoid:(fun x -> Reg.Set.mem reg (forced t x)) redges cycle
   in
-  let facts = Candidates.facts p in
-  let memo = Prune.memo () in
-  let rec loop round =
-    if round > 256 then failwith "Coloring.assign: did not converge";
-    (* Decisions are recomputed after every insertion.  A repair boundary
-       force-keeps exactly the problematic register (the paper's
-       "additional checkpoint that saves the problematic register to a
-       different index"): the forced keeps are passed INTO the analysis —
-       not patched in afterwards — so the reuse pass can neither reuse
-       them away (reverting the alternation) nor route another site's
-       restore at a slot the repair's own store would clobber inside that
-       site's crash window; its other live-ins are treated normally. *)
-    let cands = Candidates.compute ~facts p in
-    let force_keep bid =
-      match Hashtbl.find_opt repairs bid with
-      | Some regs -> regs
-      | None -> Reg.Set.empty
-    in
-    let decisions = analyze ~force_keep ~memo cands in
-    match try_color cands decisions with
-    | Colored colors ->
-        {
-          cands;
-          decisions;
-          colors;
-          rounds = round + 1;
-          state = { repairs; repair_at };
-        }
-    | Conflict (reg, cycle, redges) ->
-        let avoid x =
-          match Hashtbl.find_opt repairs x with
-          | Some regs -> Reg.Set.mem reg regs
-          | None -> false
-        in
-        let node = pick_repair_node ~avoid redges cycle in
-        (* Coalesce: several registers self-looping at the same node
-           share one repair boundary.  If that repair already hosts this
-           register (the cycle involves the repair itself), a fresh
-           boundary is inserted between the node and its repair. *)
-        let coalesced =
-          match Hashtbl.find_opt repair_at node with
-          | Some rid ->
-              let old =
-                try Hashtbl.find repairs rid with Not_found -> Reg.Set.empty
-              in
-              if Reg.Set.mem reg old then false
-              else begin
-                Hashtbl.replace repairs rid (Reg.Set.add reg old);
-                true
-              end
-          | None -> false
-        in
-        if not coalesced then begin
-          Hashtbl.replace repair_at node !next_id;
-          Hashtbl.replace repairs !next_id (Reg.Set.singleton reg);
-          insert_repair ~next_id cands node
-        end;
-        loop (round + 1)
-  in
-  let out = loop 0 in
-  Candidates.release facts;
-  Option.iter
-    (fun reg ->
-      let add name n = Gecko_obs.Metrics.incr ~by:n (Gecko_obs.Metrics.counter reg name) in
-      let sliced, hits = Prune.memo_counts memo in
-      add "pipeline.reaching.computes"
-        (Array.fold_left
-           (fun n l -> if Lazy.is_val l then n + 1 else n)
-           0 facts.Candidates.reaching);
-      add "pipeline.prune.sliced" sliced;
-      add "pipeline.prune.slice_memo_hits" hits)
-    metrics;
-  out
+  (* Coalesce: several registers self-looping at the same node share one
+     repair boundary.  If that repair already hosts this register (the
+     cycle involves the repair itself), a fresh boundary is inserted
+     between the node and its repair. *)
+  match Hashtbl.find_opt t.after node with
+  | Some rid when not (Reg.Set.mem reg (forced t rid)) ->
+      Hashtbl.replace t.forced rid (Reg.Set.add reg (forced t rid))
+  | Some _ | None ->
+      Hashtbl.replace t.after node !next_id;
+      Hashtbl.replace t.forced !next_id (Reg.Set.singleton reg);
+      insert_repair ~next_id cands node

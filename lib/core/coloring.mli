@@ -27,54 +27,31 @@ val color : t -> int -> Reg.t -> int
 (** Colour of the checkpoint store of a register at a boundary; raises
     [Not_found] if that pair is not an emitted store. *)
 
-type state
-(** What one {!assign} call hands to the next on the same program: its
-    repair boundaries, with the registers each force-keeps. *)
+type conflict
+(** An odd cycle of one register's stores. *)
 
-type outcome = {
-  cands : Candidates.t;  (** of the final, repaired program *)
-  decisions : Prune.result;
-  colors : t;
-  rounds : int;
-      (** colouring attempts of this call: one per repair, plus the final
-          success *)
-  state : state;
-}
+type attempt = Colored of t | Conflict of conflict
 
-val assign :
-  ?resume:state ->
-  ?metrics:Gecko_obs.Metrics.registry ->
-  next_id:int ref ->
-  analyze:
-    (force_keep:(int -> Reg.Set.t) ->
-    memo:Prune.memo ->
-    Candidates.t ->
-    Prune.result) ->
-  Cfg.program ->
-  outcome
-(** May insert repair boundaries (mutating the program).  [analyze] is
-    re-run after every insertion, receiving the repair boundaries'
-    forced-keep sets, so repair stores are first-class during pruning —
-    in particular the reuse pass sees them as unprunable owned stores
-    rather than discovering them after the fact.
+val try_color : Candidates.t -> Prune.result -> attempt
+(** One colouring round: 2-colour every register's stores under the
+    decisions, or name the first odd cycle met. *)
 
-    Each round re-derives only what a repair can change.  Once per call:
-    liveness, clobbers, dominators, the reaching definitions of each
-    function (shifted in place by every repair,
-    {!Candidates.boundary_inserted}) and the
-    {!Candidates.reaches_avoiding} memo, all in one {!Candidates.facts}.  [memo] (one per call, handed to every round's
-    [analyze]) keeps each site's phase-1 slice decisions.  Per round:
-    the candidate sites, phase 2 of pruning and the colouring itself.
-    The memos are dropped when the call returns.
+type repairs
+(** The repair boundaries of one compile, each with the registers it
+    force-keeps, and the repair inserted after each repaired node. *)
 
-    [metrics] counts reaching-definition fixpoints computed
-    ([pipeline.reaching.computes]), registers sliced
-    ([pipeline.prune.sliced]) and sites served by the slice memo
-    ([pipeline.prune.slice_memo_hits]).
+val repairs : unit -> repairs
 
-    [resume] continues from the [state] of an earlier call on the same
-    program, whose repair boundaries are still in place and whose
-    emitted checkpoint stores have been removed again: its repairs stay
-    force-kept instead of being rediscovered one round at a time.  The
-    pipeline resumes this way after it force-keeps a clobbered reuse.
-    Raises [Failure] if colouring does not converge. *)
+val forced : repairs -> int -> Reg.Set.t
+(** [forced t bid]: the registers repair boundary [bid] force-keeps;
+    empty for any other boundary.  Pruning takes them through
+    [Prune.analyze_with ~force_keep], so repair stores are first-class
+    during pruning: the reuse pass sees them as unprunable owned stores
+    rather than discovering them after the fact. *)
+
+val repair : repairs -> next_id:int ref -> Candidates.t -> conflict -> unit
+(** Repair the conflict found on [cands]: add its register to the
+    repair already inserted after the chosen node, or insert a fresh
+    [Boundary !next_id] there (mutating the program and shifting
+    [cands.facts] through {!Candidates.boundary_inserted}).  The next
+    round needs fresh candidates and decisions. *)

@@ -52,9 +52,11 @@ let pass ?obs ?metrics p name f =
         (float_of_int (Cfg.instr_count p)));
   r
 
-(* Bound on colour-emit-scan attempts of one compile.  Every attempt
-   after the first force-keeps at least one more reuse, so a compile
-   that needs more has a scan that no keep can satisfy. *)
+(* Bounds of the colour-and-settle loop: colouring rounds per attempt
+   (one repair each), and colour-emit-scan attempts per compile.  Every
+   attempt after the first force-keeps at least one more reuse, so a
+   compile that needs more has a scan that no keep can satisfy. *)
+let max_color_rounds = 256
 let max_settle_attempts = 64
 
 (* Emission only prepends checkpoint stores to the [Boundary]s of
@@ -82,9 +84,9 @@ let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
           ignore
             (Regions.split ?metrics ~next_id ~budget:budget_cycles
                ~ckpt_overhead:overhead p));
-      (* [scan] is the settle loop's last window-clobber scan (it found no
-         clobbers), which the [slots] gate reads instead of scanning the
-         same program again. *)
+      (* [scan] is the settle loop's last scan (it found no clobbers),
+         which the [coloring] and [slots] gates read instead of analysing
+         the same program again. *)
       let meta, scan =
         match scheme with
         | Scheme.Ratchet -> (pass "emit" (fun () -> Emit.ratchet p), None)
@@ -101,40 +103,76 @@ let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
                every read it does not survive; each becomes a forced
                [Keep] (an owned store, which span colouring gives its
                own colour), and colouring resumes until the scan is
-               empty. *)
-            let forced = Hashtbl.create 8 in
-            let forced_at bid =
-              Option.value ~default:Reg.Set.empty (Hashtbl.find_opt forced bid)
+               empty.
+
+               One loop per compile, over one set of facts, one slice
+               memo and one repair table.  A repair boundary neither
+               uses nor defines a register, so liveness, clobbers and
+               dominators hold for every round, and the reaching
+               definitions only shift ([Coloring.repair] moves them
+               along); the slice memo, keyed on (site, forced keeps),
+               rests on the same invariants.  Emission is undone by
+               putting back the physically identical instruction lists,
+               on which the liveness tables are keyed, so the facts
+               outlive every settle attempt too. *)
+            let facts = Candidates.facts p in
+            let memo = Prune.memo () in
+            let repairs = Coloring.repairs () in
+            (* The reuses the scan found clobbered, force-kept. *)
+            let clobbered = Hashtbl.create 8 in
+            let clobbered_at bid =
+              Option.value ~default:Reg.Set.empty
+                (Hashtbl.find_opt clobbered bid)
             in
-            let analyze ~force_keep ~memo cands =
-              Prune.analyze_with
-                ~force_keep:(fun bid ->
-                  Reg.Set.union (forced_at bid) (force_keep bid))
-                ~memo ~slices ~reuse cands
+            (* Forced keeps are passed INTO the analysis, not patched in
+               afterwards, so the reuse pass can neither reuse a repair's
+               register away (reverting the alternation) nor route
+               another site's restore at a slot the repair's own store
+               would clobber inside that site's crash window.  A repair
+               force-keeps exactly the problematic register (the paper's
+               "additional checkpoint that saves the problematic register
+               to a different index"); its other live-ins are treated
+               normally. *)
+            let force_keep bid =
+              Reg.Set.union (Coloring.forced repairs bid) (clobbered_at bid)
             in
-            let rec settle attempt resume =
-              let col =
-                pass "coloring" (fun () ->
-                    Coloring.assign ?resume ?metrics ~next_id ~analyze p)
-              in
+            let count name n =
               Option.iter
                 (fun reg ->
-                  Gecko_obs.Metrics.incr ~by:col.Coloring.rounds
-                    (Gecko_obs.Metrics.counter reg "pipeline.coloring.rounds"))
-                metrics;
+                  Gecko_obs.Metrics.incr ~by:n
+                    (Gecko_obs.Metrics.counter reg name))
+                metrics
+            in
+            let rec color round =
+              if round > max_color_rounds then
+                failwith "Pipeline: slot colouring did not converge";
+              let cands = Candidates.compute ~facts p in
+              let decisions =
+                Prune.analyze_with ~force_keep ~memo ~slices ~reuse cands
+              in
+              count "pipeline.coloring.rounds" 1;
+              match Coloring.try_color cands decisions with
+              | Coloring.Colored colors -> (cands, decisions, colors)
+              | Coloring.Conflict c ->
+                  Coloring.repair repairs ~next_id cands c;
+                  color (round + 1)
+            in
+            let rec settle attempt =
+              let cands, decisions, colors =
+                pass "coloring" (fun () -> color 0)
+              in
               let colored = snapshot p in
               let meta =
                 pass "emit" (fun () ->
-                    Emit.gecko scheme p col.Coloring.cands
-                      col.Coloring.decisions col.Coloring.colors)
+                    Emit.gecko scheme p cands decisions colors)
               in
               let scan = pass "clobbers" (fun () -> Verify.scan p meta) in
               match Verify.slot_clobbers scan with
-              | [] -> (meta, Some scan)
+              | [] -> (meta, scan)
               | clobbers ->
                   let fresh =
                     List.filter
-                      (fun (bid, r) -> not (Reg.Set.mem r (forced_at bid)))
+                      (fun (bid, r) -> not (Reg.Set.mem r (clobbered_at bid)))
                       clobbers
                   in
                   if fresh = [] || attempt >= max_settle_attempts then
@@ -143,25 +181,29 @@ let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
                        forced keeps";
                   List.iter
                     (fun (bid, r) ->
-                      Hashtbl.replace forced bid (Reg.Set.add r (forced_at bid)))
+                      Hashtbl.replace clobbered bid
+                        (Reg.Set.add r (clobbered_at bid)))
                     fresh;
-                  Option.iter
-                    (fun reg ->
-                      Gecko_obs.Metrics.incr ~by:(List.length fresh)
-                        (Gecko_obs.Metrics.counter reg
-                           "pipeline.slot_force_keeps"))
-                    metrics;
+                  count "pipeline.slot_force_keeps" (List.length fresh);
                   restore colored;
-                  settle (attempt + 1) (Some col.Coloring.state)
+                  settle (attempt + 1)
             in
-            settle 1 None
+            let meta, scan = settle 1 in
+            let sliced, hits = Prune.memo_counts memo in
+            count "pipeline.reaching.computes"
+              (Array.fold_left
+                 (fun n l -> if Lazy.is_val l then n + 1 else n)
+                 0 facts.Candidates.reaching);
+            count "pipeline.prune.sliced" sliced;
+            count "pipeline.prune.slice_memo_hits" hits;
+            (meta, Some scan)
         | Scheme.Nvp -> assert false
       in
       pass "verify" (fun () ->
           fail_on_errors "idempotence" (Verify.idempotence p);
           (match scan with
           | Some scan ->
-              fail_on_errors "coloring" (Verify.coloring p meta);
+              fail_on_errors "coloring" (Verify.coloring scan);
               fail_on_errors "slots" (Verify.slots scan)
           | None -> ());
           fail_on_errors "io_commit" (Verify.io_commit p);

@@ -55,10 +55,14 @@ val compile :
     slot some store overwrites inside the reuser's crash window; each
     such reuse is force-kept through [Prune.analyze_with ~force_keep]
     and colouring resumes, until the scan is empty (bounded; raises
-    [Failure] past the bound).  The [slots] gate reads that last, clobber-free scan
-    ({!Verify.slots}, its errors included) rather than scanning
-    the same program again; it and the independent [Verify.io_commit]
-    gate run on the result, so no image needs a runtime guard.
+    [Failure] past the bound).  Colouring rounds and settle attempts
+    form one loop per compile, over one {!Candidates.facts}, one
+    {!Prune.memo} and one {!Coloring.repairs} table.  The [coloring]
+    and [slots] gates read that last, clobber-free scan
+    ({!Verify.coloring}, {!Verify.slots}, its errors included) rather
+    than analysing the same program again; they and the independent
+    [Verify.io_commit] gate run on the result, so no image needs a
+    runtime guard.
 
     [mode] is ignored: the pipeline has one mode, and the argument
     exists only for the [bench/perf] harness (see {!Mode}).
@@ -69,17 +73,18 @@ val compile :
     histograms ([pipeline.<pass>.seconds], one per {!passes} entry that
     runs), IR-size gauges
     ([pipeline.<pass>.ir_instrs]), the [pipeline.coloring.rounds]
-    counter (colouring attempts, one per repair boundary plus one
+    counter (colouring rounds, one per repair boundary plus one
     success per colour-emit-scan attempt), the
     [pipeline.slot_force_keeps] counter (clobbered reuses turned into
     owned stores) and the re-derivation counters of the two fix-up
     loops: WAR hazard searches and the loads they walk
     ([pipeline.war.searches], [pipeline.war.loads_walked], see
-    {!Regions.form} and {!Regions.split}), reaching-definition fixpoints, registers sliced
-    and slice-memo hits ([pipeline.reaching.computes],
-    [pipeline.prune.sliced], [pipeline.prune.slice_memo_hits], see
-    {!Coloring.assign}).  All counters are deterministic.  Without
-    [obs] and [metrics] no pass reads a clock. *)
+    {!Regions.form} and {!Regions.split}), and, over the colour-and-settle
+    loop, reaching-definition fixpoints (at most one per function),
+    registers sliced and slice-memo hits ([pipeline.reaching.computes],
+    [pipeline.prune.sliced], [pipeline.prune.slice_memo_hits]).  All
+    counters are deterministic.  Without [obs] and [metrics] no pass
+    reads a clock. *)
 
 val checkpoint_store_count : Cfg.program -> int
 (** Static count of checkpoint stores ([Ckpt] / [CkptDyn]) — Table III. *)

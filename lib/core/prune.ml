@@ -181,8 +181,7 @@ type memo = {
 let memo () = { phase1 = Hashtbl.create 32; sliced = 0; hits = 0 }
 let memo_counts m = (m.sliced, m.hits)
 
-let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?memo ~slices ~reuse
-    (cands : Candidates.t) =
+let analyze_with ~force_keep ~memo ~slices ~reuse (cands : Candidates.t) =
   let result : result = Hashtbl.create 32 in
   (* Per-function analyses, shared across the function's boundaries and
      across the colouring rounds that share [cands.facts]. *)
@@ -191,7 +190,6 @@ let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?memo ~slices ~reuse
   (* Phase 1: slice-based pruning.  A site's slice decisions depend only
      on its own inputs (see {!memo}), so a memo serves them again in
      later rounds. *)
-  let cache = if slices then memo else None in
   let phase1 (s : Candidates.site) forced =
     let fi = s.Candidates.s_func in
     let pruned = Hashtbl.create 8 in
@@ -203,7 +201,7 @@ let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?memo ~slices ~reuse
           || Hashtbl.mem pinned (Reg.to_int r)
         then (r, Keep)
         else begin
-          Option.iter (fun m -> m.sliced <- m.sliced + 1) memo;
+          memo.sliced <- memo.sliced + 1;
           match
             try_slice cands fi (dom fi) (reaching fi) s.Candidates.s_point
               s.Candidates.s_live pruned pinned r
@@ -219,21 +217,20 @@ let analyze_with ?(force_keep = fun _ -> Reg.Set.empty) ?memo ~slices ~reuse
     (fun (s : Candidates.site) ->
       let forced = force_keep s.Candidates.s_id in
       let decisions =
-        match cache with
-        | None -> phase1 s forced
-        | Some m -> (
-            let key =
-              ( s.Candidates.s_id,
-                Reg.Set.fold (fun r k -> k lor (1 lsl Reg.to_int r)) forced 0 )
-            in
-            match Hashtbl.find_opt m.phase1 key with
-            | Some ds ->
-                m.hits <- m.hits + 1;
-                ds
-            | None ->
-                let ds = phase1 s forced in
-                Hashtbl.replace m.phase1 key ds;
-                ds)
+        if not slices then phase1 s forced
+        else
+          let key =
+            ( s.Candidates.s_id,
+              Reg.Set.fold (fun r k -> k lor (1 lsl Reg.to_int r)) forced 0 )
+          in
+          match Hashtbl.find_opt memo.phase1 key with
+          | Some ds ->
+              memo.hits <- memo.hits + 1;
+              ds
+          | None ->
+              let ds = phase1 s forced in
+              Hashtbl.replace memo.phase1 key ds;
+              ds
       in
       Hashtbl.replace result s.Candidates.s_id decisions)
     cands.Candidates.sites;

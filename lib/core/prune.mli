@@ -47,8 +47,8 @@ type memo
     boundary insertion leaves alone or shifts consistently (reaching
     definitions, dominance between points, definition sites, read-only
     locations, the site's live-ins), so one memo serves every colouring
-    round of one {!Coloring.assign} call.  It must not outlive the
-    [Candidates.facts] it was filled under. *)
+    round and settle attempt of one [Pipeline.compile].  It must not
+    outlive the [Candidates.facts] it was filled under. *)
 
 val memo : unit -> memo
 
@@ -58,8 +58,8 @@ val memo_counts : memo -> int * int
     phase-1 decisions came from the memo instead. *)
 
 val analyze_with :
-  ?force_keep:(int -> Reg.Set.t) ->
-  ?memo:memo ->
+  force_keep:(int -> Reg.Set.t) ->
+  memo:memo ->
   slices:bool ->
   reuse:bool ->
   Candidates.t ->
@@ -69,11 +69,11 @@ val analyze_with :
     independently (the ablation study disables one or the other, and
     GECKO w/o pruning is both off: every candidate [Keep]).
 
-    [force_keep] (default: none) maps a boundary id to registers that
-    must stay plain [Keep].  The colouring pass passes its repair
-    boundaries here so their fresh stores are known {e during} analysis
-    and can never be targeted or converted by the reuse pass, and the
-    pipeline adds every reuse the window-clobber scan rejected.
+    [force_keep] maps a boundary id to registers that must stay plain
+    [Keep].  The pipeline passes the colouring's repair boundaries here
+    so their fresh stores are known {e during} analysis and can never be
+    targeted or converted by the reuse pass, and adds every reuse the
+    window-clobber scan rejected.
 
     Reuse is optimistic: a reused restore reads the slot of a dominating
     owner, and nothing here proves that no other store of the register

@@ -7,43 +7,6 @@ let idempotence p =
      without memory replay. *)
   match Regions.violations p with [] -> Ok () | errs -> Error errs
 
-(* Registers whose checkpoint store a boundary emits, with the colour
-   of each. *)
-let owned_restores (meta : Meta.t) bid =
-  match Meta.boundary_info meta bid with
-  | None -> []
-  | Some info -> List.filter (fun (x : Meta.restore) -> x.Meta.r_owned) info.Meta.restores
-
-let coloring p (meta : Meta.t) =
-  let cands = Candidates.compute p in
-  let owned bid r =
-    List.find_map
-      (fun (x : Meta.restore) ->
-        if Reg.equal x.Meta.r_reg r then Some x.Meta.r_color else None)
-      (owned_restores meta bid)
-  in
-  let stores bid =
-    Reg.Set.of_list
-      (List.map (fun (x : Meta.restore) -> x.Meta.r_reg) (owned_restores meta bid))
-  in
-  let edges = Spans.edges (Spans.make cands) ~stores in
-  let errs = ref [] in
-  List.iter
-    (fun r ->
-      List.iter
-        (fun (b1, b2, redefined) ->
-          match (owned b1 r, owned b2 r) with
-          | Some c1, Some c2 when c1 = c2 && redefined ->
-              errs :=
-                Printf.sprintf
-                  "stores %d -> %d both checkpoint %s into colour %d" b1 b2
-                  (Reg.to_string r) c1
-                :: !errs
-          | _ -> () (* different colours, or the identical word *))
-        edges.(Reg.to_int r))
-    Reg.all;
-  match !errs with [] -> Ok () | e -> Error (List.rev e)
-
 (* Independent window-clobber gate.  For every boundary [s], every slot
    its committed recovery state READS — restores (owned or reused) and
    recovery-block [LdSlot]s — must survive [s]'s crash window: the set of
@@ -58,10 +21,16 @@ let coloring p (meta : Meta.t) =
    catches a reused restore routed at a slot some later (e.g. repair)
    boundary overwrites.
 
-   One scan serves both readings: [slot_clobbers] names the clobbered
+   One scan serves three readings: [slot_clobbers] names the clobbered
    reads, which is how the pipeline decides which reuses to force-keep,
-   and [slots] turns every clobber into an error. *)
-type scan = { clobbers : ((int * Reg.t) * string) list; errs : string list }
+   [slots] turns every clobber into an error, and [coloring] walks the
+   spans it built. *)
+type scan = {
+  spans : Spans.t;
+  meta : Meta.t;
+  clobbers : ((int * Reg.t) * string) list;
+  errs : string list;
+}
 
 let scan p (meta : Meta.t) =
   let cands = Candidates.compute p in
@@ -129,7 +98,44 @@ let scan p (meta : Meta.t) =
                       reads
                 | _ -> ()))
     cands.Candidates.sites;
-  { clobbers = List.rev !clobbers; errs = List.rev !errs }
+  { spans = w; meta; clobbers = List.rev !clobbers; errs = List.rev !errs }
+
+(* Registers whose checkpoint store a boundary emits, with the colour
+   of each. *)
+let owned_restores (meta : Meta.t) bid =
+  match Meta.boundary_info meta bid with
+  | None -> []
+  | Some info -> List.filter (fun (x : Meta.restore) -> x.Meta.r_owned) info.Meta.restores
+
+let coloring sc =
+  let meta = sc.meta in
+  let owned bid r =
+    List.find_map
+      (fun (x : Meta.restore) ->
+        if Reg.equal x.Meta.r_reg r then Some x.Meta.r_color else None)
+      (owned_restores meta bid)
+  in
+  let stores bid =
+    Reg.Set.of_list
+      (List.map (fun (x : Meta.restore) -> x.Meta.r_reg) (owned_restores meta bid))
+  in
+  let edges = Spans.edges sc.spans ~stores in
+  let errs = ref [] in
+  List.iter
+    (fun r ->
+      List.iter
+        (fun (b1, b2, redefined) ->
+          match (owned b1 r, owned b2 r) with
+          | Some c1, Some c2 when c1 = c2 && redefined ->
+              errs :=
+                Printf.sprintf
+                  "stores %d -> %d both checkpoint %s into colour %d" b1 b2
+                  (Reg.to_string r) c1
+                :: !errs
+          | _ -> () (* different colours, or the identical word *))
+        edges.(Reg.to_int r))
+    Reg.all;
+  match !errs with [] -> Ok () | e -> Error (List.rev e)
 
 let slot_clobbers sc = List.sort_uniq compare (List.map fst sc.clobbers)
 

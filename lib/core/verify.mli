@@ -13,19 +13,21 @@ val idempotence : Cfg.program -> (unit, string list) result
     are idempotent by construction and re-execution after a rollback is
     deterministic without memory replay. *)
 
-val coloring : Cfg.program -> Meta.t -> (unit, string list) result
+type scan
+(** One analysis of an emitted program and its metadata: its boundary
+    sites, their span walks ({!Spans.t}) and the window-clobber scan
+    over them, read by {!slot_clobbers}, {!slots} and {!coloring}.  The
+    pipeline's settle loop ends on a scan with no clobbers and hands
+    that same scan to its [coloring] and [slots] gates, so each emitted
+    program gets one candidate computation and one span table. *)
+
+val scan : Cfg.program -> Meta.t -> scan
+
+val coloring : scan -> (unit, string list) result
 (** No two span-adjacent boundaries ({!Spans.edges} over the owned
     stores) checkpoint the same register into the same slot colour,
     unless the two stores write the same word: no path of the span
     between them defines the register. *)
-
-type scan
-(** One window-clobber scan of a program and its metadata, read by both
-    {!slot_clobbers} and {!slots}.  The pipeline's settle loop ends on a
-    scan with no clobbers and hands that same scan to its [slots] gate,
-    so the final program is not scanned twice. *)
-
-val scan : Cfg.program -> Meta.t -> scan
 
 val slot_clobbers : scan -> (int * Reg.t) list
 (** The clobbered slot reads of the scanned program, sorted: [(b, r)]

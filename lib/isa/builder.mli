@@ -31,7 +31,8 @@ val func : t -> string -> unit
 
 val block : t -> ?loop_bound:int -> string -> unit
 (** Begin a basic block.  [loop_bound] marks a natural-loop header with its
-    maximum trip count. *)
+    maximum trip count, which the block records and no analysis
+    reads. *)
 
 (** {2 Operand helpers} *)
 

@@ -3,7 +3,10 @@
     A {!program} is a set of functions, each a list of basic blocks.  Blocks
     hold a mutable instruction list so compiler passes can insert
     checkpoint stores and region boundaries in place.  Loop-header blocks
-    carry an iteration bound used by the WCET analysis. *)
+    may carry an iteration bound.  The assembly syntax and the printers
+    carry it and the fault-injection shrinker shrinks it, but no
+    analysis reads it: the WCET analysis needs no bound, because every
+    loop header is a region boundary. *)
 
 type block = {
   label : string;
@@ -11,7 +14,8 @@ type block = {
   mutable term : Instr.terminator;
   mutable loop_bound : int option;
       (** If this block is a natural-loop header, the maximum trip count
-          (supplied by the program builder, as MCU toolchains require). *)
+          (supplied by the program builder, as MCU toolchains require).
+          Carried through, not analysed. *)
 }
 
 type func = {

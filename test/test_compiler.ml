@@ -354,7 +354,7 @@ let test_coloring_converges_with_calls () =
         Core.Pipeline.compile Core.Scheme.Gecko
           (Gen_prog.generate ~calls:true seed)
       in
-      match Core.Verify.coloring p meta with
+      match Core.Verify.(coloring (scan p meta)) with
       | Ok () -> ()
       | Error e -> Alcotest.failf "seed %d: %s" seed (String.concat "; " e))
     [ 272; 1241 ]
@@ -363,7 +363,7 @@ let test_coloring_converges_with_calls () =
    alternating colours. *)
 let test_coloring_alternates () =
   let p, meta = Core.Pipeline.compile Core.Scheme.Gecko (sum_program ()) in
-  (match Core.Verify.coloring p meta with
+  (match Core.Verify.(coloring (scan p meta)) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "coloring: %s" (String.concat "; " e));
   (* The loop-carried registers must be stored at two alternating sites. *)
@@ -380,10 +380,12 @@ let test_coloring_alternates () =
 
 (* Colouring rules on hand-built loops.  Every [Nop] stands for a
    boundary: [number_boundaries] turns the k-th one (in block order) into
-   [Boundary k].  [color ~keeps p] then runs the colouring loop with a
-   pruning stand-in: boundary [bid] stores the live-ins [keeps bid r]
-   selects, a repair boundary exactly the registers it is forced to keep,
-   and nothing else is stored.  It returns the round count and the
+   [Boundary k].  [color ~keeps p] then runs the pipeline's colouring
+   rounds (candidates over one set of facts, [try_color], a repair on
+   each conflict, at most 256 repairs) with a pruning stand-in: boundary
+   [bid] stores the live-ins [keeps bid r] selects, a repair boundary
+   exactly the registers it is forced to keep, and nothing else is
+   stored.  It returns the round count and the
    registers of every repair, so "no repair" reads as one round. *)
 let number_boundaries p =
   let k = ref 0 in
@@ -406,7 +408,11 @@ let number_boundaries p =
 let first_repair = 100
 
 let color ?(keeps = fun _ _ -> true) p =
-  let analyze ~force_keep ~memo:_ (cands : Core.Candidates.t) =
+  let p = number_boundaries p in
+  let facts = Core.Candidates.facts p in
+  let repairs = Core.Coloring.repairs () in
+  let next_id = ref first_repair in
+  let decide (cands : Core.Candidates.t) =
     let decisions = Hashtbl.create 8 in
     List.iter
       (fun (s : Core.Candidates.site) ->
@@ -415,7 +421,7 @@ let color ?(keeps = fun _ _ -> true) p =
           (List.map
              (fun r ->
                if
-                 Reg.Set.mem r (force_keep bid)
+                 Reg.Set.mem r (Core.Coloring.forced repairs bid)
                  || (bid < first_repair && keeps bid r)
                then (r, Core.Prune.Keep)
                else (r, Core.Prune.Reuse 0))
@@ -423,10 +429,17 @@ let color ?(keeps = fun _ _ -> true) p =
       cands.Core.Candidates.sites;
     decisions
   in
-  let out =
-    Core.Coloring.assign ~next_id:(ref first_repair) ~analyze
-      (number_boundaries p)
+  let rec round n =
+    if n > 257 then Alcotest.fail "colouring did not converge";
+    let cands = Core.Candidates.compute ~facts p in
+    let decisions = decide cands in
+    match Core.Coloring.try_color cands decisions with
+    | Core.Coloring.Colored _ -> (n, decisions)
+    | Core.Coloring.Conflict c ->
+        Core.Coloring.repair repairs ~next_id cands c;
+        round (n + 1)
   in
+  let rounds, decisions = round 1 in
   let repairs =
     Hashtbl.fold
       (fun bid ds acc ->
@@ -437,9 +450,9 @@ let color ?(keeps = fun _ _ -> true) p =
               match d with Core.Prune.Keep -> Some (Reg.to_string r) | _ -> None)
             ds
           @ acc)
-      out.Core.Coloring.decisions []
+      decisions []
   in
-  (out.Core.Coloring.rounds, List.sort compare repairs)
+  (rounds, List.sort compare repairs)
 
 let check_repairs name ~rounds ~regs (r, rs) =
   Alcotest.(check int) (name ^ ": rounds") rounds r;
@@ -783,9 +796,9 @@ let test_generated_digest () =
    moves these numbers (fft's 26 searches walk 633 loads here, and
    1,404 when every search walks every load; its 4 colouring rounds
    would compute a fixpoint each and hit no memo), so it fails here
-   and not only on a wall clock.  dhrystone's 12 fixpoints are its 4
-   functions in each of 3 colouring calls (two resumed after
-   force-keeps). *)
+   and not only on a wall clock.  dhrystone's 4 fixpoints are its 4
+   functions, once per compile: its two settle attempts after
+   force-keeps reuse the facts and the slice memo of the first. *)
 let rederivations name =
   let reg = Gecko_obs.Metrics.create () in
   let src = (Gecko_workloads.Workload.find name).Gecko_workloads.Workload.build () in
@@ -805,7 +818,34 @@ let test_rederivations () =
   Alcotest.(check (list int)) ("fft: " ^ what) [ 26; 633; 1; 77; 90 ] (rederivations "fft");
   Alcotest.(check (list int))
     ("dhrystone: " ^ what)
-    [ 2; 17; 12; 146; 68 ] (rederivations "dhrystone")
+    [ 2; 17; 4; 62; 96 ] (rederivations "dhrystone")
+
+(* One set of facts per compile: however many colouring rounds and
+   settle attempts a compile takes, no function's reaching definitions
+   are computed twice. *)
+let test_one_fixpoint_per_function () =
+  let programs =
+    List.map
+      (fun name -> (Gecko_workloads.Workload.find name).Gecko_workloads.Workload.build ())
+      Gecko_workloads.Workload.names
+    @ List.init 50 (fun s -> Gen_prog.generate ~calls:true s)
+  in
+  List.iter
+    (fun (src : Cfg.program) ->
+      List.iter
+        (fun (slug, scheme) ->
+          let reg = Gecko_obs.Metrics.create () in
+          ignore (Core.Pipeline.compile ~metrics:reg scheme src);
+          let computes =
+            Gecko_obs.Metrics.counter_value
+              (Gecko_obs.Metrics.counter reg "pipeline.reaching.computes")
+          in
+          let funcs = List.length src.Cfg.funcs in
+          if computes > funcs then
+            Alcotest.failf "%s %s: %d reaching fixpoints over %d functions"
+              src.Cfg.pname slug computes funcs)
+        [ ("gecko", Core.Scheme.Gecko); ("gecko-noprune", Core.Scheme.Gecko_noprune) ])
+    programs
 
 (* The colouring loop's round count (one per repair, plus one success
    per colour-emit-scan attempt) is deterministic, so it is pinned
@@ -905,5 +945,7 @@ let () =
           Alcotest.test_case "meta digests" `Quick test_meta_digests;
           Alcotest.test_case "generated programs" `Quick test_generated_digest;
           Alcotest.test_case "re-derivation counters" `Quick test_rederivations;
+          Alcotest.test_case "one reaching fixpoint per function" `Quick
+            test_one_fixpoint_per_function;
         ] );
     ]

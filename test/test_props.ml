@@ -84,7 +84,7 @@ let prop_compiler_invariants =
       (* Verification passes already ran inside the pipeline; re-check the
          externally visible invariants. *)
       Core.Regions.violations p = []
-      && Core.Verify.coloring p meta = Ok ()
+      && Core.Verify.(coloring (scan p meta)) = Ok ()
       && s.Core.Meta.kept + s.Core.Meta.pruned = s.Core.Meta.candidates
       && Core.Pipeline.checkpoint_store_count p = s.Core.Meta.kept)
 

@@ -189,13 +189,14 @@ let test_coloring_ok_after_pipeline () =
   (* A small budget forces in-loop boundaries, so the accumulator's slot
      really is saved at adjacent boundaries and the colours matter. *)
   let p, meta = compile ~budget_cycles:80 Core.Scheme.Gecko in
-  check_ok "coloring on compiled program" (Core.Verify.coloring p meta)
+  check_ok "coloring on compiled program"
+    Core.Verify.(coloring (scan p meta))
 
 let test_coloring_flags_collapsed_colors () =
   let p, meta = compile ~budget_cycles:80 Core.Scheme.Gecko in
   let p', meta' = sabotage_colors p meta in
   check_err "coloring with every colour forced to 0"
-    (Core.Verify.coloring p' meta')
+    Core.Verify.(coloring (scan p' meta'))
 
 (* Hand-built images: [set_block p label instrs] replaces a block's body
    of function "main", and [restores_meta] describes boundaries by their
@@ -265,13 +266,14 @@ let test_coloring_dead_header_ends_span () =
      there: its lone colour meets no other store of r0. *)
   let p, meta = header_loop_image ~header_use:false in
   check_ok "r0 stored once per iteration, dead at the header"
-    (Core.Verify.coloring p meta)
+    Core.Verify.(coloring (scan p meta))
 
 let test_coloring_flags_live_header () =
   (* With r0 live (and reused) at the header, the span runs through it to
      the same store after the increment: a self-loop in one colour. *)
   let p, meta = header_loop_image ~header_use:true in
-  check_err "r0 live at the header, one colour" (Core.Verify.coloring p meta)
+  check_err "r0 live at the header, one colour"
+    Core.Verify.(coloring (scan p meta))
 
 (* --- slots (window clobbers) ------------------------------------------ *)
 
