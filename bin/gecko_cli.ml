@@ -186,7 +186,10 @@ let compile_cmd =
             (count "pipeline.reaching.computes");
           Printf.printf "  slices computed: %d, slice-memo hits: %d\n"
             (count "pipeline.prune.sliced")
-            (count "pipeline.prune.slice_memo_hits")
+            (count "pipeline.prune.slice_memo_hits");
+          Printf.printf "  span walks: %d, reused: %d\n"
+            (count "pipeline.spans.walks")
+            (count "pipeline.spans.walks_reused")
         end;
         let searches = count "pipeline.war.searches" in
         if searches > 0 then

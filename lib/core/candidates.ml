@@ -14,18 +14,21 @@ type facts = {
   clobbers : A.Clobbers.t Lazy.t;
   doms : A.Dom.t Lazy.t array;
   reaching : A.Reaching.t Lazy.t array;
+  defsites : A.Fgraph.point list array Lazy.t array;
   memos : memos;
 }
 
 (* [reach.(fi).(avoid * n + from)], [n] the function's block count: the
    blocks reached from [from] avoiding [avoid]; a function's row is
-   [[||]] and an entry {!Bytes.empty} until first asked for. *)
-and memos = { reach : Bytes.t array array }
-
-type index = {
-  by_id : (int, site) Hashtbl.t;
-  defsites : A.Fgraph.point list array array Lazy.t;
+   [[||]] and an entry {!Bytes.empty} until first asked for.
+   [block_sites.(fi).(blk)]: the sites of a block, keyed on the
+   instruction list they were read from (physical equality). *)
+and memos = {
+  reach : Bytes.t array array;
+  block_sites : (Instr.t list * site list) array array;
 }
+
+type index = (int, site) Hashtbl.t Lazy.t
 
 type t = {
   prog : Cfg.program;
@@ -35,38 +38,6 @@ type t = {
   facts : facts;
   index : index;
 }
-
-let facts (p : Cfg.program) =
-  let live = A.Ipliveness.compute p in
-  let graphs =
-    Array.of_list
-      (List.map
-         (fun (f : Cfg.func) -> A.Ipliveness.graph live ~fname:f.Cfg.fname)
-         p.Cfg.funcs)
-  in
-  let clobbers = lazy (A.Clobbers.compute p) in
-  {
-    live;
-    graphs;
-    clobbers;
-    doms = Array.map (fun g -> lazy (A.Dom.compute g)) graphs;
-    (* Call sites define the callee's clobber set, so no value is
-       assumed preserved across a call that may overwrite it. *)
-    reaching =
-      Array.map
-        (fun g ->
-          lazy
-            (A.Reaching.compute
-               ~call_defs:(A.Clobbers.of_function (Lazy.force clobbers))
-               g))
-        graphs;
-    memos = { reach = Array.make (Array.length graphs) [||] };
-  }
-
-let boundary_inserted facts ~func (pt : A.Fgraph.point) =
-  if Lazy.is_val facts.reaching.(func) then
-    A.Reaching.shift (Lazy.force facts.reaching.(func)) ~blk:pt.A.Fgraph.blk
-      ~idx:pt.A.Fgraph.idx
 
 (* Per function, per register: every definition point, with a call
    terminator standing for a definition of the callee's clobber set. *)
@@ -89,46 +60,101 @@ let defsites_of call_defs (g : A.Fgraph.t) =
     g.A.Fgraph.blocks;
   ds
 
+let facts (p : Cfg.program) =
+  let live = A.Ipliveness.compute p in
+  let graphs =
+    Array.of_list
+      (List.map
+         (fun (f : Cfg.func) -> A.Ipliveness.graph live ~fname:f.Cfg.fname)
+         p.Cfg.funcs)
+  in
+  let clobbers = lazy (A.Clobbers.compute p) in
+  (* Call sites define the callee's clobber set, so no value is assumed
+     preserved across a call that may overwrite it. *)
+  let call_defs callee = A.Clobbers.of_function (Lazy.force clobbers) callee in
+  {
+    live;
+    graphs;
+    clobbers;
+    doms = Array.map (fun g -> lazy (A.Dom.compute g)) graphs;
+    reaching =
+      Array.map (fun g -> lazy (A.Reaching.compute ~call_defs g)) graphs;
+    defsites = Array.map (fun g -> lazy (defsites_of call_defs g)) graphs;
+    memos =
+      {
+        reach = Array.make (Array.length graphs) [||];
+        block_sites =
+          Array.map (fun g -> Array.make (A.Fgraph.n_blocks g) ([], [])) graphs;
+      };
+  }
+
+let boundary_inserted facts ~func (pt : A.Fgraph.point) =
+  let { A.Fgraph.blk; idx } = pt in
+  if Lazy.is_val facts.reaching.(func) then
+    A.Reaching.shift (Lazy.force facts.reaching.(func)) ~blk ~idx;
+  (* A boundary defines nothing: every definition point at or after it
+     moves one index on, the call-clobber one at the terminator too. *)
+  if Lazy.is_val facts.defsites.(func) then begin
+    let ds = Lazy.force facts.defsites.(func) in
+    Array.iteri
+      (fun r pts ->
+        ds.(r) <-
+          List.map
+            (fun (q : A.Fgraph.point) ->
+              if q.A.Fgraph.blk = blk && q.A.Fgraph.idx >= idx then
+                { q with A.Fgraph.idx = q.A.Fgraph.idx + 1 }
+              else q)
+            pts)
+      ds
+  end
+
+(* The sites of block [bi] of function [fi], read again only when its
+   instruction list is a new one: a repair replaces one block's list,
+   and undoing an emission puts the old lists back. *)
+let block_sites facts live_at fi bi (b : Cfg.block) =
+  let key, sites = facts.memos.block_sites.(fi).(bi) in
+  if key == b.Cfg.instrs then sites
+  else begin
+    let sites = ref [] in
+    List.iteri
+      (fun idx i ->
+        match i with
+        | Instr.Boundary id ->
+            let point = { A.Fgraph.blk = bi; idx } in
+            sites :=
+              { s_id = id; s_func = fi; s_point = point; s_live = live_at point }
+              :: !sites
+        | _ -> ())
+      b.Cfg.instrs;
+    let sites = List.rev !sites in
+    facts.memos.block_sites.(fi).(bi) <- (b.Cfg.instrs, sites);
+    sites
+  end
+
 let compute ?facts:given (p : Cfg.program) =
   let facts = match given with Some f -> f | None -> facts p in
   let funcs = Array.of_list p.Cfg.funcs in
   let graphs = facts.graphs in
   let sites = ref [] in
-  Array.iteri
-    (fun fi g ->
-      let fname = funcs.(fi).Cfg.fname in
-      Array.iteri
-        (fun bi (b : Cfg.block) ->
-          List.iteri
-            (fun idx i ->
-              match i with
-              | Instr.Boundary id ->
-                  let point = { A.Fgraph.blk = bi; idx } in
-                  sites :=
-                    {
-                      s_id = id;
-                      s_func = fi;
-                      s_point = point;
-                      s_live = A.Ipliveness.live_at facts.live ~fname point;
-                    }
-                    :: !sites
-              | _ -> ())
-            b.Cfg.instrs)
-        g.A.Fgraph.blocks)
-    graphs;
-  let sites = List.rev !sites in
-  let by_id = Hashtbl.create 64 in
-  List.iter (fun s -> Hashtbl.replace by_id s.s_id s) sites;
-  let defsites =
+  for fi = Array.length graphs - 1 downto 0 do
+    let live_at = A.Ipliveness.live_at facts.live ~fname:funcs.(fi).Cfg.fname in
+    let blocks = graphs.(fi).A.Fgraph.blocks in
+    for bi = Array.length blocks - 1 downto 0 do
+      sites := block_sites facts live_at fi bi blocks.(bi) @ !sites
+    done
+  done;
+  let sites = !sites in
+  let index =
     lazy
-      (let call_defs = A.Clobbers.of_function (Lazy.force facts.clobbers) in
-       Array.map (defsites_of call_defs) graphs)
+      (let index = Hashtbl.create 64 in
+       List.iter (fun s -> Hashtbl.replace index s.s_id s) sites;
+       index)
   in
-  { prog = p; funcs; graphs; sites; facts; index = { by_id; defsites } }
+  { prog = p; funcs; graphs; sites; facts; index }
 
-let site t id = Hashtbl.find t.index.by_id id
+let site t id = Hashtbl.find (Lazy.force t.index) id
 
-let defsites t fi r = (Lazy.force t.index.defsites).(fi).(Reg.to_int r)
+let defsites t fi r = (Lazy.force t.facts.defsites.(fi)).(Reg.to_int r)
 
 let reaches_avoiding t fi ~avoid ~from dst =
   let g = t.graphs.(fi) in

@@ -24,6 +24,9 @@ type facts = {
           callee's clobber set.  Not block-level: a boundary insertion
           moves definition points, and {!boundary_inserted} shifts them
           in place. *)
+  defsites : A.Fgraph.point list array Lazy.t array;
+      (** Per function, per register: every definition point ({!defsites}).
+          Position-bearing like [reaching], and shifted with it. *)
   memos : memos;
 }
 (** What a repair boundary cannot change.  Inserting a [Boundary]
@@ -39,11 +42,12 @@ type facts = {
     instruction lists back afterwards makes these valid again. *)
 
 and memos
-(** The {!reaches_avoiding} memo: block-level, so it lives as long as
-    the facts. *)
+(** The {!reaches_avoiding} memo, block-level, and each block's sites,
+    keyed on the block's instruction list: both live as long as the
+    facts. *)
 
 type index
-(** Per-round lookup tables behind {!site} and {!defsites}. *)
+(** The per-round lookup table behind {!site}. *)
 
 type t = {
   prog : Cfg.program;
@@ -58,12 +62,17 @@ val facts : Cfg.program -> facts
 
 val boundary_inserted : facts -> func:int -> A.Fgraph.point -> unit
 (** A [Boundary] was inserted at the point of function [func]: shift the
-    position-bearing facts (the reaching definitions, where already
-    computed). *)
+    position-bearing facts (the reaching definitions and the definition
+    sites, where already computed).  A boundary defines nothing, so
+    afterwards both answer as a fresh {!facts} of the changed program
+    would. *)
 
 val compute : ?facts:facts -> Cfg.program -> t
-(** Boundary sites with their live-ins.  [facts] defaults to a fresh
-    analysis of the program. *)
+(** Boundary sites with their live-ins, in program order.  [facts]
+    defaults to a fresh analysis of the program.  A block whose
+    instruction list is physically the one the facts last read it from
+    gives back the same sites, so a round after a repair reads only the
+    repaired block again. *)
 
 val site : t -> int -> site
 (** Lookup by boundary id; raises [Not_found]. *)
@@ -71,7 +80,9 @@ val site : t -> int -> site
 val defsites : t -> int -> Reg.t -> A.Fgraph.point list
 (** [defsites t fi r]: every definition point of [r] in function [fi],
     a call terminator counting as a definition of the callee's clobber
-    set. *)
+    set.  Computed once per function from [t.facts] (at its first query)
+    and shifted by {!boundary_inserted}, so every round sharing the
+    facts reads the same table. *)
 
 val reaches_avoiding : t -> int -> avoid:int -> from:int -> int -> bool
 (** [reaches_avoiding t fi ~avoid ~from dst]: some path of function [fi]

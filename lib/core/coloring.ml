@@ -1,12 +1,10 @@
 open Gecko_isa
 module A = Gecko_analysis
 
-type t = (int * int, int) Hashtbl.t (* (boundary id, reg index) -> colour *)
+(* Per register index: boundary id -> colour. *)
+type t = (int, int) Hashtbl.t array
 
-let color t bid r =
-  match Hashtbl.find_opt t (bid, Reg.to_int r) with
-  | Some c -> c
-  | None -> raise Not_found
+let color t bid r = Hashtbl.find t.(Reg.to_int r) bid
 
 (* ------------------------------------------------------------------ *)
 (* 2-colouring                                                         *)
@@ -17,20 +15,14 @@ type conflict = Reg.t * int list * (int * int) list
 
 type attempt = Colored of t | Conflict of conflict
 
-(* Registers a boundary stores, under the decisions. *)
-let stores_of (decisions : Prune.result) =
-  let tbl = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun bid ds ->
-      Hashtbl.replace tbl bid
-        (List.fold_left
-           (fun acc (r, d) ->
-             match d with
-             | Prune.Keep -> Reg.Set.add r acc
-             | Prune.Reuse _ | Prune.Prune _ -> acc)
-           Reg.Set.empty ds))
-    decisions;
-  fun bid -> Option.value ~default:Reg.Set.empty (Hashtbl.find_opt tbl bid)
+(* Registers a boundary stores, under its decisions. *)
+let keeps ds =
+  List.fold_left
+    (fun acc (r, d) ->
+      match d with
+      | Prune.Keep -> Reg.Set.add r acc
+      | Prune.Reuse _ | Prune.Prune _ -> acc)
+    Reg.Set.empty ds
 
 (* Recover the odd cycle from the BFS parent map when edge (u, v) closes
    it: tree path u -> lca plus reversed tree path v -> lca. *)
@@ -59,87 +51,124 @@ let recover_cycle parents u v =
   let u_part = take_until [] au (* u ... lca *) in
   u_part @ List.rev v_part
 
-let try_color (cands : Candidates.t) (decisions : Prune.result) =
-  let stores = stores_of decisions in
-  let edges = Spans.edges (Spans.make cands) ~stores in
-  (* A register no site stores has no edges and nothing to colour. *)
-  let stored =
-    List.fold_left
-      (fun acc (s : Candidates.site) ->
-        Reg.Set.union acc (stores s.Candidates.s_id))
-      Reg.Set.empty cands.Candidates.sites
+(* One compile's colouring rounds: the registers each repair boundary
+   force-keeps, the repair inserted after each repaired node, the one
+   span walker, and per register its last clean colouring: the edge list
+   and stores it coloured, and the colours it gave. *)
+type clean = {
+  c_edges : (int * int * bool) list;
+  c_nodes : int list;
+  c_colors : (int, int) Hashtbl.t;
+}
+
+type rounds = {
+  spans : Spans.t;
+  forced : (int, Reg.Set.t) Hashtbl.t;
+  after : (int, int) Hashtbl.t;
+  clean : clean option array;
+}
+
+let rounds spans =
+  {
+    spans;
+    forced = Hashtbl.create 8;
+    after = Hashtbl.create 8;
+    clean = Array.make Reg.count None;
+  }
+
+let forced t bid =
+  Option.value ~default:Reg.Set.empty (Hashtbl.find_opt t.forced bid)
+
+let try_color t (cands : Candidates.t) (decisions : Prune.result) =
+  let sites = cands.Candidates.sites in
+  let ids = Array.of_list (List.map (fun (s : Candidates.site) -> s.Candidates.s_id) sites) in
+  let stored_at =
+    Array.map
+      (fun id -> Option.fold ~none:Reg.Set.empty ~some:keeps (Hashtbl.find_opt decisions id))
+      ids
   in
-  let colors : t = Hashtbl.create 64 in
+  let by_id = Array.make (1 + Array.fold_left max (-1) ids) Reg.Set.empty in
+  Array.iteri (fun i id -> by_id.(id) <- stored_at.(i)) ids;
+  let edges = Spans.edges t.spans ~sites ~stores:(Array.get by_id) in
+  (* A register no site stores has no edges and nothing to colour: the
+     registers share one empty table until coloured. *)
+  let stored = Array.fold_left Reg.Set.union Reg.Set.empty stored_at in
+  let colors : t = Array.make Reg.count (Hashtbl.create 1) in
   let result = ref None in
   (try
      Reg.Set.iter
        (fun r ->
          let ri = Reg.to_int r in
-         let stops bid = Reg.Set.mem r (stores bid) in
-         (* Stores that provably write the same word may share a
-            colour: a partial overwrite leaves the value unchanged.  So
-            an edge counts only when some path of its span redefines
-            the register. *)
-         let redges =
-           List.filter_map
-             (fun (a, b, redefined) -> if redefined then Some (a, b) else None)
-             edges.(ri)
-         in
-         begin
-           (* Self-loops are odd cycles of length one. *)
-           (match List.find_opt (fun (a, b) -> a = b) redges with
-           | Some (a, _) ->
-               result := Some (Conflict (r, [ a ], redges));
-               raise Exit
-           | None -> ());
-           let nbrs = Hashtbl.create 16 in
-           let add_nbr a b =
-             let old = try Hashtbl.find nbrs a with Not_found -> [] in
-             Hashtbl.replace nbrs a (b :: old)
-           in
-           List.iter
-             (fun (a, b) ->
-               add_nbr a b;
-               add_nbr b a)
-             redges;
-           let nodes =
-             List.filter_map
-               (fun (s : Candidates.site) ->
-                 if stops s.Candidates.s_id then Some s.Candidates.s_id
-                 else None)
-               cands.Candidates.sites
-           in
-           let parents = Hashtbl.create 16 in
-           List.iter
-             (fun start ->
-               if not (Hashtbl.mem colors (start, ri)) then begin
-                 Hashtbl.replace colors (start, ri) 0;
-                 Hashtbl.replace parents start start;
-                 let queue = Queue.create () in
-                 Queue.add start queue;
-                 while not (Queue.is_empty queue) do
-                   let b = Queue.take queue in
-                   let cb = Hashtbl.find colors (b, ri) in
-                   List.iter
-                     (fun n ->
-                       match Hashtbl.find_opt colors (n, ri) with
-                       | None ->
-                           Hashtbl.replace colors (n, ri) (1 - cb);
-                           Hashtbl.replace parents n b;
-                           Queue.add n queue
-                       | Some cn ->
-                           if cn = cb && n <> b then begin
-                             result :=
-                               Some
-                                 (Conflict
-                                    (r, recover_cycle parents b n, redges));
-                             raise Exit
-                           end)
-                     (try Hashtbl.find nbrs b with Not_found -> [])
-                 done
-               end)
-             nodes
-         end)
+         let nodes = ref [] in
+         for i = Array.length ids - 1 downto 0 do
+           if Reg.Set.mem r stored_at.(i) then nodes := ids.(i) :: !nodes
+         done;
+         let nodes = !nodes in
+         match t.clean.(ri) with
+         (* The same edge list (the walker hands an unchanged one back
+            physically) over the same stores colours the same way. *)
+         | Some c when c.c_edges == edges.(ri) && List.equal Int.equal c.c_nodes nodes ->
+             colors.(ri) <- c.c_colors
+         | Some _ | None ->
+             (* Stores that provably write the same word may share a
+                colour: a partial overwrite leaves the value unchanged.
+                So an edge counts only when some path of its span
+                redefines the register. *)
+             let redges =
+               List.filter_map
+                 (fun (a, b, redefined) -> if redefined then Some (a, b) else None)
+                 edges.(ri)
+             in
+             (* Self-loops are odd cycles of length one. *)
+             (match List.find_opt (fun (a, b) -> a = b) redges with
+             | Some (a, _) ->
+                 result := Some (Conflict (r, [ a ], redges));
+                 raise Exit
+             | None -> ());
+             let nbrs = Hashtbl.create 16 in
+             let add_nbr a b =
+               let old = try Hashtbl.find nbrs a with Not_found -> [] in
+               Hashtbl.replace nbrs a (b :: old)
+             in
+             List.iter
+               (fun (a, b) ->
+                 add_nbr a b;
+                 add_nbr b a)
+               redges;
+             let parents = Hashtbl.create 16 in
+             let given = Hashtbl.create 16 in
+             colors.(ri) <- given;
+             let give n c = Hashtbl.replace given n c in
+             List.iter
+               (fun start ->
+                 if not (Hashtbl.mem given start) then begin
+                   give start 0;
+                   Hashtbl.replace parents start start;
+                   let queue = Queue.create () in
+                   Queue.add start queue;
+                   while not (Queue.is_empty queue) do
+                     let b = Queue.take queue in
+                     let cb = Hashtbl.find given b in
+                     List.iter
+                       (fun n ->
+                         match Hashtbl.find_opt given n with
+                         | None ->
+                             give n (1 - cb);
+                             Hashtbl.replace parents n b;
+                             Queue.add n queue
+                         | Some cn ->
+                             if cn = cb && n <> b then begin
+                               result :=
+                                 Some
+                                   (Conflict
+                                      (r, recover_cycle parents b n, redges));
+                               raise Exit
+                             end)
+                       (try Hashtbl.find nbrs b with Not_found -> [])
+                   done
+                 end)
+               nodes;
+             t.clean.(ri) <- Some { c_edges = edges.(ri); c_nodes = nodes; c_colors = given })
        stored
    with Exit -> ());
   match !result with Some c -> c | None -> Colored colors
@@ -147,7 +176,7 @@ let try_color (cands : Candidates.t) (decisions : Prune.result) =
 (* Insert a fresh boundary immediately AFTER the boundary with id [bid]:
    that position belongs exclusively to spans originating at [bid], so the
    insertion lengthens exactly the cycle edges leaving it. *)
-let insert_repair ~next_id (cands : Candidates.t) bid =
+let insert_repair t ~next_id (cands : Candidates.t) bid =
   let s = Candidates.site cands bid in
   let fi = s.Candidates.s_func in
   let pt = s.Candidates.s_point in
@@ -161,7 +190,8 @@ let insert_repair ~next_id (cands : Candidates.t) bid =
     | x :: rest -> x :: go (i + 1) rest
   in
   blk.Cfg.instrs <- go 0 blk.Cfg.instrs;
-  Candidates.boundary_inserted cands.Candidates.facts ~func:fi at
+  Candidates.boundary_inserted cands.Candidates.facts ~func:fi at;
+  Spans.boundary_inserted t.spans ~func:fi ~blk:at.A.Fgraph.blk ~after:bid
 
 (* Pick the cycle node to repair after.  The insertion point just after a
    boundary X reroutes exactly the spans leaving X, so the chosen node
@@ -207,18 +237,6 @@ let pick_repair_node ~avoid edges cycle =
       in
       (match best with Some x -> x | None -> first)
 
-(* The repair boundaries of one compile: the registers each force-keeps,
-   and the repair inserted after each repaired node. *)
-type repairs = {
-  forced : (int, Reg.Set.t) Hashtbl.t;
-  after : (int, int) Hashtbl.t;
-}
-
-let repairs () = { forced = Hashtbl.create 8; after = Hashtbl.create 8 }
-
-let forced t bid =
-  Option.value ~default:Reg.Set.empty (Hashtbl.find_opt t.forced bid)
-
 let repair t ~next_id cands (reg, cycle, redges) =
   let node =
     pick_repair_node ~avoid:(fun x -> Reg.Set.mem reg (forced t x)) redges cycle
@@ -233,4 +251,4 @@ let repair t ~next_id cands (reg, cycle, redges) =
   | Some _ | None ->
       Hashtbl.replace t.after node !next_id;
       Hashtbl.replace t.forced !next_id (Reg.Set.singleton reg);
-      insert_repair ~next_id cands node
+      insert_repair t ~next_id cands node

@@ -32,26 +32,33 @@ type conflict
 
 type attempt = Colored of t | Conflict of conflict
 
-val try_color : Candidates.t -> Prune.result -> attempt
+type rounds
+(** One compile's colouring rounds: its repair boundaries, each with the
+    registers it force-keeps, the repair inserted after each repaired
+    node, the one span walker ({!Spans.t}) every round's {!try_color}
+    reads and every {!repair} patches, and per register the last clean
+    colouring. *)
+
+val rounds : Spans.t -> rounds
+(** Fresh, over the walker of the program the rounds will colour. *)
+
+val try_color : rounds -> Candidates.t -> Prune.result -> attempt
 (** One colouring round: 2-colour every register's stores under the
-    decisions, or name the first odd cycle met. *)
+    decisions, or name the first odd cycle met.  A register whose edge
+    list the walker hands back unchanged, over the same stores as its
+    last clean colouring, gets that colouring's colours. *)
 
-type repairs
-(** The repair boundaries of one compile, each with the registers it
-    force-keeps, and the repair inserted after each repaired node. *)
-
-val repairs : unit -> repairs
-
-val forced : repairs -> int -> Reg.Set.t
+val forced : rounds -> int -> Reg.Set.t
 (** [forced t bid]: the registers repair boundary [bid] force-keeps;
     empty for any other boundary.  Pruning takes them through
     [Prune.analyze_with ~force_keep], so repair stores are first-class
     during pruning: the reuse pass sees them as unprunable owned stores
     rather than discovering them after the fact. *)
 
-val repair : repairs -> next_id:int ref -> Candidates.t -> conflict -> unit
+val repair : rounds -> next_id:int ref -> Candidates.t -> conflict -> unit
 (** Repair the conflict found on [cands]: add its register to the
     repair already inserted after the chosen node, or insert a fresh
-    [Boundary !next_id] there (mutating the program and shifting
-    [cands.facts] through {!Candidates.boundary_inserted}).  The next
-    round needs fresh candidates and decisions. *)
+    [Boundary !next_id] there (mutating the program, and shifting
+    [cands.facts] and patching the walker through
+    {!Candidates.boundary_inserted} and {!Spans.boundary_inserted}).
+    The next round needs fresh candidates and decisions. *)

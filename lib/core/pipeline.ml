@@ -105,19 +105,23 @@ let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
                own colour), and colouring resumes until the scan is
                empty.
 
-               One loop per compile, over one set of facts, one slice
-               memo and one repair table.  A repair boundary neither
-               uses nor defines a register, so liveness, clobbers and
-               dominators hold for every round, and the reaching
-               definitions only shift ([Coloring.repair] moves them
-               along); the slice memo, keyed on (site, forced keeps),
-               rests on the same invariants.  Emission is undone by
+               One loop per compile, over one set of facts, one pruning
+               memo, one span walker and one set of colouring rounds.
+               A repair boundary neither uses nor defines a register,
+               so liveness, clobbers and dominators hold for every
+               round, and the reaching definitions and definition sites
+               only shift ([Coloring.repair] moves them along); the
+               pruning memo (slices per (site, forced keeps), dominator
+               chains, no-def verdicts) rests on the same invariants,
+               and the walker replays every span walk the repair and
+               the changed stores cannot reach.  Emission is undone by
                putting back the physically identical instruction lists,
-               on which the liveness tables are keyed, so the facts
+               on which the liveness tables are keyed, so all of them
                outlive every settle attempt too. *)
             let facts = Candidates.facts p in
             let memo = Prune.memo () in
-            let repairs = Coloring.repairs () in
+            let spans = Spans.make facts p in
+            let rounds = Coloring.rounds spans in
             (* The reuses the scan found clobbered, force-kept. *)
             let clobbered = Hashtbl.create 8 in
             let clobbered_at bid =
@@ -134,7 +138,7 @@ let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
                to a different index"); its other live-ins are treated
                normally. *)
             let force_keep bid =
-              Reg.Set.union (Coloring.forced repairs bid) (clobbered_at bid)
+              Reg.Set.union (Coloring.forced rounds bid) (clobbered_at bid)
             in
             let count name n =
               Option.iter
@@ -151,10 +155,10 @@ let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
                 Prune.analyze_with ~force_keep ~memo ~slices ~reuse cands
               in
               count "pipeline.coloring.rounds" 1;
-              match Coloring.try_color cands decisions with
+              match Coloring.try_color rounds cands decisions with
               | Coloring.Colored colors -> (cands, decisions, colors)
               | Coloring.Conflict c ->
-                  Coloring.repair repairs ~next_id cands c;
+                  Coloring.repair rounds ~next_id cands c;
                   color (round + 1)
             in
             let rec settle attempt =
@@ -190,12 +194,16 @@ let compile ?(budget_cycles = default_budget) ?(prune_slices = true)
             in
             let meta, scan = settle 1 in
             let sliced, hits = Prune.memo_counts memo in
-            count "pipeline.reaching.computes"
-              (Array.fold_left
-                 (fun n l -> if Lazy.is_val l then n + 1 else n)
-                 0 facts.Candidates.reaching);
+            let forced_lazies a =
+              Array.fold_left (fun n l -> if Lazy.is_val l then n + 1 else n) 0 a
+            in
+            count "pipeline.reaching.computes" (forced_lazies facts.Candidates.reaching);
+            count "pipeline.defsites.computes" (forced_lazies facts.Candidates.defsites);
             count "pipeline.prune.sliced" sliced;
             count "pipeline.prune.slice_memo_hits" hits;
+            let walked, reused = Spans.walk_counts spans in
+            count "pipeline.spans.walks" walked;
+            count "pipeline.spans.walks_reused" reused;
             (meta, Some scan)
         | Scheme.Nvp -> assert false
       in

@@ -19,8 +19,9 @@
 open Gecko_isa
 
 val default_budget : int
-(** Default charge-cycle budget in cycles (overridden by experiment
-    configurations derived from board parameters). *)
+(** Default charge-cycle budget in cycles.  Every caller that does not
+    pass [~budget_cycles] gets it, on every board: nothing derives a
+    budget from board parameters yet. *)
 
 val passes : string list
 (** The pass names, in the order they first run: ["copy"], ["regions"],
@@ -57,7 +58,8 @@ val compile :
     and colouring resumes, until the scan is empty (bounded; raises
     [Failure] past the bound).  Colouring rounds and settle attempts
     form one loop per compile, over one {!Candidates.facts}, one
-    {!Prune.memo} and one {!Coloring.repairs} table.  The [coloring]
+    {!Prune.memo}, one {!Spans.t} and one {!Coloring.rounds}: each round
+    re-derives only what the last repair or settle keep changed.  The [coloring]
     and [slots] gates read that last, clobber-free scan
     ({!Verify.coloring}, {!Verify.slots}, its errors included) rather
     than analysing the same program again; they and the independent
@@ -80,10 +82,12 @@ val compile :
     loops: WAR hazard searches and the loads they walk
     ([pipeline.war.searches], [pipeline.war.loads_walked], see
     {!Regions.form} and {!Regions.split}), and, over the colour-and-settle
-    loop, reaching-definition fixpoints (at most one per function),
-    registers sliced and slice-memo hits ([pipeline.reaching.computes],
-    [pipeline.prune.sliced], [pipeline.prune.slice_memo_hits]).  All
-    counters are deterministic.  Without [obs] and [metrics] no pass
+    loop, reaching-definition fixpoints and definition-site tables (at
+    most one of each per function), registers sliced and slice-memo
+    hits, and span walks run and replayed ([pipeline.reaching.computes],
+    [pipeline.defsites.computes], [pipeline.prune.sliced],
+    [pipeline.prune.slice_memo_hits], [pipeline.spans.walks],
+    [pipeline.spans.walks_reused]).  All counters are deterministic.  Without [obs] and [metrics] no pass
     reads a clock. *)
 
 val checkpoint_store_count : Cfg.program -> int

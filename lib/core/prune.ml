@@ -167,19 +167,94 @@ let try_slice cands fi dom reaching pb live pruned pinned r =
         Some (List.rev ctx.emitted)
       with Unsliceable -> None)
 
-(* Phase-1 decisions per (site id, forced-keep mask).  Every input of
-   [try_slice] survives a boundary insertion: reaching definitions,
-   [dominates_point], [defsites] and [no_def_between] shift consistently
-   with the points, and [location_read_only] and [s_live] do not move;
-   [pruned] and [pinned] are local to one site. *)
+(* What a boundary insertion cannot change, kept for one compile.
+
+   [phase1]: slice decisions per (site id, forced-keep mask).  Every
+   input of [try_slice] survives a boundary insertion: reaching
+   definitions, [dominates_point], [defsites] and [no_def_between] shift
+   consistently with the points, and [location_read_only] and [s_live]
+   do not move; [pruned] and [pinned] are local to one site.
+
+   [chains]: per site id, the ids of its function's other sites that
+   dominate it, nearest first.  Dominance between two existing sites
+   does not move, and a new site joins the chains in {!add_site}.
+
+   [no_def]: [no_def_between] verdicts of the reuse pass per (owner id,
+   site id, register), invariant for the same reason. *)
 type memo = {
-  phase1 : (int * int, (Reg.t * decision) list) Hashtbl.t;
+  phase1 : (int, (Reg.t * decision) list) Hashtbl.t;
+  chains : (int, int list) Hashtbl.t;
+  no_def : (int, bool) Hashtbl.t;
   mutable sliced : int;
   mutable hits : int;
 }
 
-let memo () = { phase1 = Hashtbl.create 32; sliced = 0; hits = 0 }
+let memo () =
+  {
+    phase1 = Hashtbl.create 32;
+    chains = Hashtbl.create 64;
+    no_def = Hashtbl.create 256;
+    sliced = 0;
+    hits = 0;
+  }
+
 let memo_counts m = (m.sliced, m.hits)
+let dominators m bid = Hashtbl.find m.chains bid
+
+(* (owner, site, register) as [(owner lsl 32) lor (site lsl 4) lor r]:
+   site ids stay below 2^28 and registers below 16. *)
+let no_def_key o s r = (o lsl 32) lor (s lsl 4) lor Reg.to_int r
+
+let verdicts m =
+  Hashtbl.fold
+    (fun k v acc ->
+      (k lsr 32, (k lsr 4) land 0xfffffff, Reg.of_int (k land 15), v) :: acc)
+    m.no_def []
+
+(* [id] goes into a chain just before [x], its nearest dominator there,
+   or last when it has none ([x] = -1). *)
+let rec insert_before x id = function
+  | o :: rest when o <> x -> o :: insert_before x id rest
+  | rest -> id :: rest
+
+(* A site not yet in [chains]: the known sites of its function that
+   dominate it form a chain, so its own chain is its nearest dominator
+   (the one every other dominates) followed by that one's chain; and
+   every known site it dominates gains it just before that nearest
+   dominator.  For a repair boundary R inserted right after X, that is
+   X :: chain X, and R joins every chain that holds X. *)
+let add_site memo dom (sites : Candidates.site array) (s : Candidates.site) =
+  let fi = s.Candidates.s_func in
+  let dominates (a : Candidates.site) (b : Candidates.site) =
+    A.Dom.dominates_point dom a.Candidates.s_point b.Candidates.s_point
+  in
+  let known =
+    Array.fold_right
+      (fun (o : Candidates.site) acc ->
+        if o.Candidates.s_func = fi && Hashtbl.mem memo.chains o.Candidates.s_id
+        then o :: acc
+        else acc)
+      sites []
+  in
+  let nearest =
+    List.fold_left
+      (fun best o ->
+        if not (dominates o s) then best
+        else
+          match best with
+          | Some b when not (dominates b o) -> best
+          | Some _ | None -> Some o)
+      None known
+  in
+  let x = match nearest with Some o -> o.Candidates.s_id | None -> -1 in
+  List.iter
+    (fun (y : Candidates.site) ->
+      if dominates s y then
+        Hashtbl.replace memo.chains y.Candidates.s_id
+          (insert_before x s.Candidates.s_id (Hashtbl.find memo.chains y.Candidates.s_id)))
+    known;
+  Hashtbl.replace memo.chains s.Candidates.s_id
+    (match nearest with Some o -> x :: Hashtbl.find memo.chains o.Candidates.s_id | None -> [])
 
 let analyze_with ~force_keep ~memo ~slices ~reuse (cands : Candidates.t) =
   let result : result = Hashtbl.create 32 in
@@ -220,8 +295,10 @@ let analyze_with ~force_keep ~memo ~slices ~reuse (cands : Candidates.t) =
         if not slices then phase1 s forced
         else
           let key =
-            ( s.Candidates.s_id,
-              Reg.Set.fold (fun r k -> k lor (1 lsl Reg.to_int r)) forced 0 )
+            Reg.Set.fold
+              (fun r k -> k lor (1 lsl Reg.to_int r))
+              forced
+              (s.Candidates.s_id lsl Reg.count)
           in
           match Hashtbl.find_opt memo.phase1 key with
           | Some ds ->
@@ -256,8 +333,13 @@ let analyze_with ~force_keep ~memo ~slices ~reuse (cands : Candidates.t) =
        table over site positions, written back into [result] at the
        end.  A register a site does not have live has no entry. *)
     let sites = Array.of_list cands.Candidates.sites in
-    let pos = Hashtbl.create (Array.length sites) in
-    Array.iteri (fun i (s : Candidates.site) -> Hashtbl.replace pos s.Candidates.s_id i) sites;
+    (* Site id -> position in [sites], or -1. *)
+    let pos =
+      Array.make
+        (1 + Array.fold_left (fun m (s : Candidates.site) -> max m s.Candidates.s_id) 0 sites)
+        (-1)
+    in
+    Array.iteri (fun i (s : Candidates.site) -> pos.(s.Candidates.s_id) <- i) sites;
     let table =
       Array.map
         (fun (s : Candidates.site) ->
@@ -274,82 +356,80 @@ let analyze_with ~force_keep ~memo ~slices ~reuse (cands : Candidates.t) =
       table.(i).(Reg.to_int r) <- Some d;
       changed.(i) <- true
     in
-    let sites_of_func = Array.make (Array.length cands.Candidates.funcs) [] in
-    Array.iteri
-      (fun i (s : Candidates.site) ->
-        sites_of_func.(s.Candidates.s_func) <- i :: sites_of_func.(s.Candidates.s_func))
+    Array.iter
+      (fun (s : Candidates.site) ->
+        if not (Hashtbl.mem memo.chains s.Candidates.s_id) then
+          add_site memo (dom s.Candidates.s_func) sites s)
       sites;
     Array.iteri
       (fun si (s : Candidates.site) ->
         let fi = s.Candidates.s_func in
-        let dominates (a : Candidates.site) (b : Candidates.site) =
-          A.Dom.dominates_point (dom fi) a.Candidates.s_point b.Candidates.s_point
-        in
-        (* The other sites of [s]'s function that dominate it, latest
-           first. *)
-        let dominators =
-          List.filter
-            (fun oi -> oi <> si && dominates sites.(oi) s)
-            sites_of_func.(fi)
-        in
-        List.iter
+        let sid = s.Candidates.s_id in
+        (* The ids of the sites that dominate [s], nearest first. *)
+        let dominators = Hashtbl.find memo.chains sid in
+        (* A repair (force_keep) is absolute: colouring requested this
+           store, so reuse must never take it back. *)
+        let blocked = force_keep sid in
+        Reg.Set.iter
           (fun r ->
-            (* A repair (force_keep) is absolute: colouring requested this
-               store, so reuse must never take it back. *)
-            let blocked = Reg.Set.mem r (force_keep s.Candidates.s_id) in
             match decision_for si r with
-            | Some Keep when not blocked -> (
+            | Some Keep when not (Reg.Set.mem r blocked) -> (
                 (* Nearest dominating site with r live and a usable
-                   restore: the one dominated by all the others. *)
-                let nearest =
-                  List.fold_left
-                    (fun best oi ->
-                      if not (Reg.Set.mem r sites.(oi).Candidates.s_live) then best
-                      else
-                        match best with
-                        | None -> Some oi
-                        | Some bi -> if dominates sites.(bi) sites.(oi) then Some oi else best)
-                    None dominators
-                in
-                match nearest with
+                   restore. *)
+                match
+                  List.find_opt
+                    (fun o -> Reg.Set.mem r sites.(pos.(o)).Candidates.s_live)
+                    dominators
+                with
                 | None -> ()
-                | Some oi -> (
+                | Some o -> (
+                    let oi = pos.(o) in
                     let o = sites.(oi) in
+                    let oid = o.Candidates.s_id in
                     let target =
                       match decision_for oi r with
-                      | Some Keep -> Some o.Candidates.s_id
+                      | Some Keep -> Some oid
                       | Some (Reuse t) -> Some t
                       | Some (Prune _) | None -> None
                     in
+                    let no_def () =
+                      let key = no_def_key oid sid r in
+                      match Hashtbl.find_opt memo.no_def key with
+                      | Some v -> v
+                      | None ->
+                          let v =
+                            no_def_between cands fi r o.Candidates.s_point s.Candidates.s_point
+                          in
+                          Hashtbl.replace memo.no_def key v;
+                          v
+                    in
                     match target with
-                    | Some t
-                      when no_def_between cands fi r o.Candidates.s_point
-                             s.Candidates.s_point ->
-                        set_decision si r (Reuse t)
+                    | Some t when no_def () -> set_decision si r (Reuse t)
                     | Some _ | None -> ()))
             | Some Keep | Some (Reuse _) | Some (Prune _) | None -> ())
-          (Reg.Set.elements s.Candidates.s_live))
+          s.Candidates.s_live)
       sites;
     (* Normalize reuse chains: an owner decided later in the pass may
        have become a reuser itself; restores must reference the root
        owned store. *)
     Array.iteri
       (fun si (s : Candidates.site) ->
-        List.iter
+        Reg.Set.iter
           (fun r ->
             match decision_for si r with
             | Some (Reuse t) ->
                 let rec root t seen =
                   if List.mem t seen then t
                   else
-                    match Option.bind (Hashtbl.find_opt pos t) (fun ti -> decision_for ti r) with
+                    let ti = if t < Array.length pos then pos.(t) else -1 in
+                    match if ti < 0 then None else decision_for ti r with
                     | Some (Reuse t') -> root t' (t :: seen)
                     | Some Keep | Some (Prune _) | None -> t
                 in
                 let t' = root t [] in
                 if t' <> t then set_decision si r (Reuse t')
             | Some Keep | Some (Prune _) | None -> ())
-          (Reg.Set.elements s.Candidates.s_live))
+          s.Candidates.s_live)
       sites;
     Array.iteri
       (fun i (s : Candidates.site) ->

@@ -42,13 +42,22 @@ type result = (int, (Reg.t * decision) list) Hashtbl.t
 val max_slice_nodes : int
 
 type memo
-(** Phase-1 (slice) decisions per (boundary id, forced-keep set), with
-    tallies.  A site's slice decisions depend only on inputs that a
-    boundary insertion leaves alone or shifts consistently (reaching
-    definitions, dominance between points, definition sites, read-only
-    locations, the site's live-ins), so one memo serves every colouring
-    round and settle attempt of one [Pipeline.compile].  It must not
-    outlive the [Candidates.facts] it was filled under. *)
+(** What one [Pipeline.compile]'s colouring rounds and settle attempts
+    share, because a boundary insertion leaves it alone or shifts it
+    consistently:
+
+    - phase-1 (slice) decisions per (boundary id, forced-keep set).  A
+      site's slice decisions depend only on reaching definitions,
+      dominance between points, definition sites, read-only locations
+      and the site's live-ins;
+    - per site, the chain of its function's sites that dominate it,
+      nearest first.  Dominance between existing sites does not move; a
+      repair R inserted right after X gets X's chain plus X, and every
+      site X dominates gains R just before X;
+    - the reuse pass's [no_def_between] verdicts per (owner id, site id,
+      register).
+
+    It must not outlive the [Candidates.facts] it was filled under. *)
 
 val memo : unit -> memo
 
@@ -56,6 +65,22 @@ val memo_counts : memo -> int * int
 (** [(sliced, hits)]: registers sliced by {!analyze_with} calls given
     this memo (one recovery-slice attempt each), and sites whose
     phase-1 decisions came from the memo instead. *)
+
+val dominators : memo -> int -> int list
+(** [dominators m bid]: the ids of the other sites of [bid]'s function
+    that dominate it, nearest first, as kept by the last {!analyze_with}
+    with reuse on.  Raises [Not_found] for a site it has not seen. *)
+
+val verdicts : memo -> (int * int * Reg.t * bool) list
+(** Every kept [(owner, site, r, no_def_between)] verdict, in no
+    particular order. *)
+
+val no_def_between :
+  Candidates.t -> int -> Reg.t -> Gecko_analysis.Fgraph.point ->
+  Gecko_analysis.Fgraph.point -> bool
+(** [no_def_between cands fi r op sp]: no definition of [r] can execute
+    on a path from point [op] to point [sp] of function [fi] without
+    re-crossing [op]. *)
 
 val analyze_with :
   force_keep:(int -> Reg.Set.t) ->
@@ -83,8 +108,9 @@ val analyze_with :
     own.
 
     [memo] serves and records phase-1 decisions; it is consulted only
-    when [slices] is on.  Phase 2 (reuse) always runs afresh, in one
-    pass: a new repair site changes which sites dominate which.
+    when [slices] is on.  Phase 2 (reuse) runs in one pass over every
+    site, reading the dominator chains and no-def verdicts from [memo]
+    and adding the sites it has not seen to the chains first.
 
     The program must be hazard-free ({!Regions.form}): a slice's loads
     and a reused slot are sound only if re-execution is idempotent. *)

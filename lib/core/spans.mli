@@ -12,8 +12,21 @@
 open Gecko_isa
 
 type t
+(** The instruction bodies of a program's blocks, indexed for walking,
+    with a memo of the last {!edges} call's walks. *)
 
-val make : Candidates.t -> t
+val make : Candidates.facts -> Cfg.program -> t
+(** Over the program the facts describe; the sites are passed to each
+    {!edges} call.  One [t] serves every colouring round of a compile:
+    the program changes between rounds only by repair boundaries, each
+    reported through {!boundary_inserted}. *)
+
+val boundary_inserted : t -> func:int -> blk:int -> after:int -> unit
+(** A [Boundary] was inserted into block [blk] of function [func] right
+    after boundary [after]: re-read that block's body, and drop the
+    recorded walks that can reach the new boundary (the walk from
+    [after], and every walk that visited [after]) at the next
+    {!edges} call. *)
 
 val iter_window :
   t ->
@@ -33,8 +46,13 @@ val iter_window :
     visit's [redefined] is unchanged since [s] on every window path to
     the position. *)
 
-val edges : t -> stores:(int -> Reg.Set.t) -> (int * int * bool) list array
-(** Span adjacency under the stores [stores id] of every boundary,
+val edges :
+  t ->
+  sites:Candidates.site list ->
+  stores:(int -> Reg.Set.t) ->
+  (int * int * bool) list array
+(** Span adjacency under the stores [stores id] of every boundary of
+    [sites] (every boundary of the program, in program order),
     indexed by [Reg.to_int r]: the directed edges [(a, b, redefined)]
     of register [r].  The span of [r] from a boundary [a] that stores it
     follows every path from just after [a] and ends at the first
@@ -48,4 +66,18 @@ val edges : t -> stores:(int -> Reg.Set.t) -> (int * int * bool) list array
 
     [redefined] is [true] when some path of the span from [a] to [b]
     defines [r]; when it is [false], [b] stores exactly the word [a]
-    stored. *)
+    stored.
+
+    A register's edge list comes out in the order of a hash table
+    filled, source by source in [sites] order, with the edges of each
+    source's walk; that order decides which conflict colouring repairs
+    first, so the table is never randomised.  The walk from a source is
+    replayed from the last call instead of run again when its stores
+    are the same, it is no repaired node, and no boundary it visited
+    changed its stores or is a repaired node.  A register whose edges
+    come out in the same order as in the last call gets that call's
+    list back, physically. *)
+
+val walk_counts : t -> int * int
+(** [(walked, reused)]: span walks {!edges} ran, and recorded walks it
+    replayed instead, over every call on [t]. *)

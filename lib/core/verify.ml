@@ -26,6 +26,7 @@ let idempotence p =
    [slots] turns every clobber into an error, and [coloring] walks the
    spans it built. *)
 type scan = {
+  sites : Candidates.site list;
   spans : Spans.t;
   meta : Meta.t;
   clobbers : ((int * Reg.t) * string) list;
@@ -34,7 +35,7 @@ type scan = {
 
 let scan p (meta : Meta.t) =
   let cands = Candidates.compute p in
-  let w = Spans.make cands in
+  let w = Spans.make cands.Candidates.facts p in
   (* Slot reads of the recovery state committed at a boundary:
      (register, colour). *)
   let reads_of (info : Meta.binfo) =
@@ -98,7 +99,7 @@ let scan p (meta : Meta.t) =
                       reads
                 | _ -> ()))
     cands.Candidates.sites;
-  { spans = w; meta; clobbers = List.rev !clobbers; errs = List.rev !errs }
+  { sites = cands.Candidates.sites; spans = w; meta; clobbers = List.rev !clobbers; errs = List.rev !errs }
 
 (* Registers whose checkpoint store a boundary emits, with the colour
    of each. *)
@@ -119,7 +120,7 @@ let coloring sc =
     Reg.Set.of_list
       (List.map (fun (x : Meta.restore) -> x.Meta.r_reg) (owned_restores meta bid))
   in
-  let edges = Spans.edges sc.spans ~stores in
+  let edges = Spans.edges sc.spans ~sites:sc.sites ~stores in
   let errs = ref [] in
   List.iter
     (fun r ->

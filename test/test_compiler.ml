@@ -410,7 +410,7 @@ let first_repair = 100
 let color ?(keeps = fun _ _ -> true) p =
   let p = number_boundaries p in
   let facts = Core.Candidates.facts p in
-  let repairs = Core.Coloring.repairs () in
+  let rounds = Core.Coloring.rounds (Core.Spans.make facts p) in
   let next_id = ref first_repair in
   let decide (cands : Core.Candidates.t) =
     let decisions = Hashtbl.create 8 in
@@ -421,7 +421,7 @@ let color ?(keeps = fun _ _ -> true) p =
           (List.map
              (fun r ->
                if
-                 Reg.Set.mem r (Core.Coloring.forced repairs bid)
+                 Reg.Set.mem r (Core.Coloring.forced rounds bid)
                  || (bid < first_repair && keeps bid r)
                then (r, Core.Prune.Keep)
                else (r, Core.Prune.Reuse 0))
@@ -433,10 +433,10 @@ let color ?(keeps = fun _ _ -> true) p =
     if n > 257 then Alcotest.fail "colouring did not converge";
     let cands = Core.Candidates.compute ~facts p in
     let decisions = decide cands in
-    match Core.Coloring.try_color cands decisions with
+    match Core.Coloring.try_color rounds cands decisions with
     | Core.Coloring.Colored _ -> (n, decisions)
     | Core.Coloring.Conflict c ->
-        Core.Coloring.repair repairs ~next_id cands c;
+        Core.Coloring.repair rounds ~next_id cands c;
         round (n + 1)
   in
   let rounds, decisions = round 1 in
@@ -791,14 +791,15 @@ let test_generated_digest () =
 
 (* How much each fix-up loop re-derives, pinned exactly for two
    programs: WAR hazard searches and the loads they walk, reaching-
-   definition fixpoints, registers sliced and slice-memo hits.  A loop
-   that went back to re-analysing the whole program after every fix
-   moves these numbers (fft's 26 searches walk 633 loads here, and
-   1,404 when every search walks every load; its 4 colouring rounds
-   would compute a fixpoint each and hit no memo), so it fails here
-   and not only on a wall clock.  dhrystone's 4 fixpoints are its 4
-   functions, once per compile: its two settle attempts after
-   force-keeps reuse the facts and the slice memo of the first. *)
+   definition fixpoints, registers sliced and slice-memo hits, span
+   walks run and replayed.  A loop that went back to re-analysing the
+   whole program after every fix moves these numbers (fft's 26 searches
+   walk 633 loads here, and 1,404 when every search walks every load;
+   its 4 colouring rounds would compute a fixpoint each, hit no memo
+   and run all 118 walks), so it fails here and not only on a wall
+   clock.  dhrystone's 4 fixpoints are its 4 functions, once per
+   compile: its two settle attempts after force-keeps reuse the facts
+   and the slice memo of the first. *)
 let rederivations name =
   let reg = Gecko_obs.Metrics.create () in
   let src = (Gecko_workloads.Workload.find name).Gecko_workloads.Workload.build () in
@@ -811,18 +812,22 @@ let rederivations name =
       "pipeline.reaching.computes";
       "pipeline.prune.sliced";
       "pipeline.prune.slice_memo_hits";
+      "pipeline.spans.walks";
+      "pipeline.spans.walks_reused";
     ]
 
 let test_rederivations () =
-  let what = "searches, loads walked, fixpoints, sliced, memo hits" in
-  Alcotest.(check (list int)) ("fft: " ^ what) [ 26; 633; 1; 77; 90 ] (rederivations "fft");
+  let what = "searches, loads walked, fixpoints, sliced, memo hits, walks, walks reused" in
+  Alcotest.(check (list int))
+    ("fft: " ^ what)
+    [ 26; 633; 1; 77; 90; 45; 73 ] (rederivations "fft");
   Alcotest.(check (list int))
     ("dhrystone: " ^ what)
-    [ 2; 17; 4; 62; 96 ] (rederivations "dhrystone")
+    [ 2; 17; 4; 62; 96; 36; 62 ] (rederivations "dhrystone")
 
 (* One set of facts per compile: however many colouring rounds and
    settle attempts a compile takes, no function's reaching definitions
-   are computed twice. *)
+   or definition sites are computed twice. *)
 let test_one_fixpoint_per_function () =
   let programs =
     List.map
@@ -836,14 +841,19 @@ let test_one_fixpoint_per_function () =
         (fun (slug, scheme) ->
           let reg = Gecko_obs.Metrics.create () in
           ignore (Core.Pipeline.compile ~metrics:reg scheme src);
-          let computes =
-            Gecko_obs.Metrics.counter_value
-              (Gecko_obs.Metrics.counter reg "pipeline.reaching.computes")
-          in
           let funcs = List.length src.Cfg.funcs in
-          if computes > funcs then
-            Alcotest.failf "%s %s: %d reaching fixpoints over %d functions"
-              src.Cfg.pname slug computes funcs)
+          List.iter
+            (fun (what, name) ->
+              let computes =
+                Gecko_obs.Metrics.counter_value (Gecko_obs.Metrics.counter reg name)
+              in
+              if computes > funcs then
+                Alcotest.failf "%s %s: %d %s over %d functions" src.Cfg.pname slug
+                  computes what funcs)
+            [
+              ("reaching fixpoints", "pipeline.reaching.computes");
+              ("definition-site tables", "pipeline.defsites.computes");
+            ])
         [ ("gecko", Core.Scheme.Gecko); ("gecko-noprune", Core.Scheme.Gecko_noprune) ])
     programs
 
@@ -893,6 +903,114 @@ let test_instrumentation_totals () =
   Alcotest.(check (triple int int int))
     "boundaries, checkpoint stores, force-keeps" (107, 169, 5) (nb, ns, keeps)
 
+(* What the colouring rounds of one compile keep instead of re-deriving
+   (definition sites, dominator chains, no-def verdicts, span walks)
+   must equal a from-scratch analysis of the program as it stands after
+   every repair.  The rounds are driven through the per-round API as
+   [Pipeline.compile] drives them, on generated programs formed and
+   split at budgets 4000 and 300.  Every function's definition sites are
+   read before the first round, so gecko-noprune (which never reads
+   them) shifts them too. *)
+let kept_rederivations_exact src ~slices ~reuse ~budget =
+  let p = Core.Copy.program src in
+  let next_id = ref 0 in
+  ignore (Core.Regions.form ~next_id p);
+  (* The pipeline's checkpoint-overhead estimate for GECKO. *)
+  let ckpt_overhead =
+    (Reg.count * Cost.instr_cycles (Instr.Ckpt (Reg.r0, 0)))
+    + Cost.instr_cycles (Instr.Boundary 0)
+  in
+  ignore (Core.Regions.split ~next_id ~budget ~ckpt_overhead p);
+  let facts = Core.Candidates.facts p in
+  let memo = Core.Prune.memo () in
+  let spans = Core.Spans.make facts p in
+  let rounds = Core.Coloring.rounds spans in
+  let fail what = Alcotest.failf "%s (budget %d): %s after a repair" p.Cfg.pname budget what in
+  let stores_of decisions bid =
+    List.fold_left
+      (fun acc (r, d) -> match d with Core.Prune.Keep -> Reg.Set.add r acc | _ -> acc)
+      Reg.Set.empty
+      (Option.value ~default:[] (Hashtbl.find_opt decisions bid))
+  in
+  let check (cands : Core.Candidates.t) decisions =
+    let fresh = Core.Candidates.compute p in
+    Array.iteri
+      (fun fi _ ->
+        List.iter
+          (fun r ->
+            if Core.Candidates.defsites cands fi r <> Core.Candidates.defsites fresh fi r then
+              fail (Printf.sprintf "definition sites of %s" (Reg.to_string r)))
+          Reg.all)
+      cands.Core.Candidates.funcs;
+    if reuse then begin
+      let scratch = Core.Prune.memo () in
+      ignore
+        (Core.Prune.analyze_with ~force_keep:(fun _ -> Reg.Set.empty) ~memo:scratch
+           ~slices:false ~reuse:true fresh);
+      List.iter
+        (fun (s : Core.Candidates.site) ->
+          let id = s.Core.Candidates.s_id in
+          if Core.Prune.dominators memo id <> Core.Prune.dominators scratch id then
+            fail (Printf.sprintf "dominator chain of boundary %d" id))
+        cands.Core.Candidates.sites;
+      List.iter
+        (fun (o, s, r, v) ->
+          let so = Core.Candidates.site fresh o and ss = Core.Candidates.site fresh s in
+          if
+            v
+            <> Core.Prune.no_def_between fresh ss.Core.Candidates.s_func r
+                 so.Core.Candidates.s_point ss.Core.Candidates.s_point
+          then fail (Printf.sprintf "no-def verdict %d -> %d of %s" o s (Reg.to_string r)))
+        (Core.Prune.verdicts memo)
+    end;
+    let stores = stores_of decisions in
+    let kept = Core.Spans.edges spans ~sites:cands.Core.Candidates.sites ~stores in
+    let again =
+      Core.Spans.edges
+        (Core.Spans.make fresh.Core.Candidates.facts p)
+        ~sites:fresh.Core.Candidates.sites ~stores
+    in
+    if kept <> again then fail "span edges"
+  in
+  let rec round n ~repaired =
+    if n > 256 then Alcotest.failf "%s: colouring did not converge" p.Cfg.pname;
+    let cands = Core.Candidates.compute ~facts p in
+    if n = 1 then
+      Array.iteri
+        (fun fi _ -> ignore (Core.Candidates.defsites cands fi Reg.r0))
+        cands.Core.Candidates.funcs;
+    let decisions =
+      Core.Prune.analyze_with ~force_keep:(Core.Coloring.forced rounds) ~memo ~slices
+        ~reuse cands
+    in
+    if repaired then check cands decisions;
+    match Core.Coloring.try_color rounds cands decisions with
+    | Core.Coloring.Colored _ -> n - 1
+    | Core.Coloring.Conflict c ->
+        Core.Coloring.repair rounds ~next_id cands c;
+        round (n + 1) ~repaired:true
+  in
+  round 1 ~repaired:false
+
+let test_kept_rederivations () =
+  let programs =
+    List.init 60 (fun s -> Gen_prog.generate_mixed s)
+    @ List.init 60 (fun s -> Gen_prog.generate ~calls:true ~runs:true s)
+  in
+  let repairs = ref 0 in
+  List.iter
+    (fun src ->
+      List.iter
+        (fun (slices, reuse) ->
+          List.iter
+            (fun budget ->
+              repairs := !repairs + kept_rederivations_exact src ~slices ~reuse ~budget)
+            [ Core.Pipeline.default_budget; 300 ])
+        [ (true, true); (false, false) ])
+    programs;
+  (* The property is only as strong as the repairs it sees. *)
+  if !repairs < 500 then Alcotest.failf "only %d repairs checked" !repairs
+
 let () =
   Alcotest.run "compiler"
     [
@@ -935,6 +1053,8 @@ let () =
             test_redefining_path_loses_exemption;
           Alcotest.test_case "clobbered reuse is force-kept" `Quick
             test_clobbered_reuse_force_kept;
+          Alcotest.test_case "repairs keep re-derivations exact" `Quick
+            test_kept_rederivations;
         ] );
       ( "listings",
         [
