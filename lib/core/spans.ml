@@ -1,11 +1,11 @@
 open Gecko_isa
 module A = Gecko_analysis
 
-(* One source's recorded span walk: the stores it walked with, its
-   edges in first-insert order, each [(target lsl 5) lor (register lsl
-   1) lor redefined] with its final flag, and the boundary ids it
-   visited, each once.  Boundary ids stay below 2^27. *)
-type walk = { w_stores : Reg.Set.t; w_edges : int list; w_visited : int list }
+(* One source's recorded span walk: its edges in first-insert order,
+   each [(target lsl 5) lor (register lsl 1) lor redefined] with its
+   final flag, and the boundary ids it visited, each once.  Boundary
+   ids stay below 2^27. *)
+type walk = { w_edges : int list; w_visited : int list }
 
 (* A block body as {!edges} walks it: segment [k] is the registers the
    instructions before the [k]-th [Boundary] (and after the one before)
@@ -271,14 +271,11 @@ let edges w ~sites ~stores =
         || not (Option.equal Reg.Set.equal w.stores_then.(id) stores_now.(id)))
   in
   List.iter (fun id -> if id < n_ids then moved.(id) <- true) w.repaired;
-  let kept src x =
+  let kept src =
     if src >= Array.length w.walks || moved.(src) then None
     else
       match w.walks.(src) with
-      | Some k
-        when Reg.Set.equal k.w_stores x
-             && not (List.exists (fun v -> moved.(v)) k.w_visited) ->
-          Some k
+      | Some k when not (List.exists (fun v -> moved.(v)) k.w_visited) -> Some k
       | Some _ | None -> None
   in
   if Array.length w.visit_mark < n_ids then begin
@@ -310,7 +307,7 @@ let edges w ~sites ~stores =
       lor ((e mod Reg.count) lsl 1)
       lor Char.code (Bytes.get w.edge_flag e)
     in
-    { w_stores = x; w_edges = List.rev_map edge !inserts; w_visited = !visited }
+    { w_edges = List.rev_map edge !inserts; w_visited = !visited }
   in
   let walks = Array.make n_ids None in
   let seqs = Array.make Reg.count [] in
@@ -320,7 +317,7 @@ let edges w ~sites ~stores =
       let x = st.(src) in
       if not (Reg.Set.is_empty x) then begin
         let k =
-          match kept src x with
+          match kept src with
           | Some k ->
               w.reused <- w.reused + 1;
               k
